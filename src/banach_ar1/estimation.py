@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import SpectralOperator, Trajectory, evaluate_on_grid
-from .wavelet import WaveletBasisSpec, besov_sup_norm, dwt_forward
+from .model import SpectralOperator, Trajectory, eigenfunctions_on_grid
+from .wavelet import WaveletBasisSpec, dwt_forward
 
 
 class EigenGapError(RuntimeError):
@@ -202,35 +203,6 @@ def max_inverse_gap(values: np.ndarray, k: int) -> float:
     return float((1.0 / gaps).max())
 
 
-def _state_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD-based eigensystem of (1/m) X^T X for the m x p state matrix X.
-
-    Returns (eigenvalues, eigenvectors, left_factor) where eigenvalues are
-    the squared singular values over m (descending, zero-padded to p), the
-    eigenvectors are the full p x p right singular basis, and left_factor
-    holds the left singular vectors scaled so that X = left_factor *
-    sigma @ eigenvectors.T.  Going through the singular values instead of
-    the Gram matrix keeps the conditioning of downstream inversions linear
-    in the spectrum spread rather than quadratic, and covers m < p without
-    a separate route.
-    """
-    m, p = x.shape
-    w, sigma, vt = np.linalg.svd(x, full_matrices=False)
-    values = np.zeros(p)
-    r = sigma.size
-    values[:r] = sigma**2 / m
-    if r == p:
-        vectors = vt.T
-    else:
-        # fewer samples than modes: complete the right singular basis to a
-        # full orthonormal one (the added columns carry eigenvalue zero)
-        v_r = vt.T
-        q, _ = np.linalg.qr(np.hstack([v_r, np.eye(p)]))
-        vectors = q[:, :p]
-        vectors[:, :r] = v_r
-    return values, vectors, w
-
-
 def fit_estimator(traj: Trajectory, rule: TruncationRule) -> EstimatorState:
     """Fit the truncated componentwise estimator on a trajectory.
 
@@ -250,7 +222,11 @@ def fit_estimator(traj: Trajectory, rule: TruncationRule) -> EstimatorState:
     k_n = truncation_order(n, rule, p_max=min(n - 1, p))
     inputs = traj.states[:-1]
     outputs = traj.states[1:]
-    values, vectors, left = _state_svd(inputs)
+    # SVD of the inputs' triangular factor: SVD-grade conditioning, and for
+    # n - 1 < p the full right basis completes the span with eigenvalue zero
+    _, sigma, vt = np.linalg.svd(np.linalg.qr(inputs, mode="r"), full_matrices=True)
+    values = np.pad(sigma**2 / (n - 1), (0, p - sigma.size))
+    vectors = vt.T
     floor = max(float(values[0]), 0.0) * 1e-14
     if values[0] <= 0.0 or values[k_n - 1] <= floor:
         raise TruncationRankError(
@@ -258,16 +234,13 @@ def fit_estimator(traj: Trajectory, rule: TruncationRule) -> EstimatorState:
             f"(leading {values[0]:.3e}); use a smaller truncation order"
         )
     d = outputs.T @ inputs / (n - 1)
-    # rho_hat = P_k D C^+ P_k, assembled through the singular values so only
-    # one inverse power of each sigma enters
+    # rho_hat = P_k D C^+ P_k = U_k (U_k^T D U_k / lambda_k) U_k^T
     u_k = vectors[:, :k_n]
-    sigma_k = np.sqrt(values[:k_n] * (n - 1))
-    core = (u_k.T @ (outputs.T @ left[:, :k_n])) / sigma_k[None, :]
-    rho_hat = u_k @ core @ u_k.T
+    rho_hat = u_k @ ((u_k.T @ d @ u_k) / values[:k_n]) @ u_k.T
     return EstimatorState(
         n=n,
         k_n=k_n,
-        eigenvalues=np.clip(values, 0.0, None),
+        eigenvalues=values,
         eigenvectors=vectors,
         d_matrix=d,
         rho_hat=rho_hat,
@@ -282,6 +255,14 @@ def plug_in_predict(state: EstimatorState, x: np.ndarray) -> np.ndarray:
     return state.rho_hat @ x
 
 
+@lru_cache(maxsize=8)
+def _wavelet_matrix(modes: int, grid_len: int, spec: WaveletBasisSpec) -> np.ndarray:
+    """Row j holds the flattened wavelet coefficients of eigenfunction j+1; read-only."""
+    w = np.array([dwt_forward(phi, spec).flatten() for phi in eigenfunctions_on_grid(modes, grid_len)])
+    w.setflags(write=False)
+    return w
+
+
 def prediction_error_besov(
     truth: np.ndarray,
     predicted: np.ndarray,
@@ -290,13 +271,13 @@ def prediction_error_besov(
 ) -> float:
     """Sup-norm of the wavelet coefficients of the prediction error.
 
-    Both coefficient vectors are expanded on the dyadic grid, the difference
-    is wavelet-transformed, and the largest coefficient magnitude is the
-    reported error.
+    The error is the largest coefficient magnitude of the wavelet transform
+    of the difference expanded on the dyadic grid.  Both steps are linear,
+    so it is computed as max |(truth - predicted) @ W| with the cached
+    p x L matrix W of the eigenfunctions' wavelet coefficients.
     """
     truth = np.asarray(truth, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
     if truth.shape != predicted.shape:
         raise ValueError("truth and prediction must have the same length")
-    diff = evaluate_on_grid(truth, grid_len) - evaluate_on_grid(predicted, grid_len)
-    return besov_sup_norm(dwt_forward(diff, spec))
+    return float(np.abs((truth - predicted) @ _wavelet_matrix(truth.size, grid_len, spec)).max())

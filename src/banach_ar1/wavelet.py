@@ -30,7 +30,7 @@ MAX_FILTER_ORDER = 10
 
 @dataclass(frozen=True)
 class WaveletBasisSpec:
-    """Parameters of the periodized wavelet basis.
+    """Parameters of the periodized wavelet basis (periodic boundary only).
 
     order
         Number of vanishing moments of the Daubechies family (filter has
@@ -44,7 +44,6 @@ class WaveletBasisSpec:
     order: int
     coarse_level: int
     max_level: int
-    boundary: str = "periodic"
 
     def __post_init__(self):
         if self.order < 1:
@@ -53,8 +52,6 @@ class WaveletBasisSpec:
             raise ValueError("coarse_level must be >= 1")
         if self.max_level < self.coarse_level:
             raise ValueError("max_level must be >= coarse_level")
-        if self.boundary != "periodic":
-            raise ValueError("only periodic boundary handling is supported")
 
     @property
     def grid_len(self) -> int:

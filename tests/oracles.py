@@ -3,9 +3,10 @@
 Nothing here shares code with the package internals: eigen decompositions
 run classic Jacobi rotations, the estimator is assembled by nested loops
 over its defining sums, wavelet basis vectors come from an explicit
-coefficient-upsampling cascade, and the stationary covariance is the plain
-fixed-point iteration.  Everything targets tiny instances and favours
-obviousness over speed.
+coefficient-upsampling cascade, the stationary covariance is the plain
+fixed-point iteration, and trajectories step the autoregression one state at
+a time.  Everything targets tiny instances and favours obviousness over
+speed.
 """
 
 import math
@@ -145,6 +146,25 @@ def lyapunov_fixed_point(rho, q, iterations=500):
             return nxt
         sigma = nxt
     return sigma
+
+
+def stepped_trajectory(n, rho, root, x0, rng, burn_in=0):
+    """X_0..X_n of X_i = rho X_{i-1} + root z_i, stepped one state at a time.
+
+    The standard normals z_i are drawn as one (burn_in + n) x p block from
+    rng; the first burn_in steps from x0 are not recorded.
+    """
+    rho = np.asarray(rho, dtype=float)
+    root = np.asarray(root, dtype=float)
+    z = rng.standard_normal((burn_in + n, rho.shape[0]))
+    x = np.array(x0, dtype=float)
+    states = []
+    for i in range(burn_in + n):
+        if i >= burn_in:
+            states.append(x)
+        x = rho @ x + root @ z[i]
+    states.append(x)
+    return np.array(states)
 
 
 def truncated_normal_variance_factor(cut=3.0):

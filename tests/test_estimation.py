@@ -7,6 +7,7 @@ from banach_ar1.estimation import (
     EigenGapError,
     TruncationRankError,
     TruncationRule,
+    _wavelet_matrix,
     eigen_decompose,
     empirical_covariance,
     empirical_cross_covariance,
@@ -18,8 +19,17 @@ from banach_ar1.estimation import (
     sign_align,
     truncation_order,
 )
-from banach_ar1.model import SpectralOperator, Trajectory, build_covariance, build_noise_covariance, build_rho, simulate_trajectory
-from banach_ar1.wavelet import WaveletBasisSpec
+from banach_ar1.model import (
+    SpectralOperator,
+    Trajectory,
+    build_covariance,
+    build_noise_covariance,
+    build_rho,
+    evaluate_on_grid,
+    sample_initial_condition,
+    simulate_trajectory,
+)
+from banach_ar1.wavelet import WaveletBasisSpec, besov_sup_norm, dwt_forward
 
 from oracles import oracle_estimator
 
@@ -247,6 +257,17 @@ class TestFitEstimator:
         assert (state.eigenvalues[4:] == 0).all()
         assert np.abs(state.rho_hat - oracle_estimator(x, 3)).max() < 1e-10
 
+    @pytest.mark.parametrize("transitions", [30, 499])
+    def test_reference_spectrum_at_fifty_modes_matches_oracle(self, transitions):
+        # both sides of n - 1 = p on the reference model: the QR-factor fit
+        # must complete the right basis when there are fewer transitions
+        cov, rho, noise = paper_model(50)
+        rng = np.random.default_rng(transitions)
+        traj = simulate_trajectory(transitions, rho, noise, sample_initial_condition(cov, rng), rng)
+        state = fit_estimator(traj, TruncationRule.log_ceil())
+        assert state.k_n == math.ceil(math.log(transitions + 1))
+        assert np.abs(state.rho_hat - oracle_estimator(traj.states, state.k_n)).max() < 1e-9
+
     def test_log_rule_stores_matching_order(self):
         rng = np.random.default_rng(42)
         x = rng.standard_normal((200, 10))
@@ -292,12 +313,29 @@ class TestPredictionError:
         assert prediction_error_besov(v, v, 2048, SPEC) == 0.0
 
     def test_zero_prediction_reduces_to_truth_norm(self):
-        from banach_ar1.model import evaluate_on_grid
-        from banach_ar1.wavelet import besov_sup_norm, dwt_forward
-
         v = np.array([0.4, -0.1, 0.2])
         expected = besov_sup_norm(dwt_forward(evaluate_on_grid(v, 2048), SPEC))
         assert prediction_error_besov(v, np.zeros(3), 2048, SPEC) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("modes", [5, 50])
+    @pytest.mark.parametrize(
+        "spec", [SPEC, WaveletBasisSpec(order=4, coarse_level=2, max_level=8)], ids=["db10-2048", "db4-512"]
+    )
+    def test_matches_transform_of_grid_difference(self, spec, modes):
+        rng = np.random.default_rng(modes)
+        for _ in range(10):
+            truth, predicted = rng.standard_normal((2, modes))
+            diff = evaluate_on_grid(truth, spec.grid_len) - evaluate_on_grid(predicted, spec.grid_len)
+            expected = besov_sup_norm(dwt_forward(diff, spec))
+            got = prediction_error_besov(truth, predicted, spec.grid_len, spec)
+            assert got == pytest.approx(expected, rel=1e-13)
+
+    def test_coefficient_matrix_is_read_only(self):
+        w = _wavelet_matrix(5, 2048, SPEC)
+        assert w.shape == (5, 2048)
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0, 0] = 1.0
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(31)

@@ -1,8 +1,12 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import banach_ar1
 from banach_ar1.model import (
     ModelParams,
     SpectralOperator,
@@ -23,7 +27,7 @@ from banach_ar1.model import (
     symmetric_sqrt,
 )
 
-from oracles import lyapunov_fixed_point, truncated_normal_variance_factor
+from oracles import lyapunov_fixed_point, stepped_trajectory, truncated_normal_variance_factor
 
 PAPER = dict(gamma=1.21, beta_exponent=0.6)
 
@@ -235,6 +239,28 @@ class TestSimulation:
         assert not np.allclose(plain.states[0], burned.states[0])
         assert np.abs(burned.states[0]).max() > 0
 
+    @pytest.mark.parametrize("burn_in", [0, 7])
+    @pytest.mark.parametrize("n", [2, 3, 15, 16, 17, 1000])
+    @pytest.mark.parametrize("operator", ["reference", "non_normal"])
+    def test_blocked_recursion_matches_stepped_oracle(self, operator, n, burn_in):
+        if operator == "reference":
+            p = params(modes=50)
+            rho = build_rho(p)
+            noise = build_noise_covariance(p, build_covariance(p), rho)
+        else:
+            # norm above 1 but spectral radius below 1: single steps can grow
+            rho = SpectralOperator(np.diag([0.9, -0.5, 0.3, 0.7]) + np.diag([1.5, 1.5, 1.5], 1))
+            assert np.linalg.norm(rho.matrix, 2) > 1 > np.abs(np.linalg.eigvals(rho.matrix)).max()
+            noise = SpectralOperator(0.1 * np.eye(4) + 0.02, symmetric=True)
+        x0 = np.random.default_rng(99).standard_normal(rho.dim)
+        rng, oracle_rng = np.random.default_rng(n), np.random.default_rng(n)
+        states = simulate_trajectory(n, rho, noise, x0, rng, burn_in=burn_in).states
+        expected = stepped_trajectory(n, rho.matrix, symmetric_sqrt(noise), x0, oracle_rng, burn_in)
+        assert states.shape == expected.shape == (n + 1, rho.dim)
+        assert np.abs(states - expected).max() <= 1e-13 * np.abs(expected).max()
+        # the generator stream is consumed exactly as by the stepped loop
+        assert rng.standard_normal() == oracle_rng.standard_normal()
+
     def test_reproducible_bit_for_bit(self):
         p = params(modes=6)
         rho = build_rho(p)
@@ -270,6 +296,14 @@ class TestGridEvaluation:
         assert np.abs(direct - splined).max() < 0.05 * max(np.abs(direct).max(), 1e-9)
 
 
+def test_package_import_leaves_spline_module_unloaded():
+    # scipy.interpolate is only needed by spline mode and dominates import time
+    src = Path(banach_ar1.__file__).resolve().parents[1]
+    code = "import sys, banach_ar1; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=src)
+    assert out.stdout.strip() == "False"
+
+
 class TestKernel:
     def test_symmetry_and_diagonal_positivity(self):
         cov = build_covariance(params(modes=20))
@@ -298,6 +332,12 @@ class TestSymmetricSqrt:
         noise = build_noise_covariance(p, build_covariance(p), build_rho(p))
         root = symmetric_sqrt(noise)
         assert np.abs(root @ root - noise.matrix).max() < 1e-12
+
+    def test_computed_once_per_operator_and_read_only(self):
+        p = params(modes=10)
+        noise = build_noise_covariance(p, build_covariance(p), build_rho(p))
+        assert symmetric_sqrt(noise) is symmetric_sqrt(noise)
+        assert not symmetric_sqrt(noise).flags.writeable
 
     def test_rejects_indefinite(self):
         indefinite = SpectralOperator(np.diag([1.0, -0.5]), symmetric=True)
