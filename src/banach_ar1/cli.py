@@ -11,9 +11,22 @@ Exit codes: 0 success, 2 configuration error, 3 stationarity-gate failure,
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread per process.  A replication works on p x p matrices with
+# p around 50, where extra BLAS threads only spin; parallelism comes from the
+# --threads worker processes, which inherit these variables.  BLAS reads them
+# when numpy loads, so this runs before anything imports numpy (the package
+# __init__ imports none).  A value set beforehand wins.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+BLAS_THREAD_SOURCES = {
+    var: "from the environment" if var in os.environ else "set by banach-ar1" for var in BLAS_THREAD_VARS
+}
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+
 import argparse
 import logging
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -29,15 +42,19 @@ EXIT_GATE = 3
 EXIT_NUMERIC = 4
 EXIT_IO = 5
 
+# named explicitly: under `python -m banach_ar1.cli` this module is __main__
+logger = logging.getLogger("banach_ar1.cli")
+
 
 def _load_config(args) -> harness.ExperimentConfig:
     config = harness.parse_config(args.config)
     env_seed = os.environ.get(harness.ENV_SEED_VAR)
     if env_seed is not None:
         try:
-            config = harness.config_with_seed(config, int(env_seed))
+            seed = int(env_seed)
         except ValueError:
             raise ConfigError(f"{harness.ENV_SEED_VAR} must be an integer, got {env_seed!r}") from None
+        config = harness.config_with_seed(config, seed)
     if getattr(args, "seed", None) is not None:
         config = harness.config_with_seed(config, args.seed)
     if getattr(args, "out", None) is not None:
@@ -47,6 +64,9 @@ def _load_config(args) -> harness.ExperimentConfig:
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
+    workers = harness.worker_count(args.threads, len(config.sample_sizes) * config.replications)
+    blas = ", ".join(f"{var}={os.environ[var]} ({BLAS_THREAD_SOURCES[var]})" for var in BLAS_THREAD_VARS)
+    logger.info("%d worker process(es), BLAS threads per process: %s", workers, blas)
     results, reports = harness.run_experiment(config, threads=args.threads)
     print(f"wrote {len(results)} replication results for {len(reports)} sample sizes to {config.output_dir}")
     return EXIT_OK
@@ -90,7 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (overrides the config)")
         p.add_argument("--seed", type=int, help="master seed (overrides config and environment)")
         if name == "run":
-            p.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
+            p.add_argument(
+                "--threads", type=int, default=1,
+                help="worker processes (default 1; at most one per replication and usable CPU)",
+            )
         p.set_defaults(func=func)
     return parser
 

@@ -15,7 +15,10 @@ the estimator's sample and the prediction input are disjoint.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
+import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -66,6 +69,18 @@ class ExperimentConfig:
             raise ConfigError("replications must be >= 1")
         if self.burn_in < 0:
             raise ConfigError("burn_in must be >= 0")
+        if self.master_seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.master_seed}")
+        for name, value in (
+            ("beta", self.beta_exponent),
+            ("gamma", self.model.gamma),
+            ("width", self.model.width),
+            ("coarse_step", self.coarse_step),
+        ):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if not 0 < self.coarse_step < 0.5:
+            raise ConfigError(f"coarse_step must lie in (0, 0.5), got {self.coarse_step}")
         if self.wavelet.grid_len != self.model.grid_len:
             raise ConfigError(
                 f"wavelet grid ({self.wavelet.grid_len}) and model grid "
@@ -255,15 +270,9 @@ class _RunContext:
         return diagnostics.exceedance_bound(n, k, self.c_extended, a_vals)
 
 
-_CONTEXTS: dict[ExperimentConfig, _RunContext] = {}
-
-
+@functools.lru_cache(maxsize=4)
 def _context(config: ExperimentConfig) -> _RunContext:
-    ctx = _CONTEXTS.get(config)
-    if ctx is None:
-        ctx = _RunContext(config)
-        _CONTEXTS[config] = ctx
-    return ctx
+    return _RunContext(config)
 
 
 def replication_rng(master_seed: int, n: int, replication: int) -> np.random.Generator:
@@ -306,15 +315,33 @@ def _replication_task(args: tuple[ExperimentConfig, int, int]):
     return result, decay
 
 
+def worker_count(threads: int, tasks: int) -> int:
+    """Worker processes for `tasks` replications when `threads` are asked for.
+
+    Never more than the tasks or the CPUs this process may run on; more
+    workers would only wait for a core.
+    """
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(threads, tasks, cpus)
+
+
 def run_experiment(
     config: ExperimentConfig, threads: int = 1
 ) -> tuple[list[diagnostics.ExperimentResult], list[diagnostics.ConsistencyReport]]:
     """Run the full sweep and write every CSV/SVG artifact.
 
     Aborts with StationarityError unless some power of the autocorrelation
-    matrix has spectral norm below 1.  Replications may run in a process
-    pool; results are collected and sorted by (n, replication) before any
-    file is written, so outputs are identical for any worker count.
+    matrix has spectral norm below 1.  Replications run in a pool of
+    `worker_count(threads, ...)` processes, or in this process when that is
+    1; results are collected and sorted by (n, replication) before any file
+    is written, so outputs are identical for any worker count.  The BLAS
+    thread count is the caller's choice (the command-line program sets one
+    per process).
     """
     ctx = _context(config)
     if not ctx.gate.holds:
@@ -325,9 +352,9 @@ def run_experiment(
     logger.info("stationarity gate passed: j0=%d, norm=%.6f", ctx.gate.j0, ctx.gate.norm)
 
     tasks = [(config, n, r) for n in config.sample_sizes for r in range(config.replications)]
-    outputs = []
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = worker_count(threads, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_replication_task, tasks, chunksize=4))
     else:
         outputs = [_replication_task(t) for t in tasks]

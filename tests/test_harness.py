@@ -1,9 +1,15 @@
 import filecmp
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from banach_ar1 import cli
+import banach_ar1
+from banach_ar1 import cli, harness
 from banach_ar1.estimation import TruncationRule, fit_estimator
 from banach_ar1.harness import (
     ConfigError,
@@ -102,7 +108,44 @@ class TestParseConfig:
             parse_config(write_config(tmp_path, "sample_sizes = 800, 200\n"))
 
 
+TINY_CONFIG = "modes = 8\ngrid_len = 256\nsample_sizes = 6, 20\nreplications = 3\nseed = 5\n"
+
+
 class TestRunExperiment:
+    @pytest.mark.parametrize(
+        "threads, cpus, expected",
+        [(64, 3, 3), (64, 8, 6), (2, 8, 2), (1, 8, None), (64, None, 5)],
+    )
+    def test_pool_is_capped_at_tasks_and_cpus(self, tmp_path, monkeypatch, threads, cpus, expected):
+        # 2 sizes x 3 replications = 6 tasks; cpus None means no affinity call, os.cpu_count() = 5
+        requested = []
+
+        class InlinePool:
+            """Stands in for ProcessPoolExecutor: records the worker count, maps in this process."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        if cpus is None:
+            monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: 5)
+        else:
+            monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        config = parse_config(write_config(tmp_path, TINY_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
+        results, _ = run_experiment(config, threads=threads)
+        assert len(results) == 6
+        assert requested == ([] if expected is None else [expected])
+
     def test_smoke_run_emits_all_artifacts(self, tmp_path):
         cfg = parse_config(smoke_config(tmp_path))
         results, reports = run_experiment(cfg)
@@ -241,7 +284,95 @@ class TestCli:
             return SpectralOperator(op.matrix * 4.0, symmetric=True)
 
         monkeypatch.setattr(harness_mod.model, "build_rho", inflated)
-        harness_mod._CONTEXTS.clear()
+        harness_mod._context.cache_clear()
         assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_GATE
-        harness_mod._CONTEXTS.clear()
+        harness_mod._context.cache_clear()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["validate", "run", "kernel"])
+    @pytest.mark.parametrize(
+        "config_text, extra_args",
+        [
+            pytest.param("seed = -1\n", [], id="config-seed-negative"),
+            pytest.param("", ["--seed", "-5"], id="flag-seed-negative"),
+            pytest.param("coarse_step = 0\n", [], id="coarse-step-zero"),
+            pytest.param("coarse_step = nan\n", [], id="coarse-step-nan"),
+        ],
+    )
+    def test_invalid_inputs_are_config_errors(self, tmp_path, capsys, command, config_text, extra_args):
+        cfg_path = write_config(tmp_path, config_text + f"output_dir = {tmp_path / 'out'}\n")
+        assert cli.main([command, "--config", str(cfg_path), *extra_args]) == cli.EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_env_seed_reports_the_reason(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BANACH_AR1_SEED", "-3")
+        assert cli.main(["validate", "--config", str(write_config(tmp_path, ""))]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err
+        assert "integer" not in err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_config_error(self, tmp_path, capsys, threads):
+        cfg_path = write_config(tmp_path, TINY_CONFIG + f"output_dir = {tmp_path / 'out'}\n")
+        assert cli.main(["run", "--config", str(cfg_path), "--threads", threads]) == cli.EXIT_CONFIG
+        assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def run_python(args, tmp_path, **preset):
+    """Run the interpreter on the package sources with the BLAS thread variables unset unless preset."""
+    env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS and k != harness.ENV_SEED_VAR}
+    src = str(Path(banach_ar1.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env.update(preset)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, check=True, cwd=tmp_path, env=env, timeout=120
+    )
+
+
+class TestBlasThreadPolicy:
+    def test_package_import_loads_no_numpy(self, tmp_path):
+        out = run_python(["-c", "import sys, banach_ar1; print('numpy' in sys.modules)"], tmp_path)
+        assert out.stdout.strip() == "False"
+
+    def test_every_exported_name_resolves(self, tmp_path):
+        # the child exits non-zero, failing run_python, if an assertion fails
+        code = (
+            "import banach_ar1\n"
+            "assert banach_ar1.__all__ and all(getattr(banach_ar1, n) is not None for n in banach_ar1.__all__)\n"
+            "assert set(banach_ar1.__all__) <= set(dir(banach_ar1))\n"
+            "assert not hasattr(banach_ar1, 'no_such_name')\n"
+            "from banach_ar1 import cli\n"
+            "print(cli.__name__)\n"
+        )
+        assert run_python(["-c", code], tmp_path).stdout.strip() == "banach_ar1.cli"
+
+    @pytest.mark.parametrize("preset", [None, *cli.BLAS_THREAD_VARS])
+    def test_cli_import_sets_unset_variables_to_one(self, tmp_path, preset):
+        code = f"import json, os, banach_ar1.cli; print(json.dumps([os.environ[v] for v in {cli.BLAS_THREAD_VARS!r}]))"
+        env = {} if preset is None else {preset: "3"}
+        values = json.loads(run_python(["-c", code], tmp_path, **env).stdout)
+        assert values == ["3" if var == preset else "1" for var in cli.BLAS_THREAD_VARS]
+
+    def test_cli_csvs_identical_at_one_and_two_workers(self, tmp_path):
+        cfg_path = write_config(tmp_path, TINY_CONFIG)
+        logs = {}
+        for threads in ("1", "2"):
+            args = ["-m", "banach_ar1.cli", "run", "--config", str(cfg_path), "--out", f"w{threads}"]
+            logs[threads] = run_python([*args, "--threads", threads], tmp_path).stderr
+        for name in CSV_NAMES:
+            assert filecmp.cmp(tmp_path / "w1" / name, tmp_path / "w2" / name, shallow=False), name
+        workers = harness.worker_count(2, 6)
+        assert f"INFO banach_ar1.cli: {workers} worker process(es)" in logs["2"]
+        assert "OPENBLAS_NUM_THREADS=1 (set by banach-ar1)" in logs["1"]
+
+    def test_run_log_names_a_preset_variable(self, tmp_path):
+        cfg_path = write_config(tmp_path, TINY_CONFIG)
+        args = ["-m", "banach_ar1.cli", "run", "--config", str(cfg_path), "--out", "out"]
+        log = run_python(args, tmp_path, OMP_NUM_THREADS="1").stderr
+        assert "INFO banach_ar1.cli: 1 worker process(es)" in log
+        assert "OMP_NUM_THREADS=1 (from the environment)" in log
+        assert "MKL_NUM_THREADS=1 (set by banach-ar1)" in log
+        for name in CSV_NAMES:
+            assert "worker" not in (tmp_path / "out" / name).read_text()

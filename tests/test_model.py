@@ -299,7 +299,7 @@ class TestGridEvaluation:
 def test_package_import_leaves_spline_module_unloaded():
     # scipy.interpolate is only needed by spline mode and dominates import time
     src = Path(banach_ar1.__file__).resolve().parents[1]
-    code = "import sys, banach_ar1; print('scipy.interpolate' in sys.modules)"
+    code = "import sys, banach_ar1.cli; print('scipy.interpolate' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=src)
     assert out.stdout.strip() == "False"
 
