@@ -17,10 +17,12 @@ import os
 # p around 50, where extra BLAS threads only spin; parallelism comes from the
 # --threads worker processes, which inherit these variables.  BLAS reads them
 # when numpy loads, so this runs before anything imports numpy (the package
-# __init__ imports none).  A value set beforehand wins.
+# __init__ imports none).  A value set beforehand wins.  The settings are
+# recorded as made here, for the run log.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-BLAS_THREAD_SOURCES = {
-    var: "from the environment" if var in os.environ else "set by banach-ar1" for var in BLAS_THREAD_VARS
+BLAS_THREAD_SETTINGS = {
+    var: f"{os.environ[var]} (from the environment)" if var in os.environ else "1 (set by banach-ar1)"
+    for var in BLAS_THREAD_VARS
 }
 for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
@@ -31,7 +33,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import harness, model
+from . import harness
 from .estimation import EigenGapError, TruncationRankError
 from .harness import ConfigError, StationarityError
 from .model import NoiseCovarianceError
@@ -65,7 +67,7 @@ def _load_config(args) -> harness.ExperimentConfig:
 def _cmd_run(args) -> int:
     config = _load_config(args)
     workers = harness.worker_count(args.threads, len(config.sample_sizes) * config.replications)
-    blas = ", ".join(f"{var}={os.environ[var]} ({BLAS_THREAD_SOURCES[var]})" for var in BLAS_THREAD_VARS)
+    blas = ", ".join(f"{var}={setting}" for var, setting in BLAS_THREAD_SETTINGS.items())
     logger.info("%d worker process(es), BLAS threads per process: %s", workers, blas)
     results, reports = harness.run_experiment(config, threads=args.threads)
     print(f"wrote {len(results)} replication results for {len(reports)} sample sizes to {config.output_dir}")
@@ -74,10 +76,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = _load_config(args)
-    covariance = model.build_covariance(config.model)
-    rho = model.build_rho(config.model)
-    model.build_noise_covariance(config.model, covariance, rho)
-    gate = model.check_stationarity(rho, j0_max=10)
+    gate = harness._context(config).gate
     if not gate.holds:
         print(f"stationarity gate FAILED: norm of power {gate.j0} is {gate.norm:.6f}", file=sys.stderr)
         return EXIT_GATE

@@ -212,8 +212,9 @@ def fit_estimator(traj: Trajectory, rule: TruncationRule) -> EstimatorState:
     the autocorrelation matrix exactly rather than up to an n/(n-1) factor.
 
     Requires the k_n-th empirical eigenvalue to be meaningfully positive
-    (above 1e-14 times the leading one); a more degenerate spectrum demands
-    a smaller truncation order rather than silent regularization.
+    (above 1e-10 times the leading one, the resolution of the Gram
+    eigensolve); a more degenerate spectrum demands a smaller truncation
+    order rather than silent regularization.
     """
     n = len(traj)
     if n < 2:
@@ -222,13 +223,14 @@ def fit_estimator(traj: Trajectory, rule: TruncationRule) -> EstimatorState:
     k_n = truncation_order(n, rule, p_max=min(n - 1, p))
     inputs = traj.states[:-1]
     outputs = traj.states[1:]
-    # SVD of the inputs' triangular factor: SVD-grade conditioning, and for
-    # n - 1 < p the full right basis completes the span with eigenvalue zero
-    _, sigma, vt = np.linalg.svd(np.linalg.qr(inputs, mode="r"), full_matrices=True)
-    values = np.pad(sigma**2 / (n - 1), (0, p - sigma.size))
-    vectors = vt.T
-    floor = max(float(values[0]), 0.0) * 1e-14
-    if values[0] <= 0.0 or values[k_n - 1] <= floor:
+    # one symmetric eigensolve of the Gram matrix, reversed to descending;
+    # rounding negatives become 0, and the rank is at most n - 1, so the
+    # eigenvalues beyond it are exactly 0
+    values, vectors = np.linalg.eigh(inputs.T @ inputs / (n - 1))
+    values = np.clip(values[::-1], 0.0, None)
+    values[n - 1 :] = 0.0
+    vectors = vectors[:, ::-1]
+    if values[0] <= 0.0 or values[k_n - 1] <= 1e-10 * values[0]:
         raise TruncationRankError(
             f"empirical eigenvalue {k_n} is {values[k_n - 1]:.3e} "
             f"(leading {values[0]:.3e}); use a smaller truncation order"

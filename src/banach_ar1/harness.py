@@ -257,17 +257,17 @@ class _RunContext:
         self.gate = model.check_stationarity(self.rho, j0_max=10)
         # gap coefficients need one eigenvalue beyond the largest truncation
         self.c_extended = model.covariance_eigenvalues(config.model.gamma, config.model.modes + 1)
+        self._bounds: dict[int, tuple[int, np.ndarray, float]] = {}
 
-    def truncation_for(self, n: int) -> int:
-        # mirrors fit_estimator's clamp: n states give n - 1 transitions
-        return estimation.truncation_order(
-            n, self.config.truncation, p_max=min(n - 1, self.config.model.modes)
-        )
-
-    def bound_for(self, n: int) -> float:
-        k = self.truncation_for(n)
-        a_vals = estimation.gap_coefficients(self.c_extended, k)
-        return diagnostics.exceedance_bound(n, k, self.c_extended, a_vals)
+    def bound_for(self, n: int) -> tuple[int, np.ndarray, float]:
+        """k_n, its gap coefficients and the exceedance bound xi, computed once per n."""
+        if n not in self._bounds:
+            # mirrors fit_estimator's clamp: n states give n - 1 transitions
+            k = estimation.truncation_order(n, self.config.truncation, p_max=min(n - 1, self.config.model.modes))
+            a_vals = estimation.gap_coefficients(self.c_extended, k)
+            a_vals.setflags(write=False)
+            self._bounds[n] = k, a_vals, diagnostics.exceedance_bound(n, k, self.c_extended, a_vals)
+        return self._bounds[n]
 
 
 @functools.lru_cache(maxsize=4)
@@ -303,7 +303,7 @@ def run_replication(
         error = besov_sup_norm(dwt_forward(diff, config.wavelet))
     else:
         error = estimation.prediction_error_besov(truth, predicted, grid_len, config.wavelet)
-    xi = ctx.bound_for(n)
+    _, _, xi = ctx.bound_for(n)
     return diagnostics.ExperimentResult(n=n, replication=replication, error_b=error, xi=xi), state
 
 
@@ -371,8 +371,7 @@ def run_experiment(
     trace = diagnostics.trace_embedding_report(phi, config.wavelet)
     reports = []
     for n in config.sample_sizes:
-        k = ctx.truncation_for(n)
-        a_vals = estimation.gap_coefficients(ctx.c_extended, k)
+        k, a_vals, xi = ctx.bound_for(n)
         reports.append(
             diagnostics.ConsistencyReport(
                 n=n,
@@ -380,7 +379,7 @@ def run_experiment(
                 lambda_kn=estimation.max_inverse_gap(ctx.c_extended, k),
                 a_sum=float(a_vals.sum()),
                 ratio=diagnostics.consistency_ratio(n, k, ctx.c_extended, a_vals),
-                xi=ctx.bound_for(n),
+                xi=xi,
                 trace_sum=trace.trace_sum,
                 n_sup=trace.n_sup,
                 v_sup=trace.v_sup,

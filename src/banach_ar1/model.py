@@ -325,15 +325,14 @@ def covariance_kernel_surface(covariance: SpectralOperator, points: np.ndarray) 
 
 
 def stationary_covariance(rho: SpectralOperator, noise_cov: SpectralOperator) -> np.ndarray:
-    """Solve Sigma = rho Sigma rho^T + noise_cov directly.
+    """Solve the discrete Lyapunov equation Sigma = rho Sigma rho^T + noise_cov.
 
-    Vectorizes the fixed-point equation into (I - rho (x) rho) vec(Sigma) =
-    vec(noise_cov); memory grows like p^4, fine for the mode counts used
-    here.
+    From 10 modes up scipy's solver takes the bilinear (Bartels-Stewart)
+    route, O(p^3) time and O(p^2) memory; smaller systems it solves in the
+    p^4-memory Kronecker form.
     """
-    p = rho.dim
-    if noise_cov.dim != p:
+    from scipy.linalg import solve_discrete_lyapunov  # imported here: only this solve needs scipy
+    if noise_cov.dim != rho.dim:
         raise ValueError("dimension mismatch")
-    a = np.eye(p * p) - np.kron(rho.matrix, rho.matrix)
-    sigma = np.linalg.solve(a, noise_cov.matrix.ravel()).reshape(p, p)
+    sigma = solve_discrete_lyapunov(rho.matrix, noise_cov.matrix)
     return 0.5 * (sigma + sigma.T)

@@ -2,7 +2,7 @@
 
 Nothing here shares code with the package internals: eigen decompositions
 run classic Jacobi rotations, the estimator is assembled by nested loops
-over its defining sums, wavelet basis vectors come from an explicit
+over its defining sums or from the SVD of the inputs' QR factor, wavelet basis vectors come from an explicit
 coefficient-upsampling cascade, the stationary covariance is the plain
 fixed-point iteration, and trajectories step the autoregression one state at
 a time.  Everything targets tiny instances and favours obviousness over
@@ -172,3 +172,21 @@ def truncated_normal_variance_factor(cut=3.0):
     phi = math.exp(-0.5 * cut * cut) / math.sqrt(2.0 * math.pi)
     inner_mass = math.erf(cut / math.sqrt(2.0))
     return 1.0 - 2.0 * cut * phi / inner_mass
+
+
+def qr_factor_estimator(states, k):
+    """The truncated estimator with eigenpairs from the inputs' QR factor.
+
+    With inputs = Q R, the eigenvalues of the transition-averaged covariance
+    are the squared singular values of the small triangular factor R over
+    n - 1, and its eigenvectors are R's right singular vectors.  This keeps
+    SVD-grade conditioning, which a Gram-matrix eigensolve gives up, so it
+    is the reference for ill-conditioned spectra.  Needs k <= min(n - 1, p).
+    """
+    states = np.asarray(states, dtype=float)
+    inputs, outputs = states[:-1], states[1:]
+    m = inputs.shape[0]
+    _, sigma, vt = np.linalg.svd(np.linalg.qr(inputs, mode="r"))
+    u_k = vt[:k].T
+    cross = outputs.T @ inputs / m
+    return u_k @ ((u_k.T @ cross @ u_k) / (sigma[:k] ** 2 / m)) @ u_k.T

@@ -31,7 +31,7 @@ from banach_ar1.model import (
 )
 from banach_ar1.wavelet import WaveletBasisSpec, besov_sup_norm, dwt_forward
 
-from oracles import oracle_estimator
+from oracles import oracle_estimator, qr_factor_estimator
 
 SPEC = WaveletBasisSpec(order=10, coarse_level=2, max_level=10)
 
@@ -259,14 +259,63 @@ class TestFitEstimator:
 
     @pytest.mark.parametrize("transitions", [30, 499])
     def test_reference_spectrum_at_fifty_modes_matches_oracle(self, transitions):
-        # both sides of n - 1 = p on the reference model: the QR-factor fit
-        # must complete the right basis when there are fewer transitions
+        # both sides of n - 1 = p on the reference model: with fewer
+        # transitions the eigenvalues beyond rank n - 1 are zero
         cov, rho, noise = paper_model(50)
         rng = np.random.default_rng(transitions)
         traj = simulate_trajectory(transitions, rho, noise, sample_initial_condition(cov, rng), rng)
         state = fit_estimator(traj, TruncationRule.log_ceil())
         assert state.k_n == math.ceil(math.log(transitions + 1))
         assert np.abs(state.rho_hat - oracle_estimator(traj.states, state.k_n)).max() < 1e-9
+
+    @pytest.mark.parametrize("transitions", [30, 499, 7999])
+    def test_reference_spectrum_at_fifty_modes_matches_qr_factor_fit(self, transitions):
+        cov, rho, noise = paper_model(50)
+        rng = np.random.default_rng(transitions)
+        traj = simulate_trajectory(transitions, rho, noise, sample_initial_condition(cov, rng), rng)
+        state = fit_estimator(traj, TruncationRule.log_ceil())
+        expected = qr_factor_estimator(traj.states, state.k_n)
+        assert np.abs(state.rho_hat - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @staticmethod
+    def synthetic_states(ratio, seed, p=6, k=4, n=40):
+        """States whose inputs have top-k covariance eigenvalues 1 .. ratio.
+
+        The eigenvalues beyond k sit a factor 100 further down, so the k-th
+        eigenvector is separated by a gap of about ratio.
+        """
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((n - 1, p)))
+        v, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        lam = np.concatenate([np.geomspace(1.0, ratio, k), np.geomspace(1e-2, 1e-3, p - k) * ratio])
+        x = np.empty((n, p))
+        x[:-1] = (u * np.sqrt(lam * (n - 1))) @ v.T
+        x[-1] = rng.standard_normal(p)
+        return x
+
+    def test_ill_conditioned_spectrum_matches_qr_factor_fit(self):
+        # the Gram eigensolve resolves lambda_k to about eps * lambda_1, so
+        # at lambda_k / lambda_1 = 1e-8 the two routes agree to ~1e-8
+        for seed in range(20):
+            x = self.synthetic_states(1e-8, seed)
+            state = fit_estimator(Trajectory(states=x), TruncationRule.fixed(4))
+            expected = qr_factor_estimator(x, 4)
+            assert np.abs(state.rho_hat - expected).max() <= 1e-7 * np.abs(expected).max()
+
+    def test_spectrum_below_eigensolve_resolution_raises(self):
+        x = self.synthetic_states(1e-12, seed=0)
+        with pytest.raises(TruncationRankError, match="eigenvalue 4"):
+            fit_estimator(Trajectory(states=x), TruncationRule.fixed(4))
+
+    def test_scaled_rank_deficient_trajectory_fits_with_nonnegative_eigenvalues(self):
+        # rounding in the rank-3 Gram matrix scaled by 1e12 reaches far
+        # beyond the -1e-12 that EstimatorState tolerates, so it is clipped
+        rng = np.random.default_rng(8)
+        x = 1e6 * rng.standard_normal((60, 3)) @ rng.standard_normal((3, 9))
+        state = fit_estimator(Trajectory(states=x), TruncationRule.fixed(3))
+        assert (state.eigenvalues >= 0).all()
+        expected = qr_factor_estimator(x, 3)
+        assert np.abs(state.rho_hat - expected).max() <= 1e-10 * np.abs(expected).max()
 
     def test_log_rule_stores_matching_order(self):
         rng = np.random.default_rng(42)

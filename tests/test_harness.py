@@ -19,7 +19,7 @@ from banach_ar1.harness import (
     run_replication,
     write_estimator_csv,
 )
-from banach_ar1.model import Trajectory
+from banach_ar1.model import StationarityResult, Trajectory
 
 CSV_NAMES = [
     "exceedance_table.csv",
@@ -185,6 +185,21 @@ class TestRunExperiment:
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False)
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "c" / name, shallow=False)
 
+    def test_bound_computed_once_per_sample_size(self, tmp_path, monkeypatch):
+        calls = []
+        original = harness.diagnostics.exceedance_bound
+
+        def counted(n, *args):
+            calls.append(n)
+            return original(n, *args)
+
+        monkeypatch.setattr(harness.diagnostics, "exceedance_bound", counted)
+        harness._context.cache_clear()
+        results, reports = run_experiment(parse_config(smoke_config(tmp_path)), threads=1)
+        harness._context.cache_clear()
+        assert sorted(calls) == [200, 800]
+        assert {r.xi for r in results if r.n == 800} == {reports[1].xi}
+
     def test_replication_streams_are_scheduling_free(self, tmp_path):
         cfg = parse_config(smoke_config(tmp_path))
         late, _ = run_replication(cfg, 200, 3)
@@ -289,6 +304,13 @@ class TestCli:
         harness_mod._context.cache_clear()
         capsys.readouterr()
 
+    def test_validate_reads_the_gate_of_the_run_context(self, tmp_path, capsys, monkeypatch):
+        cfg_path = smoke_config(tmp_path, out_name="ctx")
+        ctx = harness._context(parse_config(cfg_path))
+        monkeypatch.setattr(ctx, "gate", StationarityResult(False, 10, 1.5))
+        assert cli.main(["validate", "--config", str(cfg_path)]) == cli.EXIT_GATE
+        assert "stationarity gate FAILED: norm of power 10 is 1.500000" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["validate", "run", "kernel"])
     @pytest.mark.parametrize(
         "config_text, extra_args",
@@ -354,6 +376,12 @@ class TestBlasThreadPolicy:
         env = {} if preset is None else {preset: "3"}
         values = json.loads(run_python(["-c", code], tmp_path, **env).stdout)
         assert values == ["3" if var == preset else "1" for var in cli.BLAS_THREAD_VARS]
+
+    def test_child_of_test_session_sees_original_variables(self, original_blas_env):
+        # this module imports banach_ar1.cli, whose pin must not reach children
+        code = f"import json, os; print(json.dumps([os.environ.get(v) for v in {cli.BLAS_THREAD_VARS!r}]))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120)
+        assert json.loads(out.stdout) == [original_blas_env[var] for var in cli.BLAS_THREAD_VARS]
 
     def test_cli_csvs_identical_at_one_and_two_workers(self, tmp_path):
         cfg_path = write_config(tmp_path, TINY_CONFIG)

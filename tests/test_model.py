@@ -230,6 +230,15 @@ class TestSimulation:
         iterated = lyapunov_fixed_point(rho.matrix, noise.matrix)
         assert np.abs(direct - iterated).max() < 1e-12
 
+    def test_library_solver_agrees_with_fixed_point_oracle_at_two_hundred_modes(self):
+        # a Kronecker-product solve would need a 40000 x 40000 matrix here
+        p = params(modes=200)
+        rho = build_rho(p)
+        noise = build_noise_covariance(p, build_covariance(p), rho)
+        direct = stationary_covariance(rho, noise)
+        iterated = lyapunov_fixed_point(rho.matrix, noise.matrix)
+        assert np.abs(direct - iterated).max() < 1e-12
+
     def test_burn_in_advances_the_recursion(self):
         p = params(modes=4)
         rho = build_rho(p)
@@ -294,6 +303,14 @@ class TestGridEvaluation:
         splined = evaluate_via_spline(x, 0.0372, 2048)
         # the coarse grid resolves the low-frequency modes used here
         assert np.abs(direct - splined).max() < 0.05 * max(np.abs(direct).max(), 1e-9)
+
+
+def test_cli_import_loads_no_scipy():
+    # spline mode and the stationary-covariance solve import scipy on first use
+    src = Path(banach_ar1.__file__).resolve().parents[1]
+    code = "import sys, banach_ar1.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=src)
+    assert out.stdout.strip() == "False"
 
 
 def test_package_import_leaves_spline_module_unloaded():

@@ -13,6 +13,7 @@ from oracles import (
     lyapunov_fixed_point,
     oracle_estimator,
     oracle_norms,
+    qr_factor_estimator,
     truncated_normal_variance_factor,
 )
 
@@ -51,6 +52,16 @@ class TestOracleEstimator:
         for i in range(39):
             x[i + 1] = rho @ x[i]
         assert np.abs(oracle_estimator(x, 3) - rho).max() < 1e-8
+
+
+class TestQrFactorEstimator:
+    @pytest.mark.parametrize("n, p", [(20, 3), (30, 6), (5, 9)])
+    def test_matches_literal_sum_oracle(self, n, p):
+        # (5, 9) has fewer transitions than modes
+        rng = np.random.default_rng(n * p)
+        x = rng.standard_normal((n, p))
+        for k in range(1, min(n - 1, p) + 1):
+            assert np.abs(qr_factor_estimator(x, k) - oracle_estimator(x, k)).max() < 1e-10
 
 
 class TestOracleNorms:
