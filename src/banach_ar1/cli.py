@@ -66,7 +66,7 @@ def _load_config(args) -> harness.ExperimentConfig:
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
-    workers = harness.worker_count(args.threads, len(config.sample_sizes) * config.replications)
+    workers = harness.worker_count(args.threads, len(harness.chunk_layout(config)))
     blas = ", ".join(f"{var}={setting}" for var, setting in BLAS_THREAD_SETTINGS.items())
     logger.info("%d worker process(es), BLAS threads per process: %s", workers, blas)
     results, reports = harness.run_experiment(config, threads=args.threads)

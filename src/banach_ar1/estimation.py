@@ -76,13 +76,15 @@ def truncation_order(n: int, rule: TruncationRule, p_max: int | None = None) -> 
 
 @dataclass
 class EstimatorState:
-    """Everything fitted from one trajectory.
+    """Everything fitted from one trajectory, or from a stack of them.
 
     eigenvalues/eigenvectors are the full empirical covariance eigensystem
     (descending, orthonormal columns, in model-basis coordinates);
     d_matrix is the raw cross-covariance in the same coordinates, from which
     the empirical-basis entries are eigenvectors.T @ d_matrix @ eigenvectors;
-    rho_hat is the rank <= k_n estimator matrix.
+    rho_hat is the rank <= k_n estimator matrix.  A stack of fits to
+    trajectories of the same length carries a leading replication axis on
+    every array; state[r] is fit r of the stack.
     """
 
     n: int
@@ -99,12 +101,22 @@ class EstimatorState:
         self.rho_hat = np.asarray(self.rho_hat, dtype=float)
         if not 1 <= self.k_n <= self.n:
             raise ValueError("need 1 <= k_n <= n")
-        if np.any(np.diff(self.eigenvalues) > 1e-12) or self.eigenvalues[-1] < -1e-12:
+        if np.any(np.diff(self.eigenvalues, axis=-1) > 1e-12) or np.any(self.eigenvalues[..., -1] < -1e-12):
             raise ValueError("eigenvalues must be sorted non-increasing and non-negative")
-        p = self.eigenvalues.size
-        gram = self.eigenvectors.T @ self.eigenvectors
+        p = self.eigenvalues.shape[-1]
+        gram = np.swapaxes(self.eigenvectors, -1, -2) @ self.eigenvectors
         if np.abs(gram - np.eye(p)).max() > 1e-10:
             raise ValueError("eigenvector columns must be orthonormal within 1e-10")
+
+    def __getitem__(self, r: int) -> "EstimatorState":
+        return EstimatorState(
+            n=self.n,
+            k_n=self.k_n,
+            eigenvalues=self.eigenvalues[r],
+            eigenvectors=self.eigenvectors[r],
+            d_matrix=self.d_matrix[r],
+            rho_hat=self.rho_hat[r],
+        )
 
 
 def empirical_covariance(traj: Trajectory) -> SpectralOperator:
@@ -203,42 +215,47 @@ def max_inverse_gap(values: np.ndarray, k: int) -> float:
     return float((1.0 / gaps).max())
 
 
-def fit_estimator(traj: Trajectory, rule: TruncationRule) -> EstimatorState:
-    """Fit the truncated componentwise estimator on a trajectory.
+def fit_stack(states: np.ndarray, rule: TruncationRule) -> EstimatorState:
+    """Fit the truncated componentwise estimator on each of a stack of trajectories.
 
-    The sample size n is the number of states; both moment matrices inside
-    the fit are averaged over the same n-1 observed transitions (X_i,
-    X_{i+1}), so a noiseless trajectory with an identifiable span recovers
-    the autocorrelation matrix exactly rather than up to an n/(n-1) factor.
+    states has shape (R, n, p): R trajectories of n states each.  Both
+    moment matrices inside a fit are averaged over the same n-1 observed
+    transitions (X_i, X_{i+1}), so a noiseless trajectory with an
+    identifiable span recovers the autocorrelation matrix exactly rather
+    than up to an n/(n-1) factor.  Every product is a per-trajectory gemm,
+    so a fit does not depend on the rest of the stack.
 
-    Requires the k_n-th empirical eigenvalue to be meaningfully positive
-    (above 1e-10 times the leading one, the resolution of the Gram
-    eigensolve); a more degenerate spectrum demands a smaller truncation
-    order rather than silent regularization.
+    Requires every trajectory's k_n-th empirical eigenvalue to be
+    meaningfully positive (above 1e-10 times the leading one, the
+    resolution of the Gram eigensolve); a more degenerate spectrum demands
+    a smaller truncation order rather than silent regularization.
     """
-    n = len(traj)
+    states = np.asarray(states, dtype=float)
+    _, n, p = states.shape
     if n < 2:
         raise ValueError("need at least 2 states to fit")
-    p = traj.dim
     k_n = truncation_order(n, rule, p_max=min(n - 1, p))
-    inputs = traj.states[:-1]
-    outputs = traj.states[1:]
-    # one symmetric eigensolve of the Gram matrix, reversed to descending;
+    inputs = states[:, :-1]
+    outputs = states[:, 1:]
+    # one symmetric eigensolve of each Gram matrix, reversed to descending;
     # rounding negatives become 0, and the rank is at most n - 1, so the
     # eigenvalues beyond it are exactly 0
-    values, vectors = np.linalg.eigh(inputs.T @ inputs / (n - 1))
-    values = np.clip(values[::-1], 0.0, None)
-    values[n - 1 :] = 0.0
-    vectors = vectors[:, ::-1]
-    if values[0] <= 0.0 or values[k_n - 1] <= 1e-10 * values[0]:
+    values, vectors = np.linalg.eigh(np.swapaxes(inputs, 1, 2) @ inputs / (n - 1))
+    values = np.clip(values[:, ::-1], 0.0, None)
+    values[:, n - 1 :] = 0.0
+    vectors = vectors[:, :, ::-1]
+    degenerate = (values[:, 0] <= 0.0) | (values[:, k_n - 1] <= 1e-10 * values[:, 0])
+    if degenerate.any():
+        first = values[np.argmax(degenerate)]
         raise TruncationRankError(
-            f"empirical eigenvalue {k_n} is {values[k_n - 1]:.3e} "
-            f"(leading {values[0]:.3e}); use a smaller truncation order"
+            f"empirical eigenvalue {k_n} is {first[k_n - 1]:.3e} "
+            f"(leading {first[0]:.3e}); use a smaller truncation order"
         )
-    d = outputs.T @ inputs / (n - 1)
+    d = np.swapaxes(outputs, 1, 2) @ inputs / (n - 1)
     # rho_hat = P_k D C^+ P_k = U_k (U_k^T D U_k / lambda_k) U_k^T
-    u_k = vectors[:, :k_n]
-    rho_hat = u_k @ ((u_k.T @ d @ u_k) / values[:k_n]) @ u_k.T
+    u_k = vectors[:, :, :k_n]
+    u_k_t = np.swapaxes(u_k, 1, 2)
+    rho_hat = u_k @ ((u_k_t @ d @ u_k) / values[:, None, :k_n]) @ u_k_t
     return EstimatorState(
         n=n,
         k_n=k_n,
@@ -249,12 +266,20 @@ def fit_estimator(traj: Trajectory, rule: TruncationRule) -> EstimatorState:
     )
 
 
+def fit_estimator(traj: Trajectory, rule: TruncationRule) -> EstimatorState:
+    """Fit the estimator on one trajectory: fit_stack on a stack of one."""
+    return fit_stack(traj.states[None], rule)[0]
+
+
 def plug_in_predict(state: EstimatorState, x: np.ndarray) -> np.ndarray:
-    """One-step-ahead prediction: the estimator applied to the newest state."""
+    """One-step-ahead prediction: the estimator applied to the newest state.
+
+    For a stack of fits, x holds one state per fit; each product is a gemv.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (state.rho_hat.shape[1],):
-        raise ValueError(f"state has dimension {state.rho_hat.shape[1]}, got {x.shape}")
-    return state.rho_hat @ x
+    if x.shape != state.rho_hat.shape[:-1]:
+        raise ValueError(f"state has dimension {state.rho_hat.shape[-1]}, got {x.shape}")
+    return (state.rho_hat @ x[..., None])[..., 0]
 
 
 @lru_cache(maxsize=8)
@@ -276,10 +301,14 @@ def prediction_error_besov(
     The error is the largest coefficient magnitude of the wavelet transform
     of the difference expanded on the dyadic grid.  Both steps are linear,
     so it is computed as max |(truth - predicted) @ W| with the cached
-    p x L matrix W of the eigenfunctions' wavelet coefficients.
+    p x L matrix W of the eigenfunctions' wavelet coefficients.  With a
+    leading replication axis on truth and predicted it returns one error per
+    replication, each from its own gemv.
     """
     truth = np.asarray(truth, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
     if truth.shape != predicted.shape:
         raise ValueError("truth and prediction must have the same length")
-    return float(np.abs((truth - predicted) @ _wavelet_matrix(truth.size, grid_len, spec)).max())
+    w = _wavelet_matrix(truth.shape[-1], grid_len, spec)
+    errors = np.abs(((truth - predicted)[..., None, :] @ w)[..., 0, :]).max(axis=-1)
+    return float(errors) if errors.ndim == 0 else errors

@@ -8,6 +8,11 @@ model spectrum.  Replication (n, r) draws from an RNG stream seeded by
 (master_seed, n, r), so results do not depend on scheduling order or worker
 count, and two runs with the same configuration are byte-identical.
 
+The replications of one sample size run in chunks, stacked along a leading
+axis through simulation, fit, prediction and scoring; a chunk is the unit of
+work of the process pool.  Every product in the stack is the per-replication
+gemm or gemv, so a replication's error does not depend on its chunk.
+
 The experiment fits on the first n states and predicts from state n+1, so
 the estimator's sample and the prediction input are disjoint.
 """
@@ -81,6 +86,16 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be finite, got {value}")
         if not 0 < self.coarse_step < 0.5:
             raise ConfigError(f"coarse_step must lie in (0, 0.5), got {self.coarse_step}")
+        try:
+            self.model.width**2  # the innovation covariance divides by it
+        except OverflowError:
+            raise ConfigError(f"width is too large: width**2 overflows, got {self.model.width}") from None
+        c = model.covariance_eigenvalues(self.model.gamma, self.model.modes + 1)
+        if not (c[-1] > 0 and (np.diff(c) < 0).all()):
+            raise ConfigError(
+                f"gamma = {self.model.gamma} is too large: the covariance eigenvalues "
+                f"(1 + pi^2 j^2)^(-gamma), j <= modes + 1, must be positive and strictly decreasing"
+            )
         if self.wavelet.grid_len != self.model.grid_len:
             raise ConfigError(
                 f"wavelet grid ({self.wavelet.grid_len}) and model grid "
@@ -201,12 +216,6 @@ def _build_config(raw: dict[str, tuple[str, int]]) -> ExperimentConfig:
     if trunc_value is None:
         trunc_value = _DEFAULTS["truncation"]
     trunc_value = trunc_value.strip().lower()
-    if trunc_value == "log":
-        truncation = TruncationRule.log_ceil()
-    elif trunc_value.startswith("fixed:"):
-        truncation = TruncationRule.fixed(_parse_int(trunc_value.split(":", 1)[1], trunc_line))
-    else:
-        raise ConfigError(f"line {trunc_line}: truncation must be `log` or `fixed:<k>`")
 
     output_value, _ = get("output_dir")
     output_dir = _DEFAULTS["output_dir"] if output_value is None else output_value
@@ -219,6 +228,12 @@ def _build_config(raw: dict[str, tuple[str, int]]) -> ExperimentConfig:
     max_level = grid_len.bit_length() - 2
 
     try:
+        if trunc_value == "log":
+            truncation = TruncationRule.log_ceil()
+        elif trunc_value.startswith("fixed:"):
+            truncation = TruncationRule.fixed(_parse_int(trunc_value.split(":", 1)[1], trunc_line))
+        else:
+            raise ConfigError(f"line {trunc_line}: truncation must be `log` or `fixed:<k>`")
         params = ModelParams(
             gamma=gamma,
             beta_exponent=beta,
@@ -280,43 +295,82 @@ def replication_rng(master_seed: int, n: int, replication: int) -> np.random.Gen
     return np.random.default_rng([master_seed, n, replication])
 
 
+# Doubles in one chunk's trajectory stack (256 KiB).  Chunk sizes follow
+# from the configuration alone, never from the worker count, so every
+# --threads value writes the same bytes.
+TRAJECTORY_BUDGET = 2**15
+
+
+def chunk_layout(config: ExperimentConfig) -> list[tuple[int, int, int]]:
+    """The pool's tasks in (n, replication) order: (n, r0, r1) runs replications r0..r1-1 of size n.
+
+    A chunk holds as many replications as fit their (burn_in + n + 1) x
+    modes trajectories into TRAJECTORY_BUDGET doubles, and at least one.
+    """
+    chunks = []
+    for n in config.sample_sizes:
+        size = max(1, TRAJECTORY_BUDGET // ((config.burn_in + n + 1) * config.model.modes))
+        chunks.extend((n, r0, min(r0 + size, config.replications)) for r0 in range(0, config.replications, size))
+    return chunks
+
+
+def _run_stack(
+    config: ExperimentConfig, n: int, r0: int, r1: int
+) -> tuple[list[diagnostics.ExperimentResult], EstimatorState]:
+    """Simulate, fit, predict and score replications r0..r1-1 of size n as one stack.
+
+    Returns their results and the stack of fits.
+    """
+    ctx = _context(config)
+    rngs = [replication_rng(config.master_seed, n, r) for r in range(r0, r1)]
+    if config.truncated_init:
+        x0 = [model.sample_initial_condition(ctx.covariance, rng) for rng in rngs]
+    else:
+        x0 = np.zeros((len(rngs), config.model.modes))
+    states = model.simulate_paths(n, ctx.rho, ctx.noise, x0, rngs, burn_in=config.burn_in)
+    fits = estimation.fit_stack(states[:, :n], config.truncation)
+    newest = states[:, n]
+    predicted = estimation.plug_in_predict(fits, newest)
+    truth = (ctx.rho.matrix @ newest[..., None])[..., 0]
+    grid_len = config.model.grid_len
+    if config.spline_mode:
+        def on_grid(x):
+            return model.evaluate_via_spline(x, config.coarse_step, grid_len)
+
+        errors = [
+            besov_sup_norm(dwt_forward(on_grid(t) - on_grid(p), config.wavelet)) for t, p in zip(truth, predicted)
+        ]
+    else:
+        errors = estimation.prediction_error_besov(truth, predicted, grid_len, config.wavelet)
+    _, _, xi = ctx.bound_for(n)
+    results = [
+        diagnostics.ExperimentResult(n=n, replication=r, error_b=float(error), xi=xi)
+        for r, error in zip(range(r0, r1), errors)
+    ]
+    return results, fits
+
+
 def run_replication(
     config: ExperimentConfig, n: int, replication: int
 ) -> tuple[diagnostics.ExperimentResult, EstimatorState]:
-    """Simulate, fit, predict and score a single (n, replication) cell."""
-    ctx = _context(config)
-    rng = replication_rng(config.master_seed, n, replication)
-    if config.truncated_init:
-        x0 = model.sample_initial_condition(ctx.covariance, rng)
-    else:
-        x0 = np.zeros(config.model.modes)
-    traj = model.simulate_trajectory(n, ctx.rho, ctx.noise, x0, rng, burn_in=config.burn_in)
-    state = estimation.fit_estimator(traj.head(n), config.truncation)
-    newest = traj.states[n]
-    predicted = estimation.plug_in_predict(state, newest)
-    truth = ctx.rho.matrix @ newest
-    grid_len = config.model.grid_len
-    if config.spline_mode:
-        diff = model.evaluate_via_spline(truth, config.coarse_step, grid_len) - model.evaluate_via_spline(
-            predicted, config.coarse_step, grid_len
-        )
-        error = besov_sup_norm(dwt_forward(diff, config.wavelet))
-    else:
-        error = estimation.prediction_error_besov(truth, predicted, grid_len, config.wavelet)
-    _, _, xi = ctx.bound_for(n)
-    return diagnostics.ExperimentResult(n=n, replication=replication, error_b=error, xi=xi), state
+    """Simulate, fit, predict and score a single (n, replication) cell: a stack of one."""
+    results, fits = _run_stack(config, n, replication, replication + 1)
+    return results[0], fits[0]
 
 
-def _replication_task(args: tuple[ExperimentConfig, int, int]):
-    config, n, replication = args
-    result, state = run_replication(config, n, replication)
+def _run_chunk(
+    task: tuple[ExperimentConfig, int, int, int]
+) -> tuple[list[diagnostics.ExperimentResult], list[tuple[int, int, float]]]:
+    """A chunk's results, and the eigen-decay rows if it holds replication 0."""
+    config, n, r0, r1 = task
+    results, fits = _run_stack(config, n, r0, r1)
     # only the first replication's eigenvalue decay is reported per n
-    decay = diagnostics.eigen_decay_report(state) if replication == 0 else None
-    return result, decay
+    decay = [(n, j, value) for j, value in diagnostics.eigen_decay_report(fits[0])] if r0 == 0 else []
+    return results, decay
 
 
 def worker_count(threads: int, tasks: int) -> int:
-    """Worker processes for `tasks` replications when `threads` are asked for.
+    """Worker processes for `tasks` chunks when `threads` are asked for.
 
     Never more than the tasks or the CPUs this process may run on; more
     workers would only wait for a core.
@@ -336,12 +390,12 @@ def run_experiment(
     """Run the full sweep and write every CSV/SVG artifact.
 
     Aborts with StationarityError unless some power of the autocorrelation
-    matrix has spectral norm below 1.  Replications run in a pool of
-    `worker_count(threads, ...)` processes, or in this process when that is
-    1; results are collected and sorted by (n, replication) before any file
-    is written, so outputs are identical for any worker count.  The BLAS
-    thread count is the caller's choice (the command-line program sets one
-    per process).
+    matrix has spectral norm below 1.  The chunks of `chunk_layout` run in
+    a pool of `worker_count(threads, ...)` processes, or in this process
+    when that is 1; their results come back in (n, replication) order before
+    any file is written, so outputs are identical for any worker count.  The
+    BLAS thread count is the caller's choice (the command-line program sets
+    one per process).
     """
     ctx = _context(config)
     if not ctx.gate.holds:
@@ -351,21 +405,16 @@ def run_experiment(
         )
     logger.info("stationarity gate passed: j0=%d, norm=%.6f", ctx.gate.j0, ctx.gate.norm)
 
-    tasks = [(config, n, r) for n in config.sample_sizes for r in range(config.replications)]
+    tasks = [(config, *chunk) for chunk in chunk_layout(config)]
     workers = worker_count(threads, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_replication_task, tasks, chunksize=4))
+            outputs = list(pool.map(_run_chunk, tasks))
     else:
-        outputs = [_replication_task(t) for t in tasks]
+        outputs = [_run_chunk(t) for t in tasks]
 
-    results = sorted((out[0] for out in outputs), key=lambda r: (r.n, r.replication))
-    decay_rows: list[tuple[int, int, float]] = []
-    for out in outputs:
-        if out[1] is not None:
-            n = out[0].n
-            decay_rows.extend((n, j, value) for j, value in out[1])
-    decay_rows.sort()
+    results = [result for chunk_results, _ in outputs for result in chunk_results]
+    decay_rows = [row for _, chunk_decay in outputs for row in chunk_decay]
 
     phi = model.eigenfunctions_on_grid(config.model.modes, config.model.grid_len)
     trace = diagnostics.trace_embedding_report(phi, config.wavelet)

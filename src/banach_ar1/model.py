@@ -225,9 +225,60 @@ def sample_initial_condition(covariance: SpectralOperator, rng: np.random.Genera
     return np.sqrt(c_diag) * z
 
 
-def symmetric_sqrt(op: SpectralOperator) -> np.ndarray:
-    """Symmetric PSD square root of op, cached on the operator; read-only."""
-    return op.sqrt
+def simulate_paths(
+    n: int,
+    rho: SpectralOperator,
+    noise_cov: SpectralOperator,
+    x0: np.ndarray,
+    rngs: list[np.random.Generator],
+    burn_in: int = 0,
+) -> np.ndarray:
+    """Iterate X_i = rho X_{i-1} + eps_i for i = 1..n on a stack of paths.
+
+    Path r starts from x0[r] and draws its innovations from rngs[r], one
+    standard_normal((burn_in + n, p)) block mapped through the symmetric
+    square root of noise_cov; the result has shape (len(rngs), n + 1, p),
+    row i of path r holding its X_i.  With burn_in > 0 the recursion first
+    runs burn_in unrecorded steps from x0, and X_0 is the state reached at
+    the end of the burn-in.  The N = burn_in + n steps run as a blocked
+    recursion, s = isqrt(N) states per block, in about 3 sqrt(N) matrix
+    products for the whole stack.  A path's states do not depend on the
+    other paths in the stack: each product is a per-path gemm or gemv, as
+    for a stack of one.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2 (downstream estimators require at least two states)")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+    x0 = np.asarray(x0, dtype=float)
+    p = rho.dim
+    if x0.shape != (len(rngs), p) or noise_cov.dim != p:
+        raise ValueError("dimension mismatch between rho, noise_cov and x0")
+    steps = burn_in + n
+    # row i holds eps_i, then X_i; as row vectors X_i = X_{i-1} @ rho^T + eps_i
+    x = np.empty((len(rngs), steps + 1, p))
+    x[:, 0] = x0
+    for path, rng in zip(x, rngs):
+        rng.standard_normal(out=path[1:])
+    np.matmul(x[:, 1:], noise_cov.sqrt.T, out=x[:, 1:])
+    a = rho.matrix.T
+    s = math.isqrt(steps)
+    # 1. zero-start response inside every block of rows b*s+1 .. b*s+s
+    for m in range(1, s):
+        rows = x[:, 1 + m :: s]
+        rows += x[:, m::s][:, : rows.shape[1]] @ a
+    # 2. carry the block anchors X_0, X_s, X_2s, ... through rho^s, one
+    # gemv per path
+    a_s = np.linalg.matrix_power(a, s)
+    for b in range(s, steps + 1, s):
+        x[:, b] += (x[:, b - s, None] @ a_s)[:, 0]
+    # 3. add each anchor's free response rho^(m+1) X_anchor to its block
+    power = a
+    for m in range(s - 1):
+        rows = x[:, 1 + m :: s]
+        rows += x[:, ::s][:, : rows.shape[1]] @ power
+        power = power @ a
+    return x[:, burn_in:]
 
 
 def simulate_trajectory(
@@ -238,45 +289,8 @@ def simulate_trajectory(
     rng: np.random.Generator,
     burn_in: int = 0,
 ) -> Trajectory:
-    """Iterate X_i = rho X_{i-1} + eps_i for i = 1..n, returning X_0..X_n.
-
-    Innovations are i.i.d. centered Gaussians with covariance noise_cov,
-    drawn through its symmetric square root.  With burn_in > 0 the recursion
-    first runs burn_in unrecorded steps from x0, and X_0 is the state
-    reached at the end of the burn-in.  The N = burn_in + n steps run as a
-    blocked recursion, s = isqrt(N) states per block, in about 3 sqrt(N)
-    matrix products; it draws the same innovations as a per-step loop.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2 (downstream estimators require at least two states)")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
-    x0 = np.asarray(x0, dtype=float)
-    p = rho.dim
-    if x0.shape != (p,) or noise_cov.dim != p:
-        raise ValueError("dimension mismatch between rho, noise_cov and x0")
-    steps = burn_in + n
-    # row i holds eps_i, then X_i; as row vectors X_i = X_{i-1} @ rho^T + eps_i
-    x = np.empty((steps + 1, p))
-    x[0] = x0
-    np.matmul(rng.standard_normal((steps, p)), symmetric_sqrt(noise_cov).T, out=x[1:])
-    a = rho.matrix.T
-    s = math.isqrt(steps)
-    # 1. zero-start response inside every block of rows b*s+1 .. b*s+s
-    for m in range(1, s):
-        rows = x[1 + m :: s]
-        rows += x[m::s][: len(rows)] @ a
-    # 2. carry the block anchors X_0, X_s, X_2s, ... through rho^s
-    a_s = np.linalg.matrix_power(a, s)
-    for b in range(s, steps + 1, s):
-        x[b] += x[b - s] @ a_s
-    # 3. add each anchor's free response rho^(m+1) X_anchor to its block
-    power = a
-    for m in range(s - 1):
-        rows = x[1 + m :: s]
-        rows += x[::s][: len(rows)] @ power
-        power = power @ a
-    return Trajectory(states=x[burn_in:])
+    """One path X_0..X_n of the recursion: simulate_paths on a stack of one."""
+    return Trajectory(states=simulate_paths(n, rho, noise_cov, np.asarray(x0)[None], [rng], burn_in)[0])
 
 
 def evaluate_on_grid(x: np.ndarray, grid_len: int) -> np.ndarray:

@@ -46,8 +46,8 @@ class WaveletBasisSpec:
     max_level: int
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("wavelet order must be >= 1")
+        if not 1 <= self.order <= MAX_FILTER_ORDER:
+            raise ValueError(f"wavelet order must lie in 1..{MAX_FILTER_ORDER}, got {self.order}")
         if self.coarse_level < 1:
             raise ValueError("coarse_level must be >= 1")
         if self.max_level < self.coarse_level:

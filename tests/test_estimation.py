@@ -5,6 +5,7 @@ import pytest
 
 from banach_ar1.estimation import (
     EigenGapError,
+    EstimatorState,
     TruncationRankError,
     TruncationRule,
     _wavelet_matrix,
@@ -12,6 +13,7 @@ from banach_ar1.estimation import (
     empirical_covariance,
     empirical_cross_covariance,
     fit_estimator,
+    fit_stack,
     gap_coefficients,
     max_inverse_gap,
     plug_in_predict,
@@ -322,6 +324,35 @@ class TestFitEstimator:
         x = rng.standard_normal((200, 10))
         state = fit_estimator(Trajectory(states=x), TruncationRule.log_ceil())
         assert state.k_n == math.ceil(math.log(200))
+
+
+class TestFitStack:
+    def test_members_equal_single_fits_bit_for_bit(self):
+        x = np.random.default_rng(12).standard_normal((4, 30, 6))
+        stack = fit_stack(x, TruncationRule.fixed(3))
+        predictions = plug_in_predict(stack, x[:, -1])
+        for r in range(4):
+            single = fit_estimator(Trajectory(states=x[r]), TruncationRule.fixed(3))
+            for name in ("eigenvalues", "eigenvectors", "d_matrix", "rho_hat"):
+                assert np.array_equal(getattr(stack[r], name), getattr(single, name)), name
+            assert np.array_equal(predictions[r], plug_in_predict(single, x[r, -1]))
+
+    def test_invariants_hold_for_every_member(self):
+        stack = fit_stack(np.random.default_rng(13).standard_normal((3, 20, 5)), TruncationRule.fixed(2))
+        skewed = stack.eigenvectors.copy()
+        skewed[2, :, 0] *= 1.01
+        with pytest.raises(ValueError, match="orthonormal"):
+            EstimatorState(stack.n, stack.k_n, stack.eigenvalues, skewed, stack.d_matrix, stack.rho_hat)
+        unsorted = stack.eigenvalues.copy()
+        unsorted[1, [0, 1]] = unsorted[1, [1, 0]]
+        with pytest.raises(ValueError, match="sorted"):
+            EstimatorState(stack.n, stack.k_n, unsorted, stack.eigenvectors, stack.d_matrix, stack.rho_hat)
+
+    def test_degenerate_member_raises_with_its_own_spectrum(self):
+        x = np.random.default_rng(14).standard_normal((3, 20, 5))
+        x[1] = 0.0
+        with pytest.raises(TruncationRankError, match="eigenvalue 2 is 0.000e\\+00 \\(leading 0.000e\\+00\\)"):
+            fit_stack(x, TruncationRule.fixed(2))
 
 
 class TestPrediction:

@@ -10,6 +10,7 @@ import pytest
 
 import banach_ar1
 from banach_ar1 import cli, harness
+from banach_ar1.diagnostics import eigen_decay_report
 from banach_ar1.estimation import TruncationRule, fit_estimator
 from banach_ar1.harness import (
     ConfigError,
@@ -109,6 +110,26 @@ class TestParseConfig:
 
 
 TINY_CONFIG = "modes = 8\ngrid_len = 256\nsample_sizes = 6, 20\nreplications = 3\nseed = 5\n"
+# 600 replications run as 2 chunks of n = 6 (585 per chunk) and 4 of n = 20 (195 per chunk)
+POOL_CONFIG = "modes = 8\ngrid_len = 256\nsample_sizes = 6, 20\nreplications = 600\nseed = 5\n"
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records the worker count, maps in this process."""
+
+    requested: list[int] = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
 
 
 class TestRunExperiment:
@@ -117,34 +138,19 @@ class TestRunExperiment:
         [(64, 3, 3), (64, 8, 6), (2, 8, 2), (1, 8, None), (64, None, 5)],
     )
     def test_pool_is_capped_at_tasks_and_cpus(self, tmp_path, monkeypatch, threads, cpus, expected):
-        # 2 sizes x 3 replications = 6 tasks; cpus None means no affinity call, os.cpu_count() = 5
-        requested = []
-
-        class InlinePool:
-            """Stands in for ProcessPoolExecutor: records the worker count, maps in this process."""
-
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
+        # 6 chunks are 6 tasks; cpus None means no affinity call, os.cpu_count() = 5
+        monkeypatch.setattr(InlinePool, "requested", [])
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
         if cpus is None:
             monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(harness.os, "cpu_count", lambda: 5)
         else:
             monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        config = parse_config(write_config(tmp_path, TINY_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
+        config = parse_config(write_config(tmp_path, POOL_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
+        assert len(harness.chunk_layout(config)) == 6
         results, _ = run_experiment(config, threads=threads)
-        assert len(results) == 6
-        assert requested == ([] if expected is None else [expected])
+        assert len(results) == 1200
+        assert InlinePool.requested == ([] if expected is None else [expected])
 
     def test_smoke_run_emits_all_artifacts(self, tmp_path):
         cfg = parse_config(smoke_config(tmp_path))
@@ -220,6 +226,97 @@ class TestRunExperiment:
         for r in results:
             assert r.exceeded == (r.error_b > r.xi)
             assert 0.0 < r.xi < 1.0
+
+
+# 50 modes as in the reference model; n = 20 < p, n = 51 = p + 1
+CHUNK_CONFIG = "grid_len = 256\nsample_sizes = 20, 51, 80\nreplications = 9\nseed = 11\n"
+
+
+def read_decay_rows(path):
+    lines = path.read_text().splitlines()[1:]
+    return [(int(n), int(j), float(value)) for n, j, value in (line.split(",") for line in lines)]
+
+
+class TestChunks:
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            pytest.param("", id="log-rule"),
+            pytest.param("burn_in = 5\n", id="burn-in"),
+            pytest.param("truncated_init = false\nburn_in = 3\n", id="zero-start"),
+            pytest.param("truncation = fixed:2\n", id="fixed-k"),
+            pytest.param("spline_mode = true\n", id="spline"),
+        ],
+    )
+    def test_chunked_sweep_matches_single_replications(self, tmp_path, monkeypatch, extra):
+        # chunks of 8, 3 and 2 replications at n = 20, 51, 80 without burn-in
+        monkeypatch.setattr(harness, "TRAJECTORY_BUDGET", 8400)
+        config = parse_config(write_config(tmp_path, CHUNK_CONFIG + extra + f"output_dir = {tmp_path / 'out'}\n"))
+        layout = harness.chunk_layout(config)
+        assert all(sum(chunk[0] == n for chunk in layout) > 1 for n in config.sample_sizes)
+        assert any(r1 - r0 > 1 for _, r0, r1 in layout)
+        results, _ = run_experiment(config)
+        decay = []
+        for result in results:
+            single, state = run_replication(config, result.n, result.replication)
+            assert (result.error_b, result.xi) == (single.error_b, single.xi), (result.n, result.replication)
+            if result.replication == 0:
+                decay.extend((result.n, j, value) for j, value in eigen_decay_report(state))
+        assert read_decay_rows(tmp_path / "out" / "eigen_decay.csv") == decay
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "sample_sizes = 50,100,200\nreplications = 400\n", TINY_CONFIG, CHUNK_CONFIG + "burn_in = 40\n"],
+        ids=["desk", "short-many", "tiny", "burn-in"],
+    )
+    def test_layout_covers_each_replication_once_within_the_budget(self, tmp_path, text):
+        config = parse_config(write_config(tmp_path, text))
+        layout = harness.chunk_layout(config)
+        cells = [(n, r) for n, r0, r1 in layout for r in range(r0, r1)]
+        assert cells == [(n, r) for n in config.sample_sizes for r in range(config.replications)]
+        for n, r0, r1 in layout:
+            stack = (r1 - r0) * (config.burn_in + n + 1) * config.model.modes
+            assert r1 - r0 == 1 or stack <= harness.TRAJECTORY_BUDGET
+
+    def test_pool_maps_the_same_chunks_for_every_thread_count(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(InlinePool, "requested", [])
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        mapped = []
+        original = harness._run_chunk
+
+        def recorded(task):
+            mapped.append(task[1:])
+            return original(task)
+
+        monkeypatch.setattr(harness, "_run_chunk", recorded)
+        config = parse_config(write_config(tmp_path, POOL_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
+        layouts = []
+        for threads in (1, 2, 3, 8):
+            mapped.clear()
+            run_experiment(config, threads=threads)
+            layouts.append(list(mapped))
+        assert layouts == [harness.chunk_layout(config)] * 4
+
+    def test_rank_error_inside_a_chunk_is_a_numeric_failure(self, tmp_path, capsys, monkeypatch):
+        class ZeroDraws:
+            """A generator whose every normal is 0: the trajectory stays at 0."""
+
+            def standard_normal(self, size=None, out=None):
+                if out is None:
+                    return np.zeros(size)
+                out[...] = 0.0
+                return out
+
+        original = harness.replication_rng
+        monkeypatch.setattr(
+            harness, "replication_rng", lambda seed, n, r: ZeroDraws() if (n, r) == (20, 2) else original(seed, n, r)
+        )
+        cfg_path = write_config(tmp_path, TINY_CONFIG + f"output_dir = {tmp_path / 'out'}\n")
+        assert (20, 0, 3) in harness.chunk_layout(parse_config(cfg_path))
+        assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_NUMERIC
+        assert "numeric failure: empirical eigenvalue 3 is 0.000e+00" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestEstimatorBundle:
@@ -319,6 +416,10 @@ class TestCli:
             pytest.param("", ["--seed", "-5"], id="flag-seed-negative"),
             pytest.param("coarse_step = 0\n", [], id="coarse-step-zero"),
             pytest.param("coarse_step = nan\n", [], id="coarse-step-nan"),
+            pytest.param("truncation = fixed:0\n", [], id="truncation-fixed-zero"),
+            pytest.param("gamma = 400\n", [], id="gamma-eigenvalues-underflow"),
+            pytest.param("width = 1e300\n", [], id="width-squared-overflows"),
+            pytest.param("wavelet_order = 11\n", [], id="wavelet-order-above-ten"),
         ],
     )
     def test_invalid_inputs_are_config_errors(self, tmp_path, capsys, command, config_text, extra_args):
@@ -391,7 +492,7 @@ class TestBlasThreadPolicy:
             logs[threads] = run_python([*args, "--threads", threads], tmp_path).stderr
         for name in CSV_NAMES:
             assert filecmp.cmp(tmp_path / "w1" / name, tmp_path / "w2" / name, shallow=False), name
-        workers = harness.worker_count(2, 6)
+        workers = harness.worker_count(2, len(harness.chunk_layout(parse_config(cfg_path))))
         assert f"INFO banach_ar1.cli: {workers} worker process(es)" in logs["2"]
         assert "OPENBLAS_NUM_THREADS=1 (set by banach-ar1)" in logs["1"]
 

@@ -24,7 +24,6 @@ from banach_ar1.model import (
     sample_initial_condition,
     simulate_trajectory,
     stationary_covariance,
-    symmetric_sqrt,
 )
 
 from oracles import lyapunov_fixed_point, stepped_trajectory, truncated_normal_variance_factor
@@ -264,7 +263,7 @@ class TestSimulation:
         x0 = np.random.default_rng(99).standard_normal(rho.dim)
         rng, oracle_rng = np.random.default_rng(n), np.random.default_rng(n)
         states = simulate_trajectory(n, rho, noise, x0, rng, burn_in=burn_in).states
-        expected = stepped_trajectory(n, rho.matrix, symmetric_sqrt(noise), x0, oracle_rng, burn_in)
+        expected = stepped_trajectory(n, rho.matrix, noise.sqrt, x0, oracle_rng, burn_in)
         assert states.shape == expected.shape == (n + 1, rho.dim)
         assert np.abs(states - expected).max() <= 1e-13 * np.abs(expected).max()
         # the generator stream is consumed exactly as by the stepped loop
@@ -347,16 +346,16 @@ class TestSymmetricSqrt:
     def test_square_reproduces_matrix(self):
         p = params(modes=10)
         noise = build_noise_covariance(p, build_covariance(p), build_rho(p))
-        root = symmetric_sqrt(noise)
+        root = noise.sqrt
         assert np.abs(root @ root - noise.matrix).max() < 1e-12
 
     def test_computed_once_per_operator_and_read_only(self):
         p = params(modes=10)
         noise = build_noise_covariance(p, build_covariance(p), build_rho(p))
-        assert symmetric_sqrt(noise) is symmetric_sqrt(noise)
-        assert not symmetric_sqrt(noise).flags.writeable
+        assert noise.sqrt is noise.sqrt
+        assert not noise.sqrt.flags.writeable
 
     def test_rejects_indefinite(self):
         indefinite = SpectralOperator(np.diag([1.0, -0.5]), symmetric=True)
         with pytest.raises(ValueError, match="positive semi-definite"):
-            symmetric_sqrt(indefinite)
+            indefinite.sqrt

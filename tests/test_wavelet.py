@@ -69,6 +69,11 @@ class TestDaubechiesFilter:
         with pytest.raises(ValueError, match="1..10"):
             daubechies_filter(order)
 
+    @pytest.mark.parametrize("order", [0, 11, -3])
+    def test_basis_spec_rejects_the_same_orders(self, order):
+        with pytest.raises(ValueError, match="1..10"):
+            WaveletBasisSpec(order=order, coarse_level=2, max_level=10)
+
 
 class TestTransform:
     def test_constant_signal_has_zero_details(self):
