@@ -176,9 +176,12 @@ def _filter_pair(order: int) -> tuple[np.ndarray, np.ndarray]:
     return h, g
 
 
+@lru_cache(maxsize=32)
 def _periodic_index(length: int, taps: int) -> np.ndarray:
-    """Index matrix (length//2, taps): row k selects (2k + i) mod length."""
-    return (2 * np.arange(length // 2)[:, None] + np.arange(taps)[None, :]) % length
+    """Index matrix (length//2, taps): row k selects (2k + i) mod length; read-only."""
+    idx = (2 * np.arange(length // 2)[:, None] + np.arange(taps)[None, :]) % length
+    idx.setflags(write=False)
+    return idx
 
 
 def dwt_forward(samples: np.ndarray, spec: WaveletBasisSpec) -> WaveletCoeffs:

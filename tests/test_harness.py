@@ -428,6 +428,18 @@ class TestCli:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_vanishing_eigen_gap_is_a_numeric_failure(self, tmp_path, capsys, command):
+        # distinct covariance eigenvalues whose gaps fall below the gap floor
+        cfg_path = write_config(
+            tmp_path,
+            "modes = 8\ngamma = 20\nsample_sizes = 20,40\nreplications = 2\ngrid_len = 64\n"
+            f"output_dir = {tmp_path / 'out'}\n",
+        )
+        assert cli.main([command, "--config", str(cfg_path)]) == cli.EXIT_NUMERIC
+        assert "eigenvalue gap at position 3 is 8.549e-40" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_env_seed_reports_the_reason(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BANACH_AR1_SEED", "-3")
         assert cli.main(["validate", "--config", str(write_config(tmp_path, ""))]) == cli.EXIT_CONFIG

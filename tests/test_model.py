@@ -22,6 +22,7 @@ from banach_ar1.model import (
     evaluate_on_grid,
     evaluate_via_spline,
     sample_initial_condition,
+    simulate_paths,
     simulate_trajectory,
     stationary_covariance,
 )
@@ -34,6 +35,18 @@ PAPER = dict(gamma=1.21, beta_exponent=0.6)
 def params(modes=5, **kw):
     merged = {**PAPER, "modes": modes, "grid_len": 2048, **kw}
     return ModelParams(**merged)
+
+
+def recursion_operators(kind):
+    """(rho, noise) of the reference model at 50 modes, or a small non-normal pair."""
+    if kind == "reference":
+        p = params(modes=50)
+        rho = build_rho(p)
+        return rho, build_noise_covariance(p, build_covariance(p), rho)
+    # norm above 1 but spectral radius below 1: single steps can grow
+    rho = SpectralOperator(np.diag([0.9, -0.5, 0.3, 0.7]) + np.diag([1.5, 1.5, 1.5], 1))
+    assert np.linalg.norm(rho.matrix, 2) > 1 > np.abs(np.linalg.eigvals(rho.matrix)).max()
+    return rho, SpectralOperator(0.1 * np.eye(4) + 0.02, symmetric=True)
 
 
 class TestModelParams:
@@ -251,15 +264,7 @@ class TestSimulation:
     @pytest.mark.parametrize("n", [2, 3, 15, 16, 17, 1000])
     @pytest.mark.parametrize("operator", ["reference", "non_normal"])
     def test_blocked_recursion_matches_stepped_oracle(self, operator, n, burn_in):
-        if operator == "reference":
-            p = params(modes=50)
-            rho = build_rho(p)
-            noise = build_noise_covariance(p, build_covariance(p), rho)
-        else:
-            # norm above 1 but spectral radius below 1: single steps can grow
-            rho = SpectralOperator(np.diag([0.9, -0.5, 0.3, 0.7]) + np.diag([1.5, 1.5, 1.5], 1))
-            assert np.linalg.norm(rho.matrix, 2) > 1 > np.abs(np.linalg.eigvals(rho.matrix)).max()
-            noise = SpectralOperator(0.1 * np.eye(4) + 0.02, symmetric=True)
+        rho, noise = recursion_operators(operator)
         x0 = np.random.default_rng(99).standard_normal(rho.dim)
         rng, oracle_rng = np.random.default_rng(n), np.random.default_rng(n)
         states = simulate_trajectory(n, rho, noise, x0, rng, burn_in=burn_in).states
@@ -268,6 +273,23 @@ class TestSimulation:
         assert np.abs(states - expected).max() <= 1e-13 * np.abs(expected).max()
         # the generator stream is consumed exactly as by the stepped loop
         assert rng.standard_normal() == oracle_rng.standard_normal()
+
+    @pytest.mark.parametrize("burn_in", [0, 7])
+    @pytest.mark.parametrize("n", [2, 17, 961, 1000])
+    @pytest.mark.parametrize("operator", ["reference", "non_normal"])
+    def test_stacked_paths_match_their_own_stepped_oracles(self, operator, n, burn_in):
+        # 961 steps fill 31 blocks of s = 31 exactly; 1000 leave a tail of 8
+        # after the last anchor (with burn-in 7 the blocks shift)
+        rho, noise = recursion_operators(operator)
+        x0 = np.random.default_rng(99).standard_normal((3, rho.dim))
+        rngs = [np.random.default_rng([n, r]) for r in range(3)]
+        oracle_rngs = [np.random.default_rng([n, r]) for r in range(3)]
+        paths = simulate_paths(n, rho, noise, x0, rngs, burn_in=burn_in)
+        assert paths.shape == (3, n + 1, rho.dim)
+        for path, start, rng, oracle_rng in zip(paths, x0, rngs, oracle_rngs):
+            expected = stepped_trajectory(n, rho.matrix, noise.sqrt, start, oracle_rng, burn_in)
+            assert np.abs(path - expected).max() <= 1e-13 * np.abs(expected).max()
+            assert rng.standard_normal() == oracle_rng.standard_normal()
 
     def test_reproducible_bit_for_bit(self):
         p = params(modes=6)
@@ -340,6 +362,50 @@ class TestKernel:
         for a in (0, 4, 8):
             for b in (1, 5):
                 assert surface[a, b] == pytest.approx(covariance_kernel(cov, pts[a], pts[b]), abs=1e-14)
+
+
+class TestPowerTable:
+    @pytest.mark.parametrize("s", [1, 2, 31, 89])
+    @pytest.mark.parametrize("operator", ["reference", "non_normal"])
+    def test_blocks_match_explicit_powers(self, operator, s):
+        rho, _ = recursion_operators(operator)
+        stack, top = rho.power_table(s)
+        p, a = rho.dim, rho.matrix.T
+        assert stack.shape == (s * p, p) and top.shape == (p, p)
+        assert not stack.flags.writeable and not top.flags.writeable
+        for k, block in enumerate(stack.reshape(s, p, p)):
+            expected = np.linalg.matrix_power(a, s - 1 - k)
+            assert np.abs(block - expected).max() <= 1e-13 * np.abs(expected).max()
+        expected = np.linalg.matrix_power(a, s)
+        assert np.abs(top - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_cached_for_the_latest_size_only(self):
+        rho, _ = recursion_operators("reference")
+        first = rho.power_table(5)
+        assert rho.power_table(5)[0] is first[0]
+        other = rho.power_table(6)
+        assert other[0].shape == (6 * rho.dim, rho.dim)
+        assert rho._powers[0] == 6 and rho._powers[1] is other[0]
+        rebuilt = rho.power_table(5)
+        assert rebuilt[0] is not first[0]
+        assert np.array_equal(rebuilt[0], first[0]) and np.array_equal(rebuilt[1], first[1])
+
+
+class TestPositiveDiagonal:
+    def test_checked_once_and_read_only(self):
+        cov = build_covariance(params(modes=6))
+        diag = cov.positive_diagonal
+        assert cov.positive_diagonal is diag
+        assert not diag.flags.writeable
+        assert np.array_equal(diag, np.diag(cov.matrix))
+
+    @pytest.mark.parametrize(
+        "matrix", [np.full((3, 3), 0.5), np.diag([1.0, 0.0, 2.0]), np.diag([1.0, -1.0, 2.0])],
+        ids=["non-diagonal", "zero-entry", "negative-entry"],
+    )
+    def test_initial_condition_rejects_bad_covariance(self, matrix):
+        with pytest.raises(ValueError, match="diagonal with positive entries"):
+            sample_initial_condition(SpectralOperator(matrix), np.random.default_rng(0))
 
 
 class TestSymmetricSqrt:

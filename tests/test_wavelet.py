@@ -6,6 +6,7 @@ import pytest
 from banach_ar1.wavelet import (
     GelfandWeights,
     WaveletBasisSpec,
+    _periodic_index,
     WaveletCoeffs,
     besov_l1_norm,
     besov_sup_norm,
@@ -139,6 +140,13 @@ class TestTransform:
         assert abs(besov_l1_norm(fast) - l1) < 1e-8
         flat = fast.flatten()
         assert abs(math.sqrt(flat @ flat) - l2) < 1e-8
+
+
+    def test_periodic_index_is_cached_and_read_only(self):
+        idx = _periodic_index(16, 6)
+        assert _periodic_index(16, 6) is idx
+        assert not idx.flags.writeable
+        assert idx.tolist() == [[(2 * k + i) % 16 for i in range(6)] for k in range(8)]
 
 
 class TestNorms:
