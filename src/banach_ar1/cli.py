@@ -16,7 +16,8 @@ import os
 
 # One BLAS thread per process.  A replication works on p x p matrices with
 # p around 50, where extra BLAS threads only spin; parallelism comes from the
-# --threads worker processes, which inherit these variables.  BLAS reads them
+# --threads worker processes, which inherit these variables, and in a serial
+# sweep from one helper thread that draws the next chunk.  BLAS reads them
 # when numpy loads, so this runs before anything imports numpy (the package
 # __init__ imports none).  A value set beforehand wins.  The settings are
 # recorded as made here, for the run log.
@@ -67,9 +68,10 @@ def _load_config(args) -> harness.ExperimentConfig:
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
-    workers = harness.worker_count(args.threads, len(harness.chunk_layout(config)))
+    schedule = harness.sweep_schedule(args.threads, len(harness.chunk_layout(config)))
+    drawing = "next chunk drawn ahead in a helper thread" if schedule.draw_ahead else "chunks drawn inline"
     blas = ", ".join(f"{var}={setting}" for var, setting in BLAS_THREAD_SETTINGS.items())
-    logger.info("%d worker process(es), BLAS threads per process: %s", workers, blas)
+    logger.info("%d worker process(es), %s, BLAS threads per process: %s", schedule.workers, drawing, blas)
     results, reports = harness.run_experiment(config, threads=args.threads)
     print(f"wrote {len(results)} replication results for {len(reports)} sample sizes to {config.output_dir}")
     return EXIT_OK

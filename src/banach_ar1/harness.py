@@ -11,7 +11,12 @@ count, and two runs with the same configuration are byte-identical.
 The replications of one sample size run in chunks, stacked along a leading
 axis through simulation, fit, prediction and scoring; a chunk is the unit of
 work of the process pool.  Every product in the stack is the per-replication
-gemm or gemv, so a replication's error does not depend on its chunk.
+gemm or gemv, so a replication's error does not depend on its chunk.  A
+chunk runs in two stages: the draw stage fills its innovations, the compute
+stage steps the recursion, fits, predicts and scores.  A serial sweep with a
+second usable CPU draws chunk i + 1 in a helper thread while chunk i
+computes, never further ahead, so at most two chunks' buffers (each within
+TRAJECTORY_BUDGET doubles, or one replication) are alive at once.
 
 The experiment fits on the first n states and predicts from state n+1, so
 the estimator's sample and the prediction input are disjoint.
@@ -24,9 +29,10 @@ import functools
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -314,12 +320,12 @@ def chunk_layout(config: ExperimentConfig) -> list[tuple[int, int, int]]:
     return chunks
 
 
-def _run_stack(
-    config: ExperimentConfig, n: int, r0: int, r1: int
-) -> tuple[list[diagnostics.ExperimentResult], EstimatorState]:
-    """Simulate, fit, predict and score replications r0..r1-1 of size n as one stack.
+def _draw_stack(config: ExperimentConfig, n: int, r0: int, r1: int) -> np.ndarray:
+    """Draw stage of replications r0..r1-1 of size n: their streams, starts and innovations.
 
-    Returns their results and the stack of fits.
+    Returns their model.draw_paths buffer.  It reads only the run context's
+    cached, read-only operators, never the power table, so the serial
+    sweep runs it in a helper thread.
     """
     ctx = _context(config)
     rngs = [replication_rng(config.master_seed, n, r) for r in range(r0, r1)]
@@ -327,7 +333,18 @@ def _run_stack(
         x0 = [model.sample_initial_condition(ctx.covariance, rng) for rng in rngs]
     else:
         x0 = np.zeros((len(rngs), config.model.modes))
-    states = model.simulate_paths(n, ctx.rho, ctx.noise, x0, rngs, burn_in=config.burn_in)
+    return model.draw_paths(config.burn_in + n, ctx.noise, x0, rngs)
+
+
+def _compute_stack(
+    config: ExperimentConfig, n: int, r0: int, paths: np.ndarray
+) -> tuple[list[diagnostics.ExperimentResult], EstimatorState]:
+    """Compute stage: step, fit, predict and score the _draw_stack buffer of replications r0.. of size n.
+
+    Returns their results and the stack of fits.
+    """
+    ctx = _context(config)
+    states = model.step_paths(paths, ctx.rho)[:, config.burn_in :]
     fits = estimation.fit_stack(states[:, :n], config.truncation)
     newest = states[:, n]
     predicted = estimation.plug_in_predict(fits, newest)
@@ -345,7 +362,7 @@ def _run_stack(
     _, _, xi = ctx.bound_for(n)
     results = [
         diagnostics.ExperimentResult(n=n, replication=r, error_b=float(error), xi=xi)
-        for r, error in zip(range(r0, r1), errors)
+        for r, error in enumerate(errors, start=r0)
     ]
     return results, fits
 
@@ -354,26 +371,65 @@ def run_replication(
     config: ExperimentConfig, n: int, replication: int
 ) -> tuple[diagnostics.ExperimentResult, EstimatorState]:
     """Simulate, fit, predict and score a single (n, replication) cell: a stack of one."""
-    results, fits = _run_stack(config, n, replication, replication + 1)
+    paths = _draw_stack(config, n, replication, replication + 1)
+    results, fits = _compute_stack(config, n, replication, paths)
     return results[0], fits[0]
 
 
-def _run_chunk(
-    task: tuple[ExperimentConfig, int, int, int]
-) -> tuple[list[diagnostics.ExperimentResult], list[tuple[int, int, float]]]:
-    """A chunk's results, and the eigen-decay rows if it holds replication 0."""
-    config, n, r0, r1 = task
-    results, fits = _run_stack(config, n, r0, r1)
+ChunkOutput = tuple[list[diagnostics.ExperimentResult], list[tuple[int, int, float]]]
+
+
+def _chunk_output(config: ExperimentConfig, n: int, r0: int, paths: np.ndarray) -> ChunkOutput:
+    """A chunk's results from its drawn paths, and the eigen-decay rows if it holds replication 0."""
+    results, fits = _compute_stack(config, n, r0, paths)
     # only the first replication's eigenvalue decay is reported per n
     decay = [(n, j, value) for j, value in diagnostics.eigen_decay_report(fits[0])] if r0 == 0 else []
     return results, decay
 
 
-def worker_count(threads: int, tasks: int) -> int:
-    """Worker processes for `tasks` chunks when `threads` are asked for.
+def _run_chunk(task: tuple[ExperimentConfig, int, int, int]) -> ChunkOutput:
+    """Both stages of one chunk in turn: a pool task, and the serial sweep on one CPU."""
+    config, n, r0, r1 = task
+    return _chunk_output(config, n, r0, _draw_stack(config, n, r0, r1))
 
-    Never more than the tasks or the CPUs this process may run on; more
-    workers would only wait for a core.
+
+def _run_drawing_ahead(tasks: list[tuple[ExperimentConfig, int, int, int]]) -> list[ChunkOutput]:
+    """The chunks in order in this process, each drawn in a helper thread while the one before computes.
+
+    numpy's generator fill and BLAS release the GIL, so the draw of chunk
+    i + 1 runs on a second CPU while chunk i steps, fits and scores.  The
+    helper is never more than one chunk ahead: at most two chunks' buffers
+    are alive.  An error in either stage propagates with its own type, and
+    the helper has finished before this returns or raises.
+    """
+    ctx = _context(tasks[0][0])
+    # the draw stage reads these cached properties: compute them before the
+    # helper thread could race to
+    _ = ctx.covariance.positive_diagonal
+    _ = ctx.noise.sqrt
+    outputs = []
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="banach-ar1-draw") as drawer:
+        pending = drawer.submit(_draw_stack, *tasks[0])
+        for i, (config, n, r0, _) in enumerate(tasks):
+            paths = pending.result()
+            if i + 1 < len(tasks):
+                pending = drawer.submit(_draw_stack, *tasks[i + 1])
+            outputs.append(_chunk_output(config, n, r0, paths))
+    return outputs
+
+
+class SweepSchedule(NamedTuple):
+    workers: int  # worker processes; 1 runs the chunks in this process
+    draw_ahead: bool  # the serial sweep draws the next chunk in a helper thread
+
+
+def sweep_schedule(threads: int, tasks: int) -> SweepSchedule:
+    """How a sweep of `tasks` chunks runs when `threads` are asked for.
+
+    Never more workers than the tasks or the CPUs this process may run on;
+    more would only wait for a core.  A serial sweep of several chunks
+    draws ahead only with a second usable CPU: on one CPU the helper thread
+    would only take turns with the compute stage.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -381,7 +437,8 @@ def worker_count(threads: int, tasks: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has CPU affinity
         cpus = os.cpu_count() or 1
-    return min(threads, tasks, cpus)
+    workers = min(threads, tasks, cpus)
+    return SweepSchedule(workers, workers == 1 and tasks > 1 and cpus > 1)
 
 
 def run_experiment(
@@ -391,11 +448,12 @@ def run_experiment(
 
     Aborts with StationarityError unless some power of the autocorrelation
     matrix has spectral norm below 1.  The chunks of `chunk_layout` run in
-    a pool of `worker_count(threads, ...)` processes, or in this process
-    when that is 1; their results come back in (n, replication) order before
-    any file is written, so outputs are identical for any worker count.  The
-    BLAS thread count is the caller's choice (the command-line program sets
-    one per process).
+    a pool of `sweep_schedule(threads, ...).workers` processes, or in this
+    process when that is 1, drawing ahead in a helper thread where the
+    schedule says so; their results come back in (n, replication) order
+    before any file is written, so outputs are identical for any worker
+    count.  The BLAS thread count is the caller's choice (the command-line
+    program sets one per process).
     """
     ctx = _context(config)
     if not ctx.gate.holds:
@@ -406,10 +464,14 @@ def run_experiment(
     logger.info("stationarity gate passed: j0=%d, norm=%.6f", ctx.gate.j0, ctx.gate.norm)
 
     tasks = [(config, *chunk) for chunk in chunk_layout(config)]
-    workers = worker_count(threads, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    schedule = sweep_schedule(threads, len(tasks))
+    if schedule.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: it loads multiprocessing
+
+        with ProcessPoolExecutor(max_workers=schedule.workers) as pool:
             outputs = list(pool.map(_run_chunk, tasks))
+    elif schedule.draw_ahead:
+        outputs = _run_drawing_ahead(tasks)
     else:
         outputs = [_run_chunk(t) for t in tasks]
 

@@ -253,6 +253,66 @@ def sample_initial_condition(covariance: SpectralOperator, rng: np.random.Genera
     return np.sqrt(c_diag) * z
 
 
+def draw_paths(steps: int, noise_cov: SpectralOperator, x0: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
+    """The draw stage of simulate_paths: the start and the innovations of each path in a stack.
+
+    Returns a (len(rngs), steps + 1, p) buffer: row 0 of path r holds
+    x0[r], and rows 1..steps hold its innovations eps_1..eps_steps, one
+    standard_normal((steps, p)) block drawn from rngs[r] and mapped through
+    the symmetric square root of noise_cov.  step_paths turns the buffer
+    into states in place.  It touches neither rho nor its power table, so
+    it may run in another thread while an earlier buffer steps.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    p = noise_cov.dim
+    if x0.shape != (len(rngs), p):
+        raise ValueError("dimension mismatch between noise_cov and x0")
+    x = np.empty((len(rngs), steps + 1, p))
+    x[:, 0] = x0
+    # the normals get a buffer of their own: a product written over its own
+    # input makes numpy copy the whole input first
+    normals = np.empty((steps, p))
+    root_t = noise_cov.sqrt.T
+    for path, rng in zip(x, rngs):
+        rng.standard_normal(out=normals)
+        np.matmul(normals, root_t, out=path[1:])
+    return x
+
+
+def step_paths(x: np.ndarray, rho: SpectralOperator) -> np.ndarray:
+    """The compute stage of simulate_paths: X_i = rho X_{i-1} + eps_i, in place on a draw_paths buffer.
+
+    Returns x, row i of each path now holding its X_i.  The N = length - 1
+    steps run anchor-first in blocks of s = isqrt(N) states.  One gemm per
+    path maps each full block's innovations to its zero-start end state
+    through the power table of rho (rho.power_table, cached on the
+    operator: s p^2 doubles, 1.8 MB at N = 8000, p = 50).  The anchors
+    X_s, X_2s, ... then follow from X_0 one block at a time through rho^s,
+    and s - 1 stacked products step every block, the tail after the last
+    anchor included, forward from its anchor.  A path's states do not
+    depend on the other paths in the stack: each product is a per-path gemm
+    or gemv, as for a stack of one.
+    """
+    count, length, p = x.shape
+    if rho.dim != p:
+        raise ValueError("dimension mismatch between rho and the paths")
+    steps = length - 1
+    # as row vectors X_i = X_{i-1} @ M + eps_i with M = rho^T
+    s = math.isqrt(steps)
+    blocks = steps // s
+    stack, top = rho.power_table(s)
+    # 1. each full block's zero-start end state, sum_j eps_(b-1)s+j @ M^(s-j)
+    ends = x[:, 1 : 1 + blocks * s].reshape(count, blocks, s * p) @ stack
+    # 2. carry the anchors X_s, X_2s, ... from X_0, one gemv per path
+    for b in range(1, blocks + 1):
+        x[:, b * s] = (x[:, (b - 1) * s, None] @ top)[:, 0] + ends[:, b - 1]
+    # 3. step every block, and the tail after the last anchor, from its anchor
+    for m in range(1, s):
+        rows = x[:, m::s]
+        rows += x[:, m - 1 :: s][:, : rows.shape[1]] @ rho.matrix.T
+    return x
+
+
 def simulate_paths(
     n: int,
     rho: SpectralOperator,
@@ -268,47 +328,14 @@ def simulate_paths(
     square root of noise_cov; the result has shape (len(rngs), n + 1, p),
     row i of path r holding its X_i.  With burn_in > 0 the recursion first
     runs burn_in unrecorded steps from x0, and X_0 is the state reached at
-    the end of the burn-in.
-
-    The N = burn_in + n steps run anchor-first in blocks of s = isqrt(N)
-    states.  One gemm per path maps each full block's innovations to its
-    zero-start end state through the power table of rho (rho.power_table,
-    cached on the operator: s p^2 doubles, 1.8 MB at N = 8000, p = 50).
-    The anchors X_s, X_2s, ... then follow from X_0 one block at a time
-    through rho^s, and s - 1 stacked products step every block, the tail
-    after the last anchor included, forward from its anchor.  A path's
-    states do not depend on the other paths in the stack: each product is
-    a per-path gemm or gemv, as for a stack of one.
+    the end of the burn-in.  This is the two stages composed: draw_paths,
+    then step_paths.
     """
     if n < 2:
         raise ValueError("need n >= 2 (downstream estimators require at least two states)")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
-    x0 = np.asarray(x0, dtype=float)
-    p = rho.dim
-    if x0.shape != (len(rngs), p) or noise_cov.dim != p:
-        raise ValueError("dimension mismatch between rho, noise_cov and x0")
-    steps = burn_in + n
-    # row i holds eps_i, then X_i; as row vectors X_i = X_{i-1} @ M + eps_i
-    # with M = rho^T
-    x = np.empty((len(rngs), steps + 1, p))
-    x[:, 0] = x0
-    for path, rng in zip(x, rngs):
-        rng.standard_normal(out=path[1:])
-    np.matmul(x[:, 1:], noise_cov.sqrt.T, out=x[:, 1:])
-    s = math.isqrt(steps)
-    blocks = steps // s
-    stack, top = rho.power_table(s)
-    # 1. each full block's zero-start end state, sum_j eps_(b-1)s+j @ M^(s-j)
-    ends = x[:, 1 : 1 + blocks * s].reshape(len(rngs), blocks, s * p) @ stack
-    # 2. carry the anchors X_s, X_2s, ... from X_0, one gemv per path
-    for b in range(1, blocks + 1):
-        x[:, b * s] = (x[:, (b - 1) * s, None] @ top)[:, 0] + ends[:, b - 1]
-    # 3. step every block, and the tail after the last anchor, from its anchor
-    for m in range(1, s):
-        rows = x[:, m::s]
-        rows += x[:, m - 1 :: s][:, : rows.shape[1]] @ rho.matrix.T
-    return x[:, burn_in:]
+    return step_paths(draw_paths(burn_in + n, noise_cov, x0, rngs), rho)[:, burn_in:]
 
 
 def simulate_trajectory(

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -140,7 +141,7 @@ class TestRunExperiment:
     def test_pool_is_capped_at_tasks_and_cpus(self, tmp_path, monkeypatch, threads, cpus, expected):
         # 6 chunks are 6 tasks; cpus None means no affinity call, os.cpu_count() = 5
         monkeypatch.setattr(InlinePool, "requested", [])
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         if cpus is None:
             monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(harness.os, "cpu_count", lambda: 5)
@@ -280,16 +281,17 @@ class TestChunks:
 
     def test_pool_maps_the_same_chunks_for_every_thread_count(self, tmp_path, monkeypatch):
         monkeypatch.setattr(InlinePool, "requested", [])
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         mapped = []
-        original = harness._run_chunk
+        original = harness._draw_stack
 
-        def recorded(task):
-            mapped.append(task[1:])
-            return original(task)
+        def recorded(config, n, r0, r1):
+            mapped.append((n, r0, r1))
+            return original(config, n, r0, r1)
 
-        monkeypatch.setattr(harness, "_run_chunk", recorded)
+        # every chunk, in the pool or drawn ahead in this process, is drawn once
+        monkeypatch.setattr(harness, "_draw_stack", recorded)
         config = parse_config(write_config(tmp_path, POOL_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
         layouts = []
         for threads in (1, 2, 3, 8):
@@ -312,11 +314,122 @@ class TestChunks:
         monkeypatch.setattr(
             harness, "replication_rng", lambda seed, n, r: ZeroDraws() if (n, r) == (20, 2) else original(seed, n, r)
         )
-        cfg_path = write_config(tmp_path, TINY_CONFIG + f"output_dir = {tmp_path / 'out'}\n")
-        assert (20, 0, 3) in harness.chunk_layout(parse_config(cfg_path))
+        # draw-ahead on: the n = 40 chunk is being drawn when the n = 20 chunk fails
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        text = TINY_CONFIG.replace("sample_sizes = 6, 20", "sample_sizes = 6, 20, 40")
+        cfg_path = write_config(tmp_path, text + f"output_dir = {tmp_path / 'out'}\n")
+        layout = harness.chunk_layout(parse_config(cfg_path))
+        assert layout[1:] == [(20, 0, 3), (40, 0, 3)]
+        assert harness.sweep_schedule(1, len(layout)).draw_ahead
+        threads_before = threading.active_count()
         assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_NUMERIC
+        assert threading.active_count() == threads_before
         assert "numeric failure: empirical eigenvalue 3 is 0.000e+00" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+class DrawStageError(RuntimeError):
+    """Raised from inside the draw stage by a test."""
+
+
+class TestDrawAhead:
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            pytest.param("", id="plain"),
+            pytest.param("spline_mode = true\n", id="spline"),
+            pytest.param("truncated_init = false\nburn_in = 30\n", id="burn-in"),
+        ],
+    )
+    def test_usable_cpus_do_not_change_the_bytes(self, tmp_path, monkeypatch, extra):
+        # chunks of 8, 3 and 2 replications at n = 20, 51, 80 without burn-in
+        monkeypatch.setattr(harness, "TRAJECTORY_BUDGET", 8400)
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            config = parse_config(
+                write_config(tmp_path, CHUNK_CONFIG + extra + f"output_dir = {tmp_path / str(cpus)}\n")
+            )
+            assert harness.sweep_schedule(1, len(harness.chunk_layout(config))) == (1, cpus == 2)
+            run_experiment(config, threads=1)
+        for name in CSV_NAMES:
+            assert filecmp.cmp(tmp_path / "1" / name, tmp_path / "2" / name, shallow=False), name
+
+    @pytest.mark.parametrize(
+        "threads, tasks, cpus, draw_ahead",
+        [(1, 5, 2, True), (1, 5, 1, False), (1, 1, 8, False), (2, 5, 8, False), (4, 5, 1, False)],
+    )
+    def test_only_a_serial_sweep_of_several_chunks_with_a_spare_cpu_draws_ahead(
+        self, monkeypatch, threads, tasks, cpus, draw_ahead
+    ):
+        usable_cpus(monkeypatch, cpus)
+        assert harness.sweep_schedule(threads, tasks).draw_ahead == draw_ahead
+
+    def test_draw_stage_runs_in_a_helper_at_most_one_chunk_ahead(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "TRAJECTORY_BUDGET", 8400)
+        usable_cpus(monkeypatch, 2)
+        config = parse_config(write_config(tmp_path, CHUNK_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
+        layout = harness.chunk_layout(config)
+        lock = threading.Lock()
+        computed = []  # chunks whose compute stage has finished, in order
+        draws = []  # (chunk, chunks computed when its draw started, drawing thread)
+        draw, compute = harness._draw_stack, harness._chunk_output
+
+        def traced_draw(config, n, r0, r1):
+            with lock:
+                draws.append((layout.index((n, r0, r1)), len(computed), threading.get_ident()))
+            return draw(config, n, r0, r1)
+
+        def traced_compute(config, n, r0, paths):
+            output = compute(config, n, r0, paths)
+            with lock:
+                computed.append(layout.index((n, r0, r0 + len(paths))))
+            return output
+
+        monkeypatch.setattr(harness, "_draw_stack", traced_draw)
+        monkeypatch.setattr(harness, "_chunk_output", traced_compute)
+        threads_before = threading.active_count()
+        run_experiment(config, threads=1)
+        assert threading.active_count() == threads_before
+        assert len(layout) == 10
+        assert computed == list(range(len(layout)))
+        assert [chunk for chunk, _, _ in draws] == list(range(len(layout)))
+        # chunk i is drawn only once chunk i - 2 has computed, so at most the
+        # chunk computing and the one drawing hold buffers
+        assert all(done >= chunk - 1 for chunk, done, _ in draws)
+        assert {thread for _, _, thread in draws} != {threading.get_ident()}
+        assert len({thread for _, _, thread in draws}) == 1
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_draw_stage_error_surfaces_with_its_own_type(self, tmp_path, monkeypatch, cpus):
+        usable_cpus(monkeypatch, cpus)
+        original = harness.replication_rng
+
+        def failing(seed, n, r):
+            if n == 51:
+                raise DrawStageError(f"no stream for ({n}, {r})")
+            return original(seed, n, r)
+
+        monkeypatch.setattr(harness, "replication_rng", failing)
+        config = parse_config(write_config(tmp_path, CHUNK_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
+        threads_before = threading.active_count()
+        with pytest.raises(DrawStageError, match=r"no stream for \(51, 0\)"):
+            run_experiment(config, threads=1)
+        assert threading.active_count() == threads_before
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "cpus, drawing", [(1, "chunks drawn inline"), (2, "next chunk drawn ahead in a helper thread")]
+    )
+    def test_run_log_says_whether_the_sweep_draws_ahead(self, tmp_path, monkeypatch, caplog, cpus, drawing):
+        usable_cpus(monkeypatch, cpus)
+        cfg_path = write_config(tmp_path, TINY_CONFIG + f"output_dir = {tmp_path / 'out'}\n")
+        with caplog.at_level("INFO", logger="banach_ar1.cli"):
+            assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_OK
+        assert f"1 worker process(es), {drawing}, BLAS threads per process" in caplog.text
 
 
 class TestEstimatorBundle:
@@ -504,7 +617,7 @@ class TestBlasThreadPolicy:
             logs[threads] = run_python([*args, "--threads", threads], tmp_path).stderr
         for name in CSV_NAMES:
             assert filecmp.cmp(tmp_path / "w1" / name, tmp_path / "w2" / name, shallow=False), name
-        workers = harness.worker_count(2, len(harness.chunk_layout(parse_config(cfg_path))))
+        workers = harness.sweep_schedule(2, len(harness.chunk_layout(parse_config(cfg_path)))).workers
         assert f"INFO banach_ar1.cli: {workers} worker process(es)" in logs["2"]
         assert "OPENBLAS_NUM_THREADS=1 (set by banach-ar1)" in logs["1"]
 
@@ -513,6 +626,11 @@ class TestBlasThreadPolicy:
         args = ["-m", "banach_ar1.cli", "run", "--config", str(cfg_path), "--out", "out"]
         log = run_python(args, tmp_path, OMP_NUM_THREADS="1").stderr
         assert "INFO banach_ar1.cli: 1 worker process(es)" in log
+        # TINY_CONFIG runs as two chunks, so only the usable CPUs decide
+        drawing = "chunks drawn inline"
+        if harness.sweep_schedule(1, 2).draw_ahead:
+            drawing = "next chunk drawn ahead in a helper thread"
+        assert f"1 worker process(es), {drawing}, BLAS threads per process" in log
         assert "OMP_NUM_THREADS=1 (from the environment)" in log
         assert "MKL_NUM_THREADS=1 (set by banach-ar1)" in log
         for name in CSV_NAMES:

@@ -17,6 +17,7 @@ from banach_ar1.model import (
     covariance_eigenvalues,
     covariance_kernel,
     covariance_kernel_surface,
+    draw_paths,
     eigenfunction_on_grid,
     eigenfunctions_on_grid,
     evaluate_on_grid,
@@ -25,6 +26,7 @@ from banach_ar1.model import (
     simulate_paths,
     simulate_trajectory,
     stationary_covariance,
+    step_paths,
 )
 
 from oracles import lyapunov_fixed_point, stepped_trajectory, truncated_normal_variance_factor
@@ -291,6 +293,22 @@ class TestSimulation:
             assert np.abs(path - expected).max() <= 1e-13 * np.abs(expected).max()
             assert rng.standard_normal() == oracle_rng.standard_normal()
 
+    @pytest.mark.parametrize("operator", ["reference", "non_normal"])
+    def test_stages_compose_to_simulate_paths_bit_for_bit(self, operator):
+        rho, noise = recursion_operators(operator)
+        x0 = np.random.default_rng(99).standard_normal((3, rho.dim))
+        drawn = draw_paths(107, noise, x0, [np.random.default_rng([7, r]) for r in range(3)])
+        assert drawn.shape == (3, 108, rho.dim)
+        for r, path in enumerate(drawn):
+            # each path's block is one per-path gemm with the root, as before the split
+            normals = np.random.default_rng([7, r]).standard_normal((107, rho.dim))
+            assert np.array_equal(path[0], x0[r])
+            assert np.array_equal(path[1:], normals @ noise.sqrt.T)
+        stepped = step_paths(drawn, rho)
+        assert stepped is drawn
+        composed = simulate_paths(100, rho, noise, x0, [np.random.default_rng([7, r]) for r in range(3)], burn_in=7)
+        assert np.array_equal(stepped[:, 7:], composed)
+
     def test_reproducible_bit_for_bit(self):
         p = params(modes=6)
         rho = build_rho(p)
@@ -338,6 +356,14 @@ def test_package_import_leaves_spline_module_unloaded():
     # scipy.interpolate is only needed by spline mode and dominates import time
     src = Path(banach_ar1.__file__).resolve().parents[1]
     code = "import sys, banach_ar1.cli; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=src)
+    assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only a pool of two or more workers needs ProcessPoolExecutor
+    src = Path(banach_ar1.__file__).resolve().parents[1]
+    code = "import sys, banach_ar1.cli; print('multiprocessing' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=src)
     assert out.stdout.strip() == "False"
 
