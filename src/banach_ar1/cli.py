@@ -68,10 +68,10 @@ def _load_config(args) -> harness.ExperimentConfig:
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
-    schedule = harness.sweep_schedule(args.threads, len(harness.chunk_layout(config)))
-    drawing = "next chunk drawn ahead in a helper thread" if schedule.draw_ahead else "chunks drawn inline"
+    workers = harness.worker_count(args.threads, len(harness.chunk_layout(config)))
+    drawing = "next chunk drawn ahead in a helper thread" if workers == 1 else "chunks drawn inline"
     blas = ", ".join(f"{var}={setting}" for var, setting in BLAS_THREAD_SETTINGS.items())
-    logger.info("%d worker process(es), %s, BLAS threads per process: %s", schedule.workers, drawing, blas)
+    logger.info("%d worker process(es), %s, BLAS threads per process: %s", workers, drawing, blas)
     results, reports = harness.run_experiment(config, threads=args.threads)
     print(f"wrote {len(results)} replication results for {len(reports)} sample sizes to {config.output_dir}")
     return EXIT_OK

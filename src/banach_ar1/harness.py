@@ -13,10 +13,10 @@ axis through simulation, fit, prediction and scoring; a chunk is the unit of
 work of the process pool.  Every product in the stack is the per-replication
 gemm or gemv, so a replication's error does not depend on its chunk.  A
 chunk runs in two stages: the draw stage fills its innovations, the compute
-stage steps the recursion, fits, predicts and scores.  A serial sweep with a
-second usable CPU draws chunk i + 1 in a helper thread while chunk i
-computes, never further ahead, so at most two chunks' buffers (each within
-TRAJECTORY_BUDGET doubles, or one replication) are alive at once.
+stage steps the recursion, fits, predicts and scores.  A serial sweep
+draws chunk i + 1 in a helper thread while chunk i computes, never further
+ahead, so at most two chunks' buffers (each within TRAJECTORY_BUDGET
+doubles, or one replication) are alive at once.
 
 The experiment fits on the first n states and predicts from state n+1, so
 the estimator's sample and the prediction input are disjoint.
@@ -32,7 +32,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -388,7 +387,7 @@ def _chunk_output(config: ExperimentConfig, n: int, r0: int, paths: np.ndarray) 
 
 
 def _run_chunk(task: tuple[ExperimentConfig, int, int, int]) -> ChunkOutput:
-    """Both stages of one chunk in turn: a pool task, and the serial sweep on one CPU."""
+    """Both stages of one chunk in turn: the pool task."""
     config, n, r0, r1 = task
     return _chunk_output(config, n, r0, _draw_stack(config, n, r0, r1))
 
@@ -397,16 +396,12 @@ def _run_drawing_ahead(tasks: list[tuple[ExperimentConfig, int, int, int]]) -> l
     """The chunks in order in this process, each drawn in a helper thread while the one before computes.
 
     numpy's generator fill and BLAS release the GIL, so the draw of chunk
-    i + 1 runs on a second CPU while chunk i steps, fits and scores.  The
+    i + 1 runs on a second CPU, where there is one, while chunk i steps,
+    fits and scores.  The
     helper is never more than one chunk ahead: at most two chunks' buffers
     are alive.  An error in either stage propagates with its own type, and
     the helper has finished before this returns or raises.
     """
-    ctx = _context(tasks[0][0])
-    # the draw stage reads these cached properties: compute them before the
-    # helper thread could race to
-    _ = ctx.covariance.positive_diagonal
-    _ = ctx.noise.sqrt
     outputs = []
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="banach-ar1-draw") as drawer:
         pending = drawer.submit(_draw_stack, *tasks[0])
@@ -418,18 +413,11 @@ def _run_drawing_ahead(tasks: list[tuple[ExperimentConfig, int, int, int]]) -> l
     return outputs
 
 
-class SweepSchedule(NamedTuple):
-    workers: int  # worker processes; 1 runs the chunks in this process
-    draw_ahead: bool  # the serial sweep draws the next chunk in a helper thread
+def worker_count(threads: int, tasks: int) -> int:
+    """Worker processes for `tasks` chunks when `threads` are asked for.
 
-
-def sweep_schedule(threads: int, tasks: int) -> SweepSchedule:
-    """How a sweep of `tasks` chunks runs when `threads` are asked for.
-
-    Never more workers than the tasks or the CPUs this process may run on;
-    more would only wait for a core.  A serial sweep of several chunks
-    draws ahead only with a second usable CPU: on one CPU the helper thread
-    would only take turns with the compute stage.
+    Never more than the tasks or the CPUs this process may run on; more
+    workers would only wait for a core.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -437,8 +425,7 @@ def sweep_schedule(threads: int, tasks: int) -> SweepSchedule:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has CPU affinity
         cpus = os.cpu_count() or 1
-    workers = min(threads, tasks, cpus)
-    return SweepSchedule(workers, workers == 1 and tasks > 1 and cpus > 1)
+    return min(threads, tasks, cpus)
 
 
 def run_experiment(
@@ -448,12 +435,11 @@ def run_experiment(
 
     Aborts with StationarityError unless some power of the autocorrelation
     matrix has spectral norm below 1.  The chunks of `chunk_layout` run in
-    a pool of `sweep_schedule(threads, ...).workers` processes, or in this
-    process when that is 1, drawing ahead in a helper thread where the
-    schedule says so; their results come back in (n, replication) order
-    before any file is written, so outputs are identical for any worker
-    count.  The BLAS thread count is the caller's choice (the command-line
-    program sets one per process).
+    a pool of `worker_count(threads, ...)` processes, or in this process,
+    drawing ahead in a helper thread, when that is 1; their results come
+    back in (n, replication) order before any file is written, so outputs
+    are identical for any worker count.  The BLAS thread count is the
+    caller's choice (the command-line program sets one per process).
     """
     ctx = _context(config)
     if not ctx.gate.holds:
@@ -464,16 +450,14 @@ def run_experiment(
     logger.info("stationarity gate passed: j0=%d, norm=%.6f", ctx.gate.j0, ctx.gate.norm)
 
     tasks = [(config, *chunk) for chunk in chunk_layout(config)]
-    schedule = sweep_schedule(threads, len(tasks))
-    if schedule.workers > 1:
+    workers = worker_count(threads, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported here: it loads multiprocessing
 
-        with ProcessPoolExecutor(max_workers=schedule.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_run_chunk, tasks))
-    elif schedule.draw_ahead:
-        outputs = _run_drawing_ahead(tasks)
     else:
-        outputs = [_run_chunk(t) for t in tasks]
+        outputs = _run_drawing_ahead(tasks)
 
     results = [result for chunk_results, _ in outputs for result in chunk_results]
     decay_rows = [row for _, chunk_decay in outputs for row in chunk_decay]

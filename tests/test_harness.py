@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -314,18 +315,19 @@ class TestChunks:
         monkeypatch.setattr(
             harness, "replication_rng", lambda seed, n, r: ZeroDraws() if (n, r) == (20, 2) else original(seed, n, r)
         )
-        # draw-ahead on: the n = 40 chunk is being drawn when the n = 20 chunk fails
-        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         text = TINY_CONFIG.replace("sample_sizes = 6, 20", "sample_sizes = 6, 20, 40")
         cfg_path = write_config(tmp_path, text + f"output_dir = {tmp_path / 'out'}\n")
         layout = harness.chunk_layout(parse_config(cfg_path))
         assert layout[1:] == [(20, 0, 3), (40, 0, 3)]
-        assert harness.sweep_schedule(1, len(layout)).draw_ahead
-        threads_before = threading.active_count()
-        assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_NUMERIC
-        assert threading.active_count() == threads_before
-        assert "numeric failure: empirical eigenvalue 3 is 0.000e+00" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        # the serial sweep draws ahead on any CPU count: the n = 40 chunk is
+        # being drawn when the n = 20 chunk fails
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            threads_before = threading.active_count()
+            assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_NUMERIC
+            assert threading.active_count() == threads_before
+            assert "numeric failure: empirical eigenvalue 3 is 0.000e+00" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
 
 def usable_cpus(monkeypatch, cpus):
@@ -345,32 +347,19 @@ class TestDrawAhead:
             pytest.param("truncated_init = false\nburn_in = 30\n", id="burn-in"),
         ],
     )
-    def test_usable_cpus_do_not_change_the_bytes(self, tmp_path, monkeypatch, extra):
+    def test_drawing_ahead_writes_the_bytes_of_drawing_inline(self, tmp_path, monkeypatch, extra):
         # chunks of 8, 3 and 2 replications at n = 20, 51, 80 without burn-in
         monkeypatch.setattr(harness, "TRAJECTORY_BUDGET", 8400)
-        for cpus in (1, 2):
-            usable_cpus(monkeypatch, cpus)
-            config = parse_config(
-                write_config(tmp_path, CHUNK_CONFIG + extra + f"output_dir = {tmp_path / str(cpus)}\n")
-            )
-            assert harness.sweep_schedule(1, len(harness.chunk_layout(config))) == (1, cpus == 2)
-            run_experiment(config, threads=1)
+        ahead = parse_config(write_config(tmp_path, CHUNK_CONFIG + extra + f"output_dir = {tmp_path / 'ahead'}\n"))
+        run_experiment(ahead, threads=1)
+        # reference: each chunk's two stages in turn, with no helper thread
+        monkeypatch.setattr(harness, "_run_drawing_ahead", lambda tasks: [harness._run_chunk(t) for t in tasks])
+        run_experiment(replace(ahead, output_dir=tmp_path / "inline"), threads=1)
         for name in CSV_NAMES:
-            assert filecmp.cmp(tmp_path / "1" / name, tmp_path / "2" / name, shallow=False), name
-
-    @pytest.mark.parametrize(
-        "threads, tasks, cpus, draw_ahead",
-        [(1, 5, 2, True), (1, 5, 1, False), (1, 1, 8, False), (2, 5, 8, False), (4, 5, 1, False)],
-    )
-    def test_only_a_serial_sweep_of_several_chunks_with_a_spare_cpu_draws_ahead(
-        self, monkeypatch, threads, tasks, cpus, draw_ahead
-    ):
-        usable_cpus(monkeypatch, cpus)
-        assert harness.sweep_schedule(threads, tasks).draw_ahead == draw_ahead
+            assert filecmp.cmp(tmp_path / "ahead" / name, tmp_path / "inline" / name, shallow=False), name
 
     def test_draw_stage_runs_in_a_helper_at_most_one_chunk_ahead(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "TRAJECTORY_BUDGET", 8400)
-        usable_cpus(monkeypatch, 2)
         config = parse_config(write_config(tmp_path, CHUNK_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
         layout = harness.chunk_layout(config)
         lock = threading.Lock()
@@ -422,14 +411,16 @@ class TestDrawAhead:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "cpus, drawing", [(1, "chunks drawn inline"), (2, "next chunk drawn ahead in a helper thread")]
+        "threads, drawing", [(1, "next chunk drawn ahead in a helper thread"), (2, "chunks drawn inline")]
     )
-    def test_run_log_says_whether_the_sweep_draws_ahead(self, tmp_path, monkeypatch, caplog, cpus, drawing):
-        usable_cpus(monkeypatch, cpus)
+    def test_run_log_says_whether_the_sweep_draws_ahead(self, tmp_path, monkeypatch, caplog, threads, drawing):
+        monkeypatch.setattr(InlinePool, "requested", [])
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+        usable_cpus(monkeypatch, 2)
         cfg_path = write_config(tmp_path, TINY_CONFIG + f"output_dir = {tmp_path / 'out'}\n")
         with caplog.at_level("INFO", logger="banach_ar1.cli"):
-            assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_OK
-        assert f"1 worker process(es), {drawing}, BLAS threads per process" in caplog.text
+            assert cli.main(["run", "--config", str(cfg_path), "--threads", str(threads)]) == cli.EXIT_OK
+        assert f"{threads} worker process(es), {drawing}, BLAS threads per process" in caplog.text
 
 
 class TestEstimatorBundle:
@@ -617,7 +608,7 @@ class TestBlasThreadPolicy:
             logs[threads] = run_python([*args, "--threads", threads], tmp_path).stderr
         for name in CSV_NAMES:
             assert filecmp.cmp(tmp_path / "w1" / name, tmp_path / "w2" / name, shallow=False), name
-        workers = harness.sweep_schedule(2, len(harness.chunk_layout(parse_config(cfg_path)))).workers
+        workers = harness.worker_count(2, len(harness.chunk_layout(parse_config(cfg_path))))
         assert f"INFO banach_ar1.cli: {workers} worker process(es)" in logs["2"]
         assert "OPENBLAS_NUM_THREADS=1 (set by banach-ar1)" in logs["1"]
 
@@ -626,11 +617,7 @@ class TestBlasThreadPolicy:
         args = ["-m", "banach_ar1.cli", "run", "--config", str(cfg_path), "--out", "out"]
         log = run_python(args, tmp_path, OMP_NUM_THREADS="1").stderr
         assert "INFO banach_ar1.cli: 1 worker process(es)" in log
-        # TINY_CONFIG runs as two chunks, so only the usable CPUs decide
-        drawing = "chunks drawn inline"
-        if harness.sweep_schedule(1, 2).draw_ahead:
-            drawing = "next chunk drawn ahead in a helper thread"
-        assert f"1 worker process(es), {drawing}, BLAS threads per process" in log
+        assert "1 worker process(es), next chunk drawn ahead in a helper thread, BLAS threads per process" in log
         assert "OMP_NUM_THREADS=1 (from the environment)" in log
         assert "MKL_NUM_THREADS=1 (set by banach-ar1)" in log
         for name in CSV_NAMES:
