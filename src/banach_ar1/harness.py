@@ -13,10 +13,13 @@ axis through simulation, fit, prediction and scoring; a chunk is the unit of
 work of the process pool.  Every product in the stack is the per-replication
 gemm or gemv, so a replication's error does not depend on its chunk.  A
 chunk runs in two stages: the draw stage fills its innovations, the compute
-stage steps the recursion, fits, predicts and scores.  A serial sweep
-draws chunk i + 1 in a helper thread while chunk i computes, never further
-ahead, so at most two chunks' buffers (each within TRAJECTORY_BUDGET
-doubles, or one replication) are alive at once.
+stage steps the recursion, fits, predicts and scores.  A serial sweep runs
+whole chunks on two threads, this one and a helper, each taking the next
+chunk in layout order; draws take turns, so while one thread draws the
+other computes.  At most two chunks' trajectory buffers (each within
+TRAJECTORY_BUDGET doubles, or one replication) are in use at once, and a
+process reuses the buffer of a finished chunk for the next chunk of its
+shape.
 
 The experiment fits on the first n states and predicts from state n+1, so
 the estimator's sample and the prediction input are disjoint.
@@ -29,6 +32,7 @@ import functools
 import logging
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -228,8 +232,6 @@ def _build_config(raw: dict[str, tuple[str, int]]) -> ExperimentConfig:
     if beta <= 0.5:
         line = get("beta")[1]
         raise ConfigError(f"line {line}: beta must exceed 1/2, got {beta}")
-    if grid_len < 2 or grid_len & (grid_len - 1):
-        raise ConfigError(f"grid_len must be a power of two, got {grid_len}")
     max_level = grid_len.bit_length() - 2
 
     try:
@@ -266,8 +268,52 @@ def _build_config(raw: dict[str, tuple[str, int]]) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
 
 
+class _ChunkBuffers:
+    """Memory that the chunks of a run reuse within a process.
+
+    Draws take turns under draw_lock, so one normals scratch serves them
+    all.  A trajectory buffer outlives its draw: a finished chunk hands it
+    back for the next chunk of the same (replications, length, modes)
+    shape, and a buffer of another shape drops the spares.
+    """
+
+    def __init__(self):
+        self.draw_lock = threading.Lock()
+        self._normals = np.empty((0, 0))  # guarded by draw_lock
+        self._spare_lock = threading.Lock()
+        self._spares: list[np.ndarray] = []  # guarded by _spare_lock; all of one shape
+
+    def normals(self, shape: tuple[int, int]) -> np.ndarray:
+        """The normals scratch in this shape; the caller holds draw_lock."""
+        if self._normals.shape != shape:
+            self._normals = None  # free the old scratch before the new one is allocated
+            self._normals = np.empty(shape)
+        return self._normals
+
+    def trajectory(self, shape: tuple[int, int, int]) -> np.ndarray:
+        """A spare trajectory buffer of this shape, or a new one; its contents are garbage."""
+        with self._spare_lock:
+            if self._spares and self._spares[-1].shape == shape:
+                return self._spares.pop()
+            self._spares.clear()
+        return np.empty(shape)
+
+    def recycle(self, buffer: np.ndarray) -> None:
+        """Take back a trajectory buffer that nothing refers to any more."""
+        with self._spare_lock:
+            if self._spares and self._spares[-1].shape != buffer.shape:
+                self._spares.clear()
+            self._spares.append(buffer)
+
+    def release(self) -> None:
+        """Drop the scratch and the spares."""
+        with self.draw_lock, self._spare_lock:
+            self._normals = np.empty((0, 0))
+            self._spares.clear()
+
+
 class _RunContext:
-    """Model pieces shared by every replication of one experiment."""
+    """Model pieces, and the chunks' reusable memory, shared by every replication of one experiment."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
@@ -278,6 +324,7 @@ class _RunContext:
         # gap coefficients need one eigenvalue beyond the largest truncation
         self.c_extended = model.covariance_eigenvalues(config.model.gamma, config.model.modes + 1)
         self._bounds: dict[int, tuple[int, np.ndarray, float]] = {}
+        self.buffers = _ChunkBuffers()
 
     def bound_for(self, n: int) -> tuple[int, np.ndarray, float]:
         """k_n, its gap coefficients and the exceedance bound xi, computed once per n."""
@@ -322,17 +369,20 @@ def chunk_layout(config: ExperimentConfig) -> list[tuple[int, int, int]]:
 def _draw_stack(config: ExperimentConfig, n: int, r0: int, r1: int) -> np.ndarray:
     """Draw stage of replications r0..r1-1 of size n: their streams, starts and innovations.
 
-    Returns their model.draw_paths buffer.  It reads only the run context's
-    cached, read-only operators, never the power table, so the serial
-    sweep runs it in a helper thread.
+    Returns their model.draw_paths buffer, a spare one where one fits.  It
+    reads only the run context's cached, read-only operators, never the
+    power table, and the run's draws take turns.
     """
     ctx = _context(config)
-    rngs = [replication_rng(config.master_seed, n, r) for r in range(r0, r1)]
-    if config.truncated_init:
-        x0 = [model.sample_initial_condition(ctx.covariance, rng) for rng in rngs]
-    else:
-        x0 = np.zeros((len(rngs), config.model.modes))
-    return model.draw_paths(config.burn_in + n, ctx.noise, x0, rngs)
+    length, p = config.burn_in + n + 1, config.model.modes
+    with ctx.buffers.draw_lock:
+        rngs = [replication_rng(config.master_seed, n, r) for r in range(r0, r1)]
+        if config.truncated_init:
+            x0 = [model.sample_initial_condition(ctx.covariance, rng) for rng in rngs]
+        else:
+            x0 = np.zeros((len(rngs), p))
+        paths = ctx.buffers.trajectory((len(rngs), length, p))
+        return model.draw_paths(paths, ctx.noise, x0, rngs, ctx.buffers.normals((length - 1, p)))
 
 
 def _compute_stack(
@@ -387,29 +437,46 @@ def _chunk_output(config: ExperimentConfig, n: int, r0: int, paths: np.ndarray) 
 
 
 def _run_chunk(task: tuple[ExperimentConfig, int, int, int]) -> ChunkOutput:
-    """Both stages of one chunk in turn: the pool task."""
+    """Both stages of one chunk in turn, its buffer then kept for the next chunk: the unit of work."""
     config, n, r0, r1 = task
-    return _chunk_output(config, n, r0, _draw_stack(config, n, r0, r1))
+    paths = _draw_stack(config, n, r0, r1)
+    output = _chunk_output(config, n, r0, paths)
+    _context(config).buffers.recycle(paths)  # the output holds floats and fresh arrays, no view of the paths
+    return output
 
 
-def _run_drawing_ahead(tasks: list[tuple[ExperimentConfig, int, int, int]]) -> list[ChunkOutput]:
-    """The chunks in order in this process, each drawn in a helper thread while the one before computes.
+def _run_on_two_threads(tasks: list[tuple[ExperimentConfig, int, int, int]]) -> list[ChunkOutput]:
+    """The chunks' outputs in order, run by this thread and one helper, a whole chunk at a time.
 
-    numpy's generator fill and BLAS release the GIL, so the draw of chunk
-    i + 1 runs on a second CPU, where there is one, while chunk i steps,
-    fits and scores.  The
-    helper is never more than one chunk ahead: at most two chunks' buffers
-    are alive.  An error in either stage propagates with its own type, and
+    numpy's generator fill, BLAS and LAPACK release the GIL, so while one
+    thread draws or fits, the other can compute on a second CPU, where
+    there is one.  Each thread takes the next chunk in layout order, so at
+    most two chunks' buffers are alive, and draws take turns.  After a
+    chunk fails no new chunk starts; the earliest failing chunk's error
+    propagates with its own type, as it would from a sweep in order, and
     the helper has finished before this returns or raises.
     """
-    outputs = []
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="banach-ar1-draw") as drawer:
-        pending = drawer.submit(_draw_stack, *tasks[0])
-        for i, (config, n, r0, _) in enumerate(tasks):
-            paths = pending.result()
-            if i + 1 < len(tasks):
-                pending = drawer.submit(_draw_stack, *tasks[i + 1])
-            outputs.append(_chunk_output(config, n, r0, paths))
+    outputs: list[ChunkOutput | None] = [None] * len(tasks)
+    failures: list[tuple[int, BaseException]] = []
+    claims = iter(range(len(tasks)))
+    claim_lock = threading.Lock()
+
+    def work():
+        while not failures:
+            with claim_lock:
+                i = next(claims, None)
+            if i is None:
+                return
+            try:
+                outputs[i] = _run_chunk(tasks[i])
+            except BaseException as exc:
+                failures.append((i, exc))
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="banach-ar1-chunk") as helper:
+        helper.submit(work)
+        work()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
     return outputs
 
 
@@ -435,10 +502,10 @@ def run_experiment(
 
     Aborts with StationarityError unless some power of the autocorrelation
     matrix has spectral norm below 1.  The chunks of `chunk_layout` run in
-    a pool of `worker_count(threads, ...)` processes, or in this process,
-    drawing ahead in a helper thread, when that is 1; their results come
-    back in (n, replication) order before any file is written, so outputs
-    are identical for any worker count.  The BLAS thread count is the
+    a pool of `worker_count(threads, ...)` processes, or, when that is 1,
+    on two threads of this process; their results come back in
+    (n, replication) order before any file is written, so outputs are
+    identical for any worker count.  The BLAS thread count is the
     caller's choice (the command-line program sets one per process).
     """
     ctx = _context(config)
@@ -457,7 +524,16 @@ def run_experiment(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_run_chunk, tasks))
     else:
-        outputs = _run_drawing_ahead(tasks)
+        # fill every cache the chunks share before two threads can race for it
+        ctx.noise.sqrt
+        for n in config.sample_sizes:
+            ctx.bound_for(n)
+        if not config.spline_mode:
+            estimation._wavelet_matrix(config.model.modes, config.model.grid_len, config.wavelet)
+        try:
+            outputs = _run_on_two_threads(tasks)
+        finally:
+            ctx.buffers.release()  # the buffers belong to the sweep, not to the cached context
 
     results = [result for chunk_results, _ in outputs for result in chunk_results]
     decay_rows = [row for _, chunk_decay in outputs for row in chunk_decay]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -56,7 +57,7 @@ class ModelParams:
         if self.modes < 2:
             raise ValueError("need at least 2 modes")
         if self.grid_len < 2 or self.grid_len & (self.grid_len - 1):
-            raise ValueError("grid_len must be a power of two")
+            raise ValueError(f"grid_len must be a power of two, got {self.grid_len}")
 
 
 @dataclass
@@ -65,8 +66,9 @@ class SpectralOperator:
 
     matrix: np.ndarray
     symmetric: bool = False
-    # (s, stack, top) of the latest power_table(s)
+    # (s, stack, top) of the latest power_table(s), and the lock that guards it
     _powers: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _powers_lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -102,22 +104,24 @@ class SpectralOperator:
         """Powers of M = matrix.T: the (s p, p) stack [M^(s-1); ...; M; I] and M^s.
 
         Both are read-only.  Only the table of the latest s is kept, so a
-        sweep over ascending sizes builds one table per size.
+        sweep over ascending sizes builds one table per size.  Threads that
+        ask at once take turns, and each gets the table of its own s.
         """
-        if self._powers is None or self._powers[0] != s:
-            self._powers = None  # free the old table before the new one is built
-            p = self.dim
-            a = self.matrix.T
-            stack = np.empty((s * p, p))
-            blocks = stack.reshape(s, p, p)
-            blocks[-1] = np.eye(p)
-            for k in range(s - 2, -1, -1):
-                np.matmul(blocks[k + 1], a, out=blocks[k])
-            top = blocks[0] @ a
-            stack.setflags(write=False)
-            top.setflags(write=False)
-            self._powers = s, stack, top
-        return self._powers[1:]
+        with self._powers_lock:
+            if self._powers is None or self._powers[0] != s:
+                self._powers = None  # free the old table before the new one is built
+                p = self.dim
+                a = self.matrix.T
+                stack = np.empty((s * p, p))
+                blocks = stack.reshape(s, p, p)
+                blocks[-1] = np.eye(p)
+                for k in range(s - 2, -1, -1):
+                    np.matmul(blocks[k + 1], a, out=blocks[k])
+                top = blocks[0] @ a
+                stack.setflags(write=False)
+                top.setflags(write=False)
+                self._powers = s, stack, top
+            return self._powers[1:]
 
 
 @dataclass
@@ -253,25 +257,26 @@ def sample_initial_condition(covariance: SpectralOperator, rng: np.random.Genera
     return np.sqrt(c_diag) * z
 
 
-def draw_paths(steps: int, noise_cov: SpectralOperator, x0: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
-    """The draw stage of simulate_paths: the start and the innovations of each path in a stack.
+def draw_paths(
+    x: np.ndarray, noise_cov: SpectralOperator, x0: np.ndarray, rngs: list[np.random.Generator], normals: np.ndarray
+) -> np.ndarray:
+    """The draw stage of simulate_paths: the start and the innovations of each path, into given buffers.
 
-    Returns a (len(rngs), steps + 1, p) buffer: row 0 of path r holds
-    x0[r], and rows 1..steps hold its innovations eps_1..eps_steps, one
-    standard_normal((steps, p)) block drawn from rngs[r] and mapped through
-    the symmetric square root of noise_cov.  step_paths turns the buffer
-    into states in place.  It touches neither rho nor its power table, so
-    it may run in another thread while an earlier buffer steps.
+    Fills and returns x, a (len(rngs), steps + 1, p) buffer whose contents
+    are ignored: row 0 of path r gets x0[r], and rows 1..steps get its
+    innovations eps_1..eps_steps, one standard_normal((steps, p)) block
+    drawn from rngs[r] into the scratch `normals` and mapped through the
+    symmetric square root of noise_cov.  The normals get a buffer of their
+    own because a product written over its own input makes numpy copy the
+    whole input first.  step_paths turns x into states in place.  It
+    touches neither rho nor its power table, so it may run in another
+    thread while an earlier buffer steps.
     """
     x0 = np.asarray(x0, dtype=float)
-    p = noise_cov.dim
-    if x0.shape != (len(rngs), p):
-        raise ValueError("dimension mismatch between noise_cov and x0")
-    x = np.empty((len(rngs), steps + 1, p))
+    count, length, p = x.shape
+    if x0.shape != (count, p) or len(rngs) != count or noise_cov.dim != p or normals.shape != (length - 1, p):
+        raise ValueError("dimension mismatch between the buffers, noise_cov, x0 and rngs")
     x[:, 0] = x0
-    # the normals get a buffer of their own: a product written over its own
-    # input makes numpy copy the whole input first
-    normals = np.empty((steps, p))
     root_t = noise_cov.sqrt.T
     for path, rng in zip(x, rngs):
         rng.standard_normal(out=normals)
@@ -335,7 +340,9 @@ def simulate_paths(
         raise ValueError("need n >= 2 (downstream estimators require at least two states)")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
-    return step_paths(draw_paths(burn_in + n, noise_cov, x0, rngs), rho)[:, burn_in:]
+    p = noise_cov.dim
+    x = draw_paths(np.empty((len(rngs), burn_in + n + 1, p)), noise_cov, x0, rngs, np.empty((burn_in + n, p)))
+    return step_paths(x, rho)[:, burn_in:]
 
 
 def simulate_trajectory(

@@ -291,7 +291,7 @@ class TestChunks:
             mapped.append((n, r0, r1))
             return original(config, n, r0, r1)
 
-        # every chunk, in the pool or drawn ahead in this process, is drawn once
+        # every chunk, in the pool or on this process's two threads, is drawn once
         monkeypatch.setattr(harness, "_draw_stack", recorded)
         config = parse_config(write_config(tmp_path, POOL_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
         layouts = []
@@ -319,8 +319,8 @@ class TestChunks:
         cfg_path = write_config(tmp_path, text + f"output_dir = {tmp_path / 'out'}\n")
         layout = harness.chunk_layout(parse_config(cfg_path))
         assert layout[1:] == [(20, 0, 3), (40, 0, 3)]
-        # the serial sweep draws ahead on any CPU count: the n = 40 chunk is
-        # being drawn when the n = 20 chunk fails
+        # the serial sweep runs two threads on any CPU count: the n = 40 chunk
+        # may be in flight when the n = 20 chunk fails
         for cpus in (1, 2):
             usable_cpus(monkeypatch, cpus)
             threads_before = threading.active_count()
@@ -338,7 +338,21 @@ class DrawStageError(RuntimeError):
     """Raised from inside the draw stage by a test."""
 
 
+class EarlierChunkError(RuntimeError):
+    """Raised by a test from the earlier of two failing chunks."""
+
+
+class LaterChunkError(RuntimeError):
+    """Raised by a test from the later of two failing chunks."""
+
+
+def chunk_index(layout, n, r0, paths):
+    return layout.index((n, r0, r0 + len(paths)))
+
+
 class TestDrawAhead:
+    """The serial sweep: two threads run whole chunks, one drawing while the other computes."""
+
     @pytest.mark.parametrize(
         "extra",
         [
@@ -352,45 +366,74 @@ class TestDrawAhead:
         monkeypatch.setattr(harness, "TRAJECTORY_BUDGET", 8400)
         ahead = parse_config(write_config(tmp_path, CHUNK_CONFIG + extra + f"output_dir = {tmp_path / 'ahead'}\n"))
         run_experiment(ahead, threads=1)
-        # reference: each chunk's two stages in turn, with no helper thread
-        monkeypatch.setattr(harness, "_run_drawing_ahead", lambda tasks: [harness._run_chunk(t) for t in tasks])
+        # reference: each chunk's two stages in turn in this thread, each in a
+        # fresh buffer of NaNs
+        monkeypatch.setattr(harness._ChunkBuffers, "trajectory", lambda self, shape: np.full(shape, np.nan))
+        monkeypatch.setattr(harness, "_run_on_two_threads", lambda tasks: [harness._run_chunk(t) for t in tasks])
         run_experiment(replace(ahead, output_dir=tmp_path / "inline"), threads=1)
         for name in CSV_NAMES:
             assert filecmp.cmp(tmp_path / "ahead" / name, tmp_path / "inline" / name, shallow=False), name
 
-    def test_draw_stage_runs_in_a_helper_at_most_one_chunk_ahead(self, tmp_path, monkeypatch):
+    def test_chunks_run_on_two_threads_one_draw_at_a_time(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "TRAJECTORY_BUDGET", 8400)
         config = parse_config(write_config(tmp_path, CHUNK_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
         layout = harness.chunk_layout(config)
         lock = threading.Lock()
-        computed = []  # chunks whose compute stage has finished, in order
-        draws = []  # (chunk, chunks computed when its draw started, drawing thread)
-        draw, compute = harness._draw_stack, harness._chunk_output
+        live = {"draws": 0, "chunks": 0}  # draws running, chunks holding a trajectory buffer
+        most = dict(live)
+        drawn = []  # (chunk, thread) as each chunk's draw finishes
+        second_drawn = threading.Event()
+        draw_paths, take, recycle, compute = (
+            harness.model.draw_paths,
+            harness._ChunkBuffers.trajectory,
+            harness._ChunkBuffers.recycle,
+            harness._chunk_output,
+        )
 
-        def traced_draw(config, n, r0, r1):
+        def count(key, step):
             with lock:
-                draws.append((layout.index((n, r0, r1)), len(computed), threading.get_ident()))
-            return draw(config, n, r0, r1)
+                live[key] += step
+                most[key] = max(most[key], live[key])
+
+        def traced_draw_paths(x, noise_cov, x0, rngs, normals):
+            count("draws", 1)
+            try:
+                return draw_paths(x, noise_cov, x0, rngs, normals)
+            finally:
+                count("draws", -1)
+
+        def traced_take(buffers, shape):
+            count("chunks", 1)
+            return take(buffers, shape)
+
+        def traced_recycle(buffers, buffer):
+            recycle(buffers, buffer)
+            count("chunks", -1)
 
         def traced_compute(config, n, r0, paths):
-            output = compute(config, n, r0, paths)
             with lock:
-                computed.append(layout.index((n, r0, r0 + len(paths))))
-            return output
+                drawn.append((chunk_index(layout, n, r0, paths), threading.get_ident()))
+                if len(drawn) == 2:
+                    second_drawn.set()
+            # the first chunk computes only once another thread has drawn the second
+            assert second_drawn.wait(timeout=30)
+            return compute(config, n, r0, paths)
 
-        monkeypatch.setattr(harness, "_draw_stack", traced_draw)
+        monkeypatch.setattr(harness.model, "draw_paths", traced_draw_paths)
+        monkeypatch.setattr(harness._ChunkBuffers, "trajectory", traced_take)
+        monkeypatch.setattr(harness._ChunkBuffers, "recycle", traced_recycle)
         monkeypatch.setattr(harness, "_chunk_output", traced_compute)
         threads_before = threading.active_count()
-        run_experiment(config, threads=1)
+        results, _ = run_experiment(config, threads=1)
         assert threading.active_count() == threads_before
+        assert [(r.n, r.replication) for r in results] == [
+            (n, r) for n in config.sample_sizes for r in range(config.replications)
+        ]
         assert len(layout) == 10
-        assert computed == list(range(len(layout)))
-        assert [chunk for chunk, _, _ in draws] == list(range(len(layout)))
-        # chunk i is drawn only once chunk i - 2 has computed, so at most the
-        # chunk computing and the one drawing hold buffers
-        assert all(done >= chunk - 1 for chunk, done, _ in draws)
-        assert {thread for _, _, thread in draws} != {threading.get_ident()}
-        assert len({thread for _, _, thread in draws}) == 1
+        assert sorted(chunk for chunk, _ in drawn) == list(range(len(layout)))
+        assert len({thread for _, thread in drawn}) == 2
+        assert most == {"draws": 1, "chunks": 2}
+        assert live == {"draws": 0, "chunks": 0}
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_draw_stage_error_surfaces_with_its_own_type(self, tmp_path, monkeypatch, cpus):
@@ -410,8 +453,60 @@ class TestDrawAhead:
         assert threading.active_count() == threads_before
         assert not (tmp_path / "out").exists()
 
+    def test_earliest_failing_chunk_wins_when_a_later_one_fails_first(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "TRAJECTORY_BUDGET", 8400)
+        config = parse_config(write_config(tmp_path, CHUNK_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
+        layout = harness.chunk_layout(config)
+        started = []
+        later_failed = threading.Event()
+        compute = harness._chunk_output
+
+        def failing(config, n, r0, paths):
+            chunk = chunk_index(layout, n, r0, paths)
+            started.append(chunk)
+            if chunk == 4:
+                later_failed.set()
+                raise LaterChunkError("chunk 4")
+            if chunk == 3:
+                # chunk 3 fails only after chunk 4 has, on the other thread
+                assert later_failed.wait(timeout=30)
+                raise EarlierChunkError("chunk 3")
+            return compute(config, n, r0, paths)
+
+        monkeypatch.setattr(harness, "_chunk_output", failing)
+        threads_before = threading.active_count()
+        with pytest.raises(EarlierChunkError, match="chunk 3"):
+            run_experiment(config, threads=1)
+        assert threading.active_count() == threads_before
+        # no chunk starts once one has failed
+        assert sorted(started) == [0, 1, 2, 3, 4]
+        assert not (tmp_path / "out").exists()
+
+    def test_buffers_are_reused_but_no_fit_shares_their_memory(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "TRAJECTORY_BUDGET", 8400)
+        config = parse_config(write_config(tmp_path, CHUNK_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
+        buffers, fits = [], []
+        compute = harness._compute_stack
+
+        def kept(config, n, r0, paths):
+            results, state = compute(config, n, r0, paths)
+            buffers.append(paths)
+            fits.append(state)
+            return results, state
+
+        monkeypatch.setattr(harness, "_compute_stack", kept)
+        run_experiment(config, threads=1)
+        # the sweep hands its buffers back when it ends
+        memory = harness._context(config).buffers
+        assert memory._spares == [] and memory._normals.size == 0
+        fits.append(run_replication(config, 51, 4)[1])
+        assert len({id(buffer) for buffer in buffers}) < len(buffers) == len(harness.chunk_layout(config)) + 1
+        for state in fits:
+            for array in (state.eigenvalues, state.eigenvectors, state.d_matrix, state.rho_hat):
+                assert not any(np.shares_memory(array, buffer) for buffer in buffers)
+
     @pytest.mark.parametrize(
-        "threads, drawing", [(1, "next chunk drawn ahead in a helper thread"), (2, "chunks drawn inline")]
+        "threads, drawing", [(1, "chunks run on two threads, drawn one at a time"), (2, "chunks drawn inline")]
     )
     def test_run_log_says_whether_the_sweep_draws_ahead(self, tmp_path, monkeypatch, caplog, threads, drawing):
         monkeypatch.setattr(InlinePool, "requested", [])
@@ -524,6 +619,9 @@ class TestCli:
             pytest.param("gamma = 400\n", [], id="gamma-eigenvalues-underflow"),
             pytest.param("width = 1e300\n", [], id="width-squared-overflows"),
             pytest.param("wavelet_order = 11\n", [], id="wavelet-order-above-ten"),
+            pytest.param("grid_len = 3\n", [], id="grid-len-three"),
+            pytest.param("grid_len = 0\n", [], id="grid-len-zero"),
+            pytest.param("grid_len = -4\n", [], id="grid-len-negative"),
         ],
     )
     def test_invalid_inputs_are_config_errors(self, tmp_path, capsys, command, config_text, extra_args):
@@ -617,7 +715,7 @@ class TestBlasThreadPolicy:
         args = ["-m", "banach_ar1.cli", "run", "--config", str(cfg_path), "--out", "out"]
         log = run_python(args, tmp_path, OMP_NUM_THREADS="1").stderr
         assert "INFO banach_ar1.cli: 1 worker process(es)" in log
-        assert "1 worker process(es), next chunk drawn ahead in a helper thread, BLAS threads per process" in log
+        assert "1 worker process(es), chunks run on two threads, drawn one at a time, BLAS threads per process" in log
         assert "OMP_NUM_THREADS=1 (from the environment)" in log
         assert "MKL_NUM_THREADS=1 (set by banach-ar1)" in log
         for name in CSV_NAMES:

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -297,8 +298,10 @@ class TestSimulation:
     def test_stages_compose_to_simulate_paths_bit_for_bit(self, operator):
         rho, noise = recursion_operators(operator)
         x0 = np.random.default_rng(99).standard_normal((3, rho.dim))
-        drawn = draw_paths(107, noise, x0, [np.random.default_rng([7, r]) for r in range(3)])
-        assert drawn.shape == (3, 108, rho.dim)
+        # the buffers' contents are ignored
+        buffer, scratch = np.full((3, 108, rho.dim), np.nan), np.full((107, rho.dim), np.nan)
+        drawn = draw_paths(buffer, noise, x0, [np.random.default_rng([7, r]) for r in range(3)], scratch)
+        assert drawn is buffer
         for r, path in enumerate(drawn):
             # each path's block is one per-path gemm with the root, as before the split
             normals = np.random.default_rng([7, r]).standard_normal((107, rho.dim))
@@ -415,6 +418,30 @@ class TestPowerTable:
         rebuilt = rho.power_table(5)
         assert rebuilt[0] is not first[0]
         assert np.array_equal(rebuilt[0], first[0]) and np.array_equal(rebuilt[1], first[1])
+
+    def test_two_threads_asking_for_two_sizes_each_get_their_own(self):
+        rho, _ = recursion_operators("reference")
+        p, a = rho.dim, rho.matrix.T
+        expected = {s: np.linalg.matrix_power(a, s) for s in (40, 41)}
+        start = threading.Barrier(2)
+        failures = []
+
+        def ask(s):
+            start.wait()
+            try:
+                for _ in range(100):
+                    stack, top = rho.power_table(s)  # each call evicts the other thread's table
+                    assert stack.shape == (s * p, p)
+                    assert np.abs(top - expected[s]).max() <= 1e-13 * np.abs(expected[s]).max()
+            except Exception as exc:  # reported from the test's own thread below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=ask, args=(s,)) for s in expected]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert failures == []
 
 
 class TestPositiveDiagonal:
