@@ -17,10 +17,10 @@ import os
 # One BLAS thread per process.  A replication works on p x p matrices with
 # p around 50, where extra BLAS threads only spin; parallelism comes from the
 # --threads worker processes, which inherit these variables, and in a serial
-# sweep from a second thread that runs every other chunk.  BLAS reads them
-# when numpy loads, so this runs before anything imports numpy (the package
-# __init__ imports none).  A value set beforehand wins.  The settings are
-# recorded as made here, for the run log.
+# sweep from two threads that run the chunks.  BLAS reads them when numpy
+# loads, so this runs before anything imports numpy (the package __init__
+# imports none).  A value set beforehand wins.  The settings are recorded as
+# made here, for the run log.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 BLAS_THREAD_SETTINGS = {
     var: f"{os.environ[var]} (from the environment)" if var in os.environ else "1 (set by banach-ar1)"
@@ -69,7 +69,7 @@ def _load_config(args) -> harness.ExperimentConfig:
 def _cmd_run(args) -> int:
     config = _load_config(args)
     workers = harness.worker_count(args.threads, len(harness.chunk_layout(config)))
-    drawing = "chunks run on two threads, drawn one at a time" if workers == 1 else "chunks drawn inline"
+    drawing = "chunks run on two threads" if workers == 1 else "chunks drawn inline"
     blas = ", ".join(f"{var}={setting}" for var, setting in BLAS_THREAD_SETTINGS.items())
     logger.info("%d worker process(es), %s, BLAS threads per process: %s", workers, drawing, blas)
     results, reports = harness.run_experiment(config, threads=args.threads)

@@ -10,16 +10,16 @@ count, and two runs with the same configuration are byte-identical.
 
 The replications of one sample size run in chunks, stacked along a leading
 axis through simulation, fit, prediction and scoring; a chunk is the unit of
-work of the process pool.  Every product in the stack is the per-replication
+work of the executor.  Every product in the stack is the per-replication
 gemm or gemv, so a replication's error does not depend on its chunk.  A
 chunk runs in two stages: the draw stage fills its innovations, the compute
-stage steps the recursion, fits, predicts and scores.  A serial sweep runs
-whole chunks on two threads, this one and a helper, each taking the next
-chunk in layout order; draws take turns, so while one thread draws the
-other computes.  At most two chunks' trajectory buffers (each within
-TRAJECTORY_BUDGET doubles, or one replication) are in use at once, and a
-process reuses the buffer of a finished chunk for the next chunk of its
-shape.
+stage steps the recursion, fits, predicts and scores.  A sweep maps the
+chunks, in layout order, over a pool of worker processes or, with one
+worker, over two threads of this process, so while one thread draws the
+other can compute.  Each worker runs one chunk at a time, so at most two
+chunks' trajectory buffers (each within TRAJECTORY_BUDGET doubles, or one
+replication) are in use at once in a serial sweep, and a process reuses the
+buffer of a finished chunk for the next chunk of its shape.
 
 The experiment fits on the first n states and predicts from state n+1, so
 the estimator's sample and the prediction input are disjoint.
@@ -93,8 +93,9 @@ class ExperimentConfig:
         ):
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        if not 0 < self.coarse_step < 0.5:
-            raise ConfigError(f"coarse_step must lie in (0, 0.5), got {self.coarse_step}")
+        # the kernel surface has round(1 / coarse_step) + 1 points a side: at most 1,025
+        if not 1 / 1024 <= self.coarse_step < 0.5:
+            raise ConfigError(f"coarse_step must lie in [1/1024, 0.5), got {self.coarse_step}")
         try:
             self.model.width**2  # the innovation covariance divides by it
         except OverflowError:
@@ -269,26 +270,16 @@ def _build_config(raw: dict[str, tuple[str, int]]) -> ExperimentConfig:
 
 
 class _ChunkBuffers:
-    """Memory that the chunks of a run reuse within a process.
+    """Trajectory buffers that the chunks of a run reuse within a process.
 
-    Draws take turns under draw_lock, so one normals scratch serves them
-    all.  A trajectory buffer outlives its draw: a finished chunk hands it
-    back for the next chunk of the same (replications, length, modes)
-    shape, and a buffer of another shape drops the spares.
+    A buffer outlives its chunk: a finished chunk hands it back for the
+    next chunk of the same (replications, length, modes) shape, and a
+    buffer of another shape drops the spares.
     """
 
     def __init__(self):
-        self.draw_lock = threading.Lock()
-        self._normals = np.empty((0, 0))  # guarded by draw_lock
         self._spare_lock = threading.Lock()
         self._spares: list[np.ndarray] = []  # guarded by _spare_lock; all of one shape
-
-    def normals(self, shape: tuple[int, int]) -> np.ndarray:
-        """The normals scratch in this shape; the caller holds draw_lock."""
-        if self._normals.shape != shape:
-            self._normals = None  # free the old scratch before the new one is allocated
-            self._normals = np.empty(shape)
-        return self._normals
 
     def trajectory(self, shape: tuple[int, int, int]) -> np.ndarray:
         """A spare trajectory buffer of this shape, or a new one; its contents are garbage."""
@@ -306,9 +297,8 @@ class _ChunkBuffers:
             self._spares.append(buffer)
 
     def release(self) -> None:
-        """Drop the scratch and the spares."""
-        with self.draw_lock, self._spare_lock:
-            self._normals = np.empty((0, 0))
+        """Drop the spares."""
+        with self._spare_lock:
             self._spares.clear()
 
 
@@ -371,18 +361,16 @@ def _draw_stack(config: ExperimentConfig, n: int, r0: int, r1: int) -> np.ndarra
 
     Returns their model.draw_paths buffer, a spare one where one fits.  It
     reads only the run context's cached, read-only operators, never the
-    power table, and the run's draws take turns.
+    power table, so two threads may draw at once.
     """
     ctx = _context(config)
     length, p = config.burn_in + n + 1, config.model.modes
-    with ctx.buffers.draw_lock:
-        rngs = [replication_rng(config.master_seed, n, r) for r in range(r0, r1)]
-        if config.truncated_init:
-            x0 = [model.sample_initial_condition(ctx.covariance, rng) for rng in rngs]
-        else:
-            x0 = np.zeros((len(rngs), p))
-        paths = ctx.buffers.trajectory((len(rngs), length, p))
-        return model.draw_paths(paths, ctx.noise, x0, rngs, ctx.buffers.normals((length - 1, p)))
+    rngs = [replication_rng(config.master_seed, n, r) for r in range(r0, r1)]
+    if config.truncated_init:
+        x0 = [model.sample_initial_condition(ctx.covariance, rng) for rng in rngs]
+    else:
+        x0 = np.zeros((len(rngs), p))
+    return model.draw_paths(ctx.buffers.trajectory((len(rngs), length, p)), ctx.noise, x0, rngs)
 
 
 def _compute_stack(
@@ -428,56 +416,15 @@ def run_replication(
 ChunkOutput = tuple[list[diagnostics.ExperimentResult], list[tuple[int, int, float]]]
 
 
-def _chunk_output(config: ExperimentConfig, n: int, r0: int, paths: np.ndarray) -> ChunkOutput:
-    """A chunk's results from its drawn paths, and the eigen-decay rows if it holds replication 0."""
+def _run_chunk(task: tuple[ExperimentConfig, int, int, int]) -> ChunkOutput:
+    """One chunk's two stages in turn: its results, and the eigen-decay rows if it holds replication 0."""
+    config, n, r0, r1 = task
+    paths = _draw_stack(config, n, r0, r1)
     results, fits = _compute_stack(config, n, r0, paths)
     # only the first replication's eigenvalue decay is reported per n
     decay = [(n, j, value) for j, value in diagnostics.eigen_decay_report(fits[0])] if r0 == 0 else []
-    return results, decay
-
-
-def _run_chunk(task: tuple[ExperimentConfig, int, int, int]) -> ChunkOutput:
-    """Both stages of one chunk in turn, its buffer then kept for the next chunk: the unit of work."""
-    config, n, r0, r1 = task
-    paths = _draw_stack(config, n, r0, r1)
-    output = _chunk_output(config, n, r0, paths)
     _context(config).buffers.recycle(paths)  # the output holds floats and fresh arrays, no view of the paths
-    return output
-
-
-def _run_on_two_threads(tasks: list[tuple[ExperimentConfig, int, int, int]]) -> list[ChunkOutput]:
-    """The chunks' outputs in order, run by this thread and one helper, a whole chunk at a time.
-
-    numpy's generator fill, BLAS and LAPACK release the GIL, so while one
-    thread draws or fits, the other can compute on a second CPU, where
-    there is one.  Each thread takes the next chunk in layout order, so at
-    most two chunks' buffers are alive, and draws take turns.  After a
-    chunk fails no new chunk starts; the earliest failing chunk's error
-    propagates with its own type, as it would from a sweep in order, and
-    the helper has finished before this returns or raises.
-    """
-    outputs: list[ChunkOutput | None] = [None] * len(tasks)
-    failures: list[tuple[int, BaseException]] = []
-    claims = iter(range(len(tasks)))
-    claim_lock = threading.Lock()
-
-    def work():
-        while not failures:
-            with claim_lock:
-                i = next(claims, None)
-            if i is None:
-                return
-            try:
-                outputs[i] = _run_chunk(tasks[i])
-            except BaseException as exc:
-                failures.append((i, exc))
-
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="banach-ar1-chunk") as helper:
-        helper.submit(work)
-        work()
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return outputs
+    return results, decay
 
 
 def worker_count(threads: int, tasks: int) -> int:
@@ -501,12 +448,13 @@ def run_experiment(
     """Run the full sweep and write every CSV/SVG artifact.
 
     Aborts with StationarityError unless some power of the autocorrelation
-    matrix has spectral norm below 1.  The chunks of `chunk_layout` run in
-    a pool of `worker_count(threads, ...)` processes, or, when that is 1,
-    on two threads of this process; their results come back in
-    (n, replication) order before any file is written, so outputs are
-    identical for any worker count.  The BLAS thread count is the
-    caller's choice (the command-line program sets one per process).
+    matrix has spectral norm below 1.  The chunks of `chunk_layout` are
+    mapped over a pool of `worker_count(threads, ...)` processes, or, when
+    that is 1, over two threads of this process.  Their results come back
+    in (n, replication) order before any file is written, so outputs are
+    identical for any worker count, and the earliest failing chunk's error
+    is raised.  The BLAS thread count is the caller's choice (the
+    command-line program sets one per process).
     """
     ctx = _context(config)
     if not ctx.gate.holds:
@@ -516,24 +464,27 @@ def run_experiment(
         )
     logger.info("stationarity gate passed: j0=%d, norm=%.6f", ctx.gate.j0, ctx.gate.norm)
 
+    # fill every cache the chunks share, before two threads can race for it
+    # or so that forked workers inherit it
+    ctx.noise.sqrt
+    for n in config.sample_sizes:
+        ctx.bound_for(n)
+    if not config.spline_mode:
+        estimation._wavelet_matrix(config.model.modes, config.model.grid_len, config.wavelet)
     tasks = [(config, *chunk) for chunk in chunk_layout(config)]
     workers = worker_count(threads, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported here: it loads multiprocessing
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_run_chunk, tasks))
+        executor = ProcessPoolExecutor(max_workers=workers)
     else:
-        # fill every cache the chunks share before two threads can race for it
-        ctx.noise.sqrt
-        for n in config.sample_sizes:
-            ctx.bound_for(n)
-        if not config.spline_mode:
-            estimation._wavelet_matrix(config.model.modes, config.model.grid_len, config.wavelet)
-        try:
-            outputs = _run_on_two_threads(tasks)
-        finally:
-            ctx.buffers.release()  # the buffers belong to the sweep, not to the cached context
+        # numpy's generator fill, BLAS and LAPACK release the interpreter lock
+        executor = ThreadPoolExecutor(max_workers=2, thread_name_prefix="banach-ar1-chunk")
+    try:
+        with executor:
+            outputs = list(executor.map(_run_chunk, tasks))
+    finally:
+        ctx.buffers.release()  # the buffers belong to the sweep, not to the cached context
 
     results = [result for chunk_results, _ in outputs for result in chunk_results]
     decay_rows = [row for _, chunk_decay in outputs for row in chunk_decay]

@@ -257,30 +257,44 @@ def sample_initial_condition(covariance: SpectralOperator, rng: np.random.Genera
     return np.sqrt(c_diag) * z
 
 
+# Rows of a path's normals that draw_paths draws and maps at a time.  Every
+# piece but the last has DRAW_ROWS rows and the last takes the leftover, so
+# no piece is shorter than DRAW_ROWS unless the whole block is: OpenBLAS can
+# give the product of a few rows other last bits than the same rows of the
+# whole block's product.
+DRAW_ROWS = 256
+
+
 def draw_paths(
-    x: np.ndarray, noise_cov: SpectralOperator, x0: np.ndarray, rngs: list[np.random.Generator], normals: np.ndarray
+    x: np.ndarray, noise_cov: SpectralOperator, x0: np.ndarray, rngs: list[np.random.Generator]
 ) -> np.ndarray:
-    """The draw stage of simulate_paths: the start and the innovations of each path, into given buffers.
+    """The draw stage of simulate_paths: the start and the innovations of each path, into a given buffer.
 
     Fills and returns x, a (len(rngs), steps + 1, p) buffer whose contents
     are ignored: row 0 of path r gets x0[r], and rows 1..steps get its
     innovations eps_1..eps_steps, one standard_normal((steps, p)) block
-    drawn from rngs[r] into the scratch `normals` and mapped through the
-    symmetric square root of noise_cov.  The normals get a buffer of their
-    own because a product written over its own input makes numpy copy the
-    whole input first.  step_paths turns x into states in place.  It
-    touches neither rho nor its power table, so it may run in another
-    thread while an earlier buffer steps.
+    drawn from rngs[r] and mapped through the symmetric square root of
+    noise_cov.  The block is drawn and mapped DRAW_ROWS rows at a time
+    through a scratch of this call's own (a product written over its own
+    input makes numpy copy the whole input first), so draws in two threads
+    share nothing.  step_paths turns x into states in place.  It touches
+    neither rho nor its power table, so it may run in another thread while
+    an earlier buffer steps.
     """
     x0 = np.asarray(x0, dtype=float)
     count, length, p = x.shape
-    if x0.shape != (count, p) or len(rngs) != count or noise_cov.dim != p or normals.shape != (length - 1, p):
-        raise ValueError("dimension mismatch between the buffers, noise_cov, x0 and rngs")
+    if x0.shape != (count, p) or len(rngs) != count or noise_cov.dim != p:
+        raise ValueError("dimension mismatch between the buffer, noise_cov, x0 and rngs")
     x[:, 0] = x0
+    steps = length - 1
+    edges = [DRAW_ROWS * i for i in range(max(1, steps // DRAW_ROWS))] + [steps]
+    normals = np.empty((steps - edges[-2], p))  # the last piece is the longest
     root_t = noise_cov.sqrt.T
     for path, rng in zip(x, rngs):
-        rng.standard_normal(out=normals)
-        np.matmul(normals, root_t, out=path[1:])
+        for start, stop in zip(edges, edges[1:]):
+            piece = normals[: stop - start]
+            rng.standard_normal(out=piece)
+            np.matmul(piece, root_t, out=path[1 + start : 1 + stop])
     return x
 
 
@@ -341,7 +355,7 @@ def simulate_paths(
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
     p = noise_cov.dim
-    x = draw_paths(np.empty((len(rngs), burn_in + n + 1, p)), noise_cov, x0, rngs, np.empty((burn_in + n, p)))
+    x = draw_paths(np.empty((len(rngs), burn_in + n + 1, p)), noise_cov, x0, rngs)
     return step_paths(x, rho)[:, burn_in:]
 
 

@@ -106,6 +106,10 @@ class TestParseConfig:
         cfg = parse_config(write_config(tmp_path, "truncated_init = false\nburn_in = 25\n"))
         assert cfg.burn_in == 25
 
+    def test_coarse_step_may_reach_the_kernel_ceiling(self, tmp_path):
+        # 1/1024 gives the largest kernel surface accepted, 1,025 points a side
+        assert parse_config(write_config(tmp_path, "coarse_step = 0.0009765625\n")).coarse_step == 1 / 1024
+
     def test_descending_sizes_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="ascending"):
             parse_config(write_config(tmp_path, "sample_sizes = 800, 200\n"))
@@ -117,11 +121,11 @@ POOL_CONFIG = "modes = 8\ngrid_len = 256\nsample_sizes = 6, 20\nreplications = 6
 
 
 class InlinePool:
-    """Stands in for ProcessPoolExecutor: records the worker count, maps in this process."""
+    """Stands in for an executor: records the worker count, maps in this thread."""
 
     requested: list[int] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, **options):
         self.requested.append(max_workers)
 
     def __enter__(self):
@@ -351,7 +355,7 @@ def chunk_index(layout, n, r0, paths):
 
 
 class TestDrawAhead:
-    """The serial sweep: two threads run whole chunks, one drawing while the other computes."""
+    """The serial sweep: two threads run whole chunks, so one can draw while the other computes."""
 
     @pytest.mark.parametrize(
         "extra",
@@ -369,46 +373,35 @@ class TestDrawAhead:
         # reference: each chunk's two stages in turn in this thread, each in a
         # fresh buffer of NaNs
         monkeypatch.setattr(harness._ChunkBuffers, "trajectory", lambda self, shape: np.full(shape, np.nan))
-        monkeypatch.setattr(harness, "_run_on_two_threads", lambda tasks: [harness._run_chunk(t) for t in tasks])
+        monkeypatch.setattr(InlinePool, "requested", [])
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
         run_experiment(replace(ahead, output_dir=tmp_path / "inline"), threads=1)
+        assert InlinePool.requested == [2]
         for name in CSV_NAMES:
             assert filecmp.cmp(tmp_path / "ahead" / name, tmp_path / "inline" / name, shallow=False), name
 
-    def test_chunks_run_on_two_threads_one_draw_at_a_time(self, tmp_path, monkeypatch):
+    def test_chunks_run_on_two_threads(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "TRAJECTORY_BUDGET", 8400)
         config = parse_config(write_config(tmp_path, CHUNK_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
         layout = harness.chunk_layout(config)
         lock = threading.Lock()
-        live = {"draws": 0, "chunks": 0}  # draws running, chunks holding a trajectory buffer
-        most = dict(live)
+        held = {"now": 0, "most": 0}  # chunks holding a trajectory buffer
         drawn = []  # (chunk, thread) as each chunk's draw finishes
         second_drawn = threading.Event()
-        draw_paths, take, recycle, compute = (
-            harness.model.draw_paths,
-            harness._ChunkBuffers.trajectory,
-            harness._ChunkBuffers.recycle,
-            harness._chunk_output,
-        )
+        take, recycle, compute = harness._ChunkBuffers.trajectory, harness._ChunkBuffers.recycle, harness._compute_stack
 
-        def count(key, step):
+        def count(step):
             with lock:
-                live[key] += step
-                most[key] = max(most[key], live[key])
-
-        def traced_draw_paths(x, noise_cov, x0, rngs, normals):
-            count("draws", 1)
-            try:
-                return draw_paths(x, noise_cov, x0, rngs, normals)
-            finally:
-                count("draws", -1)
+                held["now"] += step
+                held["most"] = max(held["most"], held["now"])
 
         def traced_take(buffers, shape):
-            count("chunks", 1)
+            count(1)
             return take(buffers, shape)
 
         def traced_recycle(buffers, buffer):
             recycle(buffers, buffer)
-            count("chunks", -1)
+            count(-1)
 
         def traced_compute(config, n, r0, paths):
             with lock:
@@ -419,10 +412,9 @@ class TestDrawAhead:
             assert second_drawn.wait(timeout=30)
             return compute(config, n, r0, paths)
 
-        monkeypatch.setattr(harness.model, "draw_paths", traced_draw_paths)
         monkeypatch.setattr(harness._ChunkBuffers, "trajectory", traced_take)
         monkeypatch.setattr(harness._ChunkBuffers, "recycle", traced_recycle)
-        monkeypatch.setattr(harness, "_chunk_output", traced_compute)
+        monkeypatch.setattr(harness, "_compute_stack", traced_compute)
         threads_before = threading.active_count()
         results, _ = run_experiment(config, threads=1)
         assert threading.active_count() == threads_before
@@ -432,8 +424,7 @@ class TestDrawAhead:
         assert len(layout) == 10
         assert sorted(chunk for chunk, _ in drawn) == list(range(len(layout)))
         assert len({thread for _, thread in drawn}) == 2
-        assert most == {"draws": 1, "chunks": 2}
-        assert live == {"draws": 0, "chunks": 0}
+        assert held == {"now": 0, "most": 2}
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_draw_stage_error_surfaces_with_its_own_type(self, tmp_path, monkeypatch, cpus):
@@ -457,13 +448,11 @@ class TestDrawAhead:
         monkeypatch.setattr(harness, "TRAJECTORY_BUDGET", 8400)
         config = parse_config(write_config(tmp_path, CHUNK_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
         layout = harness.chunk_layout(config)
-        started = []
         later_failed = threading.Event()
-        compute = harness._chunk_output
+        compute = harness._compute_stack
 
         def failing(config, n, r0, paths):
             chunk = chunk_index(layout, n, r0, paths)
-            started.append(chunk)
             if chunk == 4:
                 later_failed.set()
                 raise LaterChunkError("chunk 4")
@@ -473,13 +462,11 @@ class TestDrawAhead:
                 raise EarlierChunkError("chunk 3")
             return compute(config, n, r0, paths)
 
-        monkeypatch.setattr(harness, "_chunk_output", failing)
+        monkeypatch.setattr(harness, "_compute_stack", failing)
         threads_before = threading.active_count()
         with pytest.raises(EarlierChunkError, match="chunk 3"):
             run_experiment(config, threads=1)
         assert threading.active_count() == threads_before
-        # no chunk starts once one has failed
-        assert sorted(started) == [0, 1, 2, 3, 4]
         assert not (tmp_path / "out").exists()
 
     def test_buffers_are_reused_but_no_fit_shares_their_memory(self, tmp_path, monkeypatch):
@@ -498,7 +485,7 @@ class TestDrawAhead:
         run_experiment(config, threads=1)
         # the sweep hands its buffers back when it ends
         memory = harness._context(config).buffers
-        assert memory._spares == [] and memory._normals.size == 0
+        assert memory._spares == []
         fits.append(run_replication(config, 51, 4)[1])
         assert len({id(buffer) for buffer in buffers}) < len(buffers) == len(harness.chunk_layout(config)) + 1
         for state in fits:
@@ -506,7 +493,7 @@ class TestDrawAhead:
                 assert not any(np.shares_memory(array, buffer) for buffer in buffers)
 
     @pytest.mark.parametrize(
-        "threads, drawing", [(1, "chunks run on two threads, drawn one at a time"), (2, "chunks drawn inline")]
+        "threads, drawing", [(1, "chunks run on two threads"), (2, "chunks drawn inline")]
     )
     def test_run_log_says_whether_the_sweep_draws_ahead(self, tmp_path, monkeypatch, caplog, threads, drawing):
         monkeypatch.setattr(InlinePool, "requested", [])
@@ -615,6 +602,8 @@ class TestCli:
             pytest.param("", ["--seed", "-5"], id="flag-seed-negative"),
             pytest.param("coarse_step = 0\n", [], id="coarse-step-zero"),
             pytest.param("coarse_step = nan\n", [], id="coarse-step-nan"),
+            pytest.param("coarse_step = 1e-5\n", [], id="coarse-step-kernel-too-large"),
+            pytest.param("coarse_step = 0.00097\n", [], id="coarse-step-just-below-ceiling"),
             pytest.param("truncation = fixed:0\n", [], id="truncation-fixed-zero"),
             pytest.param("gamma = 400\n", [], id="gamma-eigenvalues-underflow"),
             pytest.param("width = 1e300\n", [], id="width-squared-overflows"),
@@ -715,7 +704,7 @@ class TestBlasThreadPolicy:
         args = ["-m", "banach_ar1.cli", "run", "--config", str(cfg_path), "--out", "out"]
         log = run_python(args, tmp_path, OMP_NUM_THREADS="1").stderr
         assert "INFO banach_ar1.cli: 1 worker process(es)" in log
-        assert "1 worker process(es), chunks run on two threads, drawn one at a time, BLAS threads per process" in log
+        assert "1 worker process(es), chunks run on two threads, BLAS threads per process" in log
         assert "OMP_NUM_THREADS=1 (from the environment)" in log
         assert "MKL_NUM_THREADS=1 (set by banach-ar1)" in log
         for name in CSV_NAMES:

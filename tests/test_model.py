@@ -41,9 +41,9 @@ def params(modes=5, **kw):
 
 
 def recursion_operators(kind):
-    """(rho, noise) of the reference model at 50 modes, or a small non-normal pair."""
-    if kind == "reference":
-        p = params(modes=50)
+    """(rho, noise) of the reference model at 50 or 8 modes, or a small non-normal pair."""
+    if kind in ("reference", "reference_8"):
+        p = params(modes=50 if kind == "reference" else 8)
         rho = build_rho(p)
         return rho, build_noise_covariance(p, build_covariance(p), rho)
     # norm above 1 but spectral radius below 1: single steps can grow
@@ -294,23 +294,27 @@ class TestSimulation:
             assert np.abs(path - expected).max() <= 1e-13 * np.abs(expected).max()
             assert rng.standard_normal() == oracle_rng.standard_normal()
 
-    @pytest.mark.parametrize("operator", ["reference", "non_normal"])
+    @pytest.mark.parametrize("operator", ["reference", "reference_8", "non_normal"])
     def test_stages_compose_to_simulate_paths_bit_for_bit(self, operator):
         rho, noise = recursion_operators(operator)
         x0 = np.random.default_rng(99).standard_normal((3, rho.dim))
-        # the buffers' contents are ignored
-        buffer, scratch = np.full((3, 108, rho.dim), np.nan), np.full((107, rho.dim), np.nan)
-        drawn = draw_paths(buffer, noise, x0, [np.random.default_rng([7, r]) for r in range(3)], scratch)
-        assert drawn is buffer
-        for r, path in enumerate(drawn):
-            # each path's block is one per-path gemm with the root, as before the split
-            normals = np.random.default_rng([7, r]).standard_normal((107, rho.dim))
-            assert np.array_equal(path[0], x0[r])
-            assert np.array_equal(path[1:], normals @ noise.sqrt.T)
-        stepped = step_paths(drawn, rho)
-        assert stepped is drawn
-        composed = simulate_paths(100, rho, noise, x0, [np.random.default_rng([7, r]) for r in range(3)], burn_in=7)
-        assert np.array_equal(stepped[:, 7:], composed)
+        # draw_paths draws in pieces of DRAW_ROWS = 256 rows, the last taking the
+        # leftover: 107, 255 and 511 steps are one piece, 256 and 512 whole
+        # pieces, and 513 and 8000 end in a piece longer than 256 rows
+        for steps in (107, 255, 256, 511, 512, 513, 8000):
+            # the buffer's contents are ignored
+            buffer = np.full((3, steps + 1, rho.dim), np.nan)
+            drawn = draw_paths(buffer, noise, x0, [np.random.default_rng([7, r]) for r in range(3)])
+            assert drawn is buffer
+            for r, path in enumerate(drawn):
+                # each path's innovations are one whole-block gemm with the root, whatever the pieces
+                normals = np.random.default_rng([7, r]).standard_normal((steps, rho.dim))
+                assert np.array_equal(path[0], x0[r])
+                assert np.array_equal(path[1:], normals @ noise.sqrt.T), steps
+            stepped = step_paths(drawn, rho)
+            assert stepped is drawn
+            rngs = [np.random.default_rng([7, r]) for r in range(3)]
+            assert np.array_equal(stepped[:, 7:], simulate_paths(steps - 7, rho, noise, x0, rngs, burn_in=7))
 
     def test_reproducible_bit_for_bit(self):
         p = params(modes=6)
