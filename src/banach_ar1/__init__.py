@@ -22,7 +22,6 @@ _EXPORTS = {
         "empirical_mse_curve",
         "exceedance_bound",
         "exceedance_table",
-        "hilbert_schmidt_distance",
         "trace_embedding_report",
     ),
     "estimation": (
@@ -30,7 +29,6 @@ _EXPORTS = {
         "EstimatorState",
         "TruncationRankError",
         "TruncationRule",
-        "eigen_decompose",
         "empirical_covariance",
         "empirical_cross_covariance",
         "fit_estimator",
@@ -38,7 +36,6 @@ _EXPORTS = {
         "max_inverse_gap",
         "plug_in_predict",
         "prediction_error_besov",
-        "sign_align",
         "truncation_order",
     ),
     "harness": (
@@ -59,9 +56,6 @@ _EXPORTS = {
         "build_noise_covariance",
         "build_rho",
         "check_stationarity",
-        "covariance_kernel",
-        "eigenfunction_on_grid",
-        "evaluate_on_grid",
         "sample_initial_condition",
         "simulate_trajectory",
         "stationary_covariance",

@@ -16,8 +16,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .estimation import EstimatorState
-from .model import SpectralOperator
-from .wavelet import WaveletBasisSpec, besov_sup_norm, dwt_forward
+from .wavelet import WaveletBasisSpec, coefficient_matrix
 
 
 @dataclass
@@ -154,25 +153,13 @@ def trace_embedding_report(eigvecs_on_grid: np.ndarray, spec: WaveletBasisSpec) 
     eigvecs_on_grid = np.asarray(eigvecs_on_grid, dtype=float)
     if eigvecs_on_grid.ndim != 2 or eigvecs_on_grid.shape[1] != spec.grid_len:
         raise ValueError("eigvecs_on_grid must be (modes, grid_len)")
-    trace = 0.0
-    v_sup = 0.0
-    per_position = np.zeros(spec.grid_len)
-    for row in eigvecs_on_grid:
-        coeffs = dwt_forward(row, spec)
-        flat = coeffs.flatten()
-        trace += float(flat @ flat)
-        v_sup = max(v_sup, besov_sup_norm(coeffs))
-        per_position += flat * flat
-    return TraceReport(trace_sum=trace, n_sup=float(per_position.max()), v_sup=v_sup)
+    w = coefficient_matrix(eigvecs_on_grid, spec)
+    v_sup = float(max(w.max(), -w.min()))
+    w *= w  # squared in place: no second p x L array
+    return TraceReport(trace_sum=float(w.sum()), n_sup=float(w.sum(axis=0).max()), v_sup=v_sup)
 
 
 def eigen_decay_report(state: EstimatorState) -> list[tuple[int, float]]:
     """(j, empirical eigenvalue j) for the retained positions j = 1..k_n."""
     return [(j + 1, float(state.eigenvalues[j])) for j in range(state.k_n)]
 
-
-def hilbert_schmidt_distance(a: SpectralOperator, b: SpectralOperator) -> float:
-    """Frobenius distance between two operators in the same orthonormal basis."""
-    if a.matrix.shape != b.matrix.shape:
-        raise ValueError("operators must have the same shape")
-    return float(np.linalg.norm(a.matrix - b.matrix, "fro"))

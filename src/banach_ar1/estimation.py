@@ -22,12 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
-from .model import SpectralOperator, Trajectory, eigenfunctions_on_grid
-from .wavelet import WaveletBasisSpec, dwt_forward
+from .model import SpectralOperator, Trajectory, eigenfunctions_on_grid, evaluate_via_spline
+from .wavelet import WaveletBasisSpec, coefficient_matrix
 
 
 class EigenGapError(RuntimeError):
@@ -137,45 +136,6 @@ def empirical_cross_covariance(traj: Trajectory) -> SpectralOperator:
     return SpectralOperator(m, symmetric=False)
 
 
-class EigenDecomposition(NamedTuple):
-    values: np.ndarray
-    vectors: np.ndarray
-    near_degenerate: list[int]
-
-
-def eigen_decompose(op: SpectralOperator, gap_tol: float = 1e-8) -> EigenDecomposition:
-    """Full symmetric eigendecomposition, values descending.
-
-    Positions j (1-based) whose relative gap (values[j-1] - values[j]) /
-    max(values[0], tiny) falls below gap_tol are reported in near_degenerate:
-    eigenvectors at those positions are not individually identifiable.
-    """
-    m = op.matrix
-    if np.abs(m - m.T).max() > 1e-10 * max(1.0, float(np.abs(m).max())):
-        raise ValueError("eigen_decompose requires a symmetric matrix")
-    values, vectors = np.linalg.eigh(0.5 * (m + m.T))
-    values = values[::-1]
-    vectors = vectors[:, ::-1]
-    scale = max(float(values[0]), 1e-300)
-    gaps = np.diff(values) * -1.0
-    near = [int(j + 1) for j in range(gaps.size) if gaps[j] / scale < gap_tol]
-    return EigenDecomposition(values=values, vectors=vectors, near_degenerate=near)
-
-
-def sign_align(empirical_vec: np.ndarray, reference_vec: np.ndarray) -> np.ndarray:
-    """Reference eigenvector flipped to match the empirical one's orientation.
-
-    The sign is +1 when the inner product is >= 0 (ties resolve to +1), so
-    aligning twice gives the same result as aligning once.
-    """
-    empirical_vec = np.asarray(empirical_vec, dtype=float)
-    reference_vec = np.asarray(reference_vec, dtype=float)
-    if empirical_vec.shape != reference_vec.shape:
-        raise ValueError("vectors must have the same length")
-    sign = 1.0 if float(np.dot(empirical_vec, reference_vec)) >= 0.0 else -1.0
-    return sign * reference_vec
-
-
 def _checked_gaps(values: np.ndarray, k: int) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if k < 1:
@@ -283,9 +243,17 @@ def plug_in_predict(state: EstimatorState, x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _wavelet_matrix(modes: int, grid_len: int, spec: WaveletBasisSpec) -> np.ndarray:
-    """Row j holds the flattened wavelet coefficients of eigenfunction j+1; read-only."""
-    w = np.array([dwt_forward(phi, spec).flatten() for phi in eigenfunctions_on_grid(modes, grid_len)])
+def _wavelet_matrix(modes: int, grid_len: int, spec: WaveletBasisSpec, coarse_step: float | None) -> np.ndarray:
+    """Row j holds the flattened wavelet coefficients of eigenfunction j+1; read-only.
+
+    Without a coarse_step the eigenfunction is taken at the dyadic
+    midpoints; with one, through its spline (model.evaluate_via_spline).
+    """
+    if coarse_step is None:
+        functions = eigenfunctions_on_grid(modes, grid_len)
+    else:
+        functions = evaluate_via_spline(np.eye(modes), coarse_step, grid_len)
+    w = coefficient_matrix(functions, spec)
     w.setflags(write=False)
     return w
 
@@ -295,20 +263,22 @@ def prediction_error_besov(
     predicted: np.ndarray,
     grid_len: int,
     spec: WaveletBasisSpec,
-) -> float:
+    coarse_step: float | None = None,
+) -> float | np.ndarray:
     """Sup-norm of the wavelet coefficients of the prediction error.
 
     The error is the largest coefficient magnitude of the wavelet transform
-    of the difference expanded on the dyadic grid.  Both steps are linear,
-    so it is computed as max |(truth - predicted) @ W| with the cached
-    p x L matrix W of the eigenfunctions' wavelet coefficients.  With a
-    leading replication axis on truth and predicted it returns one error per
-    replication, each from its own gemv.
+    of the difference expanded on the dyadic grid, or, with a coarse_step,
+    through the spline of its values on the coarse grid (spline mode).  All
+    steps are linear, so it is computed as max |(truth - predicted) @ W|
+    with the cached p x L matrix W of the eigenfunctions' wavelet
+    coefficients.  With a leading replication axis on truth and predicted
+    it returns one error per replication, each from its own gemv.
     """
     truth = np.asarray(truth, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
     if truth.shape != predicted.shape:
         raise ValueError("truth and prediction must have the same length")
-    w = _wavelet_matrix(truth.shape[-1], grid_len, spec)
+    w = _wavelet_matrix(truth.shape[-1], grid_len, spec, coarse_step)
     errors = np.abs(((truth - predicted)[..., None, :] @ w)[..., 0, :]).max(axis=-1)
     return float(errors) if errors.ndim == 0 else errors

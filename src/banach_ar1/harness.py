@@ -42,7 +42,7 @@ import numpy as np
 from . import diagnostics, estimation, model, svg
 from .estimation import EstimatorState, TruncationRule
 from .model import ModelParams
-from .wavelet import WaveletBasisSpec, besov_sup_norm, dwt_forward
+from .wavelet import WaveletBasisSpec
 
 logger = logging.getLogger(__name__)
 
@@ -75,8 +75,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.sample_sizes:
             raise ConfigError("sample_sizes must be non-empty")
-        if list(self.sample_sizes) != sorted(self.sample_sizes):
-            raise ConfigError("sample_sizes must be ascending")
+        if any(a >= b for a, b in zip(self.sample_sizes, self.sample_sizes[1:])):
+            raise ConfigError(f"sample_sizes must be strictly ascending, got {list(self.sample_sizes)}")
         if min(self.sample_sizes) < 2:
             raise ConfigError("sample sizes must be >= 2")
         if self.replications < 1:
@@ -373,6 +373,11 @@ def _draw_stack(config: ExperimentConfig, n: int, r0: int, r1: int) -> np.ndarra
     return model.draw_paths(ctx.buffers.trajectory((len(rngs), length, p)), ctx.noise, x0, rngs)
 
 
+def _coarse_step(config: ExperimentConfig) -> float | None:
+    """The coarse_step that scoring expands errors through: spline mode's, or None on the grid."""
+    return config.coarse_step if config.spline_mode else None
+
+
 def _compute_stack(
     config: ExperimentConfig, n: int, r0: int, paths: np.ndarray
 ) -> tuple[list[diagnostics.ExperimentResult], EstimatorState]:
@@ -386,16 +391,9 @@ def _compute_stack(
     newest = states[:, n]
     predicted = estimation.plug_in_predict(fits, newest)
     truth = (ctx.rho.matrix @ newest[..., None])[..., 0]
-    grid_len = config.model.grid_len
-    if config.spline_mode:
-        def on_grid(x):
-            return model.evaluate_via_spline(x, config.coarse_step, grid_len)
-
-        errors = [
-            besov_sup_norm(dwt_forward(on_grid(t) - on_grid(p), config.wavelet)) for t, p in zip(truth, predicted)
-        ]
-    else:
-        errors = estimation.prediction_error_besov(truth, predicted, grid_len, config.wavelet)
+    errors = estimation.prediction_error_besov(
+        truth, predicted, config.model.grid_len, config.wavelet, _coarse_step(config)
+    )
     _, _, xi = ctx.bound_for(n)
     results = [
         diagnostics.ExperimentResult(n=n, replication=r, error_b=float(error), xi=xi)
@@ -469,8 +467,7 @@ def run_experiment(
     ctx.noise.sqrt
     for n in config.sample_sizes:
         ctx.bound_for(n)
-    if not config.spline_mode:
-        estimation._wavelet_matrix(config.model.modes, config.model.grid_len, config.wavelet)
+    estimation._wavelet_matrix(config.model.modes, config.model.grid_len, config.wavelet, _coarse_step(config))
     tasks = [(config, *chunk) for chunk in chunk_layout(config)]
     workers = worker_count(threads, len(tasks))
     if workers > 1:

@@ -164,14 +164,6 @@ def build_covariance(params: ModelParams) -> SpectralOperator:
     return SpectralOperator(np.diag(covariance_eigenvalues(params.gamma, params.modes)), symmetric=True)
 
 
-def eigenfunction_on_grid(j: int, grid_len: int) -> np.ndarray:
-    """sqrt(2) sin(j pi t) at the dyadic midpoints t_i = (i + 1/2) / L."""
-    if j < 1:
-        raise ValueError("eigenfunction index must be >= 1")
-    t = (np.arange(grid_len) + 0.5) / grid_len
-    return np.sqrt(2.0) * np.sin(j * np.pi * t)
-
-
 @lru_cache(maxsize=8)
 def eigenfunctions_on_grid(modes: int, grid_len: int) -> np.ndarray:
     """Stacked eigenfunctions, shape (modes, grid_len); read-only."""
@@ -371,20 +363,14 @@ def simulate_trajectory(
     return Trajectory(states=simulate_paths(n, rho, noise_cov, np.asarray(x0)[None], [rng], burn_in)[0])
 
 
-def evaluate_on_grid(x: np.ndarray, grid_len: int) -> np.ndarray:
-    """Expand eigenbasis coefficients into function values at the dyadic midpoints."""
-    if grid_len < 2 or grid_len & (grid_len - 1):
-        raise ValueError("grid_len must be a power of two")
-    x = np.asarray(x, dtype=float)
-    return x @ eigenfunctions_on_grid(x.size, grid_len)
-
-
 def evaluate_via_spline(x: np.ndarray, coarse_step: float, grid_len: int) -> np.ndarray:
     """Coarse-grid evaluation followed by natural cubic spline interpolation.
 
     Mimics generating the function on a coarse grid of step ~coarse_step and
     smoothing it back onto the fine dyadic grid; used only in the optional
-    spline mode of the experiment harness.
+    spline mode of the experiment harness.  The last axis of x holds the
+    eigenbasis coefficients, so a (count, p) stack gives (count, grid_len)
+    values.
     """
     from scipy.interpolate import CubicSpline  # imported here: only spline mode needs scipy
     if not 0 < coarse_step < 0.5:
@@ -392,24 +378,15 @@ def evaluate_via_spline(x: np.ndarray, coarse_step: float, grid_len: int) -> np.
     x = np.asarray(x, dtype=float)
     n_nodes = round(1.0 / coarse_step) + 1
     s = np.linspace(0.0, 1.0, n_nodes)
-    j = np.arange(1, x.size + 1)
+    j = np.arange(1, x.shape[-1] + 1)
     coarse = x @ (np.sqrt(2.0) * np.sin(np.outer(j, np.pi * s)))
-    spline = CubicSpline(s, coarse, bc_type="natural")
+    spline = CubicSpline(s, coarse, axis=-1, bc_type="natural")
     t = (np.arange(grid_len) + 0.5) / grid_len
     return spline(t)
 
 
-def covariance_kernel(covariance: SpectralOperator, s: float, t: float) -> float:
-    """Kernel value sum_j C_j phi_j(s) phi_j(t) at a single point pair."""
-    c_diag = covariance.positive_diagonal
-    j = np.arange(1, c_diag.size + 1)
-    phi_s = np.sqrt(2.0) * np.sin(j * np.pi * s)
-    phi_t = np.sqrt(2.0) * np.sin(j * np.pi * t)
-    return float(np.sum(c_diag * phi_s * phi_t))
-
-
 def covariance_kernel_surface(covariance: SpectralOperator, points: np.ndarray) -> np.ndarray:
-    """Kernel matrix K[a, b] = kernel(points[a], points[b])."""
+    """Kernel matrix K[a, b] = sum_j C_j phi_j(points[a]) phi_j(points[b])."""
     c_diag = covariance.positive_diagonal
     j = np.arange(1, c_diag.size + 1)
     phi = np.sqrt(2.0) * np.sin(np.outer(j, np.pi * np.asarray(points, dtype=float)))

@@ -213,6 +213,18 @@ def dwt_forward(samples: np.ndarray, spec: WaveletBasisSpec) -> WaveletCoeffs:
     return WaveletCoeffs(spec=spec, alpha=approx, beta=details)
 
 
+def coefficient_matrix(rows: np.ndarray, spec: WaveletBasisSpec) -> np.ndarray:
+    """Row i holds the flattened dwt_forward coefficients of rows[i], each transformed on its own.
+
+    The rows are written into one preallocated matrix, so building it holds
+    no second copy of the coefficients.
+    """
+    w = np.empty((len(rows), spec.grid_len))
+    for out, row in zip(w, rows):
+        out[:] = dwt_forward(row, spec).flatten()
+    return w
+
+
 def dwt_inverse(coeffs: WaveletCoeffs) -> np.ndarray:
     """Reconstruct dyadic-grid samples; exact left inverse of dwt_forward."""
     spec = coeffs.spec

@@ -4,16 +4,20 @@ Nothing here shares code with the package internals: eigen decompositions
 run classic Jacobi rotations, the estimator is assembled by nested loops
 over its defining sums or from the SVD of the inputs' QR factor, wavelet basis vectors come from an explicit
 coefficient-upsampling cascade, the stationary covariance is the plain
-fixed-point iteration, and trajectories step the autoregression one state at
-a time.  Everything targets tiny instances and favours obviousness over
-speed.
+fixed-point iteration, trajectories step the autoregression one state at
+a time, and function values and kernel entries add the sine modes one by
+one.  Everything targets tiny instances and favours obviousness over
+speed.  The exceptions are the two route references at the end, which
+keep the one-transform-per-function scoring that the package's cached
+coefficient matrices replaced.
 """
 
 import math
 
 import numpy as np
 
-from banach_ar1.wavelet import WaveletBasisSpec, daubechies_filter
+from banach_ar1.model import evaluate_via_spline
+from banach_ar1.wavelet import WaveletBasisSpec, besov_sup_norm, daubechies_filter, dwt_forward
 
 
 def jacobi_eigh(matrix, tol=1e-14, max_sweeps=100):
@@ -190,3 +194,40 @@ def qr_factor_estimator(states, k):
     u_k = vt[:k].T
     cross = outputs.T @ inputs / m
     return u_k @ ((u_k.T @ cross @ u_k) / (sigma[:k] ** 2 / m)) @ u_k.T
+
+
+def grid_values(x, grid_len):
+    """sum_j x_j sqrt(2) sin(j pi t) at the dyadic midpoints t = (i + 1/2) / grid_len, mode by mode."""
+    t = (np.arange(grid_len) + 0.5) / grid_len
+    values = np.zeros(grid_len)
+    for j, coefficient in enumerate(np.asarray(x, dtype=float), start=1):
+        values += coefficient * math.sqrt(2.0) * np.sin(j * math.pi * t)
+    return values
+
+
+def kernel_value(c_diag, s, t):
+    """sum_j C_j phi_j(s) phi_j(t) at one point pair, term by term."""
+    return sum(c * 2.0 * math.sin(j * math.pi * s) * math.sin(j * math.pi * t) for j, c in enumerate(c_diag, start=1))
+
+
+def spline_errors(truth, predicted, coarse_step, spec: WaveletBasisSpec):
+    """Spline-mode errors, one replication at a time: sup |DWT(spline(truth) - spline(predicted))|."""
+
+    def on_grid(x):
+        return evaluate_via_spline(x, coarse_step, spec.grid_len)
+
+    return [besov_sup_norm(dwt_forward(on_grid(t) - on_grid(p), spec)) for t, p in zip(truth, predicted)]
+
+
+def trace_report_by_mode(phi, spec: WaveletBasisSpec):
+    """(trace_sum, n_sup, v_sup) of the eigenfunction family, one transform per mode, summed mode by mode."""
+    trace = 0.0
+    v_sup = 0.0
+    per_position = np.zeros(spec.grid_len)
+    for row in phi:
+        coeffs = dwt_forward(row, spec)
+        flat = coeffs.flatten()
+        trace += float(flat @ flat)
+        v_sup = max(v_sup, besov_sup_norm(coeffs))
+        per_position += flat * flat
+    return trace, float(per_position.max()), v_sup

@@ -11,12 +11,13 @@ from banach_ar1.diagnostics import (
     empirical_mse_curve,
     exceedance_bound,
     exceedance_table,
-    hilbert_schmidt_distance,
     trace_embedding_report,
 )
 from banach_ar1.estimation import TruncationRule, fit_estimator, gap_coefficients
-from banach_ar1.model import SpectralOperator, Trajectory, covariance_eigenvalues, eigenfunctions_on_grid
+from banach_ar1.model import Trajectory, covariance_eigenvalues, eigenfunctions_on_grid
 from banach_ar1.wavelet import WaveletBasisSpec, besov_sup_norm, dwt_forward
+
+from oracles import trace_report_by_mode
 
 SPEC = WaveletBasisSpec(order=10, coarse_level=2, max_level=10)
 
@@ -174,6 +175,19 @@ class TestTraceReport:
             traces.append(trace_embedding_report(phi, SPEC).trace_sum)
         assert all(a < b for a, b in zip(traces, traces[1:]))
 
+    @pytest.mark.parametrize(
+        "modes, spec",
+        [(50, SPEC), (7, WaveletBasisSpec(order=4, coarse_level=2, max_level=8))],
+        ids=["db10-2048-50", "db4-512-7"],
+    )
+    def test_matches_one_transform_per_mode(self, modes, spec):
+        phi = eigenfunctions_on_grid(modes, spec.grid_len)
+        report = trace_embedding_report(phi, spec)
+        trace_sum, n_sup, v_sup = trace_report_by_mode(phi, spec)
+        assert report.n_sup == n_sup
+        assert report.v_sup == v_sup
+        assert report.trace_sum == pytest.approx(trace_sum, rel=1e-15)
+
     def test_sine_family_sup_is_finite_and_modest(self):
         phi = eigenfunctions_on_grid(20, SPEC.grid_len)
         report = trace_embedding_report(phi, SPEC)
@@ -194,29 +208,3 @@ class TestEigenDecay:
         assert all(v > 0 for v in values)
         assert values == [float(state.eigenvalues[i]) for i in range(4)]
 
-
-class TestHilbertSchmidt:
-    def test_zero_for_identical(self):
-        a = SpectralOperator(np.arange(9.0).reshape(3, 3))
-        assert hilbert_schmidt_distance(a, a) == 0.0
-
-    def test_identity_vs_zero(self):
-        eye = SpectralOperator(np.eye(4), symmetric=True)
-        zero = SpectralOperator(np.zeros((4, 4)), symmetric=True)
-        assert hilbert_schmidt_distance(eye, zero) == pytest.approx(2.0)
-
-    def test_matches_double_loop(self):
-        rng = np.random.default_rng(14)
-        a = SpectralOperator(rng.standard_normal((5, 5)))
-        b = SpectralOperator(rng.standard_normal((5, 5)))
-        total = 0.0
-        for i in range(5):
-            for j in range(5):
-                total += (a.matrix[i, j] - b.matrix[i, j]) ** 2
-        assert hilbert_schmidt_distance(a, b) == pytest.approx(math.sqrt(total), rel=1e-13)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            hilbert_schmidt_distance(
-                SpectralOperator(np.eye(3)), SpectralOperator(np.eye(4))
-            )

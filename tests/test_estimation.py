@@ -9,7 +9,6 @@ from banach_ar1.estimation import (
     TruncationRankError,
     TruncationRule,
     _wavelet_matrix,
-    eigen_decompose,
     empirical_covariance,
     empirical_cross_covariance,
     fit_estimator,
@@ -18,7 +17,6 @@ from banach_ar1.estimation import (
     max_inverse_gap,
     plug_in_predict,
     prediction_error_besov,
-    sign_align,
     truncation_order,
 )
 from banach_ar1.model import (
@@ -27,13 +25,12 @@ from banach_ar1.model import (
     build_covariance,
     build_noise_covariance,
     build_rho,
-    evaluate_on_grid,
     sample_initial_condition,
     simulate_trajectory,
 )
 from banach_ar1.wavelet import WaveletBasisSpec, besov_sup_norm, dwt_forward
 
-from oracles import oracle_estimator, qr_factor_estimator
+from oracles import grid_values, oracle_estimator, qr_factor_estimator, spline_errors
 
 SPEC = WaveletBasisSpec(order=10, coarse_level=2, max_level=10)
 
@@ -101,59 +98,37 @@ class TestEmpiricalMoments:
             empirical_covariance(Trajectory(states=np.zeros((1, 3))))
 
 
+def transition_states(inputs):
+    """States whose first len(inputs) rows are the fit's inputs; the last state is only an output."""
+    return Trajectory(states=np.vstack([inputs, np.zeros(inputs.shape[1])]))
+
+
 class TestEigenDecompose:
+    # the estimator's one eigen route: fit_stack's eigensystem of the transition Gram matrix
+
     def test_permuted_diagonal(self):
-        dec = eigen_decompose(SpectralOperator(np.diag([3.0, 1.0, 2.0]), symmetric=True))
-        assert np.array_equal(dec.values, [3.0, 2.0, 1.0])
+        # inputs^T inputs / 3 = diag(3, 1, 2)
+        state = fit_estimator(transition_states(np.diag(np.sqrt([9.0, 3.0, 6.0]))), TruncationRule.fixed(1))
+        assert state.eigenvalues == pytest.approx([3.0, 2.0, 1.0], rel=1e-15)
         expected_cols = [0, 2, 1]
         for rank, col in enumerate(expected_cols):
-            assert abs(abs(dec.vectors[col, rank]) - 1.0) < 1e-14
+            assert abs(abs(state.eigenvectors[col, rank]) - 1.0) < 1e-14
 
     def test_textbook_two_by_two(self):
-        dec = eigen_decompose(SpectralOperator(np.array([[2.0, 1.0], [1.0, 2.0]]), symmetric=True))
-        assert np.allclose(dec.values, [3.0, 1.0])
+        # inputs^T inputs / 2 = [[2, 1], [1, 2]]
+        a, b = (math.sqrt(3) + 1) / 2, (math.sqrt(3) - 1) / 2
+        state = fit_estimator(transition_states(math.sqrt(2) * np.array([[a, b], [b, a]])), TruncationRule.fixed(1))
+        assert np.allclose(state.eigenvalues, [3.0, 1.0])
         inv_sqrt2 = 1 / math.sqrt(2)
-        assert np.abs(np.abs(dec.vectors[:, 0]) - inv_sqrt2).max() < 1e-14
-        assert np.abs(np.abs(dec.vectors[:, 1]) - inv_sqrt2).max() < 1e-14
+        assert np.abs(np.abs(state.eigenvectors[:, 0]) - inv_sqrt2).max() < 1e-14
+        assert np.abs(np.abs(state.eigenvectors[:, 1]) - inv_sqrt2).max() < 1e-14
 
     def test_reconstruction_and_order(self):
-        rng = np.random.default_rng(17)
-        m = rng.standard_normal((6, 6))
-        m = m + m.T
-        dec = eigen_decompose(SpectralOperator(m, symmetric=True))
-        recon = dec.vectors @ np.diag(dec.values) @ dec.vectors.T
-        assert np.abs(recon - m).max() < 1e-10
-        assert (np.diff(dec.values) <= 1e-12).all()
-
-    def test_flags_near_degenerate_gaps(self):
-        dec = eigen_decompose(SpectralOperator(np.diag([1.0, 0.5, 0.5 - 1e-12]), symmetric=True))
-        assert dec.near_degenerate == [2]
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            eigen_decompose(SpectralOperator(np.array([[0.0, 1.0], [0.0, 0.0]])))
-
-
-class TestSignAlign:
-    def test_keeps_matching_orientation(self):
-        v = np.array([1.0, 2.0])
-        assert np.array_equal(sign_align(v, v), v)
-
-    def test_flips_opposed_reference(self):
-        v = np.array([1.0, 2.0])
-        assert np.array_equal(sign_align(-v, v), -v)
-
-    def test_tie_resolves_positive(self):
-        e1 = np.array([1.0, 0.0])
-        e2 = np.array([0.0, 1.0])
-        assert np.array_equal(sign_align(e1, e2), e2)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(33)
-        for _ in range(50):
-            v, r = rng.standard_normal(5), rng.standard_normal(5)
-            once = sign_align(v, r)
-            assert np.array_equal(sign_align(v, once), once)
+        x = np.random.default_rng(17).standard_normal((12, 6))
+        state = fit_estimator(Trajectory(states=x), TruncationRule.fixed(2))
+        recon = state.eigenvectors @ np.diag(state.eigenvalues) @ state.eigenvectors.T
+        assert np.abs(recon - x[:-1].T @ x[:-1] / 11).max() < 1e-10
+        assert (np.diff(state.eigenvalues) <= 1e-12).all()
 
 
 class TestTruncationOrder:
@@ -394,7 +369,7 @@ class TestPredictionError:
 
     def test_zero_prediction_reduces_to_truth_norm(self):
         v = np.array([0.4, -0.1, 0.2])
-        expected = besov_sup_norm(dwt_forward(evaluate_on_grid(v, 2048), SPEC))
+        expected = besov_sup_norm(dwt_forward(grid_values(v, 2048), SPEC))
         assert prediction_error_besov(v, np.zeros(3), 2048, SPEC) == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("modes", [5, 50])
@@ -405,17 +380,28 @@ class TestPredictionError:
         rng = np.random.default_rng(modes)
         for _ in range(10):
             truth, predicted = rng.standard_normal((2, modes))
-            diff = evaluate_on_grid(truth, spec.grid_len) - evaluate_on_grid(predicted, spec.grid_len)
+            diff = grid_values(truth, spec.grid_len) - grid_values(predicted, spec.grid_len)
             expected = besov_sup_norm(dwt_forward(diff, spec))
             got = prediction_error_besov(truth, predicted, spec.grid_len, spec)
             assert got == pytest.approx(expected, rel=1e-13)
 
     def test_coefficient_matrix_is_read_only(self):
-        w = _wavelet_matrix(5, 2048, SPEC)
-        assert w.shape == (5, 2048)
-        assert not w.flags.writeable
-        with pytest.raises(ValueError):
-            w[0, 0] = 1.0
+        for coarse_step in (None, 0.0372):
+            w = _wavelet_matrix(5, 2048, SPEC, coarse_step)
+            assert w.shape == (5, 2048)
+            assert not w.flags.writeable
+            with pytest.raises(ValueError):
+                w[0, 0] = 1.0
+
+    @pytest.mark.parametrize("modes", [5, 50])
+    def test_spline_matrix_matches_scoring_each_replication(self, modes):
+        # the cached matrix route against the transform of each replication's spline difference
+        rng = np.random.default_rng(modes + 1)
+        truth, predicted = rng.standard_normal((2, 4, modes))
+        got = prediction_error_besov(truth, predicted, 2048, SPEC, 0.0372)
+        expected = spline_errors(truth, predicted, 0.0372, SPEC)
+        assert got.shape == (4,)
+        assert (np.abs(got - expected) <= 1e-14 * np.array(expected)).all()
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(31)

@@ -113,6 +113,9 @@ class TestParseConfig:
     def test_descending_sizes_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="ascending"):
             parse_config(write_config(tmp_path, "sample_sizes = 800, 200\n"))
+        # a repeated size would run its replications twice and count them twice
+        with pytest.raises(ConfigError, match="strictly ascending"):
+            parse_config(write_config(tmp_path, "sample_sizes = 20, 20\n"))
 
 
 TINY_CONFIG = "modes = 8\ngrid_len = 256\nsample_sizes = 6, 20\nreplications = 3\nseed = 5\n"
@@ -225,6 +228,23 @@ class TestRunExperiment:
         r_spline, _ = run_replication(splined, 200, 0)
         assert r_plain.error_b != r_spline.error_b
         assert abs(r_plain.error_b - r_spline.error_b) < 0.5 * max(r_plain.error_b, r_spline.error_b)
+
+    @pytest.mark.parametrize("extra", ["", "spline_mode = true\n"], ids=["grid", "spline"])
+    def test_scoring_matrix_is_built_once_before_the_chunks(self, tmp_path, monkeypatch, extra):
+        # the chunks' threads, or forked workers, share the one cached matrix instead of each building it
+        matrix = harness.estimation._wavelet_matrix
+        matrix.cache_clear()
+        misses = []
+        original = harness._compute_stack
+
+        def recorded(*args):
+            misses.append(matrix.cache_info().misses)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "_compute_stack", recorded)
+        run_experiment(parse_config(smoke_config(tmp_path, extra=extra)), threads=1)
+        assert misses and set(misses) == {1}
+        assert matrix.cache_info().misses == 1
 
     def test_exceedance_flag_matches_bound(self, tmp_path):
         cfg = parse_config(smoke_config(tmp_path))
@@ -604,6 +624,7 @@ class TestCli:
             pytest.param("coarse_step = nan\n", [], id="coarse-step-nan"),
             pytest.param("coarse_step = 1e-5\n", [], id="coarse-step-kernel-too-large"),
             pytest.param("coarse_step = 0.00097\n", [], id="coarse-step-just-below-ceiling"),
+            pytest.param("sample_sizes = 20, 20\n", [], id="sample-sizes-repeated"),
             pytest.param("truncation = fixed:0\n", [], id="truncation-fixed-zero"),
             pytest.param("gamma = 400\n", [], id="gamma-eigenvalues-underflow"),
             pytest.param("width = 1e300\n", [], id="width-squared-overflows"),

@@ -16,12 +16,9 @@ from banach_ar1.model import (
     build_rho,
     check_stationarity,
     covariance_eigenvalues,
-    covariance_kernel,
     covariance_kernel_surface,
     draw_paths,
-    eigenfunction_on_grid,
     eigenfunctions_on_grid,
-    evaluate_on_grid,
     evaluate_via_spline,
     sample_initial_condition,
     simulate_paths,
@@ -30,7 +27,13 @@ from banach_ar1.model import (
     step_paths,
 )
 
-from oracles import lyapunov_fixed_point, stepped_trajectory, truncated_normal_variance_factor
+from oracles import (
+    grid_values,
+    kernel_value,
+    lyapunov_fixed_point,
+    stepped_trajectory,
+    truncated_normal_variance_factor,
+)
 
 PAPER = dict(gamma=1.21, beta_exponent=0.6)
 
@@ -84,7 +87,7 @@ class TestCovariance:
 
 class TestEigenfunctions:
     def test_midpoint_value(self):
-        grid = eigenfunction_on_grid(1, 2048)
+        grid = eigenfunctions_on_grid(1, 2048)[0]
         assert grid[1023] == pytest.approx(math.sqrt(2) * math.sin(math.pi * 1023.5 / 2048))
         t = (np.arange(2048) + 0.5) / 2048
         mid = np.argmin(np.abs(t - 0.5))
@@ -94,10 +97,6 @@ class TestEigenfunctions:
         phi = eigenfunctions_on_grid(12, 2048)
         gram = phi @ phi.T / 2048
         assert np.abs(gram - np.eye(12)).max() < 1e-3
-
-    def test_invalid_index(self):
-        with pytest.raises(ValueError):
-            eigenfunction_on_grid(0, 64)
 
 
 class TestRho:
@@ -329,23 +328,30 @@ class TestSimulation:
 
 
 class TestGridEvaluation:
+    # spline mode scores through one matrix, the splines of the unit coefficient vectors,
+    # which relies on the spline evaluation being linear and row-wise on a stack
     def test_zero_and_unit_coefficients(self):
-        assert np.abs(evaluate_on_grid(np.zeros(4), 256)).max() == 0.0
+        assert np.abs(evaluate_via_spline(np.zeros(4), 0.0372, 256)).max() == 0.0
         e1 = np.array([1.0, 0.0, 0.0, 0.0])
         t = (np.arange(256) + 0.5) / 256
-        assert np.allclose(evaluate_on_grid(e1, 256), math.sqrt(2) * np.sin(math.pi * t))
+        assert np.allclose(evaluate_via_spline(e1, 0.0372, 256), math.sqrt(2) * np.sin(math.pi * t), atol=1e-5)
 
     def test_linearity(self):
         rng = np.random.default_rng(8)
         x, y = rng.standard_normal(6), rng.standard_normal(6)
-        mixed = evaluate_on_grid(2.5 * x - 0.75 * y, 128)
-        parts = 2.5 * evaluate_on_grid(x, 128) - 0.75 * evaluate_on_grid(y, 128)
+        mixed = evaluate_via_spline(2.5 * x - 0.75 * y, 0.0372, 128)
+        parts = 2.5 * evaluate_via_spline(x, 0.0372, 128) - 0.75 * evaluate_via_spline(y, 0.0372, 128)
         assert np.abs(mixed - parts).max() < 1e-12
+
+    @pytest.mark.parametrize("modes", [5, 50])
+    def test_stack_evaluates_each_row_as_one_vector(self, modes):
+        rows = [evaluate_via_spline(e, 0.0372, 2048) for e in np.eye(modes)]
+        assert np.array_equal(evaluate_via_spline(np.eye(modes), 0.0372, 2048), rows)
 
     def test_spline_mode_tracks_direct_evaluation(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal(5) * 0.3
-        direct = evaluate_on_grid(x, 2048)
+        direct = grid_values(x, 2048)
         splined = evaluate_via_spline(x, 0.0372, 2048)
         # the coarse grid resolves the low-frequency modes used here
         assert np.abs(direct - splined).max() < 0.05 * max(np.abs(direct).max(), 1e-9)
@@ -378,14 +384,14 @@ def test_cli_import_leaves_multiprocessing_unloaded():
 class TestKernel:
     def test_symmetry_and_diagonal_positivity(self):
         cov = build_covariance(params(modes=20))
-        assert covariance_kernel(cov, 0.3, 0.7) == pytest.approx(covariance_kernel(cov, 0.7, 0.3))
-        for t in np.linspace(0.05, 0.95, 7):
-            assert covariance_kernel(cov, t, t) > 0
+        surface = covariance_kernel_surface(cov, np.linspace(0.05, 0.95, 7))
+        assert np.abs(surface - surface.T).max() < 1e-15
+        assert (np.diag(surface) > 0).all()
 
     def test_trace_quadrature_matches_eigenvalue_sum(self):
         cov = build_covariance(params(modes=20))
-        grid = (np.arange(2048) + 0.5) / 2048
-        diag = np.array([covariance_kernel(cov, t, t) for t in grid])
+        grid = (np.arange(512) + 0.5) / 512
+        diag = np.diag(covariance_kernel_surface(cov, grid))
         assert diag.mean() == pytest.approx(np.diag(cov.matrix).sum(), rel=1e-3)
 
     def test_surface_matches_pointwise_kernel(self):
@@ -394,7 +400,7 @@ class TestKernel:
         surface = covariance_kernel_surface(cov, pts)
         for a in (0, 4, 8):
             for b in (1, 5):
-                assert surface[a, b] == pytest.approx(covariance_kernel(cov, pts[a], pts[b]), abs=1e-14)
+                assert surface[a, b] == pytest.approx(kernel_value(np.diag(cov.matrix), pts[a], pts[b]), abs=1e-14)
 
 
 class TestPowerTable:

@@ -10,6 +10,7 @@ from banach_ar1.wavelet import (
     WaveletCoeffs,
     besov_l1_norm,
     besov_sup_norm,
+    coefficient_matrix,
     daubechies_filter,
     dwt_forward,
     dwt_inverse,
@@ -141,6 +142,12 @@ class TestTransform:
         flat = fast.flatten()
         assert abs(math.sqrt(flat @ flat) - l2) < 1e-8
 
+    def test_coefficient_matrix_rows_are_single_transforms(self):
+        rows = np.random.default_rng(10).standard_normal((3, SPEC.grid_len))
+        w = coefficient_matrix(rows, SPEC)
+        assert w.shape == (3, SPEC.grid_len)
+        for row, coeffs in zip(rows, w):
+            assert np.array_equal(coeffs, dwt_forward(row, SPEC).flatten())
 
     def test_periodic_index_is_cached_and_read_only(self):
         idx = _periodic_index(16, 6)
