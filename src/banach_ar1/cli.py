@@ -69,9 +69,9 @@ def _load_config(args) -> harness.ExperimentConfig:
 def _cmd_run(args) -> int:
     config = _load_config(args)
     workers = harness.worker_count(args.threads, len(harness.chunk_layout(config)))
-    drawing = "chunks run on two threads" if workers == 1 else "chunks drawn inline"
+    chunks = "chunks run on two threads" if workers == 1 else "one chunk at a time per worker process"
     blas = ", ".join(f"{var}={setting}" for var, setting in BLAS_THREAD_SETTINGS.items())
-    logger.info("%d worker process(es), %s, BLAS threads per process: %s", workers, drawing, blas)
+    logger.info("%d worker process(es), %s, BLAS threads per process: %s", workers, chunks, blas)
     results, reports = harness.run_experiment(config, threads=args.threads)
     print(f"wrote {len(results)} replication results for {len(reports)} sample sizes to {config.output_dir}")
     return EXIT_OK

@@ -153,10 +153,15 @@ def trace_embedding_report(eigvecs_on_grid: np.ndarray, spec: WaveletBasisSpec) 
     eigvecs_on_grid = np.asarray(eigvecs_on_grid, dtype=float)
     if eigvecs_on_grid.ndim != 2 or eigvecs_on_grid.shape[1] != spec.grid_len:
         raise ValueError("eigvecs_on_grid must be (modes, grid_len)")
-    w = coefficient_matrix(eigvecs_on_grid, spec)
-    v_sup = float(max(w.max(), -w.min()))
-    w *= w  # squared in place: no second p x L array
-    return TraceReport(trace_sum=float(w.sum()), n_sup=float(w.sum(axis=0).max()), v_sup=v_sup)
+    return _trace_sums(coefficient_matrix(eigvecs_on_grid, spec))
+
+
+def _trace_sums(w: np.ndarray) -> TraceReport:
+    """The trace_embedding_report sums of a (modes, coefficients) matrix w, which is left as it is."""
+    squared = w * w
+    return TraceReport(
+        trace_sum=float(squared.sum()), n_sup=float(squared.sum(axis=0).max()), v_sup=float(max(w.max(), -w.min()))
+    )
 
 
 def eigen_decay_report(state: EstimatorState) -> list[tuple[int, float]]:

@@ -12,14 +12,13 @@ The replications of one sample size run in chunks, stacked along a leading
 axis through simulation, fit, prediction and scoring; a chunk is the unit of
 work of the executor.  Every product in the stack is the per-replication
 gemm or gemv, so a replication's error does not depend on its chunk.  A
-chunk runs in two stages: the draw stage fills its innovations, the compute
-stage steps the recursion, fits, predicts and scores.  A sweep maps the
-chunks, in layout order, over a pool of worker processes or, with one
-worker, over two threads of this process, so while one thread draws the
-other can compute.  Each worker runs one chunk at a time, so at most two
-chunks' trajectory buffers (each within TRAJECTORY_BUDGET doubles, or one
-replication) are in use at once in a serial sweep, and a process reuses the
-buffer of a finished chunk for the next chunk of its shape.
+chunk is one call of model.simulate_paths on the stack, then its fit,
+prediction and scoring.  A sweep maps the chunks, in layout order, over a
+pool of worker processes or, with one worker, over two threads of this
+process, so while one thread draws the other can compute.  Each worker runs
+one chunk at a time, so at most two chunks' trajectories (each within
+TRAJECTORY_BUDGET doubles, or one replication) are alive at once in a
+serial sweep.
 
 The experiment fits on the first n states and predicts from state n+1, so
 the estimator's sample and the prediction input are disjoint.
@@ -32,7 +31,6 @@ import functools
 import logging
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -61,7 +59,6 @@ class StationarityError(RuntimeError):
 class ExperimentConfig:
     model: ModelParams
     wavelet: WaveletBasisSpec
-    beta_exponent: float
     sample_sizes: tuple[int, ...]
     replications: int
     truncation: TruncationRule
@@ -86,7 +83,6 @@ class ExperimentConfig:
         if self.master_seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.master_seed}")
         for name, value in (
-            ("beta", self.beta_exponent),
             ("gamma", self.model.gamma),
             ("width", self.model.width),
             ("coarse_step", self.coarse_step),
@@ -248,13 +244,11 @@ def _build_config(raw: dict[str, tuple[str, int]]) -> ExperimentConfig:
             width=width,
             modes=modes,
             grid_len=grid_len,
-            seed=seed,
         )
         wavelet_spec = WaveletBasisSpec(order=order, coarse_level=coarse_level, max_level=max_level)
         return ExperimentConfig(
             model=params,
             wavelet=wavelet_spec,
-            beta_exponent=beta,
             sample_sizes=sample_sizes,
             replications=replications,
             truncation=truncation,
@@ -269,41 +263,8 @@ def _build_config(raw: dict[str, tuple[str, int]]) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
 
 
-class _ChunkBuffers:
-    """Trajectory buffers that the chunks of a run reuse within a process.
-
-    A buffer outlives its chunk: a finished chunk hands it back for the
-    next chunk of the same (replications, length, modes) shape, and a
-    buffer of another shape drops the spares.
-    """
-
-    def __init__(self):
-        self._spare_lock = threading.Lock()
-        self._spares: list[np.ndarray] = []  # guarded by _spare_lock; all of one shape
-
-    def trajectory(self, shape: tuple[int, int, int]) -> np.ndarray:
-        """A spare trajectory buffer of this shape, or a new one; its contents are garbage."""
-        with self._spare_lock:
-            if self._spares and self._spares[-1].shape == shape:
-                return self._spares.pop()
-            self._spares.clear()
-        return np.empty(shape)
-
-    def recycle(self, buffer: np.ndarray) -> None:
-        """Take back a trajectory buffer that nothing refers to any more."""
-        with self._spare_lock:
-            if self._spares and self._spares[-1].shape != buffer.shape:
-                self._spares.clear()
-            self._spares.append(buffer)
-
-    def release(self) -> None:
-        """Drop the spares."""
-        with self._spare_lock:
-            self._spares.clear()
-
-
 class _RunContext:
-    """Model pieces, and the chunks' reusable memory, shared by every replication of one experiment."""
+    """Model pieces shared by every replication of one experiment."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
@@ -314,7 +275,6 @@ class _RunContext:
         # gap coefficients need one eigenvalue beyond the largest truncation
         self.c_extended = model.covariance_eigenvalues(config.model.gamma, config.model.modes + 1)
         self._bounds: dict[int, tuple[int, np.ndarray, float]] = {}
-        self.buffers = _ChunkBuffers()
 
     def bound_for(self, n: int) -> tuple[int, np.ndarray, float]:
         """k_n, its gap coefficients and the exceedance bound xi, computed once per n."""
@@ -356,37 +316,25 @@ def chunk_layout(config: ExperimentConfig) -> list[tuple[int, int, int]]:
     return chunks
 
 
-def _draw_stack(config: ExperimentConfig, n: int, r0: int, r1: int) -> np.ndarray:
-    """Draw stage of replications r0..r1-1 of size n: their streams, starts and innovations.
-
-    Returns their model.draw_paths buffer, a spare one where one fits.  It
-    reads only the run context's cached, read-only operators, never the
-    power table, so two threads may draw at once.
-    """
-    ctx = _context(config)
-    length, p = config.burn_in + n + 1, config.model.modes
-    rngs = [replication_rng(config.master_seed, n, r) for r in range(r0, r1)]
-    if config.truncated_init:
-        x0 = [model.sample_initial_condition(ctx.covariance, rng) for rng in rngs]
-    else:
-        x0 = np.zeros((len(rngs), p))
-    return model.draw_paths(ctx.buffers.trajectory((len(rngs), length, p)), ctx.noise, x0, rngs)
-
-
 def _coarse_step(config: ExperimentConfig) -> float | None:
     """The coarse_step that scoring expands errors through: spline mode's, or None on the grid."""
     return config.coarse_step if config.spline_mode else None
 
 
-def _compute_stack(
-    config: ExperimentConfig, n: int, r0: int, paths: np.ndarray
+def _run_stack(
+    config: ExperimentConfig, n: int, r0: int, r1: int
 ) -> tuple[list[diagnostics.ExperimentResult], EstimatorState]:
-    """Compute stage: step, fit, predict and score the _draw_stack buffer of replications r0.. of size n.
+    """Simulate, fit, predict and score replications r0..r1-1 of size n as one stack.
 
     Returns their results and the stack of fits.
     """
     ctx = _context(config)
-    states = model.step_paths(paths, ctx.rho)[:, config.burn_in :]
+    rngs = [replication_rng(config.master_seed, n, r) for r in range(r0, r1)]
+    if config.truncated_init:
+        x0 = [model.sample_initial_condition(ctx.covariance, rng) for rng in rngs]
+    else:
+        x0 = np.zeros((len(rngs), config.model.modes))
+    states = model.simulate_paths(n, ctx.rho, ctx.noise, x0, rngs, config.burn_in)
     fits = estimation.fit_stack(states[:, :n], config.truncation)
     newest = states[:, n]
     predicted = estimation.plug_in_predict(fits, newest)
@@ -406,8 +354,7 @@ def run_replication(
     config: ExperimentConfig, n: int, replication: int
 ) -> tuple[diagnostics.ExperimentResult, EstimatorState]:
     """Simulate, fit, predict and score a single (n, replication) cell: a stack of one."""
-    paths = _draw_stack(config, n, replication, replication + 1)
-    results, fits = _compute_stack(config, n, replication, paths)
+    results, fits = _run_stack(config, n, replication, replication + 1)
     return results[0], fits[0]
 
 
@@ -415,13 +362,11 @@ ChunkOutput = tuple[list[diagnostics.ExperimentResult], list[tuple[int, int, flo
 
 
 def _run_chunk(task: tuple[ExperimentConfig, int, int, int]) -> ChunkOutput:
-    """One chunk's two stages in turn: its results, and the eigen-decay rows if it holds replication 0."""
+    """One chunk's results, and the eigen-decay rows if it holds replication 0."""
     config, n, r0, r1 = task
-    paths = _draw_stack(config, n, r0, r1)
-    results, fits = _compute_stack(config, n, r0, paths)
+    results, fits = _run_stack(config, n, r0, r1)
     # only the first replication's eigenvalue decay is reported per n
     decay = [(n, j, value) for j, value in diagnostics.eigen_decay_report(fits[0])] if r0 == 0 else []
-    _context(config).buffers.recycle(paths)  # the output holds floats and fresh arrays, no view of the paths
     return results, decay
 
 
@@ -477,17 +422,15 @@ def run_experiment(
     else:
         # numpy's generator fill, BLAS and LAPACK release the interpreter lock
         executor = ThreadPoolExecutor(max_workers=2, thread_name_prefix="banach-ar1-chunk")
-    try:
-        with executor:
-            outputs = list(executor.map(_run_chunk, tasks))
-    finally:
-        ctx.buffers.release()  # the buffers belong to the sweep, not to the cached context
+    with executor:
+        outputs = list(executor.map(_run_chunk, tasks))
 
     results = [result for chunk_results, _ in outputs for result in chunk_results]
     decay_rows = [row for _, chunk_decay in outputs for row in chunk_decay]
 
-    phi = model.eigenfunctions_on_grid(config.model.modes, config.model.grid_len)
-    trace = diagnostics.trace_embedding_report(phi, config.wavelet)
+    trace = diagnostics._trace_sums(
+        estimation._wavelet_matrix(config.model.modes, config.model.grid_len, config.wavelet, None)
+    )
     reports = []
     for n in config.sample_sizes:
         k, a_vals, xi = ctx.bound_for(n)
@@ -670,4 +613,4 @@ def read_estimator_csv(path) -> EstimatorState:
 
 def config_with_seed(config: ExperimentConfig, seed: int) -> ExperimentConfig:
     """A copy of the configuration with a different master seed."""
-    return replace(config, master_seed=seed, model=replace(config.model, seed=seed))
+    return replace(config, master_seed=seed)

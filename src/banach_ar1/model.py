@@ -44,7 +44,6 @@ class ModelParams:
     width: float = 0.4
     modes: int = 50
     grid_len: int = 2048
-    seed: int = 0
 
     def __post_init__(self):
         if not self.gamma > 2 * self.beta_exponent > 1:
@@ -258,27 +257,25 @@ DRAW_ROWS = 256
 
 
 def draw_paths(
-    x: np.ndarray, noise_cov: SpectralOperator, x0: np.ndarray, rngs: list[np.random.Generator]
+    noise_cov: SpectralOperator, x0: np.ndarray, rngs: list[np.random.Generator], steps: int
 ) -> np.ndarray:
-    """The draw stage of simulate_paths: the start and the innovations of each path, into a given buffer.
+    """The draw stage of simulate_paths: the start and the innovations of each path.
 
-    Fills and returns x, a (len(rngs), steps + 1, p) buffer whose contents
-    are ignored: row 0 of path r gets x0[r], and rows 1..steps get its
-    innovations eps_1..eps_steps, one standard_normal((steps, p)) block
-    drawn from rngs[r] and mapped through the symmetric square root of
-    noise_cov.  The block is drawn and mapped DRAW_ROWS rows at a time
-    through a scratch of this call's own (a product written over its own
-    input makes numpy copy the whole input first), so draws in two threads
-    share nothing.  step_paths turns x into states in place.  It touches
-    neither rho nor its power table, so it may run in another thread while
-    an earlier buffer steps.
+    Returns a new (len(rngs), steps + 1, p) array: row 0 of path r holds
+    x0[r], and rows 1..steps its innovations eps_1..eps_steps, one
+    standard_normal((steps, p)) block drawn from rngs[r] and mapped through
+    the symmetric square root of noise_cov.  The block is drawn and mapped
+    DRAW_ROWS rows at a time through a scratch of this call's own (a product
+    written over its own input makes numpy copy the whole input first), so
+    draws in two threads share nothing.  step_paths turns the result into
+    states in place.
     """
     x0 = np.asarray(x0, dtype=float)
-    count, length, p = x.shape
-    if x0.shape != (count, p) or len(rngs) != count or noise_cov.dim != p:
-        raise ValueError("dimension mismatch between the buffer, noise_cov, x0 and rngs")
+    count, p = len(rngs), noise_cov.dim
+    if x0.shape != (count, p):
+        raise ValueError("dimension mismatch between noise_cov, x0 and rngs")
+    x = np.empty((count, steps + 1, p))
     x[:, 0] = x0
-    steps = length - 1
     edges = [DRAW_ROWS * i for i in range(max(1, steps // DRAW_ROWS))] + [steps]
     normals = np.empty((steps - edges[-2], p))  # the last piece is the longest
     root_t = noise_cov.sqrt.T
@@ -291,7 +288,7 @@ def draw_paths(
 
 
 def step_paths(x: np.ndarray, rho: SpectralOperator) -> np.ndarray:
-    """The compute stage of simulate_paths: X_i = rho X_{i-1} + eps_i, in place on a draw_paths buffer.
+    """The compute stage of simulate_paths: X_i = rho X_{i-1} + eps_i, in place on a draw_paths result.
 
     Returns x, row i of each path now holding its X_i.  The N = length - 1
     steps run anchor-first in blocks of s = isqrt(N) states.  One gemm per
@@ -346,9 +343,7 @@ def simulate_paths(
         raise ValueError("need n >= 2 (downstream estimators require at least two states)")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
-    p = noise_cov.dim
-    x = draw_paths(np.empty((len(rngs), burn_in + n + 1, p)), noise_cov, x0, rngs)
-    return step_paths(x, rho)[:, burn_in:]
+    return step_paths(draw_paths(noise_cov, x0, rngs, burn_in + n), rho)[:, burn_in:]
 
 
 def simulate_trajectory(

@@ -55,7 +55,7 @@ class TestParseConfig:
     def test_empty_file_gives_reference_defaults(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, ""))
         assert cfg.model.gamma == 1.21
-        assert cfg.beta_exponent == 0.6
+        assert cfg.model.beta_exponent == 0.6
         assert cfg.model.width == 0.4
         assert cfg.model.modes == 50
         assert cfg.model.grid_len == 2048
@@ -229,22 +229,23 @@ class TestRunExperiment:
         assert r_plain.error_b != r_spline.error_b
         assert abs(r_plain.error_b - r_spline.error_b) < 0.5 * max(r_plain.error_b, r_spline.error_b)
 
-    @pytest.mark.parametrize("extra", ["", "spline_mode = true\n"], ids=["grid", "spline"])
-    def test_scoring_matrix_is_built_once_before_the_chunks(self, tmp_path, monkeypatch, extra):
-        # the chunks' threads, or forked workers, share the one cached matrix instead of each building it
+    @pytest.mark.parametrize("extra, built", [("", 1), ("spline_mode = true\n", 2)], ids=["grid", "spline"])
+    def test_scoring_matrix_is_built_once_before_the_chunks(self, tmp_path, monkeypatch, extra, built):
+        # the chunks' threads, or forked workers, share the one cached matrix instead of each building it;
+        # the trace sums come from the grid matrix, which spline mode builds after the chunks
         matrix = harness.estimation._wavelet_matrix
         matrix.cache_clear()
         misses = []
-        original = harness._compute_stack
+        original = harness._run_stack
 
         def recorded(*args):
             misses.append(matrix.cache_info().misses)
             return original(*args)
 
-        monkeypatch.setattr(harness, "_compute_stack", recorded)
+        monkeypatch.setattr(harness, "_run_stack", recorded)
         run_experiment(parse_config(smoke_config(tmp_path, extra=extra)), threads=1)
         assert misses and set(misses) == {1}
-        assert matrix.cache_info().misses == 1
+        assert matrix.cache_info().misses == built
 
     def test_exceedance_flag_matches_bound(self, tmp_path):
         cfg = parse_config(smoke_config(tmp_path))
@@ -309,14 +310,14 @@ class TestChunks:
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         mapped = []
-        original = harness._draw_stack
+        original = harness._run_stack
 
         def recorded(config, n, r0, r1):
             mapped.append((n, r0, r1))
             return original(config, n, r0, r1)
 
-        # every chunk, in the pool or on this process's two threads, is drawn once
-        monkeypatch.setattr(harness, "_draw_stack", recorded)
+        # every chunk, in the pool or on this process's two threads, runs once
+        monkeypatch.setattr(harness, "_run_stack", recorded)
         config = parse_config(write_config(tmp_path, POOL_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
         layouts = []
         for threads in (1, 2, 3, 8):
@@ -359,7 +360,7 @@ def usable_cpus(monkeypatch, cpus):
 
 
 class DrawStageError(RuntimeError):
-    """Raised from inside the draw stage by a test."""
+    """Raised by a test while a chunk makes its streams."""
 
 
 class EarlierChunkError(RuntimeError):
@@ -368,10 +369,6 @@ class EarlierChunkError(RuntimeError):
 
 class LaterChunkError(RuntimeError):
     """Raised by a test from the later of two failing chunks."""
-
-
-def chunk_index(layout, n, r0, paths):
-    return layout.index((n, r0, r0 + len(paths)))
 
 
 class TestDrawAhead:
@@ -390,9 +387,7 @@ class TestDrawAhead:
         monkeypatch.setattr(harness, "TRAJECTORY_BUDGET", 8400)
         ahead = parse_config(write_config(tmp_path, CHUNK_CONFIG + extra + f"output_dir = {tmp_path / 'ahead'}\n"))
         run_experiment(ahead, threads=1)
-        # reference: each chunk's two stages in turn in this thread, each in a
-        # fresh buffer of NaNs
-        monkeypatch.setattr(harness._ChunkBuffers, "trajectory", lambda self, shape: np.full(shape, np.nan))
+        # reference: the chunks in turn in this thread
         monkeypatch.setattr(InlinePool, "requested", [])
         monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
         run_experiment(replace(ahead, output_dir=tmp_path / "inline"), threads=1)
@@ -405,36 +400,27 @@ class TestDrawAhead:
         config = parse_config(write_config(tmp_path, CHUNK_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
         layout = harness.chunk_layout(config)
         lock = threading.Lock()
-        held = {"now": 0, "most": 0}  # chunks holding a trajectory buffer
-        drawn = []  # (chunk, thread) as each chunk's draw finishes
-        second_drawn = threading.Event()
-        take, recycle, compute = harness._ChunkBuffers.trajectory, harness._ChunkBuffers.recycle, harness._compute_stack
+        running = {"now": 0, "most": 0}  # chunks in flight
+        started = []  # (chunk, thread) as each chunk starts
+        second_started = threading.Event()
+        original = harness._run_stack
 
-        def count(step):
+        def traced(config, n, r0, r1):
             with lock:
-                held["now"] += step
-                held["most"] = max(held["most"], held["now"])
+                running["now"] += 1
+                running["most"] = max(running["most"], running["now"])
+                started.append((layout.index((n, r0, r1)), threading.get_ident()))
+                if len(started) == 2:
+                    second_started.set()
+            # the first chunk goes on only once another thread has started the second
+            assert second_started.wait(timeout=30)
+            try:
+                return original(config, n, r0, r1)
+            finally:
+                with lock:
+                    running["now"] -= 1
 
-        def traced_take(buffers, shape):
-            count(1)
-            return take(buffers, shape)
-
-        def traced_recycle(buffers, buffer):
-            recycle(buffers, buffer)
-            count(-1)
-
-        def traced_compute(config, n, r0, paths):
-            with lock:
-                drawn.append((chunk_index(layout, n, r0, paths), threading.get_ident()))
-                if len(drawn) == 2:
-                    second_drawn.set()
-            # the first chunk computes only once another thread has drawn the second
-            assert second_drawn.wait(timeout=30)
-            return compute(config, n, r0, paths)
-
-        monkeypatch.setattr(harness._ChunkBuffers, "trajectory", traced_take)
-        monkeypatch.setattr(harness._ChunkBuffers, "recycle", traced_recycle)
-        monkeypatch.setattr(harness, "_compute_stack", traced_compute)
+        monkeypatch.setattr(harness, "_run_stack", traced)
         threads_before = threading.active_count()
         results, _ = run_experiment(config, threads=1)
         assert threading.active_count() == threads_before
@@ -442,9 +428,9 @@ class TestDrawAhead:
             (n, r) for n in config.sample_sizes for r in range(config.replications)
         ]
         assert len(layout) == 10
-        assert sorted(chunk for chunk, _ in drawn) == list(range(len(layout)))
-        assert len({thread for _, thread in drawn}) == 2
-        assert held == {"now": 0, "most": 2}
+        assert sorted(chunk for chunk, _ in started) == list(range(len(layout)))
+        assert len({thread for _, thread in started}) == 2
+        assert running == {"now": 0, "most": 2}
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_draw_stage_error_surfaces_with_its_own_type(self, tmp_path, monkeypatch, cpus):
@@ -469,10 +455,10 @@ class TestDrawAhead:
         config = parse_config(write_config(tmp_path, CHUNK_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
         layout = harness.chunk_layout(config)
         later_failed = threading.Event()
-        compute = harness._compute_stack
+        original = harness._run_stack
 
-        def failing(config, n, r0, paths):
-            chunk = chunk_index(layout, n, r0, paths)
+        def failing(config, n, r0, r1):
+            chunk = layout.index((n, r0, r1))
             if chunk == 4:
                 later_failed.set()
                 raise LaterChunkError("chunk 4")
@@ -480,49 +466,49 @@ class TestDrawAhead:
                 # chunk 3 fails only after chunk 4 has, on the other thread
                 assert later_failed.wait(timeout=30)
                 raise EarlierChunkError("chunk 3")
-            return compute(config, n, r0, paths)
+            return original(config, n, r0, r1)
 
-        monkeypatch.setattr(harness, "_compute_stack", failing)
+        monkeypatch.setattr(harness, "_run_stack", failing)
         threads_before = threading.active_count()
         with pytest.raises(EarlierChunkError, match="chunk 3"):
             run_experiment(config, threads=1)
         assert threading.active_count() == threads_before
         assert not (tmp_path / "out").exists()
 
-    def test_buffers_are_reused_but_no_fit_shares_their_memory(self, tmp_path, monkeypatch):
+    def test_no_fit_shares_the_memory_of_its_paths(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "TRAJECTORY_BUDGET", 8400)
         config = parse_config(write_config(tmp_path, CHUNK_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
-        buffers, fits = [], []
-        compute = harness._compute_stack
+        paths, fits = [], []
+        simulate, fit = harness.model.simulate_paths, harness.estimation.fit_stack
 
-        def kept(config, n, r0, paths):
-            results, state = compute(config, n, r0, paths)
-            buffers.append(paths)
-            fits.append(state)
-            return results, state
+        def kept_paths(*args):
+            paths.append(simulate(*args))
+            return paths[-1]
 
-        monkeypatch.setattr(harness, "_compute_stack", kept)
+        def kept_fits(*args):
+            fits.append(fit(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(harness.model, "simulate_paths", kept_paths)
+        monkeypatch.setattr(harness.estimation, "fit_stack", kept_fits)
         run_experiment(config, threads=1)
-        # the sweep hands its buffers back when it ends
-        memory = harness._context(config).buffers
-        assert memory._spares == []
-        fits.append(run_replication(config, 51, 4)[1])
-        assert len({id(buffer) for buffer in buffers}) < len(buffers) == len(harness.chunk_layout(config)) + 1
+        run_replication(config, 51, 4)
+        assert len(paths) == len(fits) == len(harness.chunk_layout(config)) + 1
         for state in fits:
             for array in (state.eigenvalues, state.eigenvectors, state.d_matrix, state.rho_hat):
-                assert not any(np.shares_memory(array, buffer) for buffer in buffers)
+                assert not any(np.shares_memory(array, path.base) for path in paths)
 
     @pytest.mark.parametrize(
-        "threads, drawing", [(1, "chunks run on two threads"), (2, "chunks drawn inline")]
+        "threads, chunks", [(1, "chunks run on two threads"), (2, "one chunk at a time per worker process")]
     )
-    def test_run_log_says_whether_the_sweep_draws_ahead(self, tmp_path, monkeypatch, caplog, threads, drawing):
+    def test_run_log_says_how_the_chunks_run(self, tmp_path, monkeypatch, caplog, threads, chunks):
         monkeypatch.setattr(InlinePool, "requested", [])
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         usable_cpus(monkeypatch, 2)
         cfg_path = write_config(tmp_path, TINY_CONFIG + f"output_dir = {tmp_path / 'out'}\n")
         with caplog.at_level("INFO", logger="banach_ar1.cli"):
             assert cli.main(["run", "--config", str(cfg_path), "--threads", str(threads)]) == cli.EXIT_OK
-        assert f"{threads} worker process(es), {drawing}, BLAS threads per process" in caplog.text
+        assert f"{threads} worker process(es), {chunks}, BLAS threads per process" in caplog.text
 
 
 class TestEstimatorBundle:
