@@ -28,9 +28,11 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import logging
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -76,12 +78,17 @@ class ExperimentConfig:
             raise ConfigError(f"sample_sizes must be strictly ascending, got {list(self.sample_sizes)}")
         if min(self.sample_sizes) < 2:
             raise ConfigError("sample sizes must be >= 2")
+        # the exceedance bound and the truncation-rate ratio divide n in doubles
+        if self.sample_sizes[-1] > sys.float_info.max:
+            raise ConfigError(f"sample sizes must be at most {sys.float_info.max:.6g}, the largest double")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if self.burn_in < 0:
             raise ConfigError("burn_in must be >= 0")
         if self.master_seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.master_seed}")
+        if not self.output_dir:
+            raise ConfigError("output_dir must be non-empty")
         for name, value in (
             ("gamma", self.model.gamma),
             ("width", self.model.width),
@@ -109,182 +116,174 @@ class ExperimentConfig:
             )
 
 
-_DEFAULTS = {
-    "beta": 0.6,
-    "gamma": 1.21,
-    "width": 0.4,
-    "modes": 50,
-    "grid_len": 2048,
-    "wavelet_order": 10,
-    "coarse_level": 2,
-    "sample_sizes": "500,2000,8000",
-    "replications": 50,
-    "truncation": "log",
-    "burn_in": None,  # 0 with the truncated-Gaussian initializer, else 500
-    "truncated_init": True,
-    "spline_mode": False,
-    "coarse_step": 0.0372,
-    "output_dir": "results",
-    "seed": 1729,
-}
+def _parse_int(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {raw!r}") from None
 
 
-def _parse_bool(raw: str, line_no: int) -> bool:
-    low = raw.strip().lower()
+def _parse_float(raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"expected a number, got {raw!r}") from None
+
+
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
     if low in ("true", "yes", "1", "on"):
         return True
     if low in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"line {line_no}: expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_int(raw: str, line_no: int) -> int:
+def _parse_sizes(raw: str) -> tuple[int, ...]:
     try:
-        return int(raw.strip())
+        return tuple(int(tok) for tok in raw.split(",") if tok.strip())
     except ValueError:
-        raise ConfigError(f"line {line_no}: expected an integer, got {raw!r}") from None
+        raise ValueError("sample_sizes must be comma-separated integers") from None
 
 
-def _parse_float(raw: str, line_no: int) -> float:
-    try:
-        return float(raw.strip())
-    except ValueError:
-        raise ConfigError(f"line {line_no}: expected a number, got {raw!r}") from None
+def _parse_truncation(raw: str) -> TruncationRule:
+    low = raw.lower()
+    if low == "log":
+        return TruncationRule.log_ceil()
+    if low.startswith("fixed:"):
+        return TruncationRule.fixed(_parse_int(low.removeprefix("fixed:")))
+    raise ValueError("truncation must be `log` or `fixed:<k>`")
+
+
+# key -> (parser of its stripped value, default)
+_KEYS = {
+    "beta": (_parse_float, 0.6),
+    "gamma": (_parse_float, 1.21),
+    "width": (_parse_float, 0.4),
+    "modes": (_parse_int, 50),
+    "grid_len": (_parse_int, 2048),
+    "wavelet_order": (_parse_int, 10),
+    "coarse_level": (_parse_int, 2),
+    "sample_sizes": (_parse_sizes, (500, 2000, 8000)),
+    "replications": (_parse_int, 50),
+    "truncation": (_parse_truncation, TruncationRule.log_ceil()),
+    "burn_in": (_parse_int, None),  # 0 with the truncated-Gaussian initializer, else 500
+    "truncated_init": (_parse_bool, True),
+    "spline_mode": (_parse_bool, False),
+    "coarse_step": (_parse_float, 0.0372),
+    "output_dir": (str, "results"),
+    "seed": (_parse_int, 1729),
+}
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
-    """Parse a line-oriented `key = value` file into an ExperimentConfig.
+    """Parse a line-oriented UTF-8 `key = value` file into an ExperimentConfig.
 
-    Blank lines and `#` comments are ignored; unknown keys and malformed
-    lines are reported with their line numbers.  Missing keys fall back to
-    defaults mirroring the reference scenario (beta 0.6, gamma 1.21, width
-    0.4, coarse level 2, grid 2048, order-10 wavelets, log-ceiling
-    truncation).
+    Blank lines and `#` comments are ignored; unknown keys, duplicates,
+    malformed lines and values that do not parse are reported with their
+    line numbers, and a model or wavelet-basis error with the lines of its
+    keys that the file sets.  Missing keys fall back to defaults mirroring the
+    reference scenario (beta 0.6, gamma 1.21, width 0.4, coarse level 2,
+    grid 2048, order-10 wavelets, log-ceiling truncation).
     """
-    raw: dict[str, tuple[str, int]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"line {line_no}: expected `key = value`, got {line.rstrip()!r}")
-            key, value = (part.strip() for part in stripped.split("=", 1))
-            if key not in _DEFAULTS:
-                raise ConfigError(f"line {line_no}: unknown key {key!r}")
-            if key in raw:
-                raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-            raw[key] = (value, line_no)
-    return _build_config(raw)
-
-
-def _build_config(raw: dict[str, tuple[str, int]]) -> ExperimentConfig:
-    def get(key):
-        return raw.get(key, (None, 0))
-
-    def number(key, parser):
-        value, line_no = get(key)
-        return _DEFAULTS[key] if value is None else parser(value, line_no)
-
-    beta = number("beta", _parse_float)
-    gamma = number("gamma", _parse_float)
-    width = number("width", _parse_float)
-    modes = number("modes", _parse_int)
-    grid_len = number("grid_len", _parse_int)
-    order = number("wavelet_order", _parse_int)
-    coarse_level = number("coarse_level", _parse_int)
-    replications = number("replications", _parse_int)
-    coarse_step = number("coarse_step", _parse_float)
-    seed = number("seed", _parse_int)
-    truncated_init = (
-        _DEFAULTS["truncated_init"]
-        if get("truncated_init")[0] is None
-        else _parse_bool(*get("truncated_init"))
-    )
-    spline_mode = (
-        _DEFAULTS["spline_mode"] if get("spline_mode")[0] is None else _parse_bool(*get("spline_mode"))
-    )
-    burn_value, burn_line = get("burn_in")
-    if burn_value is None:
-        burn_in = 0 if truncated_init else 500
-    else:
-        burn_in = _parse_int(burn_value, burn_line)
-
-    sizes_value, sizes_line = get("sample_sizes")
-    if sizes_value is None:
-        sizes_value = _DEFAULTS["sample_sizes"]
+    data = Path(path).read_bytes()
     try:
-        sample_sizes = tuple(int(tok.strip()) for tok in sizes_value.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"line {sizes_line}: sample_sizes must be comma-separated integers") from None
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}") from None
+    values = {key: default for key, (_, default) in _KEYS.items()}
+    lines: dict[str, int] = {}
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"line {line_no}: expected `key = value`, got {line.rstrip()!r}")
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key not in _KEYS:
+            raise ConfigError(f"line {line_no}: unknown key {key!r}")
+        if key in lines:
+            raise ConfigError(f"line {line_no}: duplicate key {key!r}")
+        try:
+            values[key] = _KEYS[key][0](value)
+        except ValueError as exc:
+            raise ConfigError(f"line {line_no}: {exc}") from None
+        lines[key] = line_no
 
-    trunc_value, trunc_line = get("truncation")
-    if trunc_value is None:
-        trunc_value = _DEFAULTS["truncation"]
-    trunc_value = trunc_value.strip().lower()
+    def built(cls, keys, **fields):
+        """cls(**fields), its ValueError raised as a ConfigError naming the lines that set `keys`."""
+        try:
+            return cls(**fields)
+        except ValueError as exc:
+            where = ", ".join(f"line {lines[k]} ({k})" for k in sorted(lines.keys() & keys, key=lines.get))
+            raise ConfigError(f"{where}: {exc}") from None
 
-    output_value, _ = get("output_dir")
-    output_dir = _DEFAULTS["output_dir"] if output_value is None else output_value
-
-    if beta <= 0.5:
-        line = get("beta")[1]
-        raise ConfigError(f"line {line}: beta must exceed 1/2, got {beta}")
-    max_level = grid_len.bit_length() - 2
-
-    try:
-        if trunc_value == "log":
-            truncation = TruncationRule.log_ceil()
-        elif trunc_value.startswith("fixed:"):
-            truncation = TruncationRule.fixed(_parse_int(trunc_value.split(":", 1)[1], trunc_line))
-        else:
-            raise ConfigError(f"line {trunc_line}: truncation must be `log` or `fixed:<k>`")
-        params = ModelParams(
-            gamma=gamma,
-            beta_exponent=beta,
-            width=width,
-            modes=modes,
-            grid_len=grid_len,
-        )
-        wavelet_spec = WaveletBasisSpec(order=order, coarse_level=coarse_level, max_level=max_level)
-        return ExperimentConfig(
-            model=params,
-            wavelet=wavelet_spec,
-            sample_sizes=sample_sizes,
-            replications=replications,
-            truncation=truncation,
-            burn_in=burn_in,
-            truncated_init=truncated_init,
-            spline_mode=spline_mode,
-            coarse_step=coarse_step,
-            output_dir=output_dir,
-            master_seed=seed,
-        )
-    except (ValueError, ConfigError) as exc:
-        raise ConfigError(str(exc)) from None
+    params = built(
+        ModelParams,
+        ("beta", "gamma", "width", "modes", "grid_len"),
+        gamma=values["gamma"],
+        beta_exponent=values["beta"],
+        width=values["width"],
+        modes=values["modes"],
+        grid_len=values["grid_len"],
+    )
+    wavelet_spec = built(
+        WaveletBasisSpec,
+        ("wavelet_order", "coarse_level", "grid_len"),
+        order=values["wavelet_order"],
+        coarse_level=values["coarse_level"],
+        max_level=values["grid_len"].bit_length() - 2,
+    )
+    if values["burn_in"] is None:
+        values["burn_in"] = 0 if values["truncated_init"] else 500
+    return ExperimentConfig(
+        model=params,
+        wavelet=wavelet_spec,
+        sample_sizes=values["sample_sizes"],
+        replications=values["replications"],
+        truncation=values["truncation"],
+        burn_in=values["burn_in"],
+        truncated_init=values["truncated_init"],
+        spline_mode=values["spline_mode"],
+        coarse_step=values["coarse_step"],
+        output_dir=values["output_dir"],
+        master_seed=values["seed"],
+    )
 
 
 class _RunContext:
-    """Model pieces shared by every replication of one experiment."""
+    """The checked model pieces shared by every replication of one experiment.
+
+    Building one is the check that `validate` and `run` share.  It raises
+    NoiseCovarianceError when the innovation covariance cannot be repaired,
+    StationarityError unless some power of rho up to 10 has spectral norm
+    below 1, and EigenGapError when a sample size's bound meets a vanishing
+    eigenvalue gap.  The noise square root and every size's bound are filled
+    here, before two threads can race for them or so that forked workers
+    inherit them.
+    """
 
     def __init__(self, config: ExperimentConfig):
-        self.config = config
         self.covariance = model.build_covariance(config.model)
         self.rho = model.build_rho(config.model)
         self.noise = model.build_noise_covariance(config.model, self.covariance, self.rho)
         self.gate = model.check_stationarity(self.rho, j0_max=10)
+        if not self.gate.holds:
+            raise StationarityError(
+                f"no power of rho up to {self.gate.j0} has spectral norm < 1 "
+                f"(last norm {self.gate.norm:.6f})"
+            )
+        self.noise.sqrt
         # gap coefficients need one eigenvalue beyond the largest truncation
         self.c_extended = model.covariance_eigenvalues(config.model.gamma, config.model.modes + 1)
-        self._bounds: dict[int, tuple[int, np.ndarray, float]] = {}
-
-    def bound_for(self, n: int) -> tuple[int, np.ndarray, float]:
-        """k_n, its gap coefficients and the exceedance bound xi, computed once per n."""
-        if n not in self._bounds:
+        # n -> (k_n, its gap coefficients, the exceedance bound xi)
+        self.bounds: dict[int, tuple[int, np.ndarray, float]] = {}
+        for n in config.sample_sizes:
             # mirrors fit_estimator's clamp: n states give n - 1 transitions
-            k = estimation.truncation_order(n, self.config.truncation, p_max=min(n - 1, self.config.model.modes))
+            k = estimation.truncation_order(n, config.truncation, p_max=min(n - 1, config.model.modes))
             a_vals = estimation.gap_coefficients(self.c_extended, k)
             a_vals.setflags(write=False)
-            self._bounds[n] = k, a_vals, diagnostics.exceedance_bound(n, k, self.c_extended, a_vals)
-        return self._bounds[n]
+            self.bounds[n] = k, a_vals, diagnostics.exceedance_bound(n, k, self.c_extended, a_vals)
 
 
 @functools.lru_cache(maxsize=4)
@@ -342,7 +341,7 @@ def _run_stack(
     errors = estimation.prediction_error_besov(
         truth, predicted, config.model.grid_len, config.wavelet, _coarse_step(config)
     )
-    _, _, xi = ctx.bound_for(n)
+    _, _, xi = ctx.bounds[n]
     results = [
         diagnostics.ExperimentResult(n=n, replication=r, error_b=float(error), xi=xi)
         for r, error in enumerate(errors, start=r0)
@@ -390,8 +389,8 @@ def run_experiment(
 ) -> tuple[list[diagnostics.ExperimentResult], list[diagnostics.ConsistencyReport]]:
     """Run the full sweep and write every CSV/SVG artifact.
 
-    Aborts with StationarityError unless some power of the autocorrelation
-    matrix has spectral norm below 1.  The chunks of `chunk_layout` are
+    The run context is built first, so its errors (StationarityError among
+    them) come before any chunk runs.  The chunks of `chunk_layout` are
     mapped over a pool of `worker_count(threads, ...)` processes, or, when
     that is 1, over two threads of this process.  Their results come back
     in (n, replication) order before any file is written, so outputs are
@@ -400,18 +399,10 @@ def run_experiment(
     command-line program sets one per process).
     """
     ctx = _context(config)
-    if not ctx.gate.holds:
-        raise StationarityError(
-            f"no power of rho up to {ctx.gate.j0} has spectral norm < 1 "
-            f"(last norm {ctx.gate.norm:.6f})"
-        )
     logger.info("stationarity gate passed: j0=%d, norm=%.6f", ctx.gate.j0, ctx.gate.norm)
 
-    # fill every cache the chunks share, before two threads can race for it
-    # or so that forked workers inherit it
-    ctx.noise.sqrt
-    for n in config.sample_sizes:
-        ctx.bound_for(n)
+    # filled here rather than in the run context, which validate builds too:
+    # before two threads can race for it, or so that forked workers inherit it
     estimation._wavelet_matrix(config.model.modes, config.model.grid_len, config.wavelet, _coarse_step(config))
     tasks = [(config, *chunk) for chunk in chunk_layout(config)]
     workers = worker_count(threads, len(tasks))
@@ -433,7 +424,7 @@ def run_experiment(
     )
     reports = []
     for n in config.sample_sizes:
-        k, a_vals, xi = ctx.bound_for(n)
+        k, a_vals, xi = ctx.bounds[n]
         reports.append(
             diagnostics.ConsistencyReport(
                 n=n,
@@ -541,10 +532,13 @@ def write_outputs(out_dir, config, results, reports, decay_rows) -> None:
 
 
 def write_kernel_surface(path, config: ExperimentConfig) -> None:
-    """Covariance kernel sampled on a coarse uniform grid, in long CSV form."""
-    ctx = _context(config)
+    """Covariance kernel sampled on a coarse uniform grid, in long CSV form.
+
+    Needs only the covariance, so it is written for models that fail the
+    stationarity gate or whose eigenvalue gaps vanish.
+    """
     points = np.linspace(0.0, 1.0, round(1.0 / config.coarse_step) + 1)
-    surface = model.covariance_kernel_surface(ctx.covariance, points)
+    surface = model.covariance_kernel_surface(model.build_covariance(config.model), points)
     rows = []
     for a, s in enumerate(points):
         for b, t in enumerate(points):

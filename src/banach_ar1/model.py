@@ -48,7 +48,7 @@ class ModelParams:
     def __post_init__(self):
         if not self.gamma > 2 * self.beta_exponent > 1:
             raise ValueError(
-                f"need gamma > 2*beta_exponent > 1, got gamma={self.gamma}, "
+                f"need gamma > 2*beta_exponent > 1 (so beta_exponent > 1/2), got gamma={self.gamma}, "
                 f"beta_exponent={self.beta_exponent}"
             )
         if self.width <= 0:

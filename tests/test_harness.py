@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import banach_ar1
 from banach_ar1 import cli, harness
@@ -22,7 +24,7 @@ from banach_ar1.harness import (
     run_replication,
     write_estimator_csv,
 )
-from banach_ar1.model import StationarityResult, Trajectory
+from banach_ar1.model import Trajectory
 
 CSV_NAMES = [
     "exceedance_table.csv",
@@ -99,6 +101,13 @@ class TestParseConfig:
     def test_fixed_truncation(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, "truncation = fixed:5\n"))
         assert cfg.truncation == TruncationRule.fixed(5)
+        with pytest.raises(ConfigError, match="line 2: fixed rule needs k >= 1"):
+            parse_config(write_config(tmp_path, "modes = 8\ntruncation = fixed:0\n"))
+
+    def test_model_errors_name_the_lines_of_the_model_keys(self, tmp_path):
+        text = "gamma = 1.0\nreplications = 4\nmodes = 8\nbeta = 0.6\n"
+        with pytest.raises(ConfigError, match=r"^line 1 \(gamma\), line 3 \(modes\), line 4 \(beta\): need gamma"):
+            parse_config(write_config(tmp_path, text))
 
     def test_burn_in_defaults_track_initializer(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, "truncated_init = false\n"))
@@ -531,6 +540,30 @@ class TestEstimatorBundle:
             read_estimator_csv(path)
 
 
+# 8 modes at width 1: no power of rho up to 10 has spectral norm below 1
+GATE_FAILING_CONFIG = "modes = 8\nwidth = 1\nsample_sizes = 20,40\nreplications = 2\ngrid_len = 64\n"
+
+# each a configuration error in every command; the test adds an output_dir line to every row
+INVALID_INPUTS = [
+    pytest.param("seed = -1\n", [], id="config-seed-negative"),
+    pytest.param("", ["--seed", "-5"], id="flag-seed-negative"),
+    pytest.param("coarse_step = 0\n", [], id="coarse-step-zero"),
+    pytest.param("coarse_step = nan\n", [], id="coarse-step-nan"),
+    pytest.param("coarse_step = 1e-5\n", [], id="coarse-step-kernel-too-large"),
+    pytest.param("coarse_step = 0.00097\n", [], id="coarse-step-just-below-ceiling"),
+    pytest.param("sample_sizes = 20, 20\n", [], id="sample-sizes-repeated"),
+    pytest.param(f"sample_sizes = 20, {10**309}\n", [], id="sample-size-beyond-double"),
+    pytest.param("truncation = fixed:0\n", [], id="truncation-fixed-zero"),
+    pytest.param("gamma = 400\n", [], id="gamma-eigenvalues-underflow"),
+    pytest.param("width = 1e300\n", [], id="width-squared-overflows"),
+    pytest.param("wavelet_order = 11\n", [], id="wavelet-order-above-ten"),
+    pytest.param("grid_len = 3\n", [], id="grid-len-three"),
+    pytest.param("grid_len = 0\n", [], id="grid-len-zero"),
+    pytest.param("grid_len = -4\n", [], id="grid-len-negative"),
+    pytest.param("", ["--out", ""], id="flag-out-empty"),
+]
+
+
 class TestCli:
     def test_run_and_validate_and_kernel(self, tmp_path, capsys):
         cfg_path = smoke_config(tmp_path)
@@ -593,37 +626,52 @@ class TestCli:
         harness_mod._context.cache_clear()
         capsys.readouterr()
 
-    def test_validate_reads_the_gate_of_the_run_context(self, tmp_path, capsys, monkeypatch):
-        cfg_path = smoke_config(tmp_path, out_name="ctx")
-        ctx = harness._context(parse_config(cfg_path))
-        monkeypatch.setattr(ctx, "gate", StationarityResult(False, 10, 1.5))
-        assert cli.main(["validate", "--config", str(cfg_path)]) == cli.EXIT_GATE
-        assert "stationarity gate FAILED: norm of power 10 is 1.500000" in capsys.readouterr().err
+    def test_validate_reads_the_gate_of_the_run_context(self, tmp_path, capsys):
+        # validate builds run's checked context, so it fails with run's message and exit code
+        cfg_path = write_config(tmp_path, GATE_FAILING_CONFIG + f"output_dir = {tmp_path / 'out'}\n")
+        messages = []
+        for command in ("validate", "run"):
+            assert cli.main([command, "--config", str(cfg_path)]) == cli.EXIT_GATE
+            messages.append([line for line in capsys.readouterr().err.splitlines() if "gate failure" in line])
+        assert messages[0] == messages[1] == [
+            "model gate failure: no power of rho up to 10 has spectral norm < 1 (last norm 2.620536)"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config_text",
+        [GATE_FAILING_CONFIG, "modes = 8\ngamma = 20\n"],
+        ids=["gate-fails", "eigen-gaps-vanish"],
+    )
+    def test_kernel_needs_only_the_covariance(self, tmp_path, capsys, config_text):
+        cfg_path = write_config(tmp_path, config_text + f"output_dir = {tmp_path / 'out'}\n")
+        assert cli.main(["kernel", "--config", str(cfg_path)]) == cli.EXIT_OK
+        assert (tmp_path / "out" / "kernel_surface.csv").read_text().startswith("s,t,value\n")
+        capsys.readouterr()
 
     @pytest.mark.parametrize("command", ["validate", "run", "kernel"])
-    @pytest.mark.parametrize(
-        "config_text, extra_args",
-        [
-            pytest.param("seed = -1\n", [], id="config-seed-negative"),
-            pytest.param("", ["--seed", "-5"], id="flag-seed-negative"),
-            pytest.param("coarse_step = 0\n", [], id="coarse-step-zero"),
-            pytest.param("coarse_step = nan\n", [], id="coarse-step-nan"),
-            pytest.param("coarse_step = 1e-5\n", [], id="coarse-step-kernel-too-large"),
-            pytest.param("coarse_step = 0.00097\n", [], id="coarse-step-just-below-ceiling"),
-            pytest.param("sample_sizes = 20, 20\n", [], id="sample-sizes-repeated"),
-            pytest.param("truncation = fixed:0\n", [], id="truncation-fixed-zero"),
-            pytest.param("gamma = 400\n", [], id="gamma-eigenvalues-underflow"),
-            pytest.param("width = 1e300\n", [], id="width-squared-overflows"),
-            pytest.param("wavelet_order = 11\n", [], id="wavelet-order-above-ten"),
-            pytest.param("grid_len = 3\n", [], id="grid-len-three"),
-            pytest.param("grid_len = 0\n", [], id="grid-len-zero"),
-            pytest.param("grid_len = -4\n", [], id="grid-len-negative"),
-        ],
-    )
+    @pytest.mark.parametrize("config_text, extra_args", INVALID_INPUTS)
     def test_invalid_inputs_are_config_errors(self, tmp_path, capsys, command, config_text, extra_args):
         cfg_path = write_config(tmp_path, config_text + f"output_dir = {tmp_path / 'out'}\n")
         assert cli.main([command, "--config", str(cfg_path), *extra_args]) == cli.EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run", "kernel"])
+    def test_empty_output_dir_is_a_config_error(self, tmp_path, capsys, monkeypatch, command):
+        # accepted, it would send every artifact into the working directory
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path, TINY_CONFIG + "output_dir =\n")
+        assert cli.main([command, "--config", str(cfg_path)]) == cli.EXIT_CONFIG
+        assert "output_dir must be non-empty" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["exp.cfg"]
+
+    @pytest.mark.parametrize("command", ["validate", "run", "kernel"])
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "latin1.cfg"
+        cfg_path.write_bytes(b"# caf\xe9\n" + f"output_dir = {tmp_path / 'out'}\n".encode())
+        assert cli.main([command, "--config", str(cfg_path)]) == cli.EXIT_CONFIG
+        assert f"{cfg_path} is not UTF-8: byte 0xe9 at offset 5" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -651,6 +699,79 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfg_path), "--threads", threads]) == cli.EXIT_CONFIG
         assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+CONFIG_KEYS = (
+    "beta", "gamma", "width", "modes", "grid_len", "wavelet_order", "coarse_level", "sample_sizes",
+    "replications", "truncation", "burn_in", "truncated_init", "spline_mode", "coarse_step", "output_dir", "seed",
+)
+NON_INTEGER_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.lists(st.integers(min_value=-5, max_value=2**70), max_size=4).map(lambda sizes: ",".join(map(str, sizes))),
+    st.sampled_from(["log", "fixed:3", "fixed:0", "true", "off", "results", "inf", "nan"]),
+    st.text("abcdefxyz:,._-", max_size=8),
+    st.just(""),
+    st.text(),
+)
+CONFIG_VALUES = st.one_of(
+    st.integers().map(str), st.integers(min_value=2**1000, max_value=10**400).map(str), NON_INTEGER_VALUES
+)
+
+
+def at_most_16_if_integer(value: str) -> bool:
+    """True unless the value parses as an integer above 16."""
+    try:
+        return int(value) <= 16
+    except ValueError:
+        return True
+
+
+# modes stays at most 16: nothing bounds the p x p allocations of larger values yet
+MODES_VALUES = st.one_of(st.integers(max_value=16).map(str), NON_INTEGER_VALUES.filter(at_most_16_if_integer))
+
+
+@st.composite
+def config_files(draw):
+    """Any subset of the keys with any values, plus lines of arbitrary bytes, in any order."""
+    lines = [
+        f"{key} = {draw(MODES_VALUES if key == 'modes' else CONFIG_VALUES)}"
+        .encode("utf-8", "surrogatepass")
+        for key in draw(st.lists(st.sampled_from(CONFIG_KEYS), unique=True))
+    ]
+    lines += draw(st.lists(st.binary(), max_size=2))
+    return b"\n".join(draw(st.permutations(lines)))
+
+
+CLI_ARGS = st.one_of(
+    st.just([]),
+    st.integers().map(lambda seed: [f"--seed={seed}"]),
+    st.text().map(lambda out: [f"--out={out}"]),
+)
+
+
+def with_examples(rows):
+    """@example(config=..., args=...) for each (config, args) row."""
+
+    def decorate(test):
+        for config, args in rows:
+            test = example(config=config, args=args)(test)
+        return test
+
+    return decorate
+
+
+class TestValidateProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(config=config_files(), args=CLI_ARGS)
+    @with_examples(
+        [(row.values[0].encode(), row.values[1]) for row in INVALID_INPUTS]
+        + [(b"# caf\xe9\n", []), (b"output_dir =\n", [])]
+    )
+    def test_validate_exits_with_a_documented_code(self, tmp_path_factory, config, args):
+        # validate never simulates, so sizes other than modes may be arbitrarily large
+        path = tmp_path_factory.getbasetemp() / "property.cfg"
+        path.write_bytes(config)
+        assert cli.main(["validate", "--config", str(path), *args]) in (0, 2, 3, 4, 5)
 
 
 def run_python(args, tmp_path, **preset):
