@@ -64,6 +64,17 @@ class ExperimentResult:
         return self.error_b**2
 
 
+def _checked_spectrum(k_n: int, c_values, a_values) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues and gap coefficients as float arrays, checked to hold at least k_n >= 1 entries each."""
+    if k_n < 1:
+        raise ValueError("need k_n >= 1")
+    c_values = np.asarray(c_values, dtype=float)
+    a_values = np.asarray(a_values, dtype=float)
+    if a_values.size < k_n or c_values.size < k_n:
+        raise ValueError("need at least k_n eigenvalues and gap coefficients")
+    return c_values, a_values
+
+
 def consistency_ratio(n: float, k_n: int, c_values: np.ndarray, a_values: np.ndarray) -> float:
     """(k_n / C_{k_n}) * sum(a_j) divided by sqrt(n / ln n).
 
@@ -71,14 +82,9 @@ def consistency_ratio(n: float, k_n: int, c_values: np.ndarray, a_values: np.nda
     sample grows; plotting it over n makes the truncation-rate condition
     inspectable.
     """
-    if k_n < 1:
-        raise ValueError("need k_n >= 1")
+    c_values, a_values = _checked_spectrum(k_n, c_values, a_values)
     if n <= 1:
         raise ValueError("need n > 1 so that ln(n) > 0")
-    c_values = np.asarray(c_values, dtype=float)
-    a_values = np.asarray(a_values, dtype=float)
-    if a_values.size < k_n or c_values.size < k_n:
-        raise ValueError("need at least k_n eigenvalues and gap coefficients")
     numerator = k_n / float(c_values[k_n - 1]) * float(a_values[:k_n].sum())
     return numerator / math.sqrt(n / math.log(n))
 
@@ -90,12 +96,7 @@ def exceedance_bound(n: float, k_n: int, c_values: np.ndarray, a_values: np.ndar
     only matters when the exact value would round to a closed endpoint in
     floating point.
     """
-    if k_n < 1:
-        raise ValueError("need k_n >= 1")
-    c_values = np.asarray(c_values, dtype=float)
-    a_values = np.asarray(a_values, dtype=float)
-    if a_values.size < k_n or c_values.size < k_n:
-        raise ValueError("need at least k_n eigenvalues and gap coefficients")
+    c_values, a_values = _checked_spectrum(k_n, c_values, a_values)
     q = (1.0 / c_values[k_n - 1]) ** 2 * k_n**2 * float(a_values[:k_n].sum()) ** 2
     xi = math.exp(-n / q)
     return min(max(xi, math.ulp(0.0)), np.nextafter(1.0, 0.0))
@@ -107,12 +108,8 @@ def exceedance_table(results: Iterable[ExperimentResult]) -> list[tuple[int, int
     total and exceeded give the proportion as an exact fraction; the last
     column is its decimal value.
     """
-    results = list(results)
-    if not results:
-        raise ValueError("no results to tabulate")
     rows = []
-    for n in sorted({r.n for r in results}):
-        group = [r for r in results if r.n == n]
+    for n, group in _groups_by_n(results):
         exceeded = sum(r.exceeded for r in group)
         rows.append((n, len(group), exceeded, exceeded / len(group)))
     return rows
@@ -124,14 +121,19 @@ def empirical_mse_curve(results: Iterable[ExperimentResult]) -> list[tuple[int, 
     The reference column is emitted as data for visual comparison, not
     asserted as a fit.
     """
-    results = list(results)
-    if not results:
+    return [
+        (n, float(np.mean([r.squared_error_b for r in group])), n**-0.25) for n, group in _groups_by_n(results)
+    ]
+
+
+def _groups_by_n(results: Iterable[ExperimentResult]) -> list[tuple[int, list[ExperimentResult]]]:
+    """(n, the results of size n in their given order), ascending in n; raises ValueError when empty."""
+    groups: dict[int, list[ExperimentResult]] = {}
+    for r in results:
+        groups.setdefault(r.n, []).append(r)
+    if not groups:
         raise ValueError("no results to tabulate")
-    rows = []
-    for n in sorted({r.n for r in results}):
-        group = [r.squared_error_b for r in results if r.n == n]
-        rows.append((n, float(np.mean(group)), n**-0.25))
-    return rows
+    return sorted(groups.items())
 
 
 class TraceReport(NamedTuple):

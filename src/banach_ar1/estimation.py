@@ -160,13 +160,8 @@ def gap_coefficients(values: np.ndarray, k: int) -> np.ndarray:
     neighbouring inverse gaps enters: a_j = 2 sqrt(2) max(1/(C_{j-1}-C_j),
     1/(C_j-C_{j+1})).
     """
-    gaps = _checked_gaps(values, k)
-    inv = 1.0 / gaps
-    out = np.empty(k)
-    out[0] = 2.0 * math.sqrt(2.0) * inv[0]
-    for j in range(1, k):
-        out[j] = 2.0 * math.sqrt(2.0) * max(inv[j - 1], inv[j])
-    return out
+    inv = 1.0 / _checked_gaps(values, k)
+    return 2.0 * math.sqrt(2.0) * np.maximum(inv, np.concatenate((inv[:1], inv[:-1])))
 
 
 def max_inverse_gap(values: np.ndarray, k: int) -> float:

@@ -99,10 +99,13 @@ class ExperimentConfig:
         # the kernel surface has round(1 / coarse_step) + 1 points a side: at most 1,025
         if not 1 / 1024 <= self.coarse_step < 0.5:
             raise ConfigError(f"coarse_step must lie in [1/1024, 0.5), got {self.coarse_step}")
+        # the innovation covariance divides |j - h|^2, at most (modes - 1)^2, by width**2
         try:
-            self.model.width**2  # the innovation covariance divides by it
-        except OverflowError:
-            raise ConfigError(f"width is too large: width**2 overflows, got {self.model.width}") from None
+            quotient = (self.model.modes - 1) ** 2 / self.model.width**2
+        except (OverflowError, ZeroDivisionError):
+            quotient = math.inf
+        if not quotient < math.inf:
+            raise ConfigError(f"width**2 must be positive and (modes - 1)**2 / width**2 finite, got {self.model.width}")
         c = model.covariance_eigenvalues(self.model.gamma, self.model.modes + 1)
         if not (c[-1] > 0 and (np.diff(c) < 0).all()):
             raise ConfigError(
@@ -258,9 +261,9 @@ class _RunContext:
     NoiseCovarianceError when the innovation covariance cannot be repaired,
     StationarityError unless some power of rho up to 10 has spectral norm
     below 1, and EigenGapError when a sample size's bound meets a vanishing
-    eigenvalue gap.  The noise square root and every size's bound are filled
-    here, before two threads can race for them or so that forked workers
-    inherit them.
+    eigenvalue gap.  build_noise_covariance computes and checks the noise
+    square root; every size's bound is filled here, before two threads can
+    race for it or so that forked workers inherit it.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -273,7 +276,6 @@ class _RunContext:
                 f"no power of rho up to {self.gate.j0} has spectral norm < 1 "
                 f"(last norm {self.gate.norm:.6f})"
             )
-        self.noise.sqrt
         # gap coefficients need one eigenvalue beyond the largest truncation
         self.c_extended = model.covariance_eigenvalues(config.model.gamma, config.model.modes + 1)
         # n -> (k_n, its gap coefficients, the exceedance bound xi)
@@ -554,14 +556,14 @@ def write_estimator_csv(state: EstimatorState, path) -> None:
 
     Rows are (record, i, j, value): scalars use i = j = 0, vectors use i,
     matrices use (i, j), all zero-based.  Floats round-trip exactly.
+    The state must be one fit, not a stack of them.
     """
+    if state.eigenvalues.ndim != 1:
+        raise ValueError(f"write_estimator_csv writes one fit, got a stack of {len(state.eigenvalues)}: write state[r]")
     rows: list[tuple[str, int, int, object]] = [("n", 0, 0, state.n), ("k_n", 0, 0, state.k_n)]
-    for i, v in enumerate(state.eigenvalues):
-        rows.append(("eigenvalue", i, 0, float(v)))
+    rows += [("eigenvalue", i, 0, float(v)) for i, v in enumerate(state.eigenvalues)]
     for name, mat in (("eigenvector", state.eigenvectors), ("d_matrix", state.d_matrix), ("rho_hat", state.rho_hat)):
-        for i in range(mat.shape[0]):
-            for j in range(mat.shape[1]):
-                rows.append((name, i, j, float(mat[i, j])))
+        rows += [(name, i, j, float(v)) for (i, j), v in np.ndenumerate(mat)]
     _write_csv(Path(path), ["record", "i", "j", "value"], rows)
 
 

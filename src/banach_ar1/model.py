@@ -163,22 +163,30 @@ def build_covariance(params: ModelParams) -> SpectralOperator:
     return SpectralOperator(np.diag(covariance_eigenvalues(params.gamma, params.modes)), symmetric=True)
 
 
+def _sine_modes(modes: int, points) -> np.ndarray:
+    """The eigenfunctions sqrt(2) sin(j pi t), j = 1..modes, at the points: shape (modes, len(points))."""
+    j = np.arange(1, modes + 1)
+    return np.sqrt(2.0) * np.sin(np.outer(j, np.pi * np.asarray(points, dtype=float)))
+
+
 @lru_cache(maxsize=8)
 def eigenfunctions_on_grid(modes: int, grid_len: int) -> np.ndarray:
     """Stacked eigenfunctions, shape (modes, grid_len); read-only."""
-    t = (np.arange(grid_len) + 0.5) / grid_len
-    j = np.arange(1, modes + 1)
-    phi = np.sqrt(2.0) * np.sin(np.outer(j, np.pi * t))
+    phi = _sine_modes(modes, (np.arange(grid_len) + 0.5) / grid_len)
     phi.setflags(write=False)
     return phi
 
 
+def _mode_distance(modes: int) -> np.ndarray:
+    """The band |j - h| of mode indices j, h = 1..modes, as a (modes, modes) float matrix."""
+    j = np.arange(1, modes + 1, dtype=float)
+    return np.abs(j[:, None] - j)
+
+
 def build_rho(params: ModelParams) -> SpectralOperator:
     """Autocorrelation matrix: (1+j)^(-1.5) on the diagonal, exp(-|j-h|/W) off it."""
-    j = np.arange(1, params.modes + 1, dtype=float)
-    jj, hh = np.meshgrid(j, j, indexing="ij")
-    m = np.exp(-np.abs(jj - hh) / params.width)
-    np.fill_diagonal(m, (1.0 + j) ** -1.5)
+    m = np.exp(-_mode_distance(params.modes) / params.width)
+    np.fill_diagonal(m, (1.0 + np.arange(1, params.modes + 1, dtype=float)) ** -1.5)
     return SpectralOperator(m, symmetric=True)
 
 
@@ -191,33 +199,27 @@ def build_noise_covariance(
     once the diagonal decays below the off-diagonal band (which happens for
     every moderately large mode count), so the matrix is repaired by
     clipping negative eigenvalues at zero, the minimal symmetric PSD
-    perturbation.  Raises NoiseCovarianceError if the repaired matrix is
-    still indefinite beyond tolerance.
+    perturbation.  The operator comes back with its square root computed:
+    SpectralOperator.sqrt is the one check that the repaired matrix is PSD,
+    and its failure is raised as NoiseCovarianceError.
     """
     c_diag = covariance.positive_diagonal
     if rho.dim != covariance.dim:
         raise ValueError("rho and covariance dimensions differ")
-    j = np.arange(1, params.modes + 1, dtype=float)
-    jj, hh = np.meshgrid(j, j, indexing="ij")
-    m = np.exp(-np.abs(jj - hh) ** 2 / params.width**2)
+    m = np.exp(-_mode_distance(params.modes) ** 2 / params.width**2)
     np.fill_diagonal(m, c_diag * (1.0 - np.diag(rho.matrix) ** 2))
 
     w, v = np.linalg.eigh(m)
-    scale = float(np.abs(w).max())
     if w[0] < 0:
-        logger.info(
-            "innovation covariance indefinite (min eigenvalue %.3e); clipping to PSD", w[0]
-        )
-        repaired = (v * np.clip(w, 0.0, None)) @ v.T
-        repaired = 0.5 * (repaired + repaired.T)
-    else:
-        repaired = 0.5 * (m + m.T)
-    w_post = np.linalg.eigvalsh(repaired)
-    if w_post[0] < -1e-10 * max(scale, 1e-300):
-        raise NoiseCovarianceError(
-            f"repaired innovation covariance still indefinite: min eigenvalue {w_post[0]:.6e}"
-        )
-    return SpectralOperator(repaired, symmetric=True)
+        logger.info("innovation covariance indefinite (min eigenvalue %.3e); clipping to PSD", w[0])
+        m = (v * np.clip(w, 0.0, None)) @ v.T
+        m = 0.5 * (m + m.T)
+    noise = SpectralOperator(m, symmetric=True)
+    try:
+        noise.sqrt
+    except ValueError as exc:
+        raise NoiseCovarianceError(f"repaired innovation covariance: {exc}") from None
+    return noise
 
 
 def check_stationarity(rho: SpectralOperator, j0_max: int = 10) -> StationarityResult:
@@ -373,8 +375,7 @@ def evaluate_via_spline(x: np.ndarray, coarse_step: float, grid_len: int) -> np.
     x = np.asarray(x, dtype=float)
     n_nodes = round(1.0 / coarse_step) + 1
     s = np.linspace(0.0, 1.0, n_nodes)
-    j = np.arange(1, x.shape[-1] + 1)
-    coarse = x @ (np.sqrt(2.0) * np.sin(np.outer(j, np.pi * s)))
+    coarse = x @ _sine_modes(x.shape[-1], s)
     spline = CubicSpline(s, coarse, axis=-1, bc_type="natural")
     t = (np.arange(grid_len) + 0.5) / grid_len
     return spline(t)
@@ -383,8 +384,7 @@ def evaluate_via_spline(x: np.ndarray, coarse_step: float, grid_len: int) -> np.
 def covariance_kernel_surface(covariance: SpectralOperator, points: np.ndarray) -> np.ndarray:
     """Kernel matrix K[a, b] = sum_j C_j phi_j(points[a]) phi_j(points[b])."""
     c_diag = covariance.positive_diagonal
-    j = np.arange(1, c_diag.size + 1)
-    phi = np.sqrt(2.0) * np.sin(np.outer(j, np.pi * np.asarray(points, dtype=float)))
+    phi = _sine_modes(c_diag.size, points)
     return phi.T @ (c_diag[:, None] * phi)
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import banach_ar1
 from banach_ar1 import cli, harness
 from banach_ar1.diagnostics import eigen_decay_report
-from banach_ar1.estimation import TruncationRule, fit_estimator
+from banach_ar1.estimation import TruncationRule, fit_estimator, fit_stack
 from banach_ar1.harness import (
     ConfigError,
     parse_config,
@@ -539,6 +539,36 @@ class TestEstimatorBundle:
         with pytest.raises(ValueError, match="header"):
             read_estimator_csv(path)
 
+    def test_a_stack_of_fits_is_refused_before_writing(self, tmp_path):
+        stack = fit_stack(np.random.default_rng(11).standard_normal((3, 30, 6)), TruncationRule.fixed(3))
+        path = tmp_path / "estimator.csv"
+        with pytest.raises(ValueError, match=r"writes one fit, got a stack of 3: write state\[r\]"):
+            write_estimator_csv(stack, path)
+        assert not path.exists()
+        write_estimator_csv(stack[1], path)
+        assert np.array_equal(read_estimator_csv(path).rho_hat, stack.rho_hat[1])
+
+
+class TestRunContext:
+    def test_default_build_runs_two_symmetric_eigensolves(self, tmp_path, monkeypatch):
+        # one eigh for the PSD repair, one for the noise root that checks it
+        config = parse_config(write_config(tmp_path, ""))
+        calls = []
+
+        def counted(name):
+            solver = getattr(np.linalg, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return solver(*args, **kwargs)
+
+            return call
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        harness._RunContext(config)
+        assert calls == ["eigh", "eigh"]
+
 
 # 8 modes at width 1: no power of rho up to 10 has spectral norm below 1
 GATE_FAILING_CONFIG = "modes = 8\nwidth = 1\nsample_sizes = 20,40\nreplications = 2\ngrid_len = 64\n"
@@ -556,6 +586,8 @@ INVALID_INPUTS = [
     pytest.param("truncation = fixed:0\n", [], id="truncation-fixed-zero"),
     pytest.param("gamma = 400\n", [], id="gamma-eigenvalues-underflow"),
     pytest.param("width = 1e300\n", [], id="width-squared-overflows"),
+    pytest.param("modes = 8\nwidth = 1e-200\n", [], id="width-squared-underflows"),
+    pytest.param("width = 1e-155\n", [], id="width-band-quotient-overflows"),
     pytest.param("wavelet_order = 11\n", [], id="wavelet-order-above-ten"),
     pytest.param("grid_len = 3\n", [], id="grid-len-three"),
     pytest.param("grid_len = 0\n", [], id="grid-len-zero"),
@@ -607,6 +639,18 @@ class TestCli:
         monkeypatch.setattr(cli_mod.harness, "run_experiment", explode)
         assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_NUMERIC
         assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_indefinite_noise_covariance_is_a_numeric_failure(self, tmp_path, capsys, monkeypatch, command):
+        def indefinite(self):
+            raise ValueError("matrix is not positive semi-definite: min eigenvalue -1.000000e-03")
+
+        monkeypatch.setattr(harness.model.SpectralOperator, "sqrt", property(indefinite))
+        harness._context.cache_clear()
+        cfg_path = write_config(tmp_path, TINY_CONFIG + f"output_dir = {tmp_path / 'out'}\n")
+        assert cli.main([command, "--config", str(cfg_path)]) == cli.EXIT_NUMERIC
+        assert "numeric failure: repaired innovation covariance: matrix is not positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_gate_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         # an autocorrelation with spectral norm >= 1 must abort the run

@@ -10,6 +10,7 @@ import pytest
 import banach_ar1
 from banach_ar1.model import (
     ModelParams,
+    NoiseCovarianceError,
     SpectralOperator,
     build_covariance,
     build_noise_covariance,
@@ -147,6 +148,22 @@ class TestNoiseCovariance:
         full = SpectralOperator(np.full((3, 3), 0.5), symmetric=True)
         with pytest.raises(ValueError, match="diagonal"):
             build_noise_covariance(p, full, rho)
+
+    @pytest.mark.parametrize("modes", [8, 50])
+    def test_returned_operator_holds_its_root(self, modes):
+        p = params(modes=modes)
+        noise = build_noise_covariance(p, build_covariance(p), build_rho(p))
+        assert "sqrt" in vars(noise)  # the cached_property is already filled
+        assert not noise.sqrt.flags.writeable
+
+    def test_failed_root_check_is_a_noise_covariance_error(self, monkeypatch):
+        def indefinite(self):
+            raise ValueError("matrix is not positive semi-definite: min eigenvalue -1.000000e-03")
+
+        monkeypatch.setattr(SpectralOperator, "sqrt", property(indefinite))
+        p = params(modes=8)
+        with pytest.raises(NoiseCovarianceError, match="repaired innovation covariance: matrix is not positive"):
+            build_noise_covariance(p, build_covariance(p), build_rho(p))
 
 
 class TestStationarity:
