@@ -38,7 +38,7 @@ from pathlib import Path
 from . import harness
 from .estimation import EigenGapError, TruncationRankError
 from .harness import ConfigError, StationarityError
-from .model import NoiseCovarianceError
+from .model import PIECE_ROWS, NoiseCovarianceError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,7 +71,13 @@ def _cmd_run(args) -> int:
     workers = harness.worker_count(args.threads, len(harness.chunk_layout(config)))
     chunks = "chunks run on two threads" if workers == 1 else "one chunk at a time per worker process"
     blas = ", ".join(f"{var}={setting}" for var, setting in BLAS_THREAD_SETTINGS.items())
-    logger.info("%d worker process(es), %s, BLAS threads per process: %s", workers, chunks, blas)
+    # a path's live states are one piece of its burn-in and n steps, at most PIECE_ROWS
+    rows = min(config.burn_in + config.sample_sizes[-1], PIECE_ROWS)
+    logger.info(
+        "%d worker process(es), %s, BLAS threads per process: %s; "
+        "paths run in pieces of at most %d rows, %.3g MB per path",
+        workers, chunks, blas, rows, (rows + 1) * config.model.modes * 8 / 1e6,
+    )
     results, reports = harness.run_experiment(config, threads=args.threads)
     print(f"wrote {len(results)} replication results for {len(reports)} sample sizes to {config.output_dir}")
     return EXIT_OK

@@ -8,8 +8,11 @@ inverts the covariance on that span only:
 
     rho_hat = P_k D_n C_n^+ P_k,
 
-which is the componentwise estimator written as a matrix.  The plug-in
-one-step prediction is rho_hat applied to the newest state.
+which is the componentwise estimator written as a matrix.  The fit reads a
+trajectory only through the sums of X_i X_i^T and X_{i+1} X_i^T over its
+transitions (TransitionMoments), which are added up one piece of a path at
+a time.  The plug-in one-step prediction is rho_hat applied to the newest
+state.
 
 Inner products here are plain Euclidean ones: the coordinate system is the
 model eigenbasis, which is orthonormal for the geometry the estimator needs.
@@ -25,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import SpectralOperator, Trajectory, eigenfunctions_on_grid, evaluate_via_spline
+from .model import PIECE_ROWS, SpectralOperator, Trajectory, eigenfunctions_on_grid, evaluate_via_spline
 from .wavelet import WaveletBasisSpec, coefficient_matrix
 
 
@@ -119,21 +122,15 @@ class EstimatorState:
 
 
 def empirical_covariance(traj: Trajectory) -> SpectralOperator:
-    """(1/n) sum of X_i X_i^T over all n states of the trajectory."""
-    if len(traj) < 2:
-        raise ValueError("need at least 2 states")
-    x = traj.states
-    m = x.T @ x / len(traj)
-    return SpectralOperator(0.5 * (m + m.T), symmetric=True)
+    """(1/n) sum of X_i X_i^T over all n states: the transitions' Gram matrix plus the last state's."""
+    last = traj.states[-1]
+    m = transition_moments(traj.states[None]).gram[0] + np.outer(last, last)
+    return SpectralOperator(m / len(traj), symmetric=True)
 
 
 def empirical_cross_covariance(traj: Trajectory) -> SpectralOperator:
     """(1/(n-1)) sum of X_{i+1} X_i^T over consecutive pairs; not symmetric."""
-    if len(traj) < 2:
-        raise ValueError("need at least 2 states")
-    x = traj.states
-    m = x[1:].T @ x[:-1] / (len(traj) - 1)
-    return SpectralOperator(m, symmetric=False)
+    return SpectralOperator(transition_moments(traj.states[None]).cross[0] / (len(traj) - 1), symmetric=False)
 
 
 def _checked_gaps(values: np.ndarray, k: int) -> np.ndarray:
@@ -170,32 +167,61 @@ def max_inverse_gap(values: np.ndarray, k: int) -> float:
     return float((1.0 / gaps).max())
 
 
-def fit_stack(states: np.ndarray, rule: TruncationRule) -> EstimatorState:
-    """Fit the truncated componentwise estimator on each of a stack of trajectories.
+class TransitionMoments:
+    """Running sums over the transitions (X_i, X_{i+1}) of a stack of paths.
 
-    states has shape (R, n, p): R trajectories of n states each.  Both
-    moment matrices inside a fit are averaged over the same n-1 observed
-    transitions (X_i, X_{i+1}), so a noiseless trajectory with an
-    identifiable span recovers the autocorrelation matrix exactly rather
-    than up to an n/(n-1) factor.  Every product is a per-trajectory gemm,
-    so a fit does not depend on the rest of the stack.
-
-    Requires every trajectory's k_n-th empirical eigenvalue to be
-    meaningfully positive (above 1e-10 times the leading one, the
-    resolution of the Gram eigensolve); a more degenerate spectrum demands
-    a smaller truncation order rather than silent regularization.
+    gram holds sum X_i X_i^T and cross sum X_{i+1} X_i^T, one p x p matrix
+    per path, summed one piece at a time in the order the pieces are added;
+    transitions counts the pairs.  Both are None until a piece with a
+    transition is added.
     """
-    states = np.asarray(states, dtype=float)
-    _, n, p = states.shape
-    if n < 2:
-        raise ValueError("need at least 2 states to fit")
+
+    def __init__(self):
+        self.gram: np.ndarray | None = None
+        self.cross: np.ndarray | None = None
+        self.transitions = 0
+
+    def add(self, states: np.ndarray) -> None:
+        """Add the transitions inside one piece: states[:, i] holds X_(a+i) of each path.
+
+        Consecutive pieces share their seam state, so the transition
+        across a seam belongs to the earlier piece.  Every product is a
+        per-path gemm.
+        """
+        inputs = states[:, :-1]
+        if inputs.shape[1] == 0:
+            return
+        gram = np.swapaxes(inputs, 1, 2) @ inputs
+        cross = np.swapaxes(states[:, 1:], 1, 2) @ inputs
+        if self.gram is None:
+            self.gram, self.cross = gram, cross
+        else:
+            self.gram += gram
+            self.cross += cross
+        self.transitions += inputs.shape[1]
+
+
+def fit_moments(moments: TransitionMoments, rule: TruncationRule) -> EstimatorState:
+    """Fit the truncated componentwise estimator on each path of a stack from its transition moments.
+
+    Both moment matrices are averaged over the same n - 1 transitions of the
+    path's n states, so a noiseless trajectory with an identifiable span
+    recovers the autocorrelation matrix exactly rather than up to an
+    n/(n-1) factor.  Every product is a per-path gemm, so a fit does not
+    depend on the rest of the stack.
+
+    Requires every path's k_n-th empirical eigenvalue to be meaningfully
+    positive (above 1e-10 times the leading one, the resolution of the Gram
+    eigensolve); a more degenerate spectrum demands a smaller truncation
+    order rather than silent regularization.
+    """
+    n = moments.transitions + 1
+    p = moments.gram.shape[-1]
     k_n = truncation_order(n, rule, p_max=min(n - 1, p))
-    inputs = states[:, :-1]
-    outputs = states[:, 1:]
     # one symmetric eigensolve of each Gram matrix, reversed to descending;
     # rounding negatives become 0, and the rank is at most n - 1, so the
     # eigenvalues beyond it are exactly 0
-    values, vectors = np.linalg.eigh(np.swapaxes(inputs, 1, 2) @ inputs / (n - 1))
+    values, vectors = np.linalg.eigh(moments.gram / (n - 1))
     values = np.clip(values[:, ::-1], 0.0, None)
     values[:, n - 1 :] = 0.0
     vectors = vectors[:, :, ::-1]
@@ -206,7 +232,7 @@ def fit_stack(states: np.ndarray, rule: TruncationRule) -> EstimatorState:
             f"empirical eigenvalue {k_n} is {first[k_n - 1]:.3e} "
             f"(leading {first[0]:.3e}); use a smaller truncation order"
         )
-    d = np.swapaxes(outputs, 1, 2) @ inputs / (n - 1)
+    d = moments.cross / (n - 1)
     # rho_hat = P_k D C^+ P_k = U_k (U_k^T D U_k / lambda_k) U_k^T
     u_k = vectors[:, :, :k_n]
     u_k_t = np.swapaxes(u_k, 1, 2)
@@ -219,6 +245,28 @@ def fit_stack(states: np.ndarray, rule: TruncationRule) -> EstimatorState:
         d_matrix=d,
         rho_hat=rho_hat,
     )
+
+
+def transition_moments(states: np.ndarray) -> TransitionMoments:
+    """The transition moments of a stack of whole trajectories, states of shape (R, n, p).
+
+    They are summed over the pieces that model.stream_paths makes of a path
+    after its burn-in, X_0..X_PIECE_ROWS, X_PIECE_ROWS..X_2 PIECE_ROWS, ...,
+    in order, so they have the bits of the streamed sums of the same
+    states.  Raises ValueError for fewer than 2 states.
+    """
+    states = np.asarray(states, dtype=float)
+    if states.shape[1] < 2:
+        raise ValueError("need at least 2 states")
+    moments = TransitionMoments()
+    for start in range(0, states.shape[1] - 1, PIECE_ROWS):
+        moments.add(states[:, start : start + PIECE_ROWS + 1])
+    return moments
+
+
+def fit_stack(states: np.ndarray, rule: TruncationRule) -> EstimatorState:
+    """Fit the estimator on each of a stack of trajectories: fit_moments of their transition_moments."""
+    return fit_moments(transition_moments(states), rule)
 
 
 def fit_estimator(traj: Trajectory, rule: TruncationRule) -> EstimatorState:

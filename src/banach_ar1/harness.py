@@ -12,13 +12,15 @@ The replications of one sample size run in chunks, stacked along a leading
 axis through simulation, fit, prediction and scoring; a chunk is the unit of
 work of the executor.  Every product in the stack is the per-replication
 gemm or gemv, so a replication's error does not depend on its chunk.  A
-chunk is one call of model.simulate_paths on the stack, then its fit,
-prediction and scoring.  A sweep maps the chunks, in layout order, over a
-pool of worker processes or, with one worker, over two threads of this
-process, so while one thread draws the other can compute.  Each worker runs
-one chunk at a time, so at most two chunks' trajectories (each within
-TRAJECTORY_BUDGET doubles, or one replication) are alive at once in a
-serial sweep.
+chunk streams its stack through model.stream_paths, adding each piece's
+transitions to the moments of the fit as the piece is made, then fits,
+predicts and scores; no whole trajectory is kept.  A sweep maps the chunks,
+in layout order, over a pool of worker processes or, with one worker, over
+two threads of this process, so while one thread draws the other can
+compute.  Each worker runs one chunk at a time, so at most two chunks'
+pieces (each within TRAJECTORY_BUDGET doubles, or one replication's piece
+of at most model.PIECE_ROWS + 1 states) are alive at once in a serial
+sweep.
 
 The experiment fits on the first n states and predicts from state n+1, so
 the estimator's sample and the prediction input are disjoint.
@@ -298,9 +300,9 @@ def replication_rng(master_seed: int, n: int, replication: int) -> np.random.Gen
     return np.random.default_rng([master_seed, n, replication])
 
 
-# Doubles in one chunk's trajectory stack (256 KiB).  Chunk sizes follow
-# from the configuration alone, never from the worker count, so every
-# --threads value writes the same bytes.
+# Doubles in one chunk's trajectory stack (256 KiB), counted as if whole
+# trajectories were kept.  Chunk sizes follow from the configuration alone,
+# never from the worker count, so every --threads value writes the same bytes.
 TRAJECTORY_BUDGET = 2**15
 
 
@@ -327,7 +329,10 @@ def _run_stack(
 ) -> tuple[list[diagnostics.ExperimentResult], EstimatorState]:
     """Simulate, fit, predict and score replications r0..r1-1 of size n as one stack.
 
-    Returns their results and the stack of fits.
+    The paths are streamed a piece at a time: the fit's moments are summed
+    over the states X_0..X_(n-1) of each piece, and the prediction starts
+    from X_n, the last state of the last piece.  Returns the results and
+    the stack of fits.
     """
     ctx = _context(config)
     rngs = [replication_rng(config.master_seed, n, r) for r in range(r0, r1)]
@@ -335,9 +340,11 @@ def _run_stack(
         x0 = [model.sample_initial_condition(ctx.covariance, rng) for rng in rngs]
     else:
         x0 = np.zeros((len(rngs), config.model.modes))
-    states = model.simulate_paths(n, ctx.rho, ctx.noise, x0, rngs, config.burn_in)
-    fits = estimation.fit_stack(states[:, :n], config.truncation)
-    newest = states[:, n]
+    moments = estimation.TransitionMoments()
+    for states, first in model.stream_paths(n, ctx.rho, ctx.noise, x0, rngs, config.burn_in):
+        moments.add(states[:, : n - first])  # the fit's states end at X_(n-1)
+    newest = states[:, n - first]
+    fits = estimation.fit_moments(moments, config.truncation)
     predicted = estimation.plug_in_predict(fits, newest)
     truth = (ctx.rho.matrix @ newest[..., None])[..., 0]
     errors = estimation.prediction_error_besov(

@@ -8,9 +8,12 @@ autocorrelation and innovation-covariance matrices follow the banded forms
 
 States live in the truncated eigenbasis as length-p coefficient vectors;
 trajectories iterate X_n = rho(X_{n-1}) + eps_n with Gaussian innovations
-drawn through the symmetric square root of the innovation covariance.
-All randomness flows through an explicit numpy Generator, so identical
-parameters and generator state reproduce trajectories bit for bit.
+drawn through the symmetric square root of the innovation covariance.  A
+path is drawn and stepped in pieces of at most PIECE_ROWS steps
+(stream_paths), so its live memory does not grow with its length;
+simulate_paths stitches the pieces into whole trajectories.  All randomness
+flows through an explicit numpy Generator, so identical parameters and
+generator state reproduce trajectories bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -53,10 +56,12 @@ class ModelParams:
             )
         if self.width <= 0:
             raise ValueError("width must be positive")
-        if self.modes < 2:
-            raise ValueError("need at least 2 modes")
         if self.grid_len < 2 or self.grid_len & (self.grid_len - 1):
             raise ValueError(f"grid_len must be a power of two, got {self.grid_len}")
+        # the sine modes at the grid_len midpoints are the DST-II basis: mode
+        # 2 grid_len - j equals mode j there, so higher modes alias
+        if not 2 <= self.modes <= self.grid_len:
+            raise ValueError(f"modes must lie in [2, grid_len = {self.grid_len}], got {self.modes}")
 
 
 @dataclass
@@ -251,65 +256,66 @@ def sample_initial_condition(covariance: SpectralOperator, rng: np.random.Genera
 
 
 # Rows of a path's normals that draw_paths draws and maps at a time.  Every
-# piece but the last has DRAW_ROWS rows and the last takes the leftover, so
-# no piece is shorter than DRAW_ROWS unless the whole block is: OpenBLAS can
+# slice but the last has DRAW_ROWS rows and the last takes the leftover, so
+# no slice is shorter than DRAW_ROWS unless the whole piece is: OpenBLAS can
 # give the product of a few rows other last bits than the same rows of the
 # whole block's product.
 DRAW_ROWS = 256
 
+# Steps of a path that stream_paths draws and steps at a time, so a path's
+# live memory is one (PIECE_ROWS + 1) x p piece whatever its length.  Each
+# piece costs about 2 sqrt(PIECE_ROWS) stepping products in Python, so
+# shorter pieces are slower: on 2 cores, 2,048-row pieces made the default
+# desk sweep about 8% slower than 4,096-row ones.
+PIECE_ROWS = 16 * DRAW_ROWS
 
-def draw_paths(
-    noise_cov: SpectralOperator, x0: np.ndarray, rngs: list[np.random.Generator], steps: int
-) -> np.ndarray:
-    """The draw stage of simulate_paths: the start and the innovations of each path.
 
-    Returns a new (len(rngs), steps + 1, p) array: row 0 of path r holds
-    x0[r], and rows 1..steps its innovations eps_1..eps_steps, one
-    standard_normal((steps, p)) block drawn from rngs[r] and mapped through
-    the symmetric square root of noise_cov.  The block is drawn and mapped
-    DRAW_ROWS rows at a time through a scratch of this call's own (a product
-    written over its own input makes numpy copy the whole input first), so
-    draws in two threads share nothing.  step_paths turns the result into
-    states in place.
+def draw_paths(noise_cov: SpectralOperator, x: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
+    """The draw stage of a piece: the next innovations of each path, in place.
+
+    x has shape (len(rngs), steps + 1, p).  Row 0 of each path, its carried
+    state, is left as it is; rows 1..steps of path r receive its next
+    `steps` innovations, a standard_normal((steps, p)) block drawn from
+    rngs[r] and mapped through the symmetric square root of noise_cov.  The
+    block is drawn and mapped DRAW_ROWS rows at a time through a scratch of
+    this call's own (a product written over its own input makes numpy copy
+    the whole input first), so draws in two threads share nothing.
+    Returns x; step_paths turns it into states.
     """
-    x0 = np.asarray(x0, dtype=float)
-    count, p = len(rngs), noise_cov.dim
-    if x0.shape != (count, p):
-        raise ValueError("dimension mismatch between noise_cov, x0 and rngs")
-    x = np.empty((count, steps + 1, p))
-    x[:, 0] = x0
+    count, length, p = x.shape
+    if count != len(rngs) or p != noise_cov.dim:
+        raise ValueError("dimension mismatch between noise_cov, the paths and rngs")
+    steps = length - 1
     edges = [DRAW_ROWS * i for i in range(max(1, steps // DRAW_ROWS))] + [steps]
-    normals = np.empty((steps - edges[-2], p))  # the last piece is the longest
+    normals = np.empty((steps - edges[-2], p))  # the last slice is the longest
     root_t = noise_cov.sqrt.T
     for path, rng in zip(x, rngs):
         for start, stop in zip(edges, edges[1:]):
-            piece = normals[: stop - start]
-            rng.standard_normal(out=piece)
-            np.matmul(piece, root_t, out=path[1 + start : 1 + stop])
+            rows = normals[: stop - start]
+            rng.standard_normal(out=rows)
+            np.matmul(rows, root_t, out=path[1 + start : 1 + stop])
     return x
 
 
-def step_paths(x: np.ndarray, rho: SpectralOperator) -> np.ndarray:
-    """The compute stage of simulate_paths: X_i = rho X_{i-1} + eps_i, in place on a draw_paths result.
+def step_paths(x: np.ndarray, rho: SpectralOperator, s: int) -> np.ndarray:
+    """The step stage of a piece: X_i = rho X_{i-1} + eps_i, in place on a draw_paths result.
 
-    Returns x, row i of each path now holding its X_i.  The N = length - 1
-    steps run anchor-first in blocks of s = isqrt(N) states.  One gemm per
-    path maps each full block's innovations to its zero-start end state
-    through the power table of rho (rho.power_table, cached on the
-    operator: s p^2 doubles, 1.8 MB at N = 8000, p = 50).  The anchors
-    X_s, X_2s, ... then follow from X_0 one block at a time through rho^s,
-    and s - 1 stacked products step every block, the tail after the last
-    anchor included, forward from its anchor.  A path's states do not
-    depend on the other paths in the stack: each product is a per-path gemm
-    or gemv, as for a stack of one.
+    Returns x, row i of each path now holding its X_i.  The steps run
+    anchor-first in blocks of s states.  One gemm per path maps each full
+    block's innovations to its zero-start end state through the power
+    table of rho (rho.power_table(s), cached on the operator: s p^2
+    doubles, 1.3 MB at s = 64, p = 50).  The anchors X_s, X_2s, ... then
+    follow from X_0 one block at a time through rho^s, and up to s - 1
+    stacked products step every block, the tail after the last anchor
+    included, forward from its anchor.  A path's states do not depend on
+    the other paths in the stack: each product is a per-path gemm or gemv,
+    as for a stack of one.
     """
     count, length, p = x.shape
     if rho.dim != p:
         raise ValueError("dimension mismatch between rho and the paths")
-    steps = length - 1
     # as row vectors X_i = X_{i-1} @ M + eps_i with M = rho^T
-    s = math.isqrt(steps)
-    blocks = steps // s
+    blocks = (length - 1) // s
     stack, top = rho.power_table(s)
     # 1. each full block's zero-start end state, sum_j eps_(b-1)s+j @ M^(s-j)
     ends = x[:, 1 : 1 + blocks * s].reshape(count, blocks, s * p) @ stack
@@ -317,10 +323,75 @@ def step_paths(x: np.ndarray, rho: SpectralOperator) -> np.ndarray:
     for b in range(1, blocks + 1):
         x[:, b * s] = (x[:, (b - 1) * s, None] @ top)[:, 0] + ends[:, b - 1]
     # 3. step every block, and the tail after the last anchor, from its anchor
-    for m in range(1, s):
+    for m in range(1, min(s, length)):
         rows = x[:, m::s]
         rows += x[:, m - 1 :: s][:, : rows.shape[1]] @ rho.matrix.T
     return x
+
+
+def stream_paths(
+    n: int,
+    rho: SpectralOperator,
+    noise_cov: SpectralOperator,
+    x0: np.ndarray,
+    rngs: list[np.random.Generator],
+    burn_in: int = 0,
+) -> Iterator[tuple[np.ndarray, int]]:
+    """Iterate X_i = rho X_{i-1} + eps_i for i = 1..n on a stack of paths, one piece at a time.
+
+    Path r starts from x0[r] and draws its innovations from rngs[r], one
+    standard_normal((burn_in + n, p)) block in step order mapped through
+    the symmetric square root of noise_cov.  With burn_in > 0 the recursion
+    first runs burn_in unrecorded steps from x0, and X_0 is the state
+    reached at the end of the burn-in.
+
+    Returns an iterator of (states, first) pairs, one for each piece that
+    reaches past X_0: states[:, i] holds X_(first + i) of every path, and
+    each piece starts with the last state of the one before, so the last
+    piece ends at X_n.  The pieces are views of one buffer, the longest
+    piece's rows of every path, that the next piece overwrites.  A path of
+    at most PIECE_ROWS steps, burn-in included, is one piece.  A longer one
+    is cut at every burn_in + k PIECE_ROWS, so its recorded pieces start at
+    X_0, X_PIECE_ROWS, X_2 PIECE_ROWS, ...  Every piece of a path runs
+    draw_paths, then step_paths with the one block length
+    s = isqrt(min(burn_in + n, PIECE_ROWS)), so the full pieces share one
+    power table.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2 (downstream estimators require at least two states)")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (len(rngs), rho.dim) or noise_cov.dim != rho.dim:
+        raise ValueError("dimension mismatch between rho, noise_cov, x0 and rngs")
+    steps = burn_in + n
+    edges = [0, steps]
+    if steps > PIECE_ROWS:
+        edges[1:1] = range(burn_in % PIECE_ROWS or PIECE_ROWS, steps, PIECE_ROWS)
+    return _pieces(rho, noise_cov, x0, rngs, burn_in, edges)
+
+
+def _pieces(
+    rho: SpectralOperator,
+    noise_cov: SpectralOperator,
+    x0: np.ndarray,
+    rngs: list[np.random.Generator],
+    burn_in: int,
+    edges: list[int],
+) -> Iterator[tuple[np.ndarray, int]]:
+    """stream_paths' pieces, drawn and stepped as they are asked for."""
+    s = math.isqrt(min(edges[-1], PIECE_ROWS))
+    x = np.empty((len(rngs), int(np.diff(edges).max()) + 1, rho.dim))
+    x[:, 0] = x0
+    length = 0
+    for start, stop in zip(edges, edges[1:]):
+        if length:
+            x[:, 0] = x[:, length]  # carry the last state into the next piece
+        length = stop - start
+        piece = step_paths(draw_paths(noise_cov, x[:, : length + 1], rngs), rho, s)
+        if stop > burn_in:
+            skip = max(0, burn_in - start)
+            yield piece[:, skip:], start + skip - burn_in
 
 
 def simulate_paths(
@@ -331,21 +402,16 @@ def simulate_paths(
     rngs: list[np.random.Generator],
     burn_in: int = 0,
 ) -> np.ndarray:
-    """Iterate X_i = rho X_{i-1} + eps_i for i = 1..n on a stack of paths.
+    """Every state X_0..X_n of a stack of paths: the pieces of stream_paths stitched together.
 
-    Path r starts from x0[r] and draws its innovations from rngs[r], one
-    standard_normal((burn_in + n, p)) block mapped through the symmetric
-    square root of noise_cov; the result has shape (len(rngs), n + 1, p),
-    row i of path r holding its X_i.  With burn_in > 0 the recursion first
-    runs burn_in unrecorded steps from x0, and X_0 is the state reached at
-    the end of the burn-in.  This is the two stages composed: draw_paths,
-    then step_paths.
+    The arguments are stream_paths'; the result has shape (len(rngs),
+    n + 1, p), row i of path r holding its X_i.
     """
-    if n < 2:
-        raise ValueError("need n >= 2 (downstream estimators require at least two states)")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
-    return step_paths(draw_paths(noise_cov, x0, rngs, burn_in + n), rho)[:, burn_in:]
+    pieces = stream_paths(n, rho, noise_cov, x0, rngs, burn_in)
+    paths = np.empty((len(rngs), n + 1, rho.dim))
+    for states, first in pieces:
+        paths[:, first : first + states.shape[1]] = states
+    return paths
 
 
 def simulate_trajectory(

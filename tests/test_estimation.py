@@ -20,6 +20,7 @@ from banach_ar1.estimation import (
     truncation_order,
 )
 from banach_ar1.model import (
+    PIECE_ROWS,
     SpectralOperator,
     Trajectory,
     build_covariance,
@@ -68,18 +69,20 @@ class TestEmpiricalMoments:
 
     def test_matches_brute_force_double_loop(self):
         rng = np.random.default_rng(21)
-        x = rng.standard_normal((7, 4))
-        traj = Trajectory(states=x)
-        cov = empirical_covariance(traj).matrix
-        cross = empirical_cross_covariance(traj).matrix
-        cov_ref = np.zeros((4, 4))
-        cross_ref = np.zeros((4, 4))
-        for i in range(7):
-            cov_ref += np.outer(x[i], x[i]) / 7
-        for i in range(6):
-            cross_ref += np.outer(x[i + 1], x[i]) / 6
-        assert np.abs(cov - cov_ref).max() < 1e-12
-        assert np.abs(cross - cross_ref).max() < 1e-12
+        # 2 PIECE_ROWS + 37 states are summed in three pieces
+        for n in (7, 2 * PIECE_ROWS + 37):
+            x = rng.standard_normal((n, 4))
+            traj = Trajectory(states=x)
+            cov = empirical_covariance(traj).matrix
+            cross = empirical_cross_covariance(traj).matrix
+            cov_ref = np.zeros((4, 4))
+            cross_ref = np.zeros((4, 4))
+            for i in range(n):
+                cov_ref += np.outer(x[i], x[i]) / n
+            for i in range(n - 1):
+                cross_ref += np.outer(x[i + 1], x[i]) / (n - 1)
+            assert np.abs(cov - cov_ref).max() < 1e-12, n
+            assert np.abs(cross - cross_ref).max() < 1e-12, n
 
     def test_noiseless_cross_covariance_factors_through_rho(self):
         # over aligned windows the cross-covariance of a noiseless path is
@@ -186,16 +189,18 @@ class TestFitEstimator:
 
     def test_matches_dense_composition(self):
         rng = np.random.default_rng(6)
-        x = rng.standard_normal((6, 3))
-        state = fit_estimator(Trajectory(states=x), TruncationRule.fixed(2))
-        inputs, outputs = x[:-1], x[1:]
-        cov = inputs.T @ inputs / 5
-        cross = outputs.T @ inputs / 5
-        lam, u = np.linalg.eigh(cov)
-        lam, u = lam[::-1], u[:, ::-1]
-        u_k = u[:, :2]
-        dense = u_k @ u_k.T @ cross @ u_k @ np.diag(1 / lam[:2]) @ u_k.T
-        assert np.abs(state.rho_hat - dense).max() < 1e-10
+        # at 2 PIECE_ROWS + 37 states the fit sums its moments over three pieces, the dense ones in one product
+        for n in (6, 2 * PIECE_ROWS + 37):
+            x = rng.standard_normal((n, 3))
+            state = fit_estimator(Trajectory(states=x), TruncationRule.fixed(2))
+            inputs, outputs = x[:-1], x[1:]
+            cov = inputs.T @ inputs / (n - 1)
+            cross = outputs.T @ inputs / (n - 1)
+            lam, u = np.linalg.eigh(cov)
+            lam, u = lam[::-1], u[:, ::-1]
+            u_k = u[:, :2]
+            dense = u_k @ u_k.T @ cross @ u_k @ np.diag(1 / lam[:2]) @ u_k.T
+            assert np.abs(state.rho_hat - dense).max() < 1e-10, n
 
     def test_matches_literal_sum_oracle_on_random_instances(self):
         rng = np.random.default_rng(1234)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -364,6 +365,70 @@ class TestChunks:
             assert not (tmp_path / "out").exists()
 
 
+PIECE = harness.model.PIECE_ROWS
+# one size below, at and above a piece, and one that crosses two seams
+PIECE_CONFIG = (
+    f"modes = 8\ngrid_len = 256\nsample_sizes = {PIECE - 1}, {PIECE}, {PIECE + 1}, {2 * PIECE + 37}\n"
+    "replications = 2\nseed = 5\n"
+)
+
+
+def mirrored_replication(config, n, r):
+    """One cell through the public whole-trajectory route: simulate_trajectory, fit_estimator, grid scoring."""
+    params = config.model
+    covariance = harness.model.build_covariance(params)
+    rho = harness.model.build_rho(params)
+    noise = harness.model.build_noise_covariance(params, covariance, rho)
+    rng = harness.replication_rng(config.master_seed, n, r)
+    if config.truncated_init:
+        x0 = harness.model.sample_initial_condition(covariance, rng)
+    else:
+        x0 = np.zeros(params.modes)
+    traj = harness.model.simulate_trajectory(n, rho, noise, x0, rng, burn_in=config.burn_in)
+    state = fit_estimator(traj.head(n), config.truncation)
+    newest = traj.states[n]
+    predicted = harness.estimation.plug_in_predict(state, newest)
+    error = harness.estimation.prediction_error_besov(rho.matrix @ newest, predicted, params.grid_len, config.wavelet)
+    return error, state
+
+
+class TestStreaming:
+    """A replication is simulated and its moments summed one piece of PIECE_ROWS steps at a time."""
+
+    @pytest.mark.parametrize(
+        "extra", ["", "truncated_init = false\nburn_in = 7\n"], ids=["truncated-init", "zero-start-burn-in"]
+    )
+    def test_sweep_matches_the_whole_trajectory_route_across_piece_seams(self, tmp_path, extra):
+        config = parse_config(write_config(tmp_path, PIECE_CONFIG + extra + f"output_dir = {tmp_path / 'one'}\n"))
+        results, _ = run_experiment(config, threads=1)
+        for result in results:
+            single, fit = run_replication(config, result.n, result.replication)
+            error, state = mirrored_replication(config, result.n, result.replication)
+            assert result.error_b == single.error_b == error, (result.n, result.replication)
+            for name in ("eigenvalues", "eigenvectors", "d_matrix", "rho_hat"):
+                assert np.array_equal(getattr(fit, name), getattr(state, name)), (result.n, name)
+        run_experiment(replace(config, output_dir=str(tmp_path / "two")), threads=2)
+        for name in CSV_NAMES:
+            assert filecmp.cmp(tmp_path / "one" / name, tmp_path / "two" / name, shallow=False), name
+
+    def test_replication_memory_is_flat_in_n(self, tmp_path):
+        sizes = (PIECE, 4 * PIECE, 16 * PIECE)
+        config = parse_config(
+            write_config(tmp_path, f"modes = 8\ngrid_len = 256\nsample_sizes = {', '.join(map(str, sizes))}\n")
+        )
+        peaks = []
+        for n in sizes:
+            run_replication(config, n, 0)  # fills the run context, the scoring matrix and the power table
+            tracemalloc.start()
+            try:
+                run_replication(config, n, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one piece is (PIECE + 1) x 8 doubles, 256 KiB; whole trajectories grew 16-fold
+        assert max(peaks) - min(peaks) <= 32 * 1024, peaks
+
+
 def usable_cpus(monkeypatch, cpus):
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
@@ -487,25 +552,26 @@ class TestDrawAhead:
     def test_no_fit_shares_the_memory_of_its_paths(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "TRAJECTORY_BUDGET", 8400)
         config = parse_config(write_config(tmp_path, CHUNK_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
-        paths, fits = [], []
-        simulate, fit = harness.model.simulate_paths, harness.estimation.fit_stack
+        pieces, fits = [], []
+        stream, fit = harness.model.stream_paths, harness.estimation.fit_moments
 
-        def kept_paths(*args):
-            paths.append(simulate(*args))
-            return paths[-1]
+        def kept_pieces(*args):
+            for states, first in stream(*args):
+                pieces.append(states)
+                yield states, first
 
         def kept_fits(*args):
             fits.append(fit(*args))
             return fits[-1]
 
-        monkeypatch.setattr(harness.model, "simulate_paths", kept_paths)
-        monkeypatch.setattr(harness.estimation, "fit_stack", kept_fits)
+        monkeypatch.setattr(harness.model, "stream_paths", kept_pieces)
+        monkeypatch.setattr(harness.estimation, "fit_moments", kept_fits)
         run_experiment(config, threads=1)
         run_replication(config, 51, 4)
-        assert len(paths) == len(fits) == len(harness.chunk_layout(config)) + 1
+        assert len(pieces) == len(fits) == len(harness.chunk_layout(config)) + 1
         for state in fits:
             for array in (state.eigenvalues, state.eigenvectors, state.d_matrix, state.rho_hat):
-                assert not any(np.shares_memory(array, path.base) for path in paths)
+                assert not any(np.shares_memory(array, piece.base) for piece in pieces)
 
     @pytest.mark.parametrize(
         "threads, chunks", [(1, "chunks run on two threads"), (2, "one chunk at a time per worker process")]
@@ -518,6 +584,8 @@ class TestDrawAhead:
         with caplog.at_level("INFO", logger="banach_ar1.cli"):
             assert cli.main(["run", "--config", str(cfg_path), "--threads", str(threads)]) == cli.EXIT_OK
         assert f"{threads} worker process(es), {chunks}, BLAS threads per process" in caplog.text
+        # 21 states of 8 modes at n = 20
+        assert "paths run in pieces of at most 20 rows, 0.00134 MB per path" in caplog.text
 
 
 class TestEstimatorBundle:
@@ -592,6 +660,8 @@ INVALID_INPUTS = [
     pytest.param("grid_len = 3\n", [], id="grid-len-three"),
     pytest.param("grid_len = 0\n", [], id="grid-len-zero"),
     pytest.param("grid_len = -4\n", [], id="grid-len-negative"),
+    pytest.param("modes = 10000000000000000000000\n", [], id="modes-huge"),
+    pytest.param("modes = 257\ngrid_len = 256\n", [], id="modes-above-grid-len"),
     pytest.param("", ["--out", ""], id="flag-out-empty"),
 ]
 

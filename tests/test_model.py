@@ -9,6 +9,7 @@ import pytest
 
 import banach_ar1
 from banach_ar1.model import (
+    PIECE_ROWS,
     ModelParams,
     NoiseCovarianceError,
     SpectralOperator,
@@ -66,6 +67,14 @@ class TestModelParams:
     def test_grid_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
             ModelParams(gamma=1.21, beta_exponent=0.6, grid_len=1000)
+
+    def test_modes_at_most_grid_len(self):
+        # sine modes above grid_len alias at the grid midpoints
+        assert ModelParams(gamma=1.21, beta_exponent=0.6, modes=256, grid_len=256).modes == 256
+        with pytest.raises(ValueError, match=r"modes must lie in \[2, grid_len = 256\], got 257"):
+            ModelParams(gamma=1.21, beta_exponent=0.6, modes=257, grid_len=256)
+        with pytest.raises(ValueError, match="got 1"):
+            ModelParams(gamma=1.21, beta_exponent=0.6, modes=1)
 
 
 class TestCovariance:
@@ -279,8 +288,9 @@ class TestSimulation:
         assert not np.allclose(plain.states[0], burned.states[0])
         assert np.abs(burned.states[0]).max() > 0
 
+    # PIECE_ROWS + 1 and 2 PIECE_ROWS + 37 steps cross one and two piece seams
     @pytest.mark.parametrize("burn_in", [0, 7])
-    @pytest.mark.parametrize("n", [2, 3, 15, 16, 17, 1000])
+    @pytest.mark.parametrize("n", [2, 3, 15, 16, 17, 1000, PIECE_ROWS + 1, 2 * PIECE_ROWS + 37])
     @pytest.mark.parametrize("operator", ["reference", "non_normal"])
     def test_blocked_recursion_matches_stepped_oracle(self, operator, n, burn_in):
         rho, noise = recursion_operators(operator)
@@ -294,11 +304,12 @@ class TestSimulation:
         assert rng.standard_normal() == oracle_rng.standard_normal()
 
     @pytest.mark.parametrize("burn_in", [0, 7])
-    @pytest.mark.parametrize("n", [2, 17, 961, 1000])
+    @pytest.mark.parametrize("n", [2, 17, 961, 1000, PIECE_ROWS + 1, 2 * PIECE_ROWS + 37])
     @pytest.mark.parametrize("operator", ["reference", "non_normal"])
     def test_stacked_paths_match_their_own_stepped_oracles(self, operator, n, burn_in):
         # 961 steps fill 31 blocks of s = 31 exactly; 1000 leave a tail of 8
-        # after the last anchor (with burn-in 7 the blocks shift)
+        # after the last anchor (with burn-in 7 the blocks shift); the longer
+        # paths are cut into pieces, the last one shorter than a block at 4097
         rho, noise = recursion_operators(operator)
         x0 = np.random.default_rng(99).standard_normal((3, rho.dim))
         rngs = [np.random.default_rng([n, r]) for r in range(3)]
@@ -314,21 +325,36 @@ class TestSimulation:
     def test_stages_compose_to_simulate_paths_bit_for_bit(self, operator):
         rho, noise = recursion_operators(operator)
         x0 = np.random.default_rng(99).standard_normal((3, rho.dim))
-        # draw_paths draws in pieces of DRAW_ROWS = 256 rows, the last taking the
-        # leftover: 107, 255 and 511 steps are one piece, 256 and 512 whole
-        # pieces, and 513 and 8000 end in a piece longer than 256 rows
-        for steps in (107, 255, 256, 511, 512, 513, 8000):
-            drawn = draw_paths(noise, x0, [np.random.default_rng([7, r]) for r in range(3)], steps)
-            assert drawn.shape == (3, steps + 1, rho.dim)
+        # draw_paths draws DRAW_ROWS = 256 rows at a time, the last slice taking
+        # the leftover: 107, 255 and 511 steps are one slice, 256, 512 and
+        # PIECE_ROWS whole slices, and 513 ends in a slice longer than 256 rows
+        for steps in (107, 255, 256, 511, 512, 513, PIECE_ROWS):
+            x = np.empty((3, steps + 1, rho.dim))
+            x[:, 0] = x0
+            drawn = draw_paths(noise, x, [np.random.default_rng([7, r]) for r in range(3)])
+            assert drawn is x
             for r, path in enumerate(drawn):
-                # each path's innovations are one whole-block gemm with the root, whatever the pieces
+                # each path's innovations are one whole-block gemm with the root, whatever the slices
                 normals = np.random.default_rng([7, r]).standard_normal((steps, rho.dim))
                 assert np.array_equal(path[0], x0[r])
                 assert np.array_equal(path[1:], normals @ noise.sqrt.T), steps
-            stepped = step_paths(drawn, rho)
+            # a path of at most PIECE_ROWS steps is one piece, stepped in blocks of isqrt(steps)
+            stepped = step_paths(drawn, rho, math.isqrt(steps))
             assert stepped is drawn
             rngs = [np.random.default_rng([7, r]) for r in range(3)]
             assert np.array_equal(stepped[:, 7:], simulate_paths(steps - 7, rho, noise, x0, rngs, burn_in=7))
+        # a longer one is cut at every burn_in + k PIECE_ROWS, each piece
+        # starting from the last state of the one before, all in blocks of
+        # isqrt(PIECE_ROWS)
+        rngs = [np.random.default_rng([7, r]) for r in range(3)]
+        pieces = [x0[:, None]]
+        for length in (7, PIECE_ROWS, PIECE_ROWS, 30):
+            x = np.empty((3, length + 1, rho.dim))
+            x[:, 0] = pieces[-1][:, -1]
+            pieces.append(step_paths(draw_paths(noise, x, rngs), rho, math.isqrt(PIECE_ROWS))[:, 1:])
+        rngs = [np.random.default_rng([7, r]) for r in range(3)]
+        streamed = simulate_paths(2 * PIECE_ROWS + 30, rho, noise, x0, rngs, burn_in=7)
+        assert np.array_equal(streamed, np.concatenate(pieces[1:], axis=1)[:, 6:])
 
     def test_reproducible_bit_for_bit(self):
         p = params(modes=6)
