@@ -71,12 +71,15 @@ def _cmd_run(args) -> int:
     workers = harness.worker_count(args.threads, len(harness.chunk_layout(config)))
     chunks = "chunks run on two threads" if workers == 1 else "one chunk at a time per worker process"
     blas = ", ".join(f"{var}={setting}" for var, setting in BLAS_THREAD_SETTINGS.items())
-    # a path's live states are one piece of its burn-in and n steps, at most PIECE_ROWS
-    rows = min(config.burn_in + config.sample_sizes[-1], PIECE_ROWS)
+    sizes = []
+    for n in config.sample_sizes:
+        size = harness.chunk_size(config, n)
+        sizes.append(f"{size} at n = {n} ({size * harness.replication_doubles(config, n) * 8 / 1e6:.3g} MB)")
     logger.info(
         "%d worker process(es), %s, BLAS threads per process: %s; "
-        "paths run in pieces of at most %d rows, %.3g MB per path",
-        workers, chunks, blas, rows, (rows + 1) * config.model.modes * 8 / 1e6,
+        "paths run in pieces of %d steps, the last taking the leftover; "
+        "replications per chunk of at most %.3g MB: %s",
+        workers, chunks, blas, PIECE_ROWS, harness.CHUNK_BUDGET * 8 / 1e6, ", ".join(sizes),
     )
     results, reports = harness.run_experiment(config, threads=args.threads)
     print(f"wrote {len(results)} replication results for {len(reports)} sample sizes to {config.output_dir}")

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import PIECE_ROWS, SpectralOperator, Trajectory, eigenfunctions_on_grid, evaluate_via_spline
+from .model import SpectralOperator, Trajectory, eigenfunctions_on_grid, evaluate_via_spline, piece_edges
 from .wavelet import WaveletBasisSpec, coefficient_matrix
 
 
@@ -250,17 +250,19 @@ def fit_moments(moments: TransitionMoments, rule: TruncationRule) -> EstimatorSt
 def transition_moments(states: np.ndarray) -> TransitionMoments:
     """The transition moments of a stack of whole trajectories, states of shape (R, n, p).
 
-    They are summed over the pieces that model.stream_paths makes of a path
-    after its burn-in, X_0..X_PIECE_ROWS, X_PIECE_ROWS..X_2 PIECE_ROWS, ...,
-    in order, so they have the bits of the streamed sums of the same
-    states.  Raises ValueError for fewer than 2 states.
+    They are summed, in order, over the pieces that a streamed fit of the
+    same states X_0..X_(n-1) adds: X_0..X_PIECE_ROWS, X_PIECE_ROWS..X_2
+    PIECE_ROWS, ..., the last piece taking any leftover
+    (model.piece_edges(n)), so they have the bits of the streamed sums.
+    Raises ValueError for fewer than 2 states.
     """
     states = np.asarray(states, dtype=float)
     if states.shape[1] < 2:
         raise ValueError("need at least 2 states")
     moments = TransitionMoments()
-    for start in range(0, states.shape[1] - 1, PIECE_ROWS):
-        moments.add(states[:, start : start + PIECE_ROWS + 1])
+    edges = piece_edges(states.shape[1])
+    for start, stop in zip(edges, edges[1:]):
+        moments.add(states[:, start : stop + 1])  # the last piece ends at the last state
     return moments
 
 

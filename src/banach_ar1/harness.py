@@ -14,13 +14,13 @@ work of the executor.  Every product in the stack is the per-replication
 gemm or gemv, so a replication's error does not depend on its chunk.  A
 chunk streams its stack through model.stream_paths, adding each piece's
 transitions to the moments of the fit as the piece is made, then fits,
-predicts and scores; no whole trajectory is kept.  A sweep maps the chunks,
-in layout order, over a pool of worker processes or, with one worker, over
-two threads of this process, so while one thread draws the other can
-compute.  Each worker runs one chunk at a time, so at most two chunks'
-pieces (each within TRAJECTORY_BUDGET doubles, or one replication's piece
-of at most model.PIECE_ROWS + 1 states) are alive at once in a serial
-sweep.
+predicts and scores; no whole trajectory is kept.  A chunk holds as many
+replications as fit into CHUNK_BUDGET doubles, counting for each its piece,
+its normals scratch and its fit's p x p arrays (replication_doubles).  A
+sweep maps the chunks, in layout order, over a pool of worker processes or,
+with one worker, over two threads of this process, so while one thread
+draws the other can compute.  Each worker runs one chunk at a time, so at
+most two chunks are alive at once in a serial sweep.
 
 The experiment fits on the first n states and predicts from state n+1, so
 the estimator's sample and the prediction input are disjoint.
@@ -300,21 +300,39 @@ def replication_rng(master_seed: int, n: int, replication: int) -> np.random.Gen
     return np.random.default_rng([master_seed, n, replication])
 
 
-# Doubles in one chunk's trajectory stack (256 KiB), counted as if whole
-# trajectories were kept.  Chunk sizes follow from the configuration alone,
-# never from the worker count, so every --threads value writes the same bytes.
-TRAJECTORY_BUDGET = 2**15
+# Doubles that one chunk may keep alive (1.5 MiB), summed over its
+# replications' replication_doubles.  A serial sweep holds two chunks at
+# once: on 2 cores, 2**17 (one desk replication per chunk at n = 500 and
+# 2000) made the desk sweep about 18% slower, and 2**18 raised its peak RSS
+# by 1.5 to 2.3 MB.  Chunk sizes follow from the configuration alone, never
+# from the worker count, so every --threads value writes the same bytes.
+CHUNK_BUDGET = 3 * 2**16
+
+
+def replication_doubles(config: ExperimentConfig, n: int) -> int:
+    """Doubles one replication of size n keeps alive in a chunk.
+
+    Its rows of the piece buffer (the longest piece of its path plus the
+    carried state), its normals scratch of one row fewer, and the 8 p x p
+    arrays of its fit at their peak: the two moment sums, fit_moments'
+    scaled Gram matrix (then its eigenvectors), D_n, rho_hat and the three
+    of EstimatorState's orthonormality check.
+    """
+    rows = max(np.diff(model.piece_edges(n, config.burn_in)))
+    p = config.model.modes
+    return (2 * int(rows) + 1) * p + 8 * p * p
+
+
+def chunk_size(config: ExperimentConfig, n: int) -> int:
+    """Replications of size n in a full chunk: as many as fit into CHUNK_BUDGET, at least one."""
+    return min(config.replications, max(1, CHUNK_BUDGET // replication_doubles(config, n)))
 
 
 def chunk_layout(config: ExperimentConfig) -> list[tuple[int, int, int]]:
-    """The pool's tasks in (n, replication) order: (n, r0, r1) runs replications r0..r1-1 of size n.
-
-    A chunk holds as many replications as fit their (burn_in + n + 1) x
-    modes trajectories into TRAJECTORY_BUDGET doubles, and at least one.
-    """
+    """The pool's tasks in (n, replication) order: (n, r0, r1) runs replications r0..r1-1 of size n."""
     chunks = []
     for n in config.sample_sizes:
-        size = max(1, TRAJECTORY_BUDGET // ((config.burn_in + n + 1) * config.model.modes))
+        size = chunk_size(config, n)
         chunks.extend((n, r0, min(r0 + size, config.replications)) for r0 in range(0, config.replications, size))
     return chunks
 

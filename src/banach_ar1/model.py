@@ -9,8 +9,8 @@ autocorrelation and innovation-covariance matrices follow the banded forms
 States live in the truncated eigenbasis as length-p coefficient vectors;
 trajectories iterate X_n = rho(X_{n-1}) + eps_n with Gaussian innovations
 drawn through the symmetric square root of the innovation covariance.  A
-path is drawn and stepped in pieces of at most PIECE_ROWS steps
-(stream_paths), so its live memory does not grow with its length;
+path is drawn and stepped in pieces of PIECE_ROWS to 2 PIECE_ROWS - 1
+steps (stream_paths), so its live memory does not grow with its length;
 simulate_paths stitches the pieces into whole trajectories.  All randomness
 flows through an explicit numpy Generator, so identical parameters and
 generator state reproduce trajectories bit for bit.
@@ -255,45 +255,43 @@ def sample_initial_condition(covariance: SpectralOperator, rng: np.random.Genera
     return np.sqrt(c_diag) * z
 
 
-# Rows of a path's normals that draw_paths draws and maps at a time.  Every
-# slice but the last has DRAW_ROWS rows and the last takes the leftover, so
-# no slice is shorter than DRAW_ROWS unless the whole piece is: OpenBLAS can
-# give the product of a few rows other last bits than the same rows of the
-# whole block's product.
-DRAW_ROWS = 256
-
-# Steps of a path that stream_paths draws and steps at a time, so a path's
-# live memory is one (PIECE_ROWS + 1) x p piece whatever its length.  Each
-# piece costs about 2 sqrt(PIECE_ROWS) stepping products in Python, so
-# shorter pieces are slower: on 2 cores, 2,048-row pieces made the default
-# desk sweep about 8% slower than 4,096-row ones.
-PIECE_ROWS = 16 * DRAW_ROWS
+# Steps of a path that stream_paths draws and steps at a time.  A path is
+# cut at every burn_in + k PIECE_ROWS that lies at least PIECE_ROWS steps
+# from both of its ends, so each piece has PIECE_ROWS to 2 PIECE_ROWS - 1
+# steps unless the whole path is shorter, and a path's live memory is one
+# piece and its normals whatever its length.  A piece is also the slice of
+# normals that one gemm maps through the noise root: OpenBLAS can give the
+# product of a few rows other last bits than the same rows of a longer
+# product, so no slice is shorter than PIECE_ROWS either.
+PIECE_ROWS = 256
 
 
-def draw_paths(noise_cov: SpectralOperator, x: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
+def piece_edges(n: int, burn_in: int = 0) -> list[int]:
+    """Where stream_paths cuts a path of burn_in + n steps: 0, its seams, burn_in + n."""
+    steps = burn_in + n
+    return [0, *range(PIECE_ROWS + burn_in % PIECE_ROWS, steps - PIECE_ROWS + 1, PIECE_ROWS), steps]
+
+
+def draw_paths(
+    noise_cov: SpectralOperator, x: np.ndarray, rngs: list[np.random.Generator], normals: np.ndarray
+) -> np.ndarray:
     """The draw stage of a piece: the next innovations of each path, in place.
 
     x has shape (len(rngs), steps + 1, p).  Row 0 of each path, its carried
     state, is left as it is; rows 1..steps of path r receive its next
     `steps` innovations, a standard_normal((steps, p)) block drawn from
-    rngs[r] and mapped through the symmetric square root of noise_cov.  The
-    block is drawn and mapped DRAW_ROWS rows at a time through a scratch of
-    this call's own (a product written over its own input makes numpy copy
-    the whole input first), so draws in two threads share nothing.
-    Returns x; step_paths turns it into states.
+    rngs[r] into normals[r] and mapped through the symmetric square root of
+    noise_cov.  The whole stack is mapped in one stacked product, one gemm
+    per path.  normals is a scratch of shape (len(rngs), steps, p): a
+    product written over its own input would make numpy copy the whole
+    input first.  Returns x; step_paths turns it into states.
     """
     count, length, p = x.shape
-    if count != len(rngs) or p != noise_cov.dim:
-        raise ValueError("dimension mismatch between noise_cov, the paths and rngs")
-    steps = length - 1
-    edges = [DRAW_ROWS * i for i in range(max(1, steps // DRAW_ROWS))] + [steps]
-    normals = np.empty((steps - edges[-2], p))  # the last slice is the longest
-    root_t = noise_cov.sqrt.T
-    for path, rng in zip(x, rngs):
-        for start, stop in zip(edges, edges[1:]):
-            rows = normals[: stop - start]
-            rng.standard_normal(out=rows)
-            np.matmul(rows, root_t, out=path[1 + start : 1 + stop])
+    if count != len(rngs) or p != noise_cov.dim or normals.shape != (count, length - 1, p):
+        raise ValueError("dimension mismatch between noise_cov, the paths, rngs and normals")
+    for block, rng in zip(normals, rngs):
+        rng.standard_normal(out=block)
+    np.matmul(normals, noise_cov.sqrt.T, out=x[:, 1:])
     return x
 
 
@@ -304,7 +302,7 @@ def step_paths(x: np.ndarray, rho: SpectralOperator, s: int) -> np.ndarray:
     anchor-first in blocks of s states.  One gemm per path maps each full
     block's innovations to its zero-start end state through the power
     table of rho (rho.power_table(s), cached on the operator: s p^2
-    doubles, 1.3 MB at s = 64, p = 50).  The anchors X_s, X_2s, ... then
+    doubles, 0.32 MB at s = 16, p = 50).  The anchors X_s, X_2s, ... then
     follow from X_0 one block at a time through rho^s, and up to s - 1
     stacked products step every block, the tail after the last anchor
     included, forward from its anchor.  A path's states do not depend on
@@ -320,12 +318,17 @@ def step_paths(x: np.ndarray, rho: SpectralOperator, s: int) -> np.ndarray:
     # 1. each full block's zero-start end state, sum_j eps_(b-1)s+j @ M^(s-j)
     ends = x[:, 1 : 1 + blocks * s].reshape(count, blocks, s * p) @ stack
     # 2. carry the anchors X_s, X_2s, ... from X_0, one gemv per path
-    for b in range(1, blocks + 1):
-        x[:, b * s] = (x[:, (b - 1) * s, None] @ top)[:, 0] + ends[:, b - 1]
-    # 3. step every block, and the tail after the last anchor, from its anchor
-    for m in range(1, min(s, length)):
-        rows = x[:, m::s]
-        rows += x[:, m - 1 :: s][:, : rows.shape[1]] @ rho.matrix.T
+    anchors = x[:, : blocks * s + 1 : s, None].swapaxes(0, 1)
+    for prev, anchor, end in zip(anchors, anchors[1:], ends[:, :, None].swapaxes(0, 1)):
+        np.matmul(prev, top, out=anchor)
+        anchor += end
+    # 3. step every block, and the tail after the last anchor, from its anchor:
+    # row m + 1 of each block from its row m
+    inputs, outputs = x[:, :-1], x[:, 1:]
+    step = rho.matrix.T
+    for m in range(min(s, length) - 1):
+        rows = outputs[:, m::s]
+        rows += inputs[:, m::s] @ step
     return x
 
 
@@ -349,13 +352,15 @@ def stream_paths(
     reaches past X_0: states[:, i] holds X_(first + i) of every path, and
     each piece starts with the last state of the one before, so the last
     piece ends at X_n.  The pieces are views of one buffer, the longest
-    piece's rows of every path, that the next piece overwrites.  A path of
-    at most PIECE_ROWS steps, burn-in included, is one piece.  A longer one
-    is cut at every burn_in + k PIECE_ROWS, so its recorded pieces start at
-    X_0, X_PIECE_ROWS, X_2 PIECE_ROWS, ...  Every piece of a path runs
-    draw_paths, then step_paths with the one block length
-    s = isqrt(min(burn_in + n, PIECE_ROWS)), so the full pieces share one
-    power table.
+    piece's rows of every path, that the next piece overwrites; one normals
+    scratch of the same size serves every draw.  The path is cut at
+    piece_edges(n, burn_in): at every burn_in + k PIECE_ROWS that lies at
+    least PIECE_ROWS steps from both ends, so its recorded pieces start at
+    X_0, X_PIECE_ROWS, X_2 PIECE_ROWS, ... and the last one takes any
+    leftover shorter than PIECE_ROWS.  Every piece runs draw_paths on the
+    whole stack, then step_paths with the one block length
+    s = isqrt(min(burn_in + n, PIECE_ROWS)), so all pieces share one power
+    table.
     """
     if n < 2:
         raise ValueError("need n >= 2 (downstream estimators require at least two states)")
@@ -364,11 +369,7 @@ def stream_paths(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (len(rngs), rho.dim) or noise_cov.dim != rho.dim:
         raise ValueError("dimension mismatch between rho, noise_cov, x0 and rngs")
-    steps = burn_in + n
-    edges = [0, steps]
-    if steps > PIECE_ROWS:
-        edges[1:1] = range(burn_in % PIECE_ROWS or PIECE_ROWS, steps, PIECE_ROWS)
-    return _pieces(rho, noise_cov, x0, rngs, burn_in, edges)
+    return _pieces(rho, noise_cov, x0, rngs, burn_in, piece_edges(n, burn_in))
 
 
 def _pieces(
@@ -381,14 +382,16 @@ def _pieces(
 ) -> Iterator[tuple[np.ndarray, int]]:
     """stream_paths' pieces, drawn and stepped as they are asked for."""
     s = math.isqrt(min(edges[-1], PIECE_ROWS))
-    x = np.empty((len(rngs), int(np.diff(edges).max()) + 1, rho.dim))
+    rows = int(np.diff(edges).max())
+    x = np.empty((len(rngs), rows + 1, rho.dim))
+    normals = np.empty((len(rngs), rows, rho.dim))
     x[:, 0] = x0
     length = 0
     for start, stop in zip(edges, edges[1:]):
         if length:
             x[:, 0] = x[:, length]  # carry the last state into the next piece
         length = stop - start
-        piece = step_paths(draw_paths(noise_cov, x[:, : length + 1], rngs), rho, s)
+        piece = step_paths(draw_paths(noise_cov, x[:, : length + 1], rngs, normals[:, :length]), rho, s)
         if stop > burn_in:
             skip = max(0, burn_in - start)
             yield piece[:, skip:], start + skip - burn_in

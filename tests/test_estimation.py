@@ -69,8 +69,8 @@ class TestEmpiricalMoments:
 
     def test_matches_brute_force_double_loop(self):
         rng = np.random.default_rng(21)
-        # 2 PIECE_ROWS + 37 states are summed in three pieces
-        for n in (7, 2 * PIECE_ROWS + 37):
+        # 3 PIECE_ROWS + 37 states are summed in three pieces, the last taking the leftover
+        for n in (7, 3 * PIECE_ROWS + 37):
             x = rng.standard_normal((n, 4))
             traj = Trajectory(states=x)
             cov = empirical_covariance(traj).matrix
@@ -189,8 +189,8 @@ class TestFitEstimator:
 
     def test_matches_dense_composition(self):
         rng = np.random.default_rng(6)
-        # at 2 PIECE_ROWS + 37 states the fit sums its moments over three pieces, the dense ones in one product
-        for n in (6, 2 * PIECE_ROWS + 37):
+        # at 3 PIECE_ROWS + 37 states the fit sums its moments over three pieces, the dense ones in one product
+        for n in (6, 3 * PIECE_ROWS + 37):
             x = rng.standard_normal((n, 3))
             state = fit_estimator(Trajectory(states=x), TruncationRule.fixed(2))
             inputs, outputs = x[:-1], x[1:]

@@ -129,8 +129,8 @@ class TestParseConfig:
 
 
 TINY_CONFIG = "modes = 8\ngrid_len = 256\nsample_sizes = 6, 20\nreplications = 3\nseed = 5\n"
-# 600 replications run as 2 chunks of n = 6 (585 per chunk) and 4 of n = 20 (195 per chunk)
-POOL_CONFIG = "modes = 8\ngrid_len = 256\nsample_sizes = 6, 20\nreplications = 600\nseed = 5\n"
+# 640 replications run as 3 chunks of n = 6 (319 per chunk) and 3 of n = 20 (234 per chunk)
+POOL_CONFIG = "modes = 8\ngrid_len = 256\nsample_sizes = 6, 20\nreplications = 640\nseed = 5\n"
 
 
 class InlinePool:
@@ -168,7 +168,7 @@ class TestRunExperiment:
         config = parse_config(write_config(tmp_path, POOL_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
         assert len(harness.chunk_layout(config)) == 6
         results, _ = run_experiment(config, threads=threads)
-        assert len(results) == 1200
+        assert len(results) == 1280
         assert InlinePool.requested == ([] if expected is None else [expected])
 
     def test_smoke_run_emits_all_artifacts(self, tmp_path):
@@ -267,6 +267,10 @@ class TestRunExperiment:
 
 # 50 modes as in the reference model; n = 20 < p, n = 51 = p + 1
 CHUNK_CONFIG = "grid_len = 256\nsample_sizes = 20, 51, 80\nreplications = 9\nseed = 11\n"
+# a chunk budget that runs CHUNK_CONFIG in chunks of 6, 5 and 5 replications
+# at n = 20, 51, 80 without burn-in, and the seam sizes 255, 256, 511, 512 in
+# chunks of 3, 3, 2 and 3
+TEST_BUDGET = 150_000
 
 
 def read_decay_rows(path):
@@ -286,9 +290,10 @@ class TestChunks:
         ],
     )
     def test_chunked_sweep_matches_single_replications(self, tmp_path, monkeypatch, extra):
-        # chunks of 8, 3 and 2 replications at n = 20, 51, 80 without burn-in
-        monkeypatch.setattr(harness, "TRAJECTORY_BUDGET", 8400)
-        config = parse_config(write_config(tmp_path, CHUNK_CONFIG + extra + f"output_dir = {tmp_path / 'out'}\n"))
+        # 255 and 511 steps are one piece, 256 one full piece, 512 two
+        monkeypatch.setattr(harness, "CHUNK_BUDGET", TEST_BUDGET)
+        text = CHUNK_CONFIG.replace("sample_sizes = 20, 51, 80", "sample_sizes = 20, 51, 80, 255, 256, 511, 512")
+        config = parse_config(write_config(tmp_path, text + extra + f"output_dir = {tmp_path / 'out'}\n"))
         layout = harness.chunk_layout(config)
         assert all(sum(chunk[0] == n for chunk in layout) > 1 for n in config.sample_sizes)
         assert any(r1 - r0 > 1 for _, r0, r1 in layout)
@@ -312,8 +317,7 @@ class TestChunks:
         cells = [(n, r) for n, r0, r1 in layout for r in range(r0, r1)]
         assert cells == [(n, r) for n in config.sample_sizes for r in range(config.replications)]
         for n, r0, r1 in layout:
-            stack = (r1 - r0) * (config.burn_in + n + 1) * config.model.modes
-            assert r1 - r0 == 1 or stack <= harness.TRAJECTORY_BUDGET
+            assert r1 - r0 == 1 or (r1 - r0) * harness.replication_doubles(config, n) <= harness.CHUNK_BUDGET
 
     def test_pool_maps_the_same_chunks_for_every_thread_count(self, tmp_path, monkeypatch):
         monkeypatch.setattr(InlinePool, "requested", [])
@@ -429,6 +433,36 @@ class TestStreaming:
         assert max(peaks) - min(peaks) <= 32 * 1024, peaks
 
 
+# (config text, n) of chunks whose traced memory is checked against the budget
+MEMORY_CASES = {
+    **{f"desk-{n}": ("", n) for n in (500, 2000, 8000)},
+    **{f"short-many-{n}": ("sample_sizes = 50,100,200\nreplications = 400\n", n) for n in (50, 100, 200)},
+    **{f"modes-200-{n}": ("modes = 200\nsample_sizes = 50, 600\n", n) for n in (50, 600)},
+    **{
+        f"zero-start-burn-in-{n}": ("truncated_init = false\nburn_in = 700\nsample_sizes = 50, 500, 2000\n", n)
+        for n in (50, 500, 2000)
+    },
+}
+
+
+class TestChunkMemory:
+    @pytest.mark.parametrize("text, n", MEMORY_CASES.values(), ids=MEMORY_CASES.keys())
+    def test_chunk_peak_stays_within_the_budget(self, tmp_path, text, n):
+        config = parse_config(write_config(tmp_path, text))
+        task = (config, n, 0, harness.chunk_size(config, n))
+        harness._run_chunk(task)  # fills the run context, the scoring matrix and the power table
+        tracemalloc.start()
+        try:
+            harness._run_chunk(task)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if task[3] > 1:
+            assert peak <= 8 * harness.CHUNK_BUDGET, (task[3], peak)
+        else:
+            assert peak <= 1.25 * 8 * harness.replication_doubles(config, n), peak
+
+
 def usable_cpus(monkeypatch, cpus):
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
@@ -457,8 +491,7 @@ class TestDrawAhead:
         ],
     )
     def test_drawing_ahead_writes_the_bytes_of_drawing_inline(self, tmp_path, monkeypatch, extra):
-        # chunks of 8, 3 and 2 replications at n = 20, 51, 80 without burn-in
-        monkeypatch.setattr(harness, "TRAJECTORY_BUDGET", 8400)
+        monkeypatch.setattr(harness, "CHUNK_BUDGET", TEST_BUDGET)
         ahead = parse_config(write_config(tmp_path, CHUNK_CONFIG + extra + f"output_dir = {tmp_path / 'ahead'}\n"))
         run_experiment(ahead, threads=1)
         # reference: the chunks in turn in this thread
@@ -470,7 +503,7 @@ class TestDrawAhead:
             assert filecmp.cmp(tmp_path / "ahead" / name, tmp_path / "inline" / name, shallow=False), name
 
     def test_chunks_run_on_two_threads(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "TRAJECTORY_BUDGET", 8400)
+        monkeypatch.setattr(harness, "CHUNK_BUDGET", TEST_BUDGET)
         config = parse_config(write_config(tmp_path, CHUNK_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
         layout = harness.chunk_layout(config)
         lock = threading.Lock()
@@ -501,7 +534,7 @@ class TestDrawAhead:
         assert [(r.n, r.replication) for r in results] == [
             (n, r) for n in config.sample_sizes for r in range(config.replications)
         ]
-        assert len(layout) == 10
+        assert len(layout) == 6
         assert sorted(chunk for chunk, _ in started) == list(range(len(layout)))
         assert len({thread for _, thread in started}) == 2
         assert running == {"now": 0, "most": 2}
@@ -525,7 +558,7 @@ class TestDrawAhead:
         assert not (tmp_path / "out").exists()
 
     def test_earliest_failing_chunk_wins_when_a_later_one_fails_first(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "TRAJECTORY_BUDGET", 8400)
+        monkeypatch.setattr(harness, "CHUNK_BUDGET", TEST_BUDGET)
         config = parse_config(write_config(tmp_path, CHUNK_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
         layout = harness.chunk_layout(config)
         later_failed = threading.Event()
@@ -550,7 +583,7 @@ class TestDrawAhead:
         assert not (tmp_path / "out").exists()
 
     def test_no_fit_shares_the_memory_of_its_paths(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "TRAJECTORY_BUDGET", 8400)
+        monkeypatch.setattr(harness, "CHUNK_BUDGET", TEST_BUDGET)
         config = parse_config(write_config(tmp_path, CHUNK_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
         pieces, fits = [], []
         stream, fit = harness.model.stream_paths, harness.estimation.fit_moments
@@ -584,8 +617,11 @@ class TestDrawAhead:
         with caplog.at_level("INFO", logger="banach_ar1.cli"):
             assert cli.main(["run", "--config", str(cfg_path), "--threads", str(threads)]) == cli.EXIT_OK
         assert f"{threads} worker process(es), {chunks}, BLAS threads per process" in caplog.text
-        # 21 states of 8 modes at n = 20
-        assert "paths run in pieces of at most 20 rows, 0.00134 MB per path" in caplog.text
+        # at n = 20 a replication keeps 41 x 8 doubles of piece and normals and 8 fit matrices of 8 x 8
+        assert (
+            "paths run in pieces of 256 steps, the last taking the leftover; replications per chunk "
+            "of at most 1.57 MB: 3 at n = 6 (0.0148 MB), 3 at n = 20 (0.0202 MB)"
+        ) in caplog.text
 
 
 class TestEstimatorBundle:

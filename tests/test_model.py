@@ -22,6 +22,7 @@ from banach_ar1.model import (
     draw_paths,
     eigenfunctions_on_grid,
     evaluate_via_spline,
+    piece_edges,
     sample_initial_condition,
     simulate_paths,
     simulate_trajectory,
@@ -288,9 +289,15 @@ class TestSimulation:
         assert not np.allclose(plain.states[0], burned.states[0])
         assert np.abs(burned.states[0]).max() > 0
 
-    # PIECE_ROWS + 1 and 2 PIECE_ROWS + 37 steps cross one and two piece seams
+    # a path is cut at every PIECE_ROWS steps after its burn-in, its last piece
+    # taking any leftover: PIECE_ROWS - 1, PIECE_ROWS + 1 and 2 PIECE_ROWS - 1
+    # steps are one piece, 2 PIECE_ROWS + 37 and 1000 are two and three, and
+    # 4097 and 8229 steps are 16 and 32 pieces
     @pytest.mark.parametrize("burn_in", [0, 7])
-    @pytest.mark.parametrize("n", [2, 3, 15, 16, 17, 1000, PIECE_ROWS + 1, 2 * PIECE_ROWS + 37])
+    @pytest.mark.parametrize(
+        "n",
+        [2, 3, 15, 16, 17, PIECE_ROWS - 1, PIECE_ROWS + 1, 2 * PIECE_ROWS - 1, 2 * PIECE_ROWS + 37, 1000, 4097, 8229],
+    )
     @pytest.mark.parametrize("operator", ["reference", "non_normal"])
     def test_blocked_recursion_matches_stepped_oracle(self, operator, n, burn_in):
         rho, noise = recursion_operators(operator)
@@ -304,12 +311,15 @@ class TestSimulation:
         assert rng.standard_normal() == oracle_rng.standard_normal()
 
     @pytest.mark.parametrize("burn_in", [0, 7])
-    @pytest.mark.parametrize("n", [2, 17, 961, 1000, PIECE_ROWS + 1, 2 * PIECE_ROWS + 37])
+    @pytest.mark.parametrize(
+        "n", [2, 17, PIECE_ROWS - 1, PIECE_ROWS + 1, 2 * PIECE_ROWS - 1, 2 * PIECE_ROWS + 37, 961, 1000, 4097, 8229]
+    )
     @pytest.mark.parametrize("operator", ["reference", "non_normal"])
     def test_stacked_paths_match_their_own_stepped_oracles(self, operator, n, burn_in):
-        # 961 steps fill 31 blocks of s = 31 exactly; 1000 leave a tail of 8
-        # after the last anchor (with burn-in 7 the blocks shift); the longer
-        # paths are cut into pieces, the last one shorter than a block at 4097
+        # paths of at least PIECE_ROWS steps step in blocks of s = 16: a piece
+        # of PIECE_ROWS + 1 steps leaves a tail of one state after its last
+        # anchor, and one of 2 PIECE_ROWS - 1 steps a tail of 15 (with burn-in
+        # 7 the pieces shift)
         rho, noise = recursion_operators(operator)
         x0 = np.random.default_rng(99).standard_normal((3, rho.dim))
         rngs = [np.random.default_rng([n, r]) for r in range(3)]
@@ -325,36 +335,56 @@ class TestSimulation:
     def test_stages_compose_to_simulate_paths_bit_for_bit(self, operator):
         rho, noise = recursion_operators(operator)
         x0 = np.random.default_rng(99).standard_normal((3, rho.dim))
-        # draw_paths draws DRAW_ROWS = 256 rows at a time, the last slice taking
-        # the leftover: 107, 255 and 511 steps are one slice, 256, 512 and
-        # PIECE_ROWS whole slices, and 513 ends in a slice longer than 256 rows
-        for steps in (107, 255, 256, 511, 512, 513, PIECE_ROWS):
+        # a path of fewer than 2 PIECE_ROWS steps is one piece, stepped in
+        # blocks of isqrt(min(steps, PIECE_ROWS))
+        for steps in (107, PIECE_ROWS - 1, PIECE_ROWS, 2 * PIECE_ROWS - 1):
+            assert piece_edges(steps - 7, burn_in=7) == [0, steps]
             x = np.empty((3, steps + 1, rho.dim))
             x[:, 0] = x0
-            drawn = draw_paths(noise, x, [np.random.default_rng([7, r]) for r in range(3)])
+            drawn = draw_paths(noise, x, [np.random.default_rng([7, r]) for r in range(3)], np.empty(x[:, 1:].shape))
             assert drawn is x
             for r, path in enumerate(drawn):
-                # each path's innovations are one whole-block gemm with the root, whatever the slices
+                # each path's innovations are one gemm of its whole block of normals with the root
                 normals = np.random.default_rng([7, r]).standard_normal((steps, rho.dim))
                 assert np.array_equal(path[0], x0[r])
                 assert np.array_equal(path[1:], normals @ noise.sqrt.T), steps
-            # a path of at most PIECE_ROWS steps is one piece, stepped in blocks of isqrt(steps)
-            stepped = step_paths(drawn, rho, math.isqrt(steps))
+            stepped = step_paths(drawn, rho, math.isqrt(min(steps, PIECE_ROWS)))
             assert stepped is drawn
             rngs = [np.random.default_rng([7, r]) for r in range(3)]
             assert np.array_equal(stepped[:, 7:], simulate_paths(steps - 7, rho, noise, x0, rngs, burn_in=7))
-        # a longer one is cut at every burn_in + k PIECE_ROWS, each piece
-        # starting from the last state of the one before, all in blocks of
-        # isqrt(PIECE_ROWS)
+        # a longer one is cut at every burn_in + k PIECE_ROWS at least
+        # PIECE_ROWS steps from both ends: the first piece takes the burn-in's
+        # leftover, the last the path's; each piece starts from the last state
+        # of the one before, all in blocks of isqrt(PIECE_ROWS), with one
+        # normals scratch
+        n = 4 * PIECE_ROWS + 30
+        edges = piece_edges(n, burn_in=7)
+        assert edges == [0, PIECE_ROWS + 7, 2 * PIECE_ROWS + 7, 3 * PIECE_ROWS + 7, n + 7]
         rngs = [np.random.default_rng([7, r]) for r in range(3)]
+        normals = np.empty((3, 2 * PIECE_ROWS, rho.dim))
         pieces = [x0[:, None]]
-        for length in (7, PIECE_ROWS, PIECE_ROWS, 30):
-            x = np.empty((3, length + 1, rho.dim))
+        for start, stop in zip(edges, edges[1:]):
+            x = np.empty((3, stop - start + 1, rho.dim))
             x[:, 0] = pieces[-1][:, -1]
-            pieces.append(step_paths(draw_paths(noise, x, rngs), rho, math.isqrt(PIECE_ROWS))[:, 1:])
+            drawn = draw_paths(noise, x, rngs, normals[:, : stop - start])
+            pieces.append(step_paths(drawn, rho, math.isqrt(PIECE_ROWS))[:, 1:])
         rngs = [np.random.default_rng([7, r]) for r in range(3)]
-        streamed = simulate_paths(2 * PIECE_ROWS + 30, rho, noise, x0, rngs, burn_in=7)
+        streamed = simulate_paths(n, rho, noise, x0, rngs, burn_in=7)
         assert np.array_equal(streamed, np.concatenate(pieces[1:], axis=1)[:, 6:])
+
+    @pytest.mark.parametrize("steps", [1, 50, PIECE_ROWS, 2 * PIECE_ROWS - 1])
+    @pytest.mark.parametrize("operator", ["reference", "non_normal"])
+    def test_stacked_draw_matches_each_path_drawn_alone(self, operator, steps):
+        rho, noise = recursion_operators(operator)
+        x0 = np.random.default_rng(99).standard_normal((4, rho.dim))
+        x = np.empty((4, steps + 1, rho.dim))
+        x[:, 0] = x0
+        stack = draw_paths(noise, x, [np.random.default_rng([3, r]) for r in range(4)], np.empty(x[:, 1:].shape))
+        for r in range(4):
+            alone = np.empty((1, steps + 1, rho.dim))
+            alone[0, 0] = x0[r]
+            draw_paths(noise, alone, [np.random.default_rng([3, r])], np.empty(alone[:, 1:].shape))
+            assert np.array_equal(stack[r], alone[0]), r
 
     def test_reproducible_bit_for_bit(self):
         p = params(modes=6)
