@@ -38,7 +38,7 @@ from pathlib import Path
 from . import harness
 from .estimation import EigenGapError, TruncationRankError
 from .harness import ConfigError, StationarityError
-from .model import PIECE_ROWS, NoiseCovarianceError
+from .model import BLOCK, PIECE_ROWS, NoiseCovarianceError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -77,9 +77,9 @@ def _cmd_run(args) -> int:
         sizes.append(f"{size} at n = {n} ({size * harness.replication_doubles(config, n) * 8 / 1e6:.3g} MB)")
     logger.info(
         "%d worker process(es), %s, BLAS threads per process: %s; "
-        "paths run in pieces of %d steps, the last taking the leftover; "
+        "paths run in pieces of %d steps, the last taking the leftover, stepped in blocks of %d states; "
         "replications per chunk of at most %.3g MB: %s",
-        workers, chunks, blas, PIECE_ROWS, harness.CHUNK_BUDGET * 8 / 1e6, ", ".join(sizes),
+        workers, chunks, blas, PIECE_ROWS, BLOCK, harness.CHUNK_BUDGET * 8 / 1e6, ", ".join(sizes),
     )
     results, reports = harness.run_experiment(config, threads=args.threads)
     print(f"wrote {len(results)} replication results for {len(reports)} sample sizes to {config.output_dir}")

@@ -11,8 +11,9 @@ inverts the covariance on that span only:
 which is the componentwise estimator written as a matrix.  The fit reads a
 trajectory only through the sums of X_i X_i^T and X_{i+1} X_i^T over its
 transitions (TransitionMoments), which are added up one piece of a path at
-a time.  The plug-in one-step prediction is rho_hat applied to the newest
-state.
+a time (fit_moments), or over the same pieces of a whole trajectory
+(fit_estimator), with the same bits.  The plug-in one-step prediction is
+rho_hat applied to the newest state.
 
 Inner products here are plain Euclidean ones: the coordinate system is the
 model eigenbasis, which is orthonormal for the geometry the estimator needs.
@@ -266,14 +267,9 @@ def transition_moments(states: np.ndarray) -> TransitionMoments:
     return moments
 
 
-def fit_stack(states: np.ndarray, rule: TruncationRule) -> EstimatorState:
-    """Fit the estimator on each of a stack of trajectories: fit_moments of their transition_moments."""
-    return fit_moments(transition_moments(states), rule)
-
-
 def fit_estimator(traj: Trajectory, rule: TruncationRule) -> EstimatorState:
-    """Fit the estimator on one trajectory: fit_stack on a stack of one."""
-    return fit_stack(traj.states[None], rule)[0]
+    """Fit the estimator on one trajectory: fit_moments of its transition_moments, a stack of one."""
+    return fit_moments(transition_moments(traj.states[None]), rule)[0]
 
 
 def plug_in_predict(state: EstimatorState, x: np.ndarray) -> np.ndarray:

@@ -316,7 +316,8 @@ def replication_doubles(config: ExperimentConfig, n: int) -> int:
     carried state), its normals scratch of one row fewer, and the 8 p x p
     arrays of its fit at their peak: the two moment sums, fit_moments'
     scaled Gram matrix (then its eigenvectors), D_n, rho_hat and the three
-    of EstimatorState's orthonormality check.
+    of EstimatorState's orthonormality check.  The piece buffer and the
+    scratch are freed before the fit, so the sum is an upper bound.
     """
     rows = max(np.diff(model.piece_edges(n, config.burn_in)))
     p = config.model.modes
@@ -349,8 +350,9 @@ def _run_stack(
 
     The paths are streamed a piece at a time: the fit's moments are summed
     over the states X_0..X_(n-1) of each piece, and the prediction starts
-    from X_n, the last state of the last piece.  Returns the results and
-    the stack of fits.
+    from X_n, copied out of the last piece so that the piece buffer and
+    the normals scratch are freed before the fit.  Returns the results and
+    fits.
     """
     ctx = _context(config)
     rngs = [replication_rng(config.master_seed, n, r) for r in range(r0, r1)]
@@ -361,7 +363,8 @@ def _run_stack(
     moments = estimation.TransitionMoments()
     for states, first in model.stream_paths(n, ctx.rho, ctx.noise, x0, rngs, config.burn_in):
         moments.add(states[:, : n - first])  # the fit's states end at X_(n-1)
-    newest = states[:, n - first]
+    newest = states[:, n - first].copy()
+    del states
     fits = estimation.fit_moments(moments, config.truncation)
     predicted = estimation.plug_in_predict(fits, newest)
     truth = (ctx.rho.matrix @ newest[..., None])[..., 0]
@@ -429,8 +432,9 @@ def run_experiment(
     logger.info("stationarity gate passed: j0=%d, norm=%.6f", ctx.gate.j0, ctx.gate.norm)
 
     # filled here rather than in the run context, which validate builds too:
-    # before two threads can race for it, or so that forked workers inherit it
+    # before two threads can race for them, or so that forked workers inherit them
     estimation._wavelet_matrix(config.model.modes, config.model.grid_len, config.wavelet, _coarse_step(config))
+    ctx.rho.block_table
     tasks = [(config, *chunk) for chunk in chunk_layout(config)]
     workers = worker_count(threads, len(tasks))
     if workers > 1:

@@ -9,19 +9,19 @@ autocorrelation and innovation-covariance matrices follow the banded forms
 States live in the truncated eigenbasis as length-p coefficient vectors;
 trajectories iterate X_n = rho(X_{n-1}) + eps_n with Gaussian innovations
 drawn through the symmetric square root of the innovation covariance.  A
-path is drawn and stepped in pieces of PIECE_ROWS to 2 PIECE_ROWS - 1
-steps (stream_paths), so its live memory does not grow with its length;
-simulate_paths stitches the pieces into whole trajectories.  All randomness
-flows through an explicit numpy Generator, so identical parameters and
-generator state reproduce trajectories bit for bit.
+stack of paths is drawn and stepped in pieces (stream_paths) of PIECE_ROWS
+to 2 PIECE_ROWS - 1 steps, each in blocks of BLOCK states, so a path's
+live memory does not grow with its length; simulate_trajectory stitches
+one path's pieces together.  All randomness flows through an explicit
+numpy Generator, so identical parameters and generator state reproduce
+trajectories bit for bit.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
 
@@ -70,9 +70,6 @@ class SpectralOperator:
 
     matrix: np.ndarray
     symmetric: bool = False
-    # (s, stack, top) of the latest power_table(s), and the lock that guards it
-    _powers: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _powers_lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -104,28 +101,23 @@ class SpectralOperator:
         diag.setflags(write=False)
         return diag
 
-    def power_table(self, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """Powers of M = matrix.T: the (s p, p) stack [M^(s-1); ...; M; I] and M^s.
+    @cached_property
+    def block_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Powers of M = matrix.T for step_paths: the stack [M^(s-1); ...; M; I] and M^s, s = BLOCK.
 
-        Both are read-only.  Only the table of the latest s is kept, so a
-        sweep over ascending sizes builds one table per size.  Threads that
-        ask at once take turns, and each gets the table of its own s.
+        The stack has shape (s p, p).  Both are computed once and read-only.
         """
-        with self._powers_lock:
-            if self._powers is None or self._powers[0] != s:
-                self._powers = None  # free the old table before the new one is built
-                p = self.dim
-                a = self.matrix.T
-                stack = np.empty((s * p, p))
-                blocks = stack.reshape(s, p, p)
-                blocks[-1] = np.eye(p)
-                for k in range(s - 2, -1, -1):
-                    np.matmul(blocks[k + 1], a, out=blocks[k])
-                top = blocks[0] @ a
-                stack.setflags(write=False)
-                top.setflags(write=False)
-                self._powers = s, stack, top
-            return self._powers[1:]
+        p = self.dim
+        a = self.matrix.T
+        stack = np.empty((BLOCK * p, p))
+        blocks = stack.reshape(BLOCK, p, p)
+        blocks[-1] = np.eye(p)
+        for k in range(BLOCK - 2, -1, -1):
+            np.matmul(blocks[k + 1], a, out=blocks[k])
+        top = blocks[0] @ a
+        stack.setflags(write=False)
+        top.setflags(write=False)
+        return stack, top
 
 
 @dataclass
@@ -264,6 +256,7 @@ def sample_initial_condition(covariance: SpectralOperator, rng: np.random.Genera
 # product of a few rows other last bits than the same rows of a longer
 # product, so no slice is shorter than PIECE_ROWS either.
 PIECE_ROWS = 256
+BLOCK = math.isqrt(PIECE_ROWS)  # states per block of step_paths: about 2 BLOCK products a piece
 
 
 def piece_edges(n: int, burn_in: int = 0) -> list[int]:
@@ -295,26 +288,27 @@ def draw_paths(
     return x
 
 
-def step_paths(x: np.ndarray, rho: SpectralOperator, s: int) -> np.ndarray:
+def step_paths(x: np.ndarray, rho: SpectralOperator) -> np.ndarray:
     """The step stage of a piece: X_i = rho X_{i-1} + eps_i, in place on a draw_paths result.
 
     Returns x, row i of each path now holding its X_i.  The steps run
-    anchor-first in blocks of s states.  One gemm per path maps each full
-    block's innovations to its zero-start end state through the power
-    table of rho (rho.power_table(s), cached on the operator: s p^2
-    doubles, 0.32 MB at s = 16, p = 50).  The anchors X_s, X_2s, ... then
-    follow from X_0 one block at a time through rho^s, and up to s - 1
-    stacked products step every block, the tail after the last anchor
-    included, forward from its anchor.  A path's states do not depend on
-    the other paths in the stack: each product is a per-path gemm or gemv,
-    as for a stack of one.
+    anchor-first in blocks of s = BLOCK states.  One gemm per path maps
+    each full block's innovations to its zero-start end state through the
+    powers of rho (rho.block_table, cached on the operator: BLOCK p^2
+    doubles, 0.32 MB at p = 50).  The anchors X_s, X_2s, ... then follow
+    from X_0 one block at a time through rho^s, and up to s - 1 stacked
+    products step every block, the tail after the last anchor included,
+    forward from its anchor; a piece shorter than one block is all tail.
+    A path's states do not depend on the other paths in the stack: each
+    product is a per-path gemm or gemv, as for a stack of one.
     """
     count, length, p = x.shape
     if rho.dim != p:
         raise ValueError("dimension mismatch between rho and the paths")
     # as row vectors X_i = X_{i-1} @ M + eps_i with M = rho^T
+    s = BLOCK
     blocks = (length - 1) // s
-    stack, top = rho.power_table(s)
+    stack, top = rho.block_table
     # 1. each full block's zero-start end state, sum_j eps_(b-1)s+j @ M^(s-j)
     ends = x[:, 1 : 1 + blocks * s].reshape(count, blocks, s * p) @ stack
     # 2. carry the anchors X_s, X_2s, ... from X_0, one gemv per path
@@ -358,9 +352,7 @@ def stream_paths(
     least PIECE_ROWS steps from both ends, so its recorded pieces start at
     X_0, X_PIECE_ROWS, X_2 PIECE_ROWS, ... and the last one takes any
     leftover shorter than PIECE_ROWS.  Every piece runs draw_paths on the
-    whole stack, then step_paths with the one block length
-    s = isqrt(min(burn_in + n, PIECE_ROWS)), so all pieces share one power
-    table.
+    whole stack, then step_paths.
     """
     if n < 2:
         raise ValueError("need n >= 2 (downstream estimators require at least two states)")
@@ -381,7 +373,6 @@ def _pieces(
     edges: list[int],
 ) -> Iterator[tuple[np.ndarray, int]]:
     """stream_paths' pieces, drawn and stepped as they are asked for."""
-    s = math.isqrt(min(edges[-1], PIECE_ROWS))
     rows = int(np.diff(edges).max())
     x = np.empty((len(rngs), rows + 1, rho.dim))
     normals = np.empty((len(rngs), rows, rho.dim))
@@ -391,30 +382,10 @@ def _pieces(
         if length:
             x[:, 0] = x[:, length]  # carry the last state into the next piece
         length = stop - start
-        piece = step_paths(draw_paths(noise_cov, x[:, : length + 1], rngs, normals[:, :length]), rho, s)
+        piece = step_paths(draw_paths(noise_cov, x[:, : length + 1], rngs, normals[:, :length]), rho)
         if stop > burn_in:
             skip = max(0, burn_in - start)
             yield piece[:, skip:], start + skip - burn_in
-
-
-def simulate_paths(
-    n: int,
-    rho: SpectralOperator,
-    noise_cov: SpectralOperator,
-    x0: np.ndarray,
-    rngs: list[np.random.Generator],
-    burn_in: int = 0,
-) -> np.ndarray:
-    """Every state X_0..X_n of a stack of paths: the pieces of stream_paths stitched together.
-
-    The arguments are stream_paths'; the result has shape (len(rngs),
-    n + 1, p), row i of path r holding its X_i.
-    """
-    pieces = stream_paths(n, rho, noise_cov, x0, rngs, burn_in)
-    paths = np.empty((len(rngs), n + 1, rho.dim))
-    for states, first in pieces:
-        paths[:, first : first + states.shape[1]] = states
-    return paths
 
 
 def simulate_trajectory(
@@ -425,8 +396,12 @@ def simulate_trajectory(
     rng: np.random.Generator,
     burn_in: int = 0,
 ) -> Trajectory:
-    """One path X_0..X_n of the recursion: simulate_paths on a stack of one."""
-    return Trajectory(states=simulate_paths(n, rho, noise_cov, np.asarray(x0)[None], [rng], burn_in)[0])
+    """One path X_0..X_n of the recursion: the pieces of stream_paths on a stack of one, stitched together."""
+    pieces = stream_paths(n, rho, noise_cov, np.asarray(x0)[None], [rng], burn_in)
+    states = np.empty((n + 1, rho.dim))
+    for piece, first in pieces:
+        states[first : first + piece.shape[1]] = piece[0]
+    return Trajectory(states=states)
 
 
 def evaluate_via_spline(x: np.ndarray, coarse_step: float, grid_len: int) -> np.ndarray:

@@ -12,11 +12,12 @@ from banach_ar1.estimation import (
     empirical_covariance,
     empirical_cross_covariance,
     fit_estimator,
-    fit_stack,
+    fit_moments,
     gap_coefficients,
     max_inverse_gap,
     plug_in_predict,
     prediction_error_besov,
+    transition_moments,
     truncation_order,
 )
 from banach_ar1.model import (
@@ -107,7 +108,7 @@ def transition_states(inputs):
 
 
 class TestEigenDecompose:
-    # the estimator's one eigen route: fit_stack's eigensystem of the transition Gram matrix
+    # the estimator's one eigen route: fit_moments' eigensystem of the transition Gram matrix
 
     def test_permuted_diagonal(self):
         # inputs^T inputs / 3 = diag(3, 1, 2)
@@ -309,7 +310,7 @@ class TestFitEstimator:
 class TestFitStack:
     def test_members_equal_single_fits_bit_for_bit(self):
         x = np.random.default_rng(12).standard_normal((4, 30, 6))
-        stack = fit_stack(x, TruncationRule.fixed(3))
+        stack = fit_moments(transition_moments(x), TruncationRule.fixed(3))
         predictions = plug_in_predict(stack, x[:, -1])
         for r in range(4):
             single = fit_estimator(Trajectory(states=x[r]), TruncationRule.fixed(3))
@@ -318,7 +319,8 @@ class TestFitStack:
             assert np.array_equal(predictions[r], plug_in_predict(single, x[r, -1]))
 
     def test_invariants_hold_for_every_member(self):
-        stack = fit_stack(np.random.default_rng(13).standard_normal((3, 20, 5)), TruncationRule.fixed(2))
+        x = np.random.default_rng(13).standard_normal((3, 20, 5))
+        stack = fit_moments(transition_moments(x), TruncationRule.fixed(2))
         skewed = stack.eigenvectors.copy()
         skewed[2, :, 0] *= 1.01
         with pytest.raises(ValueError, match="orthonormal"):
@@ -332,7 +334,7 @@ class TestFitStack:
         x = np.random.default_rng(14).standard_normal((3, 20, 5))
         x[1] = 0.0
         with pytest.raises(TruncationRankError, match="eigenvalue 2 is 0.000e\\+00 \\(leading 0.000e\\+00\\)"):
-            fit_stack(x, TruncationRule.fixed(2))
+            fit_moments(transition_moments(x), TruncationRule.fixed(2))
 
 
 class TestPrediction:

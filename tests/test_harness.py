@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import banach_ar1
 from banach_ar1 import cli, harness
 from banach_ar1.diagnostics import eigen_decay_report
-from banach_ar1.estimation import TruncationRule, fit_estimator, fit_stack
+from banach_ar1.estimation import TruncationRule, fit_estimator, fit_moments, transition_moments
 from banach_ar1.harness import (
     ConfigError,
     parse_config,
@@ -422,7 +423,7 @@ class TestStreaming:
         )
         peaks = []
         for n in sizes:
-            run_replication(config, n, 0)  # fills the run context, the scoring matrix and the power table
+            run_replication(config, n, 0)  # fills the run context, the scoring matrix and the block table
             tracemalloc.start()
             try:
                 run_replication(config, n, 0)
@@ -450,7 +451,7 @@ class TestChunkMemory:
     def test_chunk_peak_stays_within_the_budget(self, tmp_path, text, n):
         config = parse_config(write_config(tmp_path, text))
         task = (config, n, 0, harness.chunk_size(config, n))
-        harness._run_chunk(task)  # fills the run context, the scoring matrix and the power table
+        harness._run_chunk(task)  # fills the run context, the scoring matrix and the block table
         tracemalloc.start()
         try:
             harness._run_chunk(task)
@@ -461,6 +462,33 @@ class TestChunkMemory:
             assert peak <= 8 * harness.CHUNK_BUDGET, (task[3], peak)
         else:
             assert peak <= 1.25 * 8 * harness.replication_doubles(config, n), peak
+
+    @pytest.mark.parametrize("text, n", [("", 2000), ("sample_sizes = 50,100,200\nreplications = 400\n", 50)])
+    def test_piece_buffer_and_normals_scratch_are_freed_before_the_fit(self, tmp_path, monkeypatch, text, n):
+        config = parse_config(write_config(tmp_path, text))
+        buffers, alive_at_fit = [], []
+        stream, draw, fit = harness.model.stream_paths, harness.model.draw_paths, harness.estimation.fit_moments
+
+        def watched_stream(*args):
+            for states, first in stream(*args):
+                buffers.append(weakref.ref(states.base))
+                yield states, first
+
+        def watched_draw(noise_cov, x, rngs, normals):
+            buffers.append(weakref.ref(normals.base))
+            return draw(noise_cov, x, rngs, normals)
+
+        def watched_fit(*args):
+            alive_at_fit.append(sum(ref() is not None for ref in buffers))
+            return fit(*args)
+
+        monkeypatch.setattr(harness.model, "stream_paths", watched_stream)
+        monkeypatch.setattr(harness.model, "draw_paths", watched_draw)
+        monkeypatch.setattr(harness.estimation, "fit_moments", watched_fit)
+        harness._run_stack(config, n, 0, harness.chunk_size(config, n))
+        # one piece buffer and one normals scratch per piece of the path
+        assert len(buffers) == 2 * (len(harness.model.piece_edges(n, config.burn_in)) - 1)
+        assert alive_at_fit == [0]
 
 
 def usable_cpus(monkeypatch, cpus):
@@ -619,8 +647,8 @@ class TestDrawAhead:
         assert f"{threads} worker process(es), {chunks}, BLAS threads per process" in caplog.text
         # at n = 20 a replication keeps 41 x 8 doubles of piece and normals and 8 fit matrices of 8 x 8
         assert (
-            "paths run in pieces of 256 steps, the last taking the leftover; replications per chunk "
-            "of at most 1.57 MB: 3 at n = 6 (0.0148 MB), 3 at n = 20 (0.0202 MB)"
+            "paths run in pieces of 256 steps, the last taking the leftover, stepped in blocks of 16 states; "
+            "replications per chunk of at most 1.57 MB: 3 at n = 6 (0.0148 MB), 3 at n = 20 (0.0202 MB)"
         ) in caplog.text
 
 
@@ -644,7 +672,8 @@ class TestEstimatorBundle:
             read_estimator_csv(path)
 
     def test_a_stack_of_fits_is_refused_before_writing(self, tmp_path):
-        stack = fit_stack(np.random.default_rng(11).standard_normal((3, 30, 6)), TruncationRule.fixed(3))
+        x = np.random.default_rng(11).standard_normal((3, 30, 6))
+        stack = fit_moments(transition_moments(x), TruncationRule.fixed(3))
         path = tmp_path / "estimator.csv"
         with pytest.raises(ValueError, match=r"writes one fit, got a stack of 3: write state\[r\]"):
             write_estimator_csv(stack, path)

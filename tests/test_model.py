@@ -1,7 +1,6 @@
 import math
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +8,7 @@ import pytest
 
 import banach_ar1
 from banach_ar1.model import (
+    BLOCK,
     PIECE_ROWS,
     ModelParams,
     NoiseCovarianceError,
@@ -24,10 +24,10 @@ from banach_ar1.model import (
     evaluate_via_spline,
     piece_edges,
     sample_initial_condition,
-    simulate_paths,
     simulate_trajectory,
     stationary_covariance,
     step_paths,
+    stream_paths,
 )
 
 from oracles import (
@@ -56,6 +56,14 @@ def recursion_operators(kind):
     rho = SpectralOperator(np.diag([0.9, -0.5, 0.3, 0.7]) + np.diag([1.5, 1.5, 1.5], 1))
     assert np.linalg.norm(rho.matrix, 2) > 1 > np.abs(np.linalg.eigvals(rho.matrix)).max()
     return rho, SpectralOperator(0.1 * np.eye(4) + 0.02, symmetric=True)
+
+
+def stitched_paths(n, rho, noise, x0, rngs, burn_in=0):
+    """Every state X_0..X_n of a stack of paths: the pieces of stream_paths stitched together."""
+    paths = np.empty((len(rngs), n + 1, rho.dim))
+    for states, first in stream_paths(n, rho, noise, x0, rngs, burn_in):
+        paths[:, first : first + states.shape[1]] = states
+    return paths
 
 
 class TestModelParams:
@@ -312,19 +320,20 @@ class TestSimulation:
 
     @pytest.mark.parametrize("burn_in", [0, 7])
     @pytest.mark.parametrize(
-        "n", [2, 17, PIECE_ROWS - 1, PIECE_ROWS + 1, 2 * PIECE_ROWS - 1, 2 * PIECE_ROWS + 37, 961, 1000, 4097, 8229]
+        "n",
+        [2, 3, 15, 17, PIECE_ROWS - 1, PIECE_ROWS + 1, 2 * PIECE_ROWS - 1, 2 * PIECE_ROWS + 37, 961, 1000, 4097, 8229],
     )
     @pytest.mark.parametrize("operator", ["reference", "non_normal"])
     def test_stacked_paths_match_their_own_stepped_oracles(self, operator, n, burn_in):
-        # paths of at least PIECE_ROWS steps step in blocks of s = 16: a piece
-        # of PIECE_ROWS + 1 steps leaves a tail of one state after its last
-        # anchor, and one of 2 PIECE_ROWS - 1 steps a tail of 15 (with burn-in
-        # 7 the pieces shift)
+        # every path steps in blocks of BLOCK = 16 states: a path shorter
+        # than one block is all tail, a piece of PIECE_ROWS + 1 steps leaves
+        # a tail of one state after its last anchor, and one of
+        # 2 PIECE_ROWS - 1 steps a tail of 15 (with burn-in 7 the pieces shift)
         rho, noise = recursion_operators(operator)
         x0 = np.random.default_rng(99).standard_normal((3, rho.dim))
         rngs = [np.random.default_rng([n, r]) for r in range(3)]
         oracle_rngs = [np.random.default_rng([n, r]) for r in range(3)]
-        paths = simulate_paths(n, rho, noise, x0, rngs, burn_in=burn_in)
+        paths = stitched_paths(n, rho, noise, x0, rngs, burn_in=burn_in)
         assert paths.shape == (3, n + 1, rho.dim)
         for path, start, rng, oracle_rng in zip(paths, x0, rngs, oracle_rngs):
             expected = stepped_trajectory(n, rho.matrix, noise.sqrt, start, oracle_rng, burn_in)
@@ -332,12 +341,11 @@ class TestSimulation:
             assert rng.standard_normal() == oracle_rng.standard_normal()
 
     @pytest.mark.parametrize("operator", ["reference", "reference_8", "non_normal"])
-    def test_stages_compose_to_simulate_paths_bit_for_bit(self, operator):
+    def test_stages_compose_to_stream_paths_bit_for_bit(self, operator):
         rho, noise = recursion_operators(operator)
         x0 = np.random.default_rng(99).standard_normal((3, rho.dim))
-        # a path of fewer than 2 PIECE_ROWS steps is one piece, stepped in
-        # blocks of isqrt(min(steps, PIECE_ROWS))
-        for steps in (107, PIECE_ROWS - 1, PIECE_ROWS, 2 * PIECE_ROWS - 1):
+        # a path of fewer than 2 PIECE_ROWS steps is one piece
+        for steps in (9, 107, PIECE_ROWS - 1, PIECE_ROWS, 2 * PIECE_ROWS - 1):
             assert piece_edges(steps - 7, burn_in=7) == [0, steps]
             x = np.empty((3, steps + 1, rho.dim))
             x[:, 0] = x0
@@ -348,15 +356,14 @@ class TestSimulation:
                 normals = np.random.default_rng([7, r]).standard_normal((steps, rho.dim))
                 assert np.array_equal(path[0], x0[r])
                 assert np.array_equal(path[1:], normals @ noise.sqrt.T), steps
-            stepped = step_paths(drawn, rho, math.isqrt(min(steps, PIECE_ROWS)))
+            stepped = step_paths(drawn, rho)
             assert stepped is drawn
             rngs = [np.random.default_rng([7, r]) for r in range(3)]
-            assert np.array_equal(stepped[:, 7:], simulate_paths(steps - 7, rho, noise, x0, rngs, burn_in=7))
+            assert np.array_equal(stepped[:, 7:], stitched_paths(steps - 7, rho, noise, x0, rngs, burn_in=7))
         # a longer one is cut at every burn_in + k PIECE_ROWS at least
         # PIECE_ROWS steps from both ends: the first piece takes the burn-in's
         # leftover, the last the path's; each piece starts from the last state
-        # of the one before, all in blocks of isqrt(PIECE_ROWS), with one
-        # normals scratch
+        # of the one before, with one normals scratch
         n = 4 * PIECE_ROWS + 30
         edges = piece_edges(n, burn_in=7)
         assert edges == [0, PIECE_ROWS + 7, 2 * PIECE_ROWS + 7, 3 * PIECE_ROWS + 7, n + 7]
@@ -367,9 +374,9 @@ class TestSimulation:
             x = np.empty((3, stop - start + 1, rho.dim))
             x[:, 0] = pieces[-1][:, -1]
             drawn = draw_paths(noise, x, rngs, normals[:, : stop - start])
-            pieces.append(step_paths(drawn, rho, math.isqrt(PIECE_ROWS))[:, 1:])
+            pieces.append(step_paths(drawn, rho)[:, 1:])
         rngs = [np.random.default_rng([7, r]) for r in range(3)]
-        streamed = simulate_paths(n, rho, noise, x0, rngs, burn_in=7)
+        streamed = stitched_paths(n, rho, noise, x0, rngs, burn_in=7)
         assert np.array_equal(streamed, np.concatenate(pieces[1:], axis=1)[:, 6:])
 
     @pytest.mark.parametrize("steps", [1, 50, PIECE_ROWS, 2 * PIECE_ROWS - 1])
@@ -474,55 +481,24 @@ class TestKernel:
                 assert surface[a, b] == pytest.approx(kernel_value(np.diag(cov.matrix), pts[a], pts[b]), abs=1e-14)
 
 
-class TestPowerTable:
-    @pytest.mark.parametrize("s", [1, 2, 31, 89])
+class TestBlockTable:
     @pytest.mark.parametrize("operator", ["reference", "non_normal"])
-    def test_blocks_match_explicit_powers(self, operator, s):
+    def test_blocks_match_explicit_powers(self, operator):
         rho, _ = recursion_operators(operator)
-        stack, top = rho.power_table(s)
+        stack, top = rho.block_table
         p, a = rho.dim, rho.matrix.T
-        assert stack.shape == (s * p, p) and top.shape == (p, p)
-        assert not stack.flags.writeable and not top.flags.writeable
-        for k, block in enumerate(stack.reshape(s, p, p)):
-            expected = np.linalg.matrix_power(a, s - 1 - k)
+        assert BLOCK == 16 and stack.shape == (BLOCK * p, p) and top.shape == (p, p)
+        for k, block in enumerate(stack.reshape(BLOCK, p, p)):
+            expected = np.linalg.matrix_power(a, BLOCK - 1 - k)
             assert np.abs(block - expected).max() <= 1e-13 * np.abs(expected).max()
-        expected = np.linalg.matrix_power(a, s)
+        expected = np.linalg.matrix_power(a, BLOCK)
         assert np.abs(top - expected).max() <= 1e-13 * np.abs(expected).max()
 
-    def test_cached_for_the_latest_size_only(self):
+    def test_computed_once_per_operator_and_read_only(self):
         rho, _ = recursion_operators("reference")
-        first = rho.power_table(5)
-        assert rho.power_table(5)[0] is first[0]
-        other = rho.power_table(6)
-        assert other[0].shape == (6 * rho.dim, rho.dim)
-        assert rho._powers[0] == 6 and rho._powers[1] is other[0]
-        rebuilt = rho.power_table(5)
-        assert rebuilt[0] is not first[0]
-        assert np.array_equal(rebuilt[0], first[0]) and np.array_equal(rebuilt[1], first[1])
-
-    def test_two_threads_asking_for_two_sizes_each_get_their_own(self):
-        rho, _ = recursion_operators("reference")
-        p, a = rho.dim, rho.matrix.T
-        expected = {s: np.linalg.matrix_power(a, s) for s in (40, 41)}
-        start = threading.Barrier(2)
-        failures = []
-
-        def ask(s):
-            start.wait()
-            try:
-                for _ in range(100):
-                    stack, top = rho.power_table(s)  # each call evicts the other thread's table
-                    assert stack.shape == (s * p, p)
-                    assert np.abs(top - expected[s]).max() <= 1e-13 * np.abs(expected[s]).max()
-            except Exception as exc:  # reported from the test's own thread below
-                failures.append(exc)
-
-        threads = [threading.Thread(target=ask, args=(s,)) for s in expected]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert failures == []
+        stack, top = rho.block_table
+        assert rho.block_table[0] is stack and rho.block_table[1] is top
+        assert not stack.flags.writeable and not top.flags.writeable
 
 
 class TestPositiveDiagonal:
