@@ -481,18 +481,25 @@ class TestKernel:
                 assert surface[a, b] == pytest.approx(kernel_value(np.diag(cov.matrix), pts[a], pts[b]), abs=1e-14)
 
 
-class TestBlockTable:
+class TestPowerTable:
+    @pytest.mark.parametrize("s", [1, 2, 31, 89])
     @pytest.mark.parametrize("operator", ["reference", "non_normal"])
-    def test_blocks_match_explicit_powers(self, operator):
+    def test_blocks_match_explicit_powers(self, operator, s):
         rho, _ = recursion_operators(operator)
         stack, top = rho.block_table
         p, a = rho.dim, rho.matrix.T
         assert BLOCK == 16 and stack.shape == (BLOCK * p, p) and top.shape == (p, p)
-        for k, block in enumerate(stack.reshape(BLOCK, p, p)):
+        blocks = stack.reshape(BLOCK, p, p)
+        for k, block in enumerate(blocks):
             expected = np.linalg.matrix_power(a, BLOCK - 1 - k)
             assert np.abs(block - expected).max() <= 1e-13 * np.abs(expected).max()
         expected = np.linalg.matrix_power(a, BLOCK)
         assert np.abs(top - expected).max() <= 1e-13 * np.abs(expected).max()
+        # M^s for any s, reached from the one table as step_paths reaches it
+        # across blocks: whole blocks through M^BLOCK, the rest from the stack
+        reached = np.linalg.matrix_power(top, s // BLOCK) @ blocks[BLOCK - 1 - s % BLOCK]
+        expected = np.linalg.matrix_power(a, s)
+        assert np.abs(reached - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_computed_once_per_operator_and_read_only(self):
         rho, _ = recursion_operators("reference")
