@@ -597,43 +597,53 @@ def write_estimator_csv(state: EstimatorState, path) -> None:
 
 
 def read_estimator_csv(path) -> EstimatorState:
-    """Reload an estimator bundle written by write_estimator_csv."""
-    scalars: dict[str, int] = {}
-    vectors: dict[str, dict[int, float]] = {}
-    matrices: dict[str, dict[tuple[int, int], float]] = {}
+    """Reload an estimator bundle written by write_estimator_csv.
+
+    Every value must be finite and every (record, i, j) must appear exactly
+    once: scalars at (0, 0), eigenvalues at (i, 0) and matrix entries at
+    (i, j) with i, j < p, where p is the number of eigenvalues.  Anything
+    else raises ValueError naming the line.
+    """
+    values: dict[tuple[str, int, int], float] = {}
+    lines: dict[tuple[str, int, int], str] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header != ["record", "i", "j", "value"]:
             raise ValueError(f"unexpected estimator bundle header: {header}")
-        for record, i, j, value in reader:
+        for row in reader:
+            where = f"line {reader.line_num} ({','.join(row)})"
+            try:
+                record, i, j, value = row
+                key = (record, int(i), int(j))
+                number = int(value) if record in ("n", "k_n") else float(value)
+            except ValueError:
+                raise ValueError(f"{where}: not record,i,j,value with integer i, j (and value, for n and k_n)") from None
             if record not in ESTIMATOR_CSV_FIELDS:
-                raise ValueError(f"unknown record type {record!r}")
-            if record in ("n", "k_n"):
-                scalars[record] = int(value)
-            elif record == "eigenvalue":
-                vectors.setdefault(record, {})[int(i)] = float(value)
-            else:
-                matrices.setdefault(record, {})[(int(i), int(j))] = float(value)
-    try:
-        eigenvalues = np.array(
-            [vectors["eigenvalue"][i] for i in range(len(vectors["eigenvalue"]))]
-        )
-        mats = {}
-        for name in ("eigenvector", "d_matrix", "rho_hat"):
-            entries = matrices[name]
-            size = max(i for i, _ in entries) + 1
-            mats[name] = np.array([[entries[(i, j)] for j in range(size)] for i in range(size)])
-        return EstimatorState(
-            n=scalars["n"],
-            k_n=scalars["k_n"],
-            eigenvalues=eigenvalues,
-            eigenvectors=mats["eigenvector"],
-            d_matrix=mats["d_matrix"],
-            rho_hat=mats["rho_hat"],
-        )
-    except KeyError as exc:
-        raise ValueError(f"estimator bundle is missing records: {exc}") from None
+                raise ValueError(f"{where}: unknown record type {record!r}")
+            if key in lines:
+                raise ValueError(f"{where}: repeats {lines[key]}")
+            if not math.isfinite(number):
+                raise ValueError(f"{where}: value is not finite")
+            values[key], lines[key] = number, where
+    p = sum(record == "eigenvalue" for record, _, _ in values)
+    matrix_names = ("eigenvector", "d_matrix", "rho_hat")
+    expected = {("n", 0, 0), ("k_n", 0, 0), *(("eigenvalue", i, 0) for i in range(max(p, 1)))}
+    expected |= {(name, i, j) for name in matrix_names for i in range(p) for j in range(p)}
+    for key, where in lines.items():
+        if key not in expected:
+            raise ValueError(f"{where}: outside a bundle of {p} eigenvalues")
+    if missing := sorted(expected - values.keys()):
+        raise ValueError(f"estimator bundle is missing records: {', '.join(map(str, missing[:3]))}")
+    mats = {name: np.array([[values[name, i, j] for j in range(p)] for i in range(p)]) for name in matrix_names}
+    return EstimatorState(
+        n=values["n", 0, 0],
+        k_n=values["k_n", 0, 0],
+        eigenvalues=np.array([values["eigenvalue", i, 0] for i in range(p)]),
+        eigenvectors=mats["eigenvector"],
+        d_matrix=mats["d_matrix"],
+        rho_hat=mats["rho_hat"],
+    )
 
 
 def config_with_seed(config: ExperimentConfig, seed: int) -> ExperimentConfig:

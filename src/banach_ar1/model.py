@@ -134,10 +134,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.states.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
     def head(self, count: int) -> "Trajectory":
         """The first `count` states as a new trajectory."""
         return Trajectory(states=self.states[:count])

@@ -90,10 +90,6 @@ class WaveletCoeffs:
         if not np.isfinite(self.alpha).all() or not all(np.isfinite(b).all() for b in self.beta):
             raise ValueError("wavelet coefficients must be finite")
 
-    def level(self, j: int) -> np.ndarray:
-        """Detail coefficients of level j."""
-        return self.beta[j - self.spec.coarse_level]
-
     def flatten(self) -> np.ndarray:
         """All coefficients as one vector, alpha first, then levels J..M."""
         return np.concatenate([self.alpha, *self.beta])

@@ -671,6 +671,27 @@ class TestEstimatorBundle:
         with pytest.raises(ValueError, match="header"):
             read_estimator_csv(path)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("eigenvector,0,1,", "eigenvector,0,1,nan", r"line \d+ \(eigenvector,0,1,nan\): value is not finite"),
+            ("rho_hat,1,1,", "rho_hat,1,1,inf", r"line \d+ \(rho_hat,1,1,inf\): value is not finite"),
+            (None, "rho_hat,0,7,9.0", r"line 18 \(rho_hat,0,7,9.0\): outside a bundle of 2 eigenvalues"),
+            (None, "d_matrix,1,0,0.5", r"line 18 \(d_matrix,1,0,0.5\): repeats line 12 \(d_matrix,1,0,"),
+        ],
+        ids=["nan-eigenvector", "inf-rho-hat", "entry-outside-matrix", "duplicate-row"],
+    )
+    def test_rejects_corrupt_records(self, tmp_path, old, new, message):
+        # a 2-mode bundle is 17 lines: header, n, k_n, 2 eigenvalues, then 4 rows per matrix
+        rng = np.random.default_rng(12)
+        state = fit_estimator(Trajectory(states=rng.standard_normal((30, 2))), TruncationRule.fixed(1))
+        path = tmp_path / "estimator.csv"
+        write_estimator_csv(state, path)
+        rows = [new if old and row.startswith(old) else row for row in path.read_text().splitlines()]
+        path.write_text("\n".join(rows + ([] if old else [new])) + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_estimator_csv(path)
+
     def test_a_stack_of_fits_is_refused_before_writing(self, tmp_path):
         x = np.random.default_rng(11).standard_normal((3, 30, 6))
         stack = fit_moments(transition_moments(x), TruncationRule.fixed(3))
@@ -968,18 +989,6 @@ class TestBlasThreadPolicy:
     def test_package_import_loads_no_numpy(self, tmp_path):
         out = run_python(["-c", "import sys, banach_ar1; print('numpy' in sys.modules)"], tmp_path)
         assert out.stdout.strip() == "False"
-
-    def test_every_exported_name_resolves(self, tmp_path):
-        # the child exits non-zero, failing run_python, if an assertion fails
-        code = (
-            "import banach_ar1\n"
-            "assert banach_ar1.__all__ and all(getattr(banach_ar1, n) is not None for n in banach_ar1.__all__)\n"
-            "assert set(banach_ar1.__all__) <= set(dir(banach_ar1))\n"
-            "assert not hasattr(banach_ar1, 'no_such_name')\n"
-            "from banach_ar1 import cli\n"
-            "print(cli.__name__)\n"
-        )
-        assert run_python(["-c", code], tmp_path).stdout.strip() == "banach_ar1.cli"
 
     @pytest.mark.parametrize("preset", [None, *cli.BLAS_THREAD_VARS])
     def test_cli_import_sets_unset_variables_to_one(self, tmp_path, preset):

@@ -435,26 +435,18 @@ class TestGridEvaluation:
         assert np.abs(direct - splined).max() < 0.05 * max(np.abs(direct).max(), 1e-9)
 
 
-def test_cli_import_loads_no_scipy():
-    # spline mode and the stationary-covariance solve import scipy on first use
+@pytest.mark.parametrize(
+    "imported, unloaded",
+    [
+        # spline mode and the stationary-covariance solve import scipy on first use
+        ("banach_ar1.cli", "scipy"),
+        # only a pool of two or more workers needs ProcessPoolExecutor
+        ("banach_ar1.cli", "multiprocessing"),
+    ],
+)
+def test_import_leaves_module_unloaded(imported, unloaded):
     src = Path(banach_ar1.__file__).resolve().parents[1]
-    code = "import sys, banach_ar1.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=src)
-    assert out.stdout.strip() == "False"
-
-
-def test_package_import_leaves_spline_module_unloaded():
-    # scipy.interpolate is only needed by spline mode and dominates import time
-    src = Path(banach_ar1.__file__).resolve().parents[1]
-    code = "import sys, banach_ar1.cli; print('scipy.interpolate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=src)
-    assert out.stdout.strip() == "False"
-
-
-def test_cli_import_leaves_multiprocessing_unloaded():
-    # only a pool of two or more workers needs ProcessPoolExecutor
-    src = Path(banach_ar1.__file__).resolve().parents[1]
-    code = "import sys, banach_ar1.cli; print('multiprocessing' in sys.modules)"
+    code = f"import sys, {imported}; print(any(m.split('.')[0] == {unloaded!r} for m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=src)
     assert out.stdout.strip() == "False"
 
