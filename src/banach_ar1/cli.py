@@ -74,10 +74,11 @@ def _cmd_run(args) -> int:
     sizes = []
     for n in config.sample_sizes:
         size = harness.chunk_size(config, n)
-        sizes.append(f"{size} at n = {n} ({size * harness.replication_doubles(config, n) * 8 / 1e6:.3g} MB)")
+        sizes.append(f"{size} at n = {n} ({harness.chunk_doubles(config, n, size) * 8 / 1e6:.3g} MB)")
     logger.info(
         "%d worker process(es), %s, BLAS threads per process: %s; "
-        "paths run in pieces of %d steps, the last taking the leftover, stepped in blocks of %d states; "
+        "paths run in pieces of %d steps, the last taking the leftover, drawn one path at a time "
+        "through one normals scratch and stepped in blocks of %d states; "
         "replications per chunk of at most %.3g MB: %s",
         workers, chunks, blas, PIECE_ROWS, BLOCK, harness.CHUNK_BUDGET * 8 / 1e6, ", ".join(sizes),
     )

@@ -102,6 +102,10 @@ class EstimatorState:
         self.eigenvectors = np.asarray(self.eigenvectors, dtype=float)
         self.d_matrix = np.asarray(self.d_matrix, dtype=float)
         self.rho_hat = np.asarray(self.rho_hat, dtype=float)
+        # every comparison with NaN is false, so the checks below would pass one
+        for name in ("eigenvalues", "eigenvectors", "d_matrix", "rho_hat"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if not 1 <= self.k_n <= self.n:
             raise ValueError("need 1 <= k_n <= n")
         if np.any(np.diff(self.eigenvalues, axis=-1) > 1e-12) or np.any(self.eigenvalues[..., -1] < -1e-12):

@@ -15,8 +15,9 @@ gemm or gemv, so a replication's error does not depend on its chunk.  A
 chunk streams its stack through model.stream_paths, adding each piece's
 transitions to the moments of the fit as the piece is made, then fits,
 predicts and scores; no whole trajectory is kept.  A chunk holds as many
-replications as fit into CHUNK_BUDGET doubles, counting for each its piece,
-its normals scratch and its fit's p x p arrays (replication_doubles).  A
+replications as fit into CHUNK_BUDGET doubles, counting for each its piece
+and its fit's p x p arrays (replication_doubles), and once the normals
+scratch through which its paths are drawn in turn (chunk_doubles).  A
 sweep maps the chunks, in layout order, over a pool of worker processes or,
 with one worker, over two threads of this process, so while one thread
 draws the other can compute.  Each worker runs one chunk at a time, so at
@@ -300,33 +301,49 @@ def replication_rng(master_seed: int, n: int, replication: int) -> np.random.Gen
     return np.random.default_rng([master_seed, n, replication])
 
 
-# Doubles that one chunk may keep alive (1.5 MiB), summed over its
-# replications' replication_doubles.  A serial sweep holds two chunks at
-# once: on 2 cores, 2**17 (one desk replication per chunk at n = 500 and
-# 2000) made the desk sweep about 18% slower, and 2**18 raised its peak RSS
-# by 1.5 to 2.3 MB.  Chunk sizes follow from the configuration alone, never
-# from the worker count, so every --threads value writes the same bytes.
+# Doubles that one chunk may keep alive (1.5 MiB): its replications'
+# replication_doubles and the one normals scratch they share (chunk_doubles).
+# A serial sweep holds two chunks at once: on 2 cores, 2**17 (one desk
+# replication per chunk at n = 500 and 2000) made the desk sweep about 18%
+# slower, and 2**18 raised its peak RSS by 1.5 to 2.3 MB.  Chunk sizes follow
+# from the configuration alone, never from the worker count, so every
+# --threads value writes the same bytes.
 CHUNK_BUDGET = 3 * 2**16
 
 
+def _piece_rows(config: ExperimentConfig, n: int) -> int:
+    """Steps in the longest piece of a path of size n."""
+    return int(max(np.diff(model.piece_edges(n, config.burn_in))))
+
+
 def replication_doubles(config: ExperimentConfig, n: int) -> int:
-    """Doubles one replication of size n keeps alive in a chunk.
+    """Doubles one replication of size n keeps alive in a chunk, besides the chunk's normals scratch.
 
     Its rows of the piece buffer (the longest piece of its path plus the
-    carried state), its normals scratch of one row fewer, and the 8 p x p
-    arrays of its fit at their peak: the two moment sums, fit_moments'
-    scaled Gram matrix (then its eigenvectors), D_n, rho_hat and the three
-    of EstimatorState's orthonormality check.  The piece buffer and the
-    scratch are freed before the fit, so the sum is an upper bound.
+    carried state) and the 8 p x p arrays of its fit at their peak: the
+    two moment sums, fit_moments' scaled Gram matrix (then its
+    eigenvectors), D_n, rho_hat and the three of EstimatorState's
+    orthonormality check.  The piece buffer is freed before the fit, so
+    the sum is an upper bound.
     """
-    rows = max(np.diff(model.piece_edges(n, config.burn_in)))
     p = config.model.modes
-    return (2 * int(rows) + 1) * p + 8 * p * p
+    return (_piece_rows(config, n) + 1) * p + 8 * p * p
+
+
+def chunk_doubles(config: ExperimentConfig, n: int, size: int) -> int:
+    """Doubles a chunk of `size` replications of size n keeps alive: theirs and the normals scratch they share.
+
+    The scratch holds the longest piece of one path (model.draw_paths
+    draws the paths in turn through it), so a chunk of no replications
+    counts it alone.
+    """
+    return size * replication_doubles(config, n) + _piece_rows(config, n) * config.model.modes
 
 
 def chunk_size(config: ExperimentConfig, n: int) -> int:
     """Replications of size n in a full chunk: as many as fit into CHUNK_BUDGET, at least one."""
-    return min(config.replications, max(1, CHUNK_BUDGET // replication_doubles(config, n)))
+    room = CHUNK_BUDGET - chunk_doubles(config, n, 0)
+    return min(config.replications, max(1, room // replication_doubles(config, n)))
 
 
 def chunk_layout(config: ExperimentConfig) -> list[tuple[int, int, int]]:

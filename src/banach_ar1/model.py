@@ -10,11 +10,14 @@ States live in the truncated eigenbasis as length-p coefficient vectors;
 trajectories iterate X_n = rho(X_{n-1}) + eps_n with Gaussian innovations
 drawn through the symmetric square root of the innovation covariance.  A
 stack of paths is drawn and stepped in pieces (stream_paths) of PIECE_ROWS
-to 2 PIECE_ROWS - 1 steps, each in blocks of BLOCK states, so a path's
-live memory does not grow with its length; simulate_trajectory stitches
-one path's pieces together.  All randomness flows through an explicit
-numpy Generator, so identical parameters and generator state reproduce
-trajectories bit for bit.
+to 2 PIECE_ROWS - 1 steps, so a path's live memory does not grow with its
+length; simulate_trajectory stitches one path's pieces together.  A piece
+is drawn one path at a time through one scratch (draw_paths) and stepped in
+blocks of BLOCK states whose anchors come from a log-depth scan
+(step_paths), about 22 stacked products a piece whatever the stack's
+width.  All randomness flows through an explicit numpy Generator, so
+identical parameters and generator state reproduce trajectories bit for
+bit.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -103,9 +106,11 @@ class SpectralOperator:
 
     @cached_property
     def block_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Powers of M = matrix.T for step_paths: the stack [M^(s-1); ...; M; I] and M^s, s = BLOCK.
+        """Powers of M = matrix.T for step_paths: the stack [M^(s-1); ...; M; I] and the jumps, s = BLOCK.
 
-        The stack has shape (s p, p).  Both are computed once and read-only.
+        The stack has shape (s p, p).  The jumps M^(s 2^k), k = 0..JUMPS - 1,
+        have shape (JUMPS, p, p), each the square of the one before.  Both
+        are computed once and read-only.
         """
         p = self.dim
         a = self.matrix.T
@@ -114,10 +119,13 @@ class SpectralOperator:
         blocks[-1] = np.eye(p)
         for k in range(BLOCK - 2, -1, -1):
             np.matmul(blocks[k + 1], a, out=blocks[k])
-        top = blocks[0] @ a
+        jumps = np.empty((JUMPS, p, p))
+        np.matmul(blocks[0], a, out=jumps[0])
+        for k in range(1, JUMPS):
+            np.matmul(jumps[k - 1], jumps[k - 1], out=jumps[k])
         stack.setflags(write=False)
-        top.setflags(write=False)
-        return stack, top
+        jumps.setflags(write=False)
+        return stack, jumps
 
 
 @dataclass
@@ -162,12 +170,9 @@ def _sine_modes(modes: int, points) -> np.ndarray:
     return np.sqrt(2.0) * np.sin(np.outer(j, np.pi * np.asarray(points, dtype=float)))
 
 
-@lru_cache(maxsize=8)
 def eigenfunctions_on_grid(modes: int, grid_len: int) -> np.ndarray:
-    """Stacked eigenfunctions, shape (modes, grid_len); read-only."""
-    phi = _sine_modes(modes, (np.arange(grid_len) + 0.5) / grid_len)
-    phi.setflags(write=False)
-    return phi
+    """Stacked eigenfunctions at the grid_len dyadic midpoints, shape (modes, grid_len)."""
+    return _sine_modes(modes, (np.arange(grid_len) + 0.5) / grid_len)
 
 
 def _mode_distance(modes: int) -> np.ndarray:
@@ -246,13 +251,25 @@ def sample_initial_condition(covariance: SpectralOperator, rng: np.random.Genera
 # Steps of a path that stream_paths draws and steps at a time.  A path is
 # cut at every burn_in + k PIECE_ROWS that lies at least PIECE_ROWS steps
 # from both of its ends, so each piece has PIECE_ROWS to 2 PIECE_ROWS - 1
-# steps unless the whole path is shorter, and a path's live memory is one
-# piece and its normals whatever its length.  A piece is also the slice of
-# normals that one gemm maps through the noise root: OpenBLAS can give the
-# product of a few rows other last bits than the same rows of a longer
-# product, so no slice is shorter than PIECE_ROWS either.
+# steps unless the path is one piece (fewer than 2 PIECE_ROWS steps after
+# the burn-in's leftover burn_in % PIECE_ROWS, so at most 3 PIECE_ROWS - 2),
+# and a path's live memory is one piece and its normals whatever its
+# length.  A piece is also the slice of normals that one gemm maps through
+# the noise root: OpenBLAS can give the product of a few rows other last
+# bits than the same rows of a longer product, so no slice is shorter than
+# PIECE_ROWS either.
 PIECE_ROWS = 256
-BLOCK = math.isqrt(PIECE_ROWS)  # states per block of step_paths: about 2 BLOCK products a piece
+# States per block of step_paths.  A 511-step piece takes 2 + 2 log2(512 /
+# BLOCK) + 2 (BLOCK - 1) stacked products and adds: 22 at 4, against 20 at 2
+# (whose scan does more than twice the flops), 28 at 8 and 42 at 16.  In-process sweeps
+# on two threads (2 shared cores, medians of 10) ran desk's chunks in 0.57,
+# 0.50, 0.50 and 0.49 s at blocks of 2, 4, 8 and 16 and short-many's in 0.40,
+# 0.38, 0.38 and 0.39 s, short-many using the least CPU at 4 (0.65 s against
+# 0.68 to 0.72 s).
+BLOCK = 4
+# Jumps M^(BLOCK 2^k) that step_paths' anchor scan needs for the longest piece,
+# 3 PIECE_ROWS - 2 steps: one round per power of two below its anchor count.
+JUMPS = ((3 * PIECE_ROWS - 2) // BLOCK).bit_length()
 
 
 def piece_edges(n: int, burn_in: int = 0) -> list[int]:
@@ -268,19 +285,20 @@ def draw_paths(
 
     x has shape (len(rngs), steps + 1, p).  Row 0 of each path, its carried
     state, is left as it is; rows 1..steps of path r receive its next
-    `steps` innovations, a standard_normal((steps, p)) block drawn from
-    rngs[r] into normals[r] and mapped through the symmetric square root of
-    noise_cov.  The whole stack is mapped in one stacked product, one gemm
-    per path.  normals is a scratch of shape (len(rngs), steps, p): a
-    product written over its own input would make numpy copy the whole
-    input first.  Returns x; step_paths turns it into states.
+    `steps` innovations: a standard_normal((steps, p)) block drawn from
+    rngs[r] into normals and mapped through the symmetric square root of
+    noise_cov in one gemm.  The paths are drawn and mapped in turn through
+    the one scratch normals, of shape (steps, p): a product written over
+    its own input would make numpy copy the whole input first.  Returns x;
+    step_paths turns it into states.
     """
     count, length, p = x.shape
-    if count != len(rngs) or p != noise_cov.dim or normals.shape != (count, length - 1, p):
+    if count != len(rngs) or p != noise_cov.dim or normals.shape != (length - 1, p):
         raise ValueError("dimension mismatch between noise_cov, the paths, rngs and normals")
-    for block, rng in zip(normals, rngs):
-        rng.standard_normal(out=block)
-    np.matmul(normals, noise_cov.sqrt.T, out=x[:, 1:])
+    root = noise_cov.sqrt.T
+    for path, rng in zip(x, rngs):
+        rng.standard_normal(out=normals)
+        np.matmul(normals, root, out=path[1:])
     return x
 
 
@@ -288,15 +306,18 @@ def step_paths(x: np.ndarray, rho: SpectralOperator) -> np.ndarray:
     """The step stage of a piece: X_i = rho X_{i-1} + eps_i, in place on a draw_paths result.
 
     Returns x, row i of each path now holding its X_i.  The steps run
-    anchor-first in blocks of s = BLOCK states.  One gemm per path maps
-    each full block's innovations to its zero-start end state through the
-    powers of rho (rho.block_table, cached on the operator: BLOCK p^2
-    doubles, 0.32 MB at p = 50).  The anchors X_s, X_2s, ... then follow
-    from X_0 one block at a time through rho^s, and up to s - 1 stacked
-    products step every block, the tail after the last anchor included,
-    forward from its anchor; a piece shorter than one block is all tail.
-    A path's states do not depend on the other paths in the stack: each
-    product is a per-path gemm or gemv, as for a stack of one.
+    anchor-first in blocks of s = BLOCK states, with the powers of rho
+    cached on the operator (rho.block_table: (BLOCK + JUMPS) p^2 doubles,
+    0.24 MB at p = 50).  One gemm per path maps each full block's
+    innovations to its zero-start end state.  A Hillis-Steele scan then
+    turns X_0 and the end states into the anchors X_0, X_s, X_2s, ...: in
+    round k every anchor adds the one 2^k blocks before it, carried through
+    M^(s 2^k), so a piece of at most 3 PIECE_ROWS - 2 steps takes at most
+    JUMPS rounds (7 for the 511 steps of a piece after a cut).  Last, s - 1
+    stacked products step every block, the tail after the last anchor
+    included, forward from its anchor; a piece shorter than one block is
+    all tail.  A path's states do not depend on the other paths in the
+    stack: each product is a per-path gemm or gemv, as for a stack of one.
     """
     count, length, p = x.shape
     if rho.dim != p:
@@ -304,14 +325,18 @@ def step_paths(x: np.ndarray, rho: SpectralOperator) -> np.ndarray:
     # as row vectors X_i = X_{i-1} @ M + eps_i with M = rho^T
     s = BLOCK
     blocks = (length - 1) // s
-    stack, top = rho.block_table
-    # 1. each full block's zero-start end state, sum_j eps_(b-1)s+j @ M^(s-j)
-    ends = x[:, 1 : 1 + blocks * s].reshape(count, blocks, s * p) @ stack
-    # 2. carry the anchors X_s, X_2s, ... from X_0, one gemv per path
-    anchors = x[:, : blocks * s + 1 : s, None].swapaxes(0, 1)
-    for prev, anchor, end in zip(anchors, anchors[1:], ends[:, :, None].swapaxes(0, 1)):
-        np.matmul(prev, top, out=anchor)
-        anchor += end
+    stack, jumps = rho.block_table
+    rounds = blocks.bit_length()  # the strides 1, 2, 4, ... below the anchor count blocks + 1
+    if rounds > JUMPS:
+        raise ValueError(f"a piece of {length - 1} steps needs more than the {JUMPS} jumps of rho.block_table")
+    # 1. each full block's zero-start end state, sum_j eps_(b-1)s+j @ M^(s-j),
+    # written over the innovation it ends with
+    anchors = x[:, : blocks * s + 1 : s]
+    anchors[:, 1:] = x[:, 1 : 1 + blocks * s].reshape(count, blocks, s * p) @ stack
+    # 2. scan: anchor b gets X_0 and every end state before it, carried to it
+    for k in range(rounds):
+        d = 1 << k
+        anchors[:, d:] += anchors[:, :-d] @ jumps[k]
     # 3. step every block, and the tail after the last anchor, from its anchor:
     # row m + 1 of each block from its row m
     inputs, outputs = x[:, :-1], x[:, 1:]
@@ -343,11 +368,11 @@ def stream_paths(
     each piece starts with the last state of the one before, so the last
     piece ends at X_n.  The pieces are views of one buffer, the longest
     piece's rows of every path, that the next piece overwrites; one normals
-    scratch of the same size serves every draw.  The path is cut at
-    piece_edges(n, burn_in): at every burn_in + k PIECE_ROWS that lies at
-    least PIECE_ROWS steps from both ends, so its recorded pieces start at
-    X_0, X_PIECE_ROWS, X_2 PIECE_ROWS, ... and the last one takes any
-    leftover shorter than PIECE_ROWS.  Every piece runs draw_paths on the
+    scratch, the longest piece's rows of one path, serves every draw.  The
+    path is cut at piece_edges(n, burn_in): at every burn_in + k PIECE_ROWS
+    that lies at least PIECE_ROWS steps from both ends, so its recorded
+    pieces start at X_0, X_PIECE_ROWS, X_2 PIECE_ROWS, ... and the last one
+    takes any leftover shorter than PIECE_ROWS.  Every piece runs draw_paths on the
     whole stack, then step_paths.
     """
     if n < 2:
@@ -371,14 +396,14 @@ def _pieces(
     """stream_paths' pieces, drawn and stepped as they are asked for."""
     rows = int(np.diff(edges).max())
     x = np.empty((len(rngs), rows + 1, rho.dim))
-    normals = np.empty((len(rngs), rows, rho.dim))
+    normals = np.empty((rows, rho.dim))
     x[:, 0] = x0
     length = 0
     for start, stop in zip(edges, edges[1:]):
         if length:
             x[:, 0] = x[:, length]  # carry the last state into the next piece
         length = stop - start
-        piece = step_paths(draw_paths(noise_cov, x[:, : length + 1], rngs, normals[:, :length]), rho)
+        piece = step_paths(draw_paths(noise_cov, x[:, : length + 1], rngs, normals[:length]), rho)
         if stop > burn_in:
             skip = max(0, burn_in - start)
             yield piece[:, skip:], start + skip - burn_in

@@ -330,6 +330,16 @@ class TestFitStack:
         with pytest.raises(ValueError, match="sorted"):
             EstimatorState(stack.n, stack.k_n, unsorted, stack.eigenvectors, stack.d_matrix, stack.rho_hat)
 
+    @pytest.mark.parametrize("name", ["eigenvalues", "eigenvectors", "d_matrix", "rho_hat"])
+    def test_non_finite_values_are_rejected_naming_the_array(self, name):
+        # every comparison with NaN is false, so the ordering and orthonormality checks alone let it through
+        x = np.random.default_rng(13).standard_normal((3, 20, 5))
+        stack = fit_moments(transition_moments(x), TruncationRule.fixed(2))
+        arrays = {key: getattr(stack, key).copy() for key in ("eigenvalues", "eigenvectors", "d_matrix", "rho_hat")}
+        arrays[name][1, ..., -1] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            EstimatorState(stack.n, stack.k_n, **arrays)
+
     def test_degenerate_member_raises_with_its_own_spectrum(self):
         x = np.random.default_rng(14).standard_normal((3, 20, 5))
         x[1] = 0.0

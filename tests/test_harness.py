@@ -130,8 +130,8 @@ class TestParseConfig:
 
 
 TINY_CONFIG = "modes = 8\ngrid_len = 256\nsample_sizes = 6, 20\nreplications = 3\nseed = 5\n"
-# 640 replications run as 3 chunks of n = 6 (319 per chunk) and 3 of n = 20 (234 per chunk)
-POOL_CONFIG = "modes = 8\ngrid_len = 256\nsample_sizes = 6, 20\nreplications = 640\nseed = 5\n"
+# 700 replications run as 3 chunks of n = 6 (346 per chunk) and 3 of n = 20 (288 per chunk)
+POOL_CONFIG = "modes = 8\ngrid_len = 256\nsample_sizes = 6, 20\nreplications = 700\nseed = 5\n"
 
 
 class InlinePool:
@@ -169,7 +169,7 @@ class TestRunExperiment:
         config = parse_config(write_config(tmp_path, POOL_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
         assert len(harness.chunk_layout(config)) == 6
         results, _ = run_experiment(config, threads=threads)
-        assert len(results) == 1280
+        assert len(results) == 1400
         assert InlinePool.requested == ([] if expected is None else [expected])
 
     def test_smoke_run_emits_all_artifacts(self, tmp_path):
@@ -268,9 +268,9 @@ class TestRunExperiment:
 
 # 50 modes as in the reference model; n = 20 < p, n = 51 = p + 1
 CHUNK_CONFIG = "grid_len = 256\nsample_sizes = 20, 51, 80\nreplications = 9\nseed = 11\n"
-# a chunk budget that runs CHUNK_CONFIG in chunks of 6, 5 and 5 replications
+# a chunk budget that runs CHUNK_CONFIG in chunks of 7, 6 and 6 replications
 # at n = 20, 51, 80 without burn-in, and the seam sizes 255, 256, 511, 512 in
-# chunks of 3, 3, 2 and 3
+# chunks of 4, 4, 2 and 4
 TEST_BUDGET = 150_000
 
 
@@ -318,7 +318,7 @@ class TestChunks:
         cells = [(n, r) for n, r0, r1 in layout for r in range(r0, r1)]
         assert cells == [(n, r) for n in config.sample_sizes for r in range(config.replications)]
         for n, r0, r1 in layout:
-            assert r1 - r0 == 1 or (r1 - r0) * harness.replication_doubles(config, n) <= harness.CHUNK_BUDGET
+            assert r1 - r0 == 1 or harness.chunk_doubles(config, n, r1 - r0) <= harness.CHUNK_BUDGET
 
     def test_pool_maps_the_same_chunks_for_every_thread_count(self, tmp_path, monkeypatch):
         monkeypatch.setattr(InlinePool, "requested", [])
@@ -461,7 +461,7 @@ class TestChunkMemory:
         if task[3] > 1:
             assert peak <= 8 * harness.CHUNK_BUDGET, (task[3], peak)
         else:
-            assert peak <= 1.25 * 8 * harness.replication_doubles(config, n), peak
+            assert peak <= 1.25 * 8 * harness.chunk_doubles(config, n, 1), peak
 
     @pytest.mark.parametrize("text, n", [("", 2000), ("sample_sizes = 50,100,200\nreplications = 400\n", 50)])
     def test_piece_buffer_and_normals_scratch_are_freed_before_the_fit(self, tmp_path, monkeypatch, text, n):
@@ -645,10 +645,12 @@ class TestDrawAhead:
         with caplog.at_level("INFO", logger="banach_ar1.cli"):
             assert cli.main(["run", "--config", str(cfg_path), "--threads", str(threads)]) == cli.EXIT_OK
         assert f"{threads} worker process(es), {chunks}, BLAS threads per process" in caplog.text
-        # at n = 20 a replication keeps 41 x 8 doubles of piece and normals and 8 fit matrices of 8 x 8
+        # at n = 20 a replication keeps 21 x 8 doubles of piece and 8 fit matrices of 8 x 8,
+        # and the chunk one normals scratch of 20 x 8
         assert (
-            "paths run in pieces of 256 steps, the last taking the leftover, stepped in blocks of 16 states; "
-            "replications per chunk of at most 1.57 MB: 3 at n = 6 (0.0148 MB), 3 at n = 20 (0.0202 MB)"
+            "paths run in pieces of 256 steps, the last taking the leftover, drawn one path at a time "
+            "through one normals scratch and stepped in blocks of 4 states; "
+            "replications per chunk of at most 1.57 MB: 3 at n = 6 (0.014 MB), 3 at n = 20 (0.0176 MB)"
         ) in caplog.text
 
 

@@ -9,6 +9,7 @@ import pytest
 import banach_ar1
 from banach_ar1.model import (
     BLOCK,
+    JUMPS,
     PIECE_ROWS,
     ModelParams,
     NoiseCovarianceError,
@@ -300,11 +301,17 @@ class TestSimulation:
     # a path is cut at every PIECE_ROWS steps after its burn-in, its last piece
     # taking any leftover: PIECE_ROWS - 1, PIECE_ROWS + 1 and 2 PIECE_ROWS - 1
     # steps are one piece, 2 PIECE_ROWS + 37 and 1000 are two and three, and
-    # 4097 and 8229 steps are 16 and 32 pieces
+    # 4097 and 8229 steps are 16 and 32 pieces.  Without burn-in a one-piece
+    # path of n steps has n // BLOCK = 0, 1, 2, 3, 4, 5, 63, 64, 65 and 127
+    # blocks; with burn-in 7, n = 2 PIECE_ROWS - 1 is one piece of 518 steps
+    # (129 blocks), whose anchor scan takes all JUMPS rounds
     @pytest.mark.parametrize("burn_in", [0, 7])
     @pytest.mark.parametrize(
         "n",
-        [2, 3, 15, 16, 17, PIECE_ROWS - 1, PIECE_ROWS + 1, 2 * PIECE_ROWS - 1, 2 * PIECE_ROWS + 37, 1000, 4097, 8229],
+        [
+            2, 3, 5, 9, 15, 16, 17, 21, PIECE_ROWS - 1, PIECE_ROWS + 1, PIECE_ROWS + 5, 2 * PIECE_ROWS - 1,
+            2 * PIECE_ROWS + 37, 1000, 4097, 8229,
+        ],
     )
     @pytest.mark.parametrize("operator", ["reference", "non_normal"])
     def test_blocked_recursion_matches_stepped_oracle(self, operator, n, burn_in):
@@ -321,14 +328,17 @@ class TestSimulation:
     @pytest.mark.parametrize("burn_in", [0, 7])
     @pytest.mark.parametrize(
         "n",
-        [2, 3, 15, 17, PIECE_ROWS - 1, PIECE_ROWS + 1, 2 * PIECE_ROWS - 1, 2 * PIECE_ROWS + 37, 961, 1000, 4097, 8229],
+        [
+            2, 3, 5, 9, 15, 17, 21, PIECE_ROWS - 1, PIECE_ROWS + 1, PIECE_ROWS + 5, 2 * PIECE_ROWS - 1,
+            2 * PIECE_ROWS + 37, 961, 1000, 4097, 8229,
+        ],
     )
     @pytest.mark.parametrize("operator", ["reference", "non_normal"])
     def test_stacked_paths_match_their_own_stepped_oracles(self, operator, n, burn_in):
-        # every path steps in blocks of BLOCK = 16 states: a path shorter
+        # every path steps in blocks of BLOCK = 4 states: a path shorter
         # than one block is all tail, a piece of PIECE_ROWS + 1 steps leaves
         # a tail of one state after its last anchor, and one of
-        # 2 PIECE_ROWS - 1 steps a tail of 15 (with burn-in 7 the pieces shift)
+        # 2 PIECE_ROWS - 1 steps a tail of 3 (with burn-in 7 the pieces shift)
         rho, noise = recursion_operators(operator)
         x0 = np.random.default_rng(99).standard_normal((3, rho.dim))
         rngs = [np.random.default_rng([n, r]) for r in range(3)]
@@ -349,7 +359,7 @@ class TestSimulation:
             assert piece_edges(steps - 7, burn_in=7) == [0, steps]
             x = np.empty((3, steps + 1, rho.dim))
             x[:, 0] = x0
-            drawn = draw_paths(noise, x, [np.random.default_rng([7, r]) for r in range(3)], np.empty(x[:, 1:].shape))
+            drawn = draw_paths(noise, x, [np.random.default_rng([7, r]) for r in range(3)], np.empty((steps, rho.dim)))
             assert drawn is x
             for r, path in enumerate(drawn):
                 # each path's innovations are one gemm of its whole block of normals with the root
@@ -363,17 +373,17 @@ class TestSimulation:
         # a longer one is cut at every burn_in + k PIECE_ROWS at least
         # PIECE_ROWS steps from both ends: the first piece takes the burn-in's
         # leftover, the last the path's; each piece starts from the last state
-        # of the one before, with one normals scratch
+        # of the one before, with one normals scratch of one path's rows
         n = 4 * PIECE_ROWS + 30
         edges = piece_edges(n, burn_in=7)
         assert edges == [0, PIECE_ROWS + 7, 2 * PIECE_ROWS + 7, 3 * PIECE_ROWS + 7, n + 7]
         rngs = [np.random.default_rng([7, r]) for r in range(3)]
-        normals = np.empty((3, 2 * PIECE_ROWS, rho.dim))
+        normals = np.empty((2 * PIECE_ROWS, rho.dim))
         pieces = [x0[:, None]]
         for start, stop in zip(edges, edges[1:]):
             x = np.empty((3, stop - start + 1, rho.dim))
             x[:, 0] = pieces[-1][:, -1]
-            drawn = draw_paths(noise, x, rngs, normals[:, : stop - start])
+            drawn = draw_paths(noise, x, rngs, normals[: stop - start])
             pieces.append(step_paths(drawn, rho)[:, 1:])
         rngs = [np.random.default_rng([7, r]) for r in range(3)]
         streamed = stitched_paths(n, rho, noise, x0, rngs, burn_in=7)
@@ -386,12 +396,19 @@ class TestSimulation:
         x0 = np.random.default_rng(99).standard_normal((4, rho.dim))
         x = np.empty((4, steps + 1, rho.dim))
         x[:, 0] = x0
-        stack = draw_paths(noise, x, [np.random.default_rng([3, r]) for r in range(4)], np.empty(x[:, 1:].shape))
+        stack = draw_paths(noise, x, [np.random.default_rng([3, r]) for r in range(4)], np.empty((steps, rho.dim)))
         for r in range(4):
             alone = np.empty((1, steps + 1, rho.dim))
             alone[0, 0] = x0[r]
-            draw_paths(noise, alone, [np.random.default_rng([3, r])], np.empty(alone[:, 1:].shape))
+            draw_paths(noise, alone, [np.random.default_rng([3, r])], np.empty((steps, rho.dim)))
             assert np.array_equal(stack[r], alone[0]), r
+
+    def test_step_rejects_a_piece_longer_than_the_jumps_reach(self):
+        rho, _ = recursion_operators("reference")
+        x = np.zeros((1, BLOCK * 2**JUMPS + 1, rho.dim))
+        with pytest.raises(ValueError, match="needs more than the 8 jumps"):
+            step_paths(x, rho)
+        assert not step_paths(x[:, :-1], rho).any()  # one step fewer is 2^JUMPS - 1 blocks and a tail
 
     def test_reproducible_bit_for_bit(self):
         p = params(modes=6)
@@ -478,26 +495,34 @@ class TestPowerTable:
     @pytest.mark.parametrize("operator", ["reference", "non_normal"])
     def test_blocks_match_explicit_powers(self, operator, s):
         rho, _ = recursion_operators(operator)
-        stack, top = rho.block_table
+        stack, jumps = rho.block_table
         p, a = rho.dim, rho.matrix.T
-        assert BLOCK == 16 and stack.shape == (BLOCK * p, p) and top.shape == (p, p)
+
+        def assert_power(computed, power):
+            expected = np.linalg.matrix_power(a, power)
+            assert np.abs(computed - expected).max() <= 1e-13 * np.abs(expected).max(), power
+
+        assert BLOCK == 4 and JUMPS == 8
+        assert stack.shape == (BLOCK * p, p) and jumps.shape == (JUMPS, p, p)
         blocks = stack.reshape(BLOCK, p, p)
         for k, block in enumerate(blocks):
-            expected = np.linalg.matrix_power(a, BLOCK - 1 - k)
-            assert np.abs(block - expected).max() <= 1e-13 * np.abs(expected).max()
-        expected = np.linalg.matrix_power(a, BLOCK)
-        assert np.abs(top - expected).max() <= 1e-13 * np.abs(expected).max()
-        # M^s for any s, reached from the one table as step_paths reaches it
-        # across blocks: whole blocks through M^BLOCK, the rest from the stack
-        reached = np.linalg.matrix_power(top, s // BLOCK) @ blocks[BLOCK - 1 - s % BLOCK]
-        expected = np.linalg.matrix_power(a, s)
-        assert np.abs(reached - expected).max() <= 1e-13 * np.abs(expected).max()
+            assert_power(block, BLOCK - 1 - k)
+        for k, jump in enumerate(jumps):
+            assert_power(jump, BLOCK * 2**k)
+        # M^s for any s below BLOCK 2^JUMPS, reached from the one table as the
+        # anchor scan reaches it: whole blocks through the jumps of the binary
+        # digits of s // BLOCK, the rest from the stack
+        reached = blocks[BLOCK - 1 - s % BLOCK]
+        for k, jump in enumerate(jumps):
+            if s // BLOCK >> k & 1:
+                reached = reached @ jump
+        assert_power(reached, s)
 
     def test_computed_once_per_operator_and_read_only(self):
         rho, _ = recursion_operators("reference")
-        stack, top = rho.block_table
-        assert rho.block_table[0] is stack and rho.block_table[1] is top
-        assert not stack.flags.writeable and not top.flags.writeable
+        stack, jumps = rho.block_table
+        assert rho.block_table[0] is stack and rho.block_table[1] is jumps
+        assert not stack.flags.writeable and not jumps.flags.writeable
 
 
 class TestPositiveDiagonal:
