@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import os
 
-# One BLAS thread per process.  A replication works on p x p matrices with
-# p around 50, where extra BLAS threads only spin; parallelism comes from the
-# --threads worker processes, which inherit these variables, and in a serial
-# sweep from two threads that run the chunks.  BLAS reads them when numpy
-# loads, so this runs before anything imports numpy (the package __init__
-# imports none).  A value set beforehand wins.  The settings are recorded as
-# made here, for the run log.
+# One BLAS thread: a replication works on p x p matrices with p around 50,
+# where extra BLAS threads only spin, and the chunks' threads give the
+# parallelism.  BLAS reads these variables when numpy loads, so this runs
+# before anything imports numpy (the package __init__ imports none).  A value
+# set beforehand wins; the run log records the settings as made here.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 BLAS_THREAD_SETTINGS = {
     var: f"{os.environ[var]} (from the environment)" if var in os.environ else "1 (set by banach-ar1)"
@@ -69,18 +67,17 @@ def _load_config(args) -> harness.ExperimentConfig:
 def _cmd_run(args) -> int:
     config = _load_config(args)
     workers = harness.worker_count(args.threads, len(harness.chunk_layout(config)))
-    chunks = "chunks run on two threads" if workers == 1 else "one chunk at a time per worker process"
     blas = ", ".join(f"{var}={setting}" for var, setting in BLAS_THREAD_SETTINGS.items())
     sizes = []
     for n in config.sample_sizes:
         size = harness.chunk_size(config, n)
         sizes.append(f"{size} at n = {n} ({harness.chunk_doubles(config, n, size) * 8 / 1e6:.3g} MB)")
     logger.info(
-        "%d worker process(es), %s, BLAS threads per process: %s; "
+        "chunks run on %d threads of one process, one chunk at a time per thread, BLAS threads: %s; "
         "paths run in pieces of %d steps, the last taking the leftover, drawn one path at a time "
         "through one normals scratch and stepped in blocks of %d states; "
         "replications per chunk of at most %.3g MB: %s",
-        workers, chunks, blas, PIECE_ROWS, BLOCK, harness.CHUNK_BUDGET * 8 / 1e6, ", ".join(sizes),
+        workers + 1, blas, PIECE_ROWS, BLOCK, harness.CHUNK_BUDGET * 8 / 1e6, ", ".join(sizes),
     )
     results, reports = harness.run_experiment(config, threads=args.threads)
     print(f"wrote {len(results)} replication results for {len(reports)} sample sizes to {config.output_dir}")
@@ -121,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "run":
             p.add_argument(
                 "--threads", type=int, default=1,
-                help="worker processes (default 1; at most one per replication and usable CPU)",
+                help="workers (default 1; at most one per chunk and usable CPU); the chunks run on one thread more",
             )
         p.set_defaults(func=func)
     return parser

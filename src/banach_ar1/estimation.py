@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import pairwise
 
 import numpy as np
 
@@ -130,12 +131,12 @@ def empirical_covariance(traj: Trajectory) -> SpectralOperator:
     """(1/n) sum of X_i X_i^T over all n states: the transitions' Gram matrix plus the last state's."""
     last = traj.states[-1]
     m = transition_moments(traj.states[None]).gram[0] + np.outer(last, last)
-    return SpectralOperator(m / len(traj), symmetric=True)
+    return SpectralOperator(m / len(traj))
 
 
 def empirical_cross_covariance(traj: Trajectory) -> SpectralOperator:
     """(1/(n-1)) sum of X_{i+1} X_i^T over consecutive pairs; not symmetric."""
-    return SpectralOperator(transition_moments(traj.states[None]).cross[0] / (len(traj) - 1), symmetric=False)
+    return SpectralOperator(transition_moments(traj.states[None]).cross[0] / (len(traj) - 1))
 
 
 def _checked_gaps(values: np.ndarray, k: int) -> np.ndarray:
@@ -265,8 +266,7 @@ def transition_moments(states: np.ndarray) -> TransitionMoments:
     if states.shape[1] < 2:
         raise ValueError("need at least 2 states")
     moments = TransitionMoments()
-    edges = piece_edges(states.shape[1])
-    for start, stop in zip(edges, edges[1:]):
+    for start, stop in pairwise(piece_edges(states.shape[1])):
         moments.add(states[:, start : stop + 1])  # the last piece ends at the last state
     return moments
 

@@ -10,7 +10,7 @@ count, and two runs with the same configuration are byte-identical.
 
 The replications of one sample size run in chunks, stacked along a leading
 axis through simulation, fit, prediction and scoring; a chunk is the unit of
-work of the executor.  Every product in the stack is the per-replication
+work of the thread pool.  Every product in the stack is the per-replication
 gemm or gemv, so a replication's error does not depend on its chunk.  A
 chunk streams its stack through model.stream_paths, adding each piece's
 transitions to the moments of the fit as the piece is made, then fits,
@@ -18,10 +18,10 @@ predicts and scores; no whole trajectory is kept.  A chunk holds as many
 replications as fit into CHUNK_BUDGET doubles, counting for each its piece
 and its fit's p x p arrays (replication_doubles), and once the normals
 scratch through which its paths are drawn in turn (chunk_doubles).  A
-sweep maps the chunks, in layout order, over a pool of worker processes or,
-with one worker, over two threads of this process, so while one thread
-draws the other can compute.  Each worker runs one chunk at a time, so at
-most two chunks are alive at once in a serial sweep.
+sweep maps the chunks, in layout order, over one more thread than it has
+workers; numpy's generator fill, BLAS and LAPACK release the interpreter
+lock, so while one thread draws another can compute.  Each thread runs
+one chunk at a time, so a serial sweep keeps at most two chunks alive.
 
 The experiment fits on the first n states and predicts from state n+1, so
 the estimator's sample and the prediction input are disjoint.
@@ -265,8 +265,8 @@ class _RunContext:
     StationarityError unless some power of rho up to 10 has spectral norm
     below 1, and EigenGapError when a sample size's bound meets a vanishing
     eigenvalue gap.  build_noise_covariance computes and checks the noise
-    square root; every size's bound is filled here, before two threads can
-    race for it or so that forked workers inherit it.
+    square root; every size's bound is filled here, before the chunks'
+    threads can race for it.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -311,11 +311,6 @@ def replication_rng(master_seed: int, n: int, replication: int) -> np.random.Gen
 CHUNK_BUDGET = 3 * 2**16
 
 
-def _piece_rows(config: ExperimentConfig, n: int) -> int:
-    """Steps in the longest piece of a path of size n."""
-    return int(max(np.diff(model.piece_edges(n, config.burn_in))))
-
-
 def replication_doubles(config: ExperimentConfig, n: int) -> int:
     """Doubles one replication of size n keeps alive in a chunk, besides the chunk's normals scratch.
 
@@ -327,7 +322,7 @@ def replication_doubles(config: ExperimentConfig, n: int) -> int:
     the sum is an upper bound.
     """
     p = config.model.modes
-    return (_piece_rows(config, n) + 1) * p + 8 * p * p
+    return (model.longest_piece(n, config.burn_in) + 1) * p + 8 * p * p
 
 
 def chunk_doubles(config: ExperimentConfig, n: int, size: int) -> int:
@@ -337,7 +332,7 @@ def chunk_doubles(config: ExperimentConfig, n: int, size: int) -> int:
     draws the paths in turn through it), so a chunk of no replications
     counts it alone.
     """
-    return size * replication_doubles(config, n) + _piece_rows(config, n) * config.model.modes
+    return size * replication_doubles(config, n) + model.longest_piece(n, config.burn_in) * config.model.modes
 
 
 def chunk_size(config: ExperimentConfig, n: int) -> int:
@@ -407,9 +402,9 @@ def run_replication(
 ChunkOutput = tuple[list[diagnostics.ExperimentResult], list[tuple[int, int, float]]]
 
 
-def _run_chunk(task: tuple[ExperimentConfig, int, int, int]) -> ChunkOutput:
+def _run_chunk(config: ExperimentConfig, chunk: tuple[int, int, int]) -> ChunkOutput:
     """One chunk's results, and the eigen-decay rows if it holds replication 0."""
-    config, n, r0, r1 = task
+    n, r0, r1 = chunk
     results, fits = _run_stack(config, n, r0, r1)
     # only the first replication's eigenvalue decay is reported per n
     decay = [(n, j, value) for j, value in diagnostics.eigen_decay_report(fits[0])] if r0 == 0 else []
@@ -417,7 +412,7 @@ def _run_chunk(task: tuple[ExperimentConfig, int, int, int]) -> ChunkOutput:
 
 
 def worker_count(threads: int, tasks: int) -> int:
-    """Worker processes for `tasks` chunks when `threads` are asked for.
+    """Workers for `tasks` chunks when `threads` are asked for; a sweep runs them on one thread more.
 
     Never more than the tasks or the CPUs this process may run on; more
     workers would only wait for a core.
@@ -438,31 +433,22 @@ def run_experiment(
 
     The run context is built first, so its errors (StationarityError among
     them) come before any chunk runs.  The chunks of `chunk_layout` are
-    mapped over a pool of `worker_count(threads, ...)` processes, or, when
-    that is 1, over two threads of this process.  Their results come back
-    in (n, replication) order before any file is written, so outputs are
-    identical for any worker count, and the earliest failing chunk's error
-    is raised.  The BLAS thread count is the caller's choice (the
-    command-line program sets one per process).
+    mapped over `worker_count(threads, ...) + 1` threads of this process.
+    Their results come back in (n, replication) order before any file is
+    written, so outputs are identical for any worker count, and the
+    earliest failing chunk's error is raised.  The BLAS thread count is
+    the caller's choice (the command-line program sets one).
     """
     ctx = _context(config)
     logger.info("stationarity gate passed: j0=%d, norm=%.6f", ctx.gate.j0, ctx.gate.norm)
 
-    # filled here rather than in the run context, which validate builds too:
-    # before two threads can race for them, or so that forked workers inherit them
+    # filled here rather than in the run context, which validate builds too,
+    # before the chunks' threads can race for them
     estimation._wavelet_matrix(config.model.modes, config.model.grid_len, config.wavelet, _coarse_step(config))
     ctx.rho.block_table
-    tasks = [(config, *chunk) for chunk in chunk_layout(config)]
-    workers = worker_count(threads, len(tasks))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # imported here: it loads multiprocessing
-
-        executor = ProcessPoolExecutor(max_workers=workers)
-    else:
-        # numpy's generator fill, BLAS and LAPACK release the interpreter lock
-        executor = ThreadPoolExecutor(max_workers=2, thread_name_prefix="banach-ar1-chunk")
-    with executor:
-        outputs = list(executor.map(_run_chunk, tasks))
+    chunks = chunk_layout(config)
+    with ThreadPoolExecutor(worker_count(threads, len(chunks)) + 1, thread_name_prefix="banach-ar1-chunk") as executor:
+        outputs = list(executor.map(functools.partial(_run_chunk, config), chunks))
 
     results = [result for chunk_results, _ in outputs for result in chunk_results]
     decay_rows = [row for _, chunk_decay in outputs for row in chunk_decay]

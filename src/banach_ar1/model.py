@@ -26,6 +26,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, pairwise
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -72,14 +73,11 @@ class SpectralOperator:
     """An operator as a p x p matrix in the model eigenbasis."""
 
     matrix: np.ndarray
-    symmetric: bool = False
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError(f"operator matrix must be square, got {self.matrix.shape}")
-        if self.symmetric and np.abs(self.matrix - self.matrix.T).max() > 1e-12:
-            raise ValueError("matrix marked symmetric but is not, within 1e-12")
 
     @property
     def dim(self) -> int:
@@ -88,6 +86,9 @@ class SpectralOperator:
     @cached_property
     def sqrt(self) -> np.ndarray:
         """Symmetric PSD square root, computed once and read-only; tiny negative eigenvalues become 0."""
+        # eigh reads one triangle only, so an asymmetric matrix would pass unseen
+        if np.abs(self.matrix - self.matrix.T).max() > 1e-12:
+            raise ValueError("matrix is not symmetric within 1e-12")
         w, v = np.linalg.eigh(self.matrix)
         if w[0] < -1e-10 * max(float(np.abs(w).max()), 1e-300):
             raise ValueError(f"matrix is not positive semi-definite: min eigenvalue {w[0]:.6e}")
@@ -110,7 +111,7 @@ class SpectralOperator:
 
         The stack has shape (s p, p).  The jumps M^(s 2^k), k = 0..JUMPS - 1,
         have shape (JUMPS, p, p), each the square of the one before.  Both
-        are computed once and read-only.
+        are computed once, each product flushed of subnormals, and read-only.
         """
         p = self.dim
         a = self.matrix.T
@@ -118,11 +119,11 @@ class SpectralOperator:
         blocks = stack.reshape(BLOCK, p, p)
         blocks[-1] = np.eye(p)
         for k in range(BLOCK - 2, -1, -1):
-            np.matmul(blocks[k + 1], a, out=blocks[k])
+            _flush_subnormals(np.matmul(blocks[k + 1], a, out=blocks[k]))
         jumps = np.empty((JUMPS, p, p))
-        np.matmul(blocks[0], a, out=jumps[0])
+        _flush_subnormals(np.matmul(blocks[0], a, out=jumps[0]))
         for k in range(1, JUMPS):
-            np.matmul(jumps[k - 1], jumps[k - 1], out=jumps[k])
+            _flush_subnormals(np.matmul(jumps[k - 1], jumps[k - 1], out=jumps[k]))
         stack.setflags(write=False)
         jumps.setflags(write=False)
         return stack, jumps
@@ -147,6 +148,12 @@ class Trajectory:
         return Trajectory(states=self.states[:count])
 
 
+def _flush_subnormals(a: np.ndarray) -> np.ndarray:
+    """Zero a's subnormal entries, which slow every product that reads them, in place; returns a."""
+    np.copyto(a, 0.0, where=np.abs(a) < np.finfo(float).tiny)
+    return a
+
+
 class StationarityResult(NamedTuple):
     holds: bool
     j0: int
@@ -161,7 +168,7 @@ def covariance_eigenvalues(gamma: float, count: int) -> np.ndarray:
 
 def build_covariance(params: ModelParams) -> SpectralOperator:
     """Diagonal state covariance in the eigenbasis."""
-    return SpectralOperator(np.diag(covariance_eigenvalues(params.gamma, params.modes)), symmetric=True)
+    return SpectralOperator(np.diag(covariance_eigenvalues(params.gamma, params.modes)))
 
 
 def _sine_modes(modes: int, points) -> np.ndarray:
@@ -182,10 +189,10 @@ def _mode_distance(modes: int) -> np.ndarray:
 
 
 def build_rho(params: ModelParams) -> SpectralOperator:
-    """Autocorrelation matrix: (1+j)^(-1.5) on the diagonal, exp(-|j-h|/W) off it."""
-    m = np.exp(-_mode_distance(params.modes) / params.width)
+    """Autocorrelation matrix: (1+j)^(-1.5) on the diagonal, exp(-|j-h|/W) off it, subnormals flushed to 0."""
+    m = _flush_subnormals(np.exp(-_mode_distance(params.modes) / params.width))
     np.fill_diagonal(m, (1.0 + np.arange(1, params.modes + 1, dtype=float)) ** -1.5)
-    return SpectralOperator(m, symmetric=True)
+    return SpectralOperator(m)
 
 
 def build_noise_covariance(
@@ -212,7 +219,7 @@ def build_noise_covariance(
         logger.info("innovation covariance indefinite (min eigenvalue %.3e); clipping to PSD", w[0])
         m = (v * np.clip(w, 0.0, None)) @ v.T
         m = 0.5 * (m + m.T)
-    noise = SpectralOperator(m, symmetric=True)
+    noise = SpectralOperator(m)
     try:
         noise.sqrt
     except ValueError as exc:
@@ -272,10 +279,19 @@ BLOCK = 4
 JUMPS = ((3 * PIECE_ROWS - 2) // BLOCK).bit_length()
 
 
-def piece_edges(n: int, burn_in: int = 0) -> list[int]:
-    """Where stream_paths cuts a path of burn_in + n steps: 0, its seams, burn_in + n."""
+def piece_edges(n: int, burn_in: int = 0) -> Iterator[int]:
+    """Where stream_paths cuts a path of burn_in + n steps, made as they are asked for: 0, its seams, burn_in + n."""
     steps = burn_in + n
-    return [0, *range(PIECE_ROWS + burn_in % PIECE_ROWS, steps - PIECE_ROWS + 1, PIECE_ROWS), steps]
+    return chain((0,), range(PIECE_ROWS + burn_in % PIECE_ROWS, steps - PIECE_ROWS + 1, PIECE_ROWS), (steps,))
+
+
+def longest_piece(n: int, burn_in: int = 0) -> int:
+    """Steps in the longest piece of piece_edges(n, burn_in), the first or the last, without making the edges."""
+    steps = burn_in + n
+    first = PIECE_ROWS + burn_in % PIECE_ROWS
+    if steps < first + PIECE_ROWS:
+        return steps
+    return max(first, PIECE_ROWS + (steps - first) % PIECE_ROWS)
 
 
 def draw_paths(
@@ -382,24 +398,24 @@ def stream_paths(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (len(rngs), rho.dim) or noise_cov.dim != rho.dim:
         raise ValueError("dimension mismatch between rho, noise_cov, x0 and rngs")
-    return _pieces(rho, noise_cov, x0, rngs, burn_in, piece_edges(n, burn_in))
+    return _pieces(n, rho, noise_cov, x0, rngs, burn_in)
 
 
 def _pieces(
+    n: int,
     rho: SpectralOperator,
     noise_cov: SpectralOperator,
     x0: np.ndarray,
     rngs: list[np.random.Generator],
     burn_in: int,
-    edges: list[int],
 ) -> Iterator[tuple[np.ndarray, int]]:
     """stream_paths' pieces, drawn and stepped as they are asked for."""
-    rows = int(np.diff(edges).max())
+    rows = longest_piece(n, burn_in)
     x = np.empty((len(rngs), rows + 1, rho.dim))
     normals = np.empty((rows, rho.dim))
     x[:, 0] = x0
     length = 0
-    for start, stop in zip(edges, edges[1:]):
+    for start, stop in pairwise(piece_edges(n, burn_in)):
         if length:
             x[:, 0] = x[:, length]  # carry the last state into the next piece
         length = stop - start

@@ -135,7 +135,7 @@ def test_criterion_2_estimator_oracle_equivalence():
 def test_criterion_3_noiseless_exact_recovery():
     params = ModelParams(gamma=1.21, beta_exponent=0.6, modes=5, grid_len=2048)
     rho = build_rho(params)
-    zero_noise = SpectralOperator(np.zeros((5, 5)), symmetric=True)
+    zero_noise = SpectralOperator(np.zeros((5, 5)))
     rng = np.random.default_rng(3)
     traj = simulate_trajectory(100, rho, zero_noise, rng.standard_normal(5), rng)
     state = fit_estimator(traj.head(100), TruncationRule.fixed(5))

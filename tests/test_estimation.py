@@ -89,7 +89,7 @@ class TestEmpiricalMoments:
         # over aligned windows the cross-covariance of a noiseless path is
         # exactly rho times the covariance of the inputs
         _, rho, _ = paper_model(4)
-        zero = SpectralOperator(np.zeros((4, 4)), symmetric=True)
+        zero = SpectralOperator(np.zeros((4, 4)))
         rng = np.random.default_rng(2)
         traj = simulate_trajectory(12, rho, zero, rng.standard_normal(4), rng)
         n = len(traj)
@@ -177,7 +177,7 @@ class TestGapQuantities:
 class TestFitEstimator:
     def test_noiseless_exact_recovery(self):
         _, rho, _ = paper_model(5)
-        zero = SpectralOperator(np.zeros((5, 5)), symmetric=True)
+        zero = SpectralOperator(np.zeros((5, 5)))
         rng = np.random.default_rng(99)
         traj = simulate_trajectory(100, rho, zero, rng.standard_normal(5), rng)
         state = fit_estimator(traj.head(100), TruncationRule.fixed(5))

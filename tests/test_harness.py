@@ -155,12 +155,13 @@ class InlinePool:
 class TestRunExperiment:
     @pytest.mark.parametrize(
         "threads, cpus, expected",
-        [(64, 3, 3), (64, 8, 6), (2, 8, 2), (1, 8, None), (64, None, 5)],
+        [(64, 3, 3), (64, 8, 6), (2, 8, 2), (1, 8, 1), (64, None, 5)],
     )
     def test_pool_is_capped_at_tasks_and_cpus(self, tmp_path, monkeypatch, threads, cpus, expected):
-        # 6 chunks are 6 tasks; cpus None means no affinity call, os.cpu_count() = 5
+        # 6 chunks are 6 tasks, run by `expected` workers on one thread more;
+        # cpus None means no affinity call, os.cpu_count() = 5
         monkeypatch.setattr(InlinePool, "requested", [])
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
         if cpus is None:
             monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(harness.os, "cpu_count", lambda: 5)
@@ -170,7 +171,7 @@ class TestRunExperiment:
         assert len(harness.chunk_layout(config)) == 6
         results, _ = run_experiment(config, threads=threads)
         assert len(results) == 1400
-        assert InlinePool.requested == ([] if expected is None else [expected])
+        assert InlinePool.requested == [expected + 1]
 
     def test_smoke_run_emits_all_artifacts(self, tmp_path):
         cfg = parse_config(smoke_config(tmp_path))
@@ -242,7 +243,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("extra, built", [("", 1), ("spline_mode = true\n", 2)], ids=["grid", "spline"])
     def test_scoring_matrix_is_built_once_before_the_chunks(self, tmp_path, monkeypatch, extra, built):
-        # the chunks' threads, or forked workers, share the one cached matrix instead of each building it;
+        # the chunks' threads share the one cached matrix instead of each building it;
         # the trace sums come from the grid matrix, which spline mode builds after the chunks
         matrix = harness.estimation._wavelet_matrix
         matrix.cache_clear()
@@ -322,7 +323,7 @@ class TestChunks:
 
     def test_pool_maps_the_same_chunks_for_every_thread_count(self, tmp_path, monkeypatch):
         monkeypatch.setattr(InlinePool, "requested", [])
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         mapped = []
         original = harness._run_stack
@@ -331,7 +332,7 @@ class TestChunks:
             mapped.append((n, r0, r1))
             return original(config, n, r0, r1)
 
-        # every chunk, in the pool or on this process's two threads, runs once
+        # every chunk runs once, in layout order, whatever the thread count
         monkeypatch.setattr(harness, "_run_stack", recorded)
         config = parse_config(write_config(tmp_path, POOL_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
         layouts = []
@@ -450,16 +451,16 @@ class TestChunkMemory:
     @pytest.mark.parametrize("text, n", MEMORY_CASES.values(), ids=MEMORY_CASES.keys())
     def test_chunk_peak_stays_within_the_budget(self, tmp_path, text, n):
         config = parse_config(write_config(tmp_path, text))
-        task = (config, n, 0, harness.chunk_size(config, n))
-        harness._run_chunk(task)  # fills the run context, the scoring matrix and the block table
+        size = harness.chunk_size(config, n)
+        harness._run_chunk(config, (n, 0, size))  # fills the run context, the scoring matrix and the block table
         tracemalloc.start()
         try:
-            harness._run_chunk(task)
+            harness._run_chunk(config, (n, 0, size))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        if task[3] > 1:
-            assert peak <= 8 * harness.CHUNK_BUDGET, (task[3], peak)
+        if size > 1:
+            assert peak <= 8 * harness.CHUNK_BUDGET, (size, peak)
         else:
             assert peak <= 1.25 * 8 * harness.chunk_doubles(config, n, 1), peak
 
@@ -487,7 +488,7 @@ class TestChunkMemory:
         monkeypatch.setattr(harness.estimation, "fit_moments", watched_fit)
         harness._run_stack(config, n, 0, harness.chunk_size(config, n))
         # one piece buffer and one normals scratch per piece of the path
-        assert len(buffers) == 2 * (len(harness.model.piece_edges(n, config.burn_in)) - 1)
+        assert len(buffers) == 2 * (len(list(harness.model.piece_edges(n, config.burn_in))) - 1)
         assert alive_at_fit == [0]
 
 
@@ -585,6 +586,24 @@ class TestDrawAhead:
         assert threading.active_count() == threads_before
         assert not (tmp_path / "out").exists()
 
+    def test_more_threads_than_cores_write_the_bytes_of_two(self, tmp_path, monkeypatch):
+        # 6 chunks on 7 threads, switching as often as the interpreter allows,
+        # share the cached run context, block table and scoring matrix
+        monkeypatch.setattr(harness, "CHUNK_BUDGET", TEST_BUDGET)
+        usable_cpus(monkeypatch, 8)
+        config = parse_config(write_config(tmp_path, CHUNK_CONFIG + f"output_dir = {tmp_path / 'two'}\n"))
+        run_experiment(config, threads=1)
+        interval = sys.getswitchinterval()
+        threads_before = threading.active_count()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_experiment(replace(config, output_dir=tmp_path / "seven"), threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads_before
+        for name in CSV_NAMES:
+            assert filecmp.cmp(tmp_path / "two" / name, tmp_path / "seven" / name, shallow=False), name
+
     def test_earliest_failing_chunk_wins_when_a_later_one_fails_first(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "CHUNK_BUDGET", TEST_BUDGET)
         config = parse_config(write_config(tmp_path, CHUNK_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
@@ -634,17 +653,16 @@ class TestDrawAhead:
             for array in (state.eigenvalues, state.eigenvectors, state.d_matrix, state.rho_hat):
                 assert not any(np.shares_memory(array, piece.base) for piece in pieces)
 
-    @pytest.mark.parametrize(
-        "threads, chunks", [(1, "chunks run on two threads"), (2, "one chunk at a time per worker process")]
-    )
-    def test_run_log_says_how_the_chunks_run(self, tmp_path, monkeypatch, caplog, threads, chunks):
+    @pytest.mark.parametrize("threads, pool", [(1, 2), (2, 3)])
+    def test_run_log_says_how_the_chunks_run(self, tmp_path, monkeypatch, caplog, threads, pool):
         monkeypatch.setattr(InlinePool, "requested", [])
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
         usable_cpus(monkeypatch, 2)
         cfg_path = write_config(tmp_path, TINY_CONFIG + f"output_dir = {tmp_path / 'out'}\n")
         with caplog.at_level("INFO", logger="banach_ar1.cli"):
             assert cli.main(["run", "--config", str(cfg_path), "--threads", str(threads)]) == cli.EXIT_OK
-        assert f"{threads} worker process(es), {chunks}, BLAS threads per process" in caplog.text
+        assert f"chunks run on {pool} threads of one process, one chunk at a time per thread" in caplog.text
+        assert InlinePool.requested == [pool]
         # at n = 20 a replication keeps 21 x 8 doubles of piece and 8 fit matrices of 8 x 8,
         # and the chunk one normals scratch of 20 x 8
         assert (
@@ -820,7 +838,7 @@ class TestCli:
 
         def inflated(params):
             op = original(params)
-            return SpectralOperator(op.matrix * 4.0, symmetric=True)
+            return SpectralOperator(op.matrix * 4.0)
 
         monkeypatch.setattr(harness_mod.model, "build_rho", inflated)
         harness_mod._context.cache_clear()
@@ -894,6 +912,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert "seed must be >= 0" in err
         assert "integer" not in err
+
+    @pytest.mark.parametrize("key", ["burn_in", "sample_sizes"])
+    def test_huge_path_reaches_the_sweep(self, tmp_path, caplog, monkeypatch, key):
+        # the run log sizes chunks by their longest piece without listing the path's seams
+        swept = []
+        monkeypatch.setattr(harness, "run_experiment", lambda config, threads: swept.append(config) or ([], []))
+        cfg_path = write_config(tmp_path, f"modes = 8\ngrid_len = 64\n{key} = {10**20}\n")
+        with caplog.at_level("INFO", logger="banach_ar1.cli"):
+            assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_OK
+        assert len(swept) == 1
+        assert "replications per chunk of at most 1.57 MB: " in caplog.text
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_is_config_error(self, tmp_path, capsys, threads):
@@ -1014,15 +1043,33 @@ class TestBlasThreadPolicy:
         for name in CSV_NAMES:
             assert filecmp.cmp(tmp_path / "w1" / name, tmp_path / "w2" / name, shallow=False), name
         workers = harness.worker_count(2, len(harness.chunk_layout(parse_config(cfg_path))))
-        assert f"INFO banach_ar1.cli: {workers} worker process(es)" in logs["2"]
+        assert f"INFO banach_ar1.cli: chunks run on {workers + 1} threads of one process" in logs["2"]
         assert "OPENBLAS_NUM_THREADS=1 (set by banach-ar1)" in logs["1"]
+
+    def test_cli_run_on_two_workers_stays_in_one_process(self, tmp_path):
+        # four usable CPUs, so the sweep's two chunks get two workers wherever the test runs
+        cfg_path = write_config(tmp_path, TINY_CONFIG)
+        code = (
+            "import os, sys\n"
+            "events = []\n"
+            "child = ('os.fork', 'os.forkpty', 'os.posix_spawn', 'os.spawn', 'os.exec', 'os.system',\n"
+            "         'subprocess.Popen')\n"
+            "sys.addaudithook(lambda event, args: events.append(event) if event in child else None)\n"
+            "os.sched_getaffinity = lambda pid: set(range(4))\n"
+            "from banach_ar1 import cli\n"
+            f"code = cli.main(['run', '--config', {str(cfg_path)!r}, '--out', 'out', '--threads', '2'])\n"
+            "print(code, events, any(m.split('.')[0] == 'multiprocessing' for m in sys.modules))\n"
+        )
+        out = run_python(["-c", code], tmp_path)
+        assert out.stdout.splitlines()[-1] == "0 [] False"
+        assert "chunks run on 3 threads of one process" in out.stderr
+        assert (tmp_path / "out" / "results.csv").exists()
 
     def test_run_log_names_a_preset_variable(self, tmp_path):
         cfg_path = write_config(tmp_path, TINY_CONFIG)
         args = ["-m", "banach_ar1.cli", "run", "--config", str(cfg_path), "--out", "out"]
         log = run_python(args, tmp_path, OMP_NUM_THREADS="1").stderr
-        assert "INFO banach_ar1.cli: 1 worker process(es)" in log
-        assert "1 worker process(es), chunks run on two threads, BLAS threads per process" in log
+        assert "INFO banach_ar1.cli: chunks run on 2 threads of one process, one chunk at a time per thread" in log
         assert "OMP_NUM_THREADS=1 (from the environment)" in log
         assert "MKL_NUM_THREADS=1 (set by banach-ar1)" in log
         for name in CSV_NAMES:

@@ -23,6 +23,7 @@ from banach_ar1.model import (
     draw_paths,
     eigenfunctions_on_grid,
     evaluate_via_spline,
+    longest_piece,
     piece_edges,
     sample_initial_condition,
     simulate_trajectory,
@@ -56,7 +57,7 @@ def recursion_operators(kind):
     # norm above 1 but spectral radius below 1: single steps can grow
     rho = SpectralOperator(np.diag([0.9, -0.5, 0.3, 0.7]) + np.diag([1.5, 1.5, 1.5], 1))
     assert np.linalg.norm(rho.matrix, 2) > 1 > np.abs(np.linalg.eigvals(rho.matrix)).max()
-    return rho, SpectralOperator(0.1 * np.eye(4) + 0.02, symmetric=True)
+    return rho, SpectralOperator(0.1 * np.eye(4) + 0.02)
 
 
 def stitched_paths(n, rho, noise, x0, rngs, burn_in=0):
@@ -128,7 +129,14 @@ class TestRho:
     def test_symmetry(self):
         rho = build_rho(params(modes=20))
         assert np.array_equal(rho.matrix, rho.matrix.T)
-        assert rho.symmetric
+
+    def test_narrow_band_and_its_powers_hold_no_subnormal_entry(self):
+        # exp(-|j-h|/W) underflows past the smallest normal double at W = 0.05
+        rho = build_rho(params(modes=50, width=0.05))
+        stack, jumps = rho.block_table
+        assert (rho.matrix == 0).any()
+        for table in (rho.matrix, stack, jumps):
+            assert not ((table != 0) & (np.abs(table) < np.finfo(float).tiny)).any()
 
 
 class TestNoiseCovariance:
@@ -164,7 +172,7 @@ class TestNoiseCovariance:
     def test_rejects_nondiagonal_covariance(self):
         p = params(modes=3)
         rho = build_rho(p)
-        full = SpectralOperator(np.full((3, 3), 0.5), symmetric=True)
+        full = SpectralOperator(np.full((3, 3), 0.5))
         with pytest.raises(ValueError, match="diagonal"):
             build_noise_covariance(p, full, rho)
 
@@ -187,12 +195,12 @@ class TestNoiseCovariance:
 
 class TestStationarity:
     def test_contraction_holds_immediately(self):
-        half = SpectralOperator(0.5 * np.eye(4), symmetric=True)
+        half = SpectralOperator(0.5 * np.eye(4))
         result = check_stationarity(half)
         assert result == (True, 1, 0.5)
 
     def test_identity_never_contracts(self):
-        eye = SpectralOperator(np.eye(4), symmetric=True)
+        eye = SpectralOperator(np.eye(4))
         result = check_stationarity(eye, j0_max=15)
         assert not result.holds
 
@@ -233,22 +241,22 @@ class TestSimulation:
     def test_needs_two_steps(self):
         p = params(modes=3)
         rho = build_rho(p)
-        noise = SpectralOperator(np.eye(3), symmetric=True)
+        noise = SpectralOperator(np.eye(3))
         with pytest.raises(ValueError, match="n >= 2"):
             simulate_trajectory(1, rho, noise, np.zeros(3), np.random.default_rng(0))
 
     def test_iid_case_has_vanishing_lag_one_cross_moments(self):
         n = 10_000
-        zero_rho = SpectralOperator(np.zeros((3, 3)), symmetric=True)
-        noise = SpectralOperator(np.eye(3), symmetric=True)
+        zero_rho = SpectralOperator(np.zeros((3, 3)))
+        noise = SpectralOperator(np.eye(3))
         traj = simulate_trajectory(n, zero_rho, noise, np.zeros(3), np.random.default_rng(5))
         x = traj.states
         lag1 = x[1:].T @ x[:-1] / (len(traj) - 1)
         assert np.abs(lag1).max() < 4 / math.sqrt(n)
 
     def test_noiseless_recursion_is_geometric(self):
-        rho = SpectralOperator(0.5 * np.eye(3), symmetric=True)
-        noise = SpectralOperator(np.zeros((3, 3)), symmetric=True)
+        rho = SpectralOperator(0.5 * np.eye(3))
+        noise = SpectralOperator(np.zeros((3, 3)))
         x0 = np.array([1.0, 0.0, 0.0])
         traj = simulate_trajectory(10, rho, noise, x0, np.random.default_rng(0))
         for k in range(11):
@@ -356,7 +364,7 @@ class TestSimulation:
         x0 = np.random.default_rng(99).standard_normal((3, rho.dim))
         # a path of fewer than 2 PIECE_ROWS steps is one piece
         for steps in (9, 107, PIECE_ROWS - 1, PIECE_ROWS, 2 * PIECE_ROWS - 1):
-            assert piece_edges(steps - 7, burn_in=7) == [0, steps]
+            assert list(piece_edges(steps - 7, burn_in=7)) == [0, steps]
             x = np.empty((3, steps + 1, rho.dim))
             x[:, 0] = x0
             drawn = draw_paths(noise, x, [np.random.default_rng([7, r]) for r in range(3)], np.empty((steps, rho.dim)))
@@ -375,7 +383,7 @@ class TestSimulation:
         # leftover, the last the path's; each piece starts from the last state
         # of the one before, with one normals scratch of one path's rows
         n = 4 * PIECE_ROWS + 30
-        edges = piece_edges(n, burn_in=7)
+        edges = list(piece_edges(n, burn_in=7))
         assert edges == [0, PIECE_ROWS + 7, 2 * PIECE_ROWS + 7, 3 * PIECE_ROWS + 7, n + 7]
         rngs = [np.random.default_rng([7, r]) for r in range(3)]
         normals = np.empty((2 * PIECE_ROWS, rho.dim))
@@ -388,6 +396,16 @@ class TestSimulation:
         rngs = [np.random.default_rng([7, r]) for r in range(3)]
         streamed = stitched_paths(n, rho, noise, x0, rngs, burn_in=7)
         assert np.array_equal(streamed, np.concatenate(pieces[1:], axis=1)[:, 6:])
+
+    @pytest.mark.parametrize("burn_in", [0, 1, 7, PIECE_ROWS - 1, PIECE_ROWS, 3 * PIECE_ROWS + 5])
+    def test_longest_piece_is_the_longest_between_the_edges(self, burn_in):
+        for n in [*range(2, 4 * PIECE_ROWS + 3), 10 * PIECE_ROWS + 77]:
+            edges = list(piece_edges(n, burn_in))
+            assert longest_piece(n, burn_in) == max(np.diff(edges)), n
+        # a path of 10**20 steps starts cutting its seams at once
+        huge = piece_edges(10**20, burn_in)
+        assert [next(huge), next(huge)] == [0, PIECE_ROWS + burn_in % PIECE_ROWS]
+        assert longest_piece(10**20, burn_in) < 2 * PIECE_ROWS
 
     @pytest.mark.parametrize("steps", [1, 50, PIECE_ROWS, 2 * PIECE_ROWS - 1])
     @pytest.mark.parametrize("operator", ["reference", "non_normal"])
@@ -457,7 +475,7 @@ class TestGridEvaluation:
     [
         # spline mode and the stationary-covariance solve import scipy on first use
         ("banach_ar1.cli", "scipy"),
-        # only a pool of two or more workers needs ProcessPoolExecutor
+        # the chunks run on threads of one process
         ("banach_ar1.cli", "multiprocessing"),
     ],
 )
@@ -555,7 +573,12 @@ class TestSymmetricSqrt:
         assert noise.sqrt is noise.sqrt
         assert not noise.sqrt.flags.writeable
 
+    def test_rejects_asymmetric(self):
+        # eigh would read the lower triangle only and return the root of another matrix
+        with pytest.raises(ValueError, match="not symmetric"):
+            SpectralOperator(np.array([[1.0, 0.5], [0.0, 1.0]])).sqrt
+
     def test_rejects_indefinite(self):
-        indefinite = SpectralOperator(np.diag([1.0, -0.5]), symmetric=True)
+        indefinite = SpectralOperator(np.diag([1.0, -0.5]))
         with pytest.raises(ValueError, match="positive semi-definite"):
             indefinite.sqrt
