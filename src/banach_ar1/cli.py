@@ -36,7 +36,7 @@ from pathlib import Path
 from . import harness
 from .estimation import EigenGapError, TruncationRankError
 from .harness import ConfigError, StationarityError
-from .model import BLOCK, PIECE_ROWS, NoiseCovarianceError
+from .model import NoiseCovarianceError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,19 +66,7 @@ def _load_config(args) -> harness.ExperimentConfig:
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
-    workers = harness.worker_count(args.threads, len(harness.chunk_layout(config)))
-    blas = ", ".join(f"{var}={setting}" for var, setting in BLAS_THREAD_SETTINGS.items())
-    sizes = []
-    for n in config.sample_sizes:
-        size = harness.chunk_size(config, n)
-        sizes.append(f"{size} at n = {n} ({harness.chunk_doubles(config, n, size) * 8 / 1e6:.3g} MB)")
-    logger.info(
-        "chunks run on %d threads of one process, one chunk at a time per thread, BLAS threads: %s; "
-        "paths run in pieces of %d steps, the last taking the leftover, drawn one path at a time "
-        "through one normals scratch and stepped in blocks of %d states; "
-        "replications per chunk of at most %.3g MB: %s",
-        workers + 1, blas, PIECE_ROWS, BLOCK, harness.CHUNK_BUDGET * 8 / 1e6, ", ".join(sizes),
-    )
+    logger.info("BLAS threads: %s", ", ".join(f"{var}={setting}" for var, setting in BLAS_THREAD_SETTINGS.items()))
     results, reports = harness.run_experiment(config, threads=args.threads)
     print(f"wrote {len(results)} replication results for {len(reports)} sample sizes to {config.output_dir}")
     return EXIT_OK
@@ -118,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "run":
             p.add_argument(
                 "--threads", type=int, default=1,
-                help="workers (default 1; at most one per chunk and usable CPU); the chunks run on one thread more",
+                help="workers (default 1; at most one per chunk and usable CPU); the chunks run on one thread "
+                "more, or on one thread when one CPU is usable",
             )
         p.set_defaults(func=func)
     return parser

@@ -16,12 +16,13 @@ chunk streams its stack through model.stream_paths, adding each piece's
 transitions to the moments of the fit as the piece is made, then fits,
 predicts and scores; no whole trajectory is kept.  A chunk holds as many
 replications as fit into CHUNK_BUDGET doubles, counting for each its piece
-and its fit's p x p arrays (replication_doubles), and once the normals
-scratch through which its paths are drawn in turn (chunk_doubles).  A
-sweep maps the chunks, in layout order, over one more thread than it has
-workers; numpy's generator fill, BLAS and LAPACK release the interpreter
-lock, so while one thread draws another can compute.  Each thread runs
-one chunk at a time, so a serial sweep keeps at most two chunks alive.
+and its fit's p x p arrays (replication_doubles), and once the one-path
+scratch through which its paths are drawn and stepped in turn
+(chunk_doubles).  A sweep maps the chunks, in layout order, over one more
+thread than it has workers, or over one thread on one usable CPU; numpy's
+generator fill, BLAS and LAPACK release the interpreter lock, so while
+one thread draws another can compute.  Each thread runs one chunk at a
+time, so a serial sweep keeps at most two chunks alive.
 
 The experiment fits on the first n states and predicts from state n+1, so
 the estimator's sample and the prediction input are disjoint.
@@ -60,6 +61,13 @@ class StationarityError(RuntimeError):
     """Raised when the configured model fails the stationarity gate."""
 
 
+# Most steps a sweep may ask for, sum over n of (burn_in + n) x replications:
+# about half an hour of simulation at 50 modes on a desk machine, and 115
+# times the 8.7 million of the long sweep in README.  A larger total, say a
+# path of 10**20 steps, would never finish.
+MAX_SWEEP_STEPS = 10**9
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: ModelParams
@@ -88,6 +96,14 @@ class ExperimentConfig:
             raise ConfigError("replications must be >= 1")
         if self.burn_in < 0:
             raise ConfigError("burn_in must be >= 0")
+        steps = sum(self.burn_in + n for n in self.sample_sizes) * self.replications
+        if steps > MAX_SWEEP_STEPS:
+            digits = str(steps)  # a float would overflow past 1.8e308
+            shown = f"{steps:,}" if steps < 10**18 else f"{digits[0]}.{digits[1:3]}e+{len(digits) - 1}"
+            raise ConfigError(
+                f"the sweep asks for {shown} steps, sum over n of (burn_in + n) x replications; "
+                f"at most {MAX_SWEEP_STEPS:,} can run"
+            )
         if self.master_seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.master_seed}")
         if not self.output_dir:
@@ -301,38 +317,48 @@ def replication_rng(master_seed: int, n: int, replication: int) -> np.random.Gen
     return np.random.default_rng([master_seed, n, replication])
 
 
-# Doubles that one chunk may keep alive (1.5 MiB): its replications'
-# replication_doubles and the one normals scratch they share (chunk_doubles).
+# Doubles that one chunk may keep alive (1.6 MiB): its replications'
+# replication_doubles and the one-path scratch they share (chunk_doubles).
 # A serial sweep holds two chunks at once: on 2 cores, 2**17 (one desk
 # replication per chunk at n = 500 and 2000) made the desk sweep about 18%
-# slower, and 2**18 raised its peak RSS by 1.5 to 2.3 MB.  Chunk sizes follow
+# slower, and 2**18 raised its peak RSS by 1.5 to 2.3 MB.  25 * 2**13 is
+# the smallest multiple of 2**13 that holds 3, 4 and 5 replications of the
+# desk sweep (n = 500, 2000, 8000) and 8, 7 and 6 of short-many (n = 50,
+# 100, 200) per chunk: a narrower chunk spends more interpreter time per
+# path on model.step_paths' stacked calls.  Chunk sizes follow
 # from the configuration alone, never from the worker count, so every
 # --threads value writes the same bytes.
-CHUNK_BUDGET = 3 * 2**16
+CHUNK_BUDGET = 25 * 2**13
 
 
 def replication_doubles(config: ExperimentConfig, n: int) -> int:
-    """Doubles one replication of size n keeps alive in a chunk, besides the chunk's normals scratch.
+    """Doubles one replication of size n keeps alive in a chunk, besides the chunk's one-path scratch.
 
-    Its rows of the piece buffer (the longest piece of its path plus the
-    carried state) and the 8 p x p arrays of its fit at their peak: the
-    two moment sums, fit_moments' scaled Gram matrix (then its
-    eigenvectors), D_n, rho_hat and the three of EstimatorState's
+    Its row of the piece buffer: the longest piece of its path plus the
+    carried state, or that piece's block columns in rho's eigenbasis, which
+    the same row holds while the piece is stepped (model.block_columns);
+    its block anchors and carried start; and the 8 p x p arrays of its fit
+    at their peak: the two moment sums, fit_moments' scaled Gram matrix
+    (then its eigenvectors), D_n, rho_hat and the three of EstimatorState's
     orthonormality check.  The piece buffer is freed before the fit, so
     the sum is an upper bound.
     """
     p = config.model.modes
-    return (model.longest_piece(n, config.burn_in) + 1) * p + 8 * p * p
+    rows = model.longest_piece(n, config.burn_in)
+    columns = model.block_columns(rows)
+    return p * max(rows + 1, columns) + p * (columns // model.BLOCK + 1) + 8 * p * p
 
 
 def chunk_doubles(config: ExperimentConfig, n: int, size: int) -> int:
-    """Doubles a chunk of `size` replications of size n keeps alive: theirs and the normals scratch they share.
+    """Doubles a chunk of `size` replications of size n keeps alive: theirs and the one-path scratch they share.
 
-    The scratch holds the longest piece of one path (model.draw_paths
-    draws the paths in turn through it), so a chunk of no replications
-    counts it alone.
+    The scratch holds the block columns of the longest piece of one path:
+    model.draw_paths draws the paths in turn through it, and
+    model.step_paths fills their blocks in turn in it.  A chunk of no
+    replications counts it alone.
     """
-    return size * replication_doubles(config, n) + model.longest_piece(n, config.burn_in) * config.model.modes
+    scratch = model.block_columns(model.longest_piece(n, config.burn_in)) * config.model.modes
+    return size * replication_doubles(config, n) + scratch
 
 
 def chunk_size(config: ExperimentConfig, n: int) -> int:
@@ -363,7 +389,7 @@ def _run_stack(
     The paths are streamed a piece at a time: the fit's moments are summed
     over the states X_0..X_(n-1) of each piece, and the prediction starts
     from X_n, copied out of the last piece so that the piece buffer and
-    the normals scratch are freed before the fit.  Returns the results and
+    the one-path scratch are freed before the fit.  Returns the results and
     fits.
     """
     ctx = _context(config)
@@ -411,11 +437,13 @@ def _run_chunk(config: ExperimentConfig, chunk: tuple[int, int, int]) -> ChunkOu
     return results, decay
 
 
-def worker_count(threads: int, tasks: int) -> int:
-    """Workers for `tasks` chunks when `threads` are asked for; a sweep runs them on one thread more.
+def pool_threads(threads: int, tasks: int) -> int:
+    """Threads that run `tasks` chunks when `threads` workers are asked for.
 
-    Never more than the tasks or the CPUs this process may run on; more
-    workers would only wait for a core.
+    A worker for each chunk and usable CPU, at most `threads` of them (more
+    would only wait for a core), and one thread more, so that one thread can
+    draw while another computes; on one usable CPU the two would only take
+    turns, so the chunks run on one thread.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -423,7 +451,7 @@ def worker_count(threads: int, tasks: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has CPU affinity
         cpus = os.cpu_count() or 1
-    return min(threads, tasks, cpus)
+    return min(threads, tasks, cpus) + (cpus > 1)
 
 
 def run_experiment(
@@ -431,23 +459,36 @@ def run_experiment(
 ) -> tuple[list[diagnostics.ExperimentResult], list[diagnostics.ConsistencyReport]]:
     """Run the full sweep and write every CSV/SVG artifact.
 
-    The run context is built first, so its errors (StationarityError among
-    them) come before any chunk runs.  The chunks of `chunk_layout` are
-    mapped over `worker_count(threads, ...) + 1` threads of this process.
+    The thread count is checked and the run context built first, so their
+    errors (ConfigError and StationarityError among them) come before any
+    chunk runs.  The chunks of `chunk_layout` are
+    mapped over `pool_threads(threads, ...)` threads of this process, which
+    one INFO line reports with the piece, the block and the chunk sizes.
     Their results come back in (n, replication) order before any file is
     written, so outputs are identical for any worker count, and the
     earliest failing chunk's error is raised.  The BLAS thread count is
     the caller's choice (the command-line program sets one).
     """
+    chunks = chunk_layout(config)
+    pool = pool_threads(threads, len(chunks))
     ctx = _context(config)
     logger.info("stationarity gate passed: j0=%d, norm=%.6f", ctx.gate.j0, ctx.gate.norm)
 
     # filled here rather than in the run context, which validate builds too,
     # before the chunks' threads can race for them
     estimation._wavelet_matrix(config.model.modes, config.model.grid_len, config.wavelet, _coarse_step(config))
-    ctx.rho.block_table
-    chunks = chunk_layout(config)
-    with ThreadPoolExecutor(worker_count(threads, len(chunks)) + 1, thread_name_prefix="banach-ar1-chunk") as executor:
+    ctx.noise.rotated_sqrt(ctx.rho)
+    sizes = []
+    for n in config.sample_sizes:
+        size = chunk_size(config, n)
+        sizes.append(f"{size} at n = {n} ({chunk_doubles(config, n, size) * 8 / 1e6:.3g} MB)")
+    logger.info(
+        "chunks run on %d threads of one process, one chunk at a time per thread; paths run in pieces of %d steps, "
+        "the last taking the leftover, drawn one path at a time into rho's eigenbasis and stepped there in blocks "
+        "of %d states; replications per chunk of at most %.3g MB: %s",
+        pool, model.PIECE_ROWS, model.BLOCK, CHUNK_BUDGET * 8 / 1e6, ", ".join(sizes),
+    )
+    with ThreadPoolExecutor(pool, thread_name_prefix="banach-ar1-chunk") as executor:
         outputs = list(executor.map(functools.partial(_run_chunk, config), chunks))
 
     results = [result for chunk_results, _ in outputs for result in chunk_results]

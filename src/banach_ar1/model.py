@@ -11,20 +11,21 @@ trajectories iterate X_n = rho(X_{n-1}) + eps_n with Gaussian innovations
 drawn through the symmetric square root of the innovation covariance.  A
 stack of paths is drawn and stepped in pieces (stream_paths) of PIECE_ROWS
 to 2 PIECE_ROWS - 1 steps, so a path's live memory does not grow with its
-length; simulate_trajectory stitches one path's pieces together.  A piece
-is drawn one path at a time through one scratch (draw_paths) and stepped in
-blocks of BLOCK states whose anchors come from a log-depth scan
-(step_paths), about 22 stacked products a piece whatever the stack's
-width.  All randomness flows through an explicit numpy Generator, so
-identical parameters and generator state reproduce trajectories bit for
-bit.
+length; simulate_trajectory stitches one path's pieces together.  rho is
+symmetric, so in its eigenbasis the recursion is p independent scalar
+AR(1) recursions: a piece is drawn one path at a time straight into that
+basis (draw_paths), stepped there in blocks of BLOCK states whose anchors
+come from a log-depth scan, and rotated back to the model basis one path
+at a time (step_paths).  All randomness flows through an explicit numpy
+Generator, so identical parameters and generator state reproduce
+trajectories bit for bit.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, pairwise
 from typing import Iterator, NamedTuple
@@ -68,11 +69,38 @@ class ModelParams:
             raise ValueError(f"modes must lie in [2, grid_len = {self.grid_len}], got {self.modes}")
 
 
+class Eigen(NamedTuple):
+    """eigh of a symmetric matrix: ascending eigenvalues and the orthonormal eigenvectors as columns."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+
+
+class StepTable(NamedTuple):
+    """What step_paths needs of rho = Q diag(lam) Q^T: Q and powers of lam, s = BLOCK.
+
+    basis is Q; values is lam; toeplitz[j, i, m] is lam_j^(m - i) for
+    i <= m < s and 0 above, so a row of s innovations of coordinate j times
+    toeplitz[j] steps a block from a zero start; ends is its last column,
+    shape (p, s, 1), kept contiguous because the batched product runs
+    faster from a copy than from a view; jumps[k] is lam^(s 2^k), k <
+    SCAN_ROUNDS.
+    """
+
+    basis: np.ndarray
+    values: np.ndarray
+    toeplitz: np.ndarray
+    ends: np.ndarray
+    jumps: np.ndarray
+
+
 @dataclass
 class SpectralOperator:
     """An operator as a p x p matrix in the model eigenbasis."""
 
     matrix: np.ndarray
+    # (basis, sqrt Q) of the last rotated_sqrt call
+    _rotated: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -84,12 +112,20 @@ class SpectralOperator:
         return self.matrix.shape[0]
 
     @cached_property
-    def sqrt(self) -> np.ndarray:
-        """Symmetric PSD square root, computed once and read-only; tiny negative eigenvalues become 0."""
+    def eigen(self) -> Eigen:
+        """The symmetric eigendecomposition, computed once and read-only."""
         # eigh reads one triangle only, so an asymmetric matrix would pass unseen
         if np.abs(self.matrix - self.matrix.T).max() > 1e-12:
             raise ValueError("matrix is not symmetric within 1e-12")
         w, v = np.linalg.eigh(self.matrix)
+        w.setflags(write=False)
+        v.setflags(write=False)
+        return Eigen(w, v)
+
+    @cached_property
+    def sqrt(self) -> np.ndarray:
+        """Symmetric PSD square root, computed once and read-only; tiny negative eigenvalues become 0."""
+        w, v = self.eigen
         if w[0] < -1e-10 * max(float(np.abs(w).max()), 1e-300):
             raise ValueError(f"matrix is not positive semi-definite: min eigenvalue {w[0]:.6e}")
         root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
@@ -106,27 +142,37 @@ class SpectralOperator:
         return diag
 
     @cached_property
-    def block_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Powers of M = matrix.T for step_paths: the stack [M^(s-1); ...; M; I] and the jumps, s = BLOCK.
+    def step_table(self) -> StepTable:
+        """The eigenbasis and the powers of the eigenvalues that step_paths steps in.
 
-        The stack has shape (s p, p).  The jumps M^(s 2^k), k = 0..JUMPS - 1,
-        have shape (JUMPS, p, p), each the square of the one before.  Both
-        are computed once, each product flushed of subnormals, and read-only.
+        Computed once from eigen, every table flushed of subnormals and
+        read-only: (s^2 + s + SCAN_ROUNDS + 1) p + p^2 doubles, s = BLOCK.
         """
-        p = self.dim
-        a = self.matrix.T
-        stack = np.empty((BLOCK * p, p))
-        blocks = stack.reshape(BLOCK, p, p)
-        blocks[-1] = np.eye(p)
-        for k in range(BLOCK - 2, -1, -1):
-            _flush_subnormals(np.matmul(blocks[k + 1], a, out=blocks[k]))
-        jumps = np.empty((JUMPS, p, p))
-        _flush_subnormals(np.matmul(blocks[0], a, out=jumps[0]))
-        for k in range(1, JUMPS):
-            _flush_subnormals(np.matmul(jumps[k - 1], jumps[k - 1], out=jumps[k]))
-        stack.setflags(write=False)
-        jumps.setflags(write=False)
-        return stack, jumps
+        lam, q = self.eigen
+        span = np.arange(BLOCK)
+        gaps = span - span[:, None]  # [i, m] = m - i
+        toeplitz = _flush_subnormals(np.where(gaps >= 0, lam[:, None, None] ** np.maximum(gaps, 0), 0.0))
+        jumps = _flush_subnormals(lam ** (BLOCK << np.arange(SCAN_ROUNDS))[:, None])
+        tables = StepTable(_flush_subnormals(q.copy()), lam, toeplitz, toeplitz[:, :, BLOCK - 1 :].copy(), jumps)
+        for table in tables:
+            table.setflags(write=False)
+        return tables
+
+    def rotated_sqrt(self, basis: "SpectralOperator") -> np.ndarray:
+        """sqrt Q for Q = basis.step_table.basis: its transpose maps normals into basis's eigenbasis.
+
+        draw_paths multiplies by the transpose view, which OpenBLAS runs
+        faster than the same product from a contiguous Q^T sqrt.  Flushed of
+        subnormals and read-only; the table of the last basis asked for is
+        kept.
+        """
+        q = basis.step_table.basis
+        kept = self._rotated
+        if kept is None or kept[0] is not q:
+            table = _flush_subnormals(self.sqrt @ q)
+            table.setflags(write=False)
+            kept = self._rotated = (q, table)
+        return kept[1]
 
 
 @dataclass
@@ -260,23 +306,24 @@ def sample_initial_condition(covariance: SpectralOperator, rng: np.random.Genera
 # from both of its ends, so each piece has PIECE_ROWS to 2 PIECE_ROWS - 1
 # steps unless the path is one piece (fewer than 2 PIECE_ROWS steps after
 # the burn-in's leftover burn_in % PIECE_ROWS, so at most 3 PIECE_ROWS - 2),
-# and a path's live memory is one piece and its normals whatever its
-# length.  A piece is also the slice of normals that one gemm maps through
-# the noise root: OpenBLAS can give the product of a few rows other last
+# and a path's live memory is one piece and one path's scratch whatever its
+# length.  A piece is also the slice of normals that one gemm maps into
+# rho's eigenbasis: OpenBLAS can give the product of a few rows other last
 # bits than the same rows of a longer product, so no slice is shorter than
 # PIECE_ROWS either.
 PIECE_ROWS = 256
-# States per block of step_paths.  A 511-step piece takes 2 + 2 log2(512 /
-# BLOCK) + 2 (BLOCK - 1) stacked products and adds: 22 at 4, against 20 at 2
-# (whose scan does more than twice the flops), 28 at 8 and 42 at 16.  In-process sweeps
-# on two threads (2 shared cores, medians of 10) ran desk's chunks in 0.57,
-# 0.50, 0.50 and 0.49 s at blocks of 2, 4, 8 and 16 and short-many's in 0.40,
-# 0.38, 0.38 and 0.39 s, short-many using the least CPU at 4 (0.65 s against
-# 0.68 to 0.72 s).
-BLOCK = 4
-# Jumps M^(BLOCK 2^k) that step_paths' anchor scan needs for the longest piece,
-# 3 PIECE_ROWS - 2 steps: one round per power of two below its anchor count.
-JUMPS = ((3 * PIECE_ROWS - 2) // BLOCK).bit_length()
+# States per block of step_paths.  Each block is filled by one s x s
+# Toeplitz product per coordinate, and the longest piece has at most
+# ceil((3 PIECE_ROWS - 2) / BLOCK) = 48 anchors to scan.
+BLOCK = 16
+# Rounds of step_paths' anchor scan, one per power of two below the longest
+# piece's anchor count: rho.step_table holds the jumps lam^(BLOCK 2^k) for them.
+SCAN_ROUNDS = (-(-(3 * PIECE_ROWS - 2) // BLOCK) - 1).bit_length()
+
+
+def block_columns(steps: int) -> int:
+    """Columns of a piece of `steps` steps in rho's eigenbasis: steps rounded up to whole blocks."""
+    return -(-steps // BLOCK) * BLOCK
 
 
 def piece_edges(n: int, burn_in: int = 0) -> Iterator[int]:
@@ -295,71 +342,88 @@ def longest_piece(n: int, burn_in: int = 0) -> int:
 
 
 def draw_paths(
-    noise_cov: SpectralOperator, x: np.ndarray, rngs: list[np.random.Generator], normals: np.ndarray
+    noise_cov: SpectralOperator,
+    rho: SpectralOperator,
+    y: np.ndarray,
+    rngs: list[np.random.Generator],
+    normals: np.ndarray,
 ) -> np.ndarray:
-    """The draw stage of a piece: the next innovations of each path, in place.
+    """The draw stage of a piece: the next innovations of each path in rho's eigenbasis, in place.
 
-    x has shape (len(rngs), steps + 1, p).  Row 0 of each path, its carried
-    state, is left as it is; rows 1..steps of path r receive its next
-    `steps` innovations: a standard_normal((steps, p)) block drawn from
-    rngs[r] into normals and mapped through the symmetric square root of
-    noise_cov in one gemm.  The paths are drawn and mapped in turn through
-    the one scratch normals, of shape (steps, p): a product written over
-    its own input would make numpy copy the whole input first.  Returns x;
-    step_paths turns it into states.
+    normals has shape (steps, p) and y (len(rngs), p, block_columns(steps)).
+    Path r draws its next `steps` innovations as a standard_normal((steps,
+    p)) block from rngs[r] into normals, the one scratch that every path is
+    drawn through in turn, and one gemm with (sqrt Q)^T, the transpose of
+    noise_cov.rotated_sqrt(rho), writes them into y[r, :, :steps], time
+    along the last axis.
+    The columns past `steps` are zeroed.  Returns y; step_paths turns it
+    into states.
     """
-    count, length, p = x.shape
-    if count != len(rngs) or p != noise_cov.dim or normals.shape != (length - 1, p):
-        raise ValueError("dimension mismatch between noise_cov, the paths, rngs and normals")
-    root = noise_cov.sqrt.T
-    for path, rng in zip(x, rngs):
+    count, p, columns = y.shape
+    steps = normals.shape[0]
+    if count != len(rngs) or p != noise_cov.dim or p != rho.dim or normals.shape[1] != p:
+        raise ValueError("dimension mismatch between noise_cov, rho, the paths, rngs and normals")
+    if columns != block_columns(steps):
+        raise ValueError(f"{steps} steps take {block_columns(steps)} columns of the eigenbasis stack, got {columns}")
+    root = noise_cov.rotated_sqrt(rho).T
+    for path, rng in zip(y, rngs):
         rng.standard_normal(out=normals)
-        np.matmul(normals, root, out=path[1:])
-    return x
+        np.matmul(root, normals.T, out=path[:, :steps])
+    y[:, :, steps:] = 0.0
+    return y
 
 
-def step_paths(x: np.ndarray, rho: SpectralOperator) -> np.ndarray:
-    """The step stage of a piece: X_i = rho X_{i-1} + eps_i, in place on a draw_paths result.
+def step_paths(
+    y: np.ndarray, start: np.ndarray, rho: SpectralOperator, x: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """The step stage of a piece: X_i = rho X_{i-1} + eps_i, from a draw_paths result into x.
 
-    Returns x, row i of each path now holding its X_i.  The steps run
-    anchor-first in blocks of s = BLOCK states, with the powers of rho
-    cached on the operator (rho.block_table: (BLOCK + JUMPS) p^2 doubles,
-    0.24 MB at p = 50).  One gemm per path maps each full block's
-    innovations to its zero-start end state.  A Hillis-Steele scan then
-    turns X_0 and the end states into the anchors X_0, X_s, X_2s, ...: in
-    round k every anchor adds the one 2^k blocks before it, carried through
-    M^(s 2^k), so a piece of at most 3 PIECE_ROWS - 2 steps takes at most
-    JUMPS rounds (7 for the 511 steps of a piece after a cut).  Last, s - 1
-    stacked products step every block, the tail after the last anchor
-    included, forward from its anchor; a piece shorter than one block is
-    all tail.  A path's states do not depend on the other paths in the
+    start (count, p) holds each path's X_0 and x has shape (count, steps +
+    1, p); x[r, i] receives X_i of path r and start[r] its X_steps.  With
+    rho = Q diag(lam) Q^T (rho.step_table, O(p s^2) doubles for s = BLOCK),
+    Y_i = Q^T X_i follows p scalar recursions Y_i = lam Y_(i-1) + e_i, one
+    per coordinate, in blocks of s steps.  One batched matvec per path gives
+    each full block's zero-start end state; a Hillis-Steele scan turns
+    Q^T X_0 (one gemv per path) and those end states into the block anchors
+    Y_0, Y_s, Y_2s, ...: in round k every anchor adds the one 2^k blocks
+    before it times lam^(s 2^k), so the longest piece, 48 anchors, takes
+    SCAN_ROUNDS = 6 rounds.  Each anchor is then carried into its block's
+    first innovation, and path by path s x s Toeplitz products of powers
+    of lam fill every block in the one-path scratch, shape (p,
+    block_columns(steps)), and one gemm rotates them back into x.  A path's
+    rows of y are read before its rows of x are written, so the two may
+    share memory.  A path's states do not depend on the other paths in the
     stack: each product is a per-path gemm or gemv, as for a stack of one.
+    Returns x.
     """
     count, length, p = x.shape
-    if rho.dim != p:
-        raise ValueError("dimension mismatch between rho and the paths")
-    # as row vectors X_i = X_{i-1} @ M + eps_i with M = rho^T
-    s = BLOCK
-    blocks = (length - 1) // s
-    stack, jumps = rho.block_table
-    rounds = blocks.bit_length()  # the strides 1, 2, 4, ... below the anchor count blocks + 1
-    if rounds > JUMPS:
-        raise ValueError(f"a piece of {length - 1} steps needs more than the {JUMPS} jumps of rho.block_table")
-    # 1. each full block's zero-start end state, sum_j eps_(b-1)s+j @ M^(s-j),
-    # written over the innovation it ends with
-    anchors = x[:, : blocks * s + 1 : s]
-    anchors[:, 1:] = x[:, 1 : 1 + blocks * s].reshape(count, blocks, s * p) @ stack
-    # 2. scan: anchor b gets X_0 and every end state before it, carried to it
+    steps = length - 1
+    blocks = -(-steps // BLOCK)
+    if rho.dim != p or y.shape != (count, p, blocks * BLOCK) or scratch.shape != (p, blocks * BLOCK):
+        raise ValueError("dimension mismatch between rho, the paths, their eigenbasis stack and the scratch")
+    basis, lam, toeplitz, ends, jumps = rho.step_table
+    rounds = (blocks - 1).bit_length()  # the strides 1, 2, 4, ... below the anchor count
+    if rounds > len(jumps):
+        raise ValueError(f"a piece of {steps} steps needs more than the {len(jumps)} scan rounds of rho.step_table")
+    cells = y.reshape(count, p, blocks, BLOCK)
+    # 1. anchor b: Y_0, then the zero-start end state of block b - 1; each
+    # anchor is one contiguous (count, p) row, so the scan runs on whole rows
+    anchors = np.empty((blocks, count, p))
+    anchors[0] = (start[:, None] @ basis)[:, 0]
+    anchors[1:] = (cells[:, :, :-1] @ ends)[..., 0].transpose(2, 0, 1)
+    # 2. scan: anchor b gets Y_0 and every end state before it, carried to it
     for k in range(rounds):
         d = 1 << k
-        anchors[:, d:] += anchors[:, :-d] @ jumps[k]
-    # 3. step every block, and the tail after the last anchor, from its anchor:
-    # row m + 1 of each block from its row m
-    inputs, outputs = x[:, :-1], x[:, 1:]
-    step = rho.matrix.T
-    for m in range(min(s, length) - 1):
-        rows = outputs[:, m::s]
-        rows += inputs[:, m::s] @ step
+        anchors[d:] += anchors[:-d] * jumps[k]
+    # 3. every block from its anchor: lam Y_bs joins its first innovation,
+    # then its rows are one Toeplitz product per coordinate
+    cells[:, :, :, 0] += lam[:, None] * anchors.transpose(1, 2, 0)
+    filled = scratch.reshape(p, blocks, BLOCK)
+    for r in range(count):
+        np.matmul(cells[r], toeplitz, out=filled)
+        np.matmul(scratch[:, :steps].T, basis.T, out=x[r, 1:])
+        x[r, 0] = start[r]
+    start[...] = x[:, steps]
     return x
 
 
@@ -377,19 +441,23 @@ def stream_paths(
     standard_normal((burn_in + n, p)) block in step order mapped through
     the symmetric square root of noise_cov.  With burn_in > 0 the recursion
     first runs burn_in unrecorded steps from x0, and X_0 is the state
-    reached at the end of the burn-in.
+    reached at the end of the burn-in.  rho must be symmetric: the steps
+    run in its eigenbasis (step_paths).
 
     Returns an iterator of (states, first) pairs, one for each piece that
     reaches past X_0: states[:, i] holds X_(first + i) of every path, and
     each piece starts with the last state of the one before, so the last
     piece ends at X_n.  The pieces are views of one buffer, the longest
-    piece's rows of every path, that the next piece overwrites; one normals
-    scratch, the longest piece's rows of one path, serves every draw.  The
-    path is cut at piece_edges(n, burn_in): at every burn_in + k PIECE_ROWS
-    that lies at least PIECE_ROWS steps from both ends, so its recorded
-    pieces start at X_0, X_PIECE_ROWS, X_2 PIECE_ROWS, ... and the last one
-    takes any leftover shorter than PIECE_ROWS.  Every piece runs draw_paths on the
-    whole stack, then step_paths.
+    piece's rows of every path, that the next piece overwrites; each
+    path's rows hold its eigenbasis stack while the piece is stepped.  One
+    scratch, the longest piece's block columns of one path, serves every
+    draw as its normals and every step as its blocks.  The path is cut at
+    piece_edges(n, burn_in): at every burn_in + k PIECE_ROWS that lies at
+    least PIECE_ROWS steps from both ends, so its recorded pieces start at
+    X_0, X_PIECE_ROWS, X_2 PIECE_ROWS, ... and the last one takes any
+    leftover shorter than PIECE_ROWS.  Every piece runs draw_paths on the
+    whole stack, then step_paths; the last state of each piece, in the
+    model basis, is the next piece's start.
     """
     if n < 2:
         raise ValueError("need n >= 2 (downstream estimators require at least two states)")
@@ -410,19 +478,21 @@ def _pieces(
     burn_in: int,
 ) -> Iterator[tuple[np.ndarray, int]]:
     """stream_paths' pieces, drawn and stepped as they are asked for."""
-    rows = longest_piece(n, burn_in)
-    x = np.empty((len(rngs), rows + 1, rho.dim))
-    normals = np.empty((rows, rho.dim))
-    x[:, 0] = x0
-    length = 0
-    for start, stop in pairwise(piece_edges(n, burn_in)):
-        if length:
-            x[:, 0] = x[:, length]  # carry the last state into the next piece
-        length = stop - start
-        piece = step_paths(draw_paths(noise_cov, x[:, : length + 1], rngs, normals[:length]), rho)
+    rows, p = longest_piece(n, burn_in), rho.dim
+    count = len(rngs)
+    paths = np.empty((count, p * max(rows + 1, block_columns(rows))))
+    scratch = np.empty(p * block_columns(rows))
+    start = x0.copy()
+    for first, stop in pairwise(piece_edges(n, burn_in)):
+        steps = stop - first
+        columns = block_columns(steps)
+        y = paths[:, : p * columns].reshape(count, p, columns)
+        draw_paths(noise_cov, rho, y, rngs, scratch[: steps * p].reshape(steps, p))
+        x = paths[:, : p * (steps + 1)].reshape(count, steps + 1, p)
+        piece = step_paths(y, start, rho, x, scratch[: p * columns].reshape(p, columns))
         if stop > burn_in:
-            skip = max(0, burn_in - start)
-            yield piece[:, skip:], start + skip - burn_in
+            skip = max(0, burn_in - first)
+            yield piece[:, skip:], first + skip - burn_in
 
 
 def simulate_trajectory(

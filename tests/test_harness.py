@@ -130,7 +130,7 @@ class TestParseConfig:
 
 
 TINY_CONFIG = "modes = 8\ngrid_len = 256\nsample_sizes = 6, 20\nreplications = 3\nseed = 5\n"
-# 700 replications run as 3 chunks of n = 6 (346 per chunk) and 3 of n = 20 (288 per chunk)
+# 700 replications run as 3 chunks of n = 6 (312 per chunk) and 3 of n = 20 (258 per chunk)
 POOL_CONFIG = "modes = 8\ngrid_len = 256\nsample_sizes = 6, 20\nreplications = 700\nseed = 5\n"
 
 
@@ -155,10 +155,11 @@ class InlinePool:
 class TestRunExperiment:
     @pytest.mark.parametrize(
         "threads, cpus, expected",
-        [(64, 3, 3), (64, 8, 6), (2, 8, 2), (1, 8, 1), (64, None, 5)],
+        [(64, 3, 3), (64, 8, 6), (2, 8, 2), (1, 8, 1), (64, None, 5), (64, 1, 1), (1, 1, 1)],
     )
     def test_pool_is_capped_at_tasks_and_cpus(self, tmp_path, monkeypatch, threads, cpus, expected):
-        # 6 chunks are 6 tasks, run by `expected` workers on one thread more;
+        # 6 chunks are 6 tasks, run by `expected` workers on one thread more,
+        # except on one usable CPU, where two threads would only take turns;
         # cpus None means no affinity call, os.cpu_count() = 5
         monkeypatch.setattr(InlinePool, "requested", [])
         monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
@@ -171,7 +172,7 @@ class TestRunExperiment:
         assert len(harness.chunk_layout(config)) == 6
         results, _ = run_experiment(config, threads=threads)
         assert len(results) == 1400
-        assert InlinePool.requested == [expected + 1]
+        assert InlinePool.requested == [expected + (cpus != 1)]
 
     def test_smoke_run_emits_all_artifacts(self, tmp_path):
         cfg = parse_config(smoke_config(tmp_path))
@@ -269,7 +270,7 @@ class TestRunExperiment:
 
 # 50 modes as in the reference model; n = 20 < p, n = 51 = p + 1
 CHUNK_CONFIG = "grid_len = 256\nsample_sizes = 20, 51, 80\nreplications = 9\nseed = 11\n"
-# a chunk budget that runs CHUNK_CONFIG in chunks of 7, 6 and 6 replications
+# a chunk budget that runs CHUNK_CONFIG in chunks of 6, 6 and 5 replications
 # at n = 20, 51, 80 without burn-in, and the seam sizes 255, 256, 511, 512 in
 # chunks of 4, 4, 2 and 4
 TEST_BUDGET = 150_000
@@ -360,8 +361,8 @@ class TestChunks:
         cfg_path = write_config(tmp_path, text + f"output_dir = {tmp_path / 'out'}\n")
         layout = harness.chunk_layout(parse_config(cfg_path))
         assert layout[1:] == [(20, 0, 3), (40, 0, 3)]
-        # the serial sweep runs two threads on any CPU count: the n = 40 chunk
-        # may be in flight when the n = 20 chunk fails
+        # on two CPUs the serial sweep runs two threads: the n = 40 chunk may be
+        # in flight when the n = 20 chunk fails
         for cpus in (1, 2):
             usable_cpus(monkeypatch, cpus)
             threads_before = threading.active_count()
@@ -424,7 +425,7 @@ class TestStreaming:
         )
         peaks = []
         for n in sizes:
-            run_replication(config, n, 0)  # fills the run context, the scoring matrix and the block table
+            run_replication(config, n, 0)  # fills the run context, the scoring matrix and the step table
             tracemalloc.start()
             try:
                 run_replication(config, n, 0)
@@ -452,7 +453,7 @@ class TestChunkMemory:
     def test_chunk_peak_stays_within_the_budget(self, tmp_path, text, n):
         config = parse_config(write_config(tmp_path, text))
         size = harness.chunk_size(config, n)
-        harness._run_chunk(config, (n, 0, size))  # fills the run context, the scoring matrix and the block table
+        harness._run_chunk(config, (n, 0, size))  # fills the run context, the scoring matrix and the step table
         tracemalloc.start()
         try:
             harness._run_chunk(config, (n, 0, size))
@@ -475,9 +476,9 @@ class TestChunkMemory:
                 buffers.append(weakref.ref(states.base))
                 yield states, first
 
-        def watched_draw(noise_cov, x, rngs, normals):
+        def watched_draw(noise_cov, rho, y, rngs, normals):
             buffers.append(weakref.ref(normals.base))
-            return draw(noise_cov, x, rngs, normals)
+            return draw(noise_cov, rho, y, rngs, normals)
 
         def watched_fit(*args):
             alive_at_fit.append(sum(ref() is not None for ref in buffers))
@@ -487,7 +488,7 @@ class TestChunkMemory:
         monkeypatch.setattr(harness.model, "draw_paths", watched_draw)
         monkeypatch.setattr(harness.estimation, "fit_moments", watched_fit)
         harness._run_stack(config, n, 0, harness.chunk_size(config, n))
-        # one piece buffer and one normals scratch per piece of the path
+        # one piece buffer and one one-path scratch per piece of the path
         assert len(buffers) == 2 * (len(list(harness.model.piece_edges(n, config.burn_in))) - 1)
         assert alive_at_fit == [0]
 
@@ -509,7 +510,7 @@ class LaterChunkError(RuntimeError):
 
 
 class TestDrawAhead:
-    """The serial sweep: two threads run whole chunks, so one can draw while the other computes."""
+    """The serial sweep on two or more CPUs: two threads run whole chunks, so one can draw while the other computes."""
 
     @pytest.mark.parametrize(
         "extra",
@@ -521,6 +522,7 @@ class TestDrawAhead:
     )
     def test_drawing_ahead_writes_the_bytes_of_drawing_inline(self, tmp_path, monkeypatch, extra):
         monkeypatch.setattr(harness, "CHUNK_BUDGET", TEST_BUDGET)
+        usable_cpus(monkeypatch, 2)
         ahead = parse_config(write_config(tmp_path, CHUNK_CONFIG + extra + f"output_dir = {tmp_path / 'ahead'}\n"))
         run_experiment(ahead, threads=1)
         # reference: the chunks in turn in this thread
@@ -533,6 +535,7 @@ class TestDrawAhead:
 
     def test_chunks_run_on_two_threads(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "CHUNK_BUDGET", TEST_BUDGET)
+        usable_cpus(monkeypatch, 2)
         config = parse_config(write_config(tmp_path, CHUNK_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
         layout = harness.chunk_layout(config)
         lock = threading.Lock()
@@ -588,7 +591,7 @@ class TestDrawAhead:
 
     def test_more_threads_than_cores_write_the_bytes_of_two(self, tmp_path, monkeypatch):
         # 6 chunks on 7 threads, switching as often as the interpreter allows,
-        # share the cached run context, block table and scoring matrix
+        # share the cached run context, step table, rotated noise root and scoring matrix
         monkeypatch.setattr(harness, "CHUNK_BUDGET", TEST_BUDGET)
         usable_cpus(monkeypatch, 8)
         config = parse_config(write_config(tmp_path, CHUNK_CONFIG + f"output_dir = {tmp_path / 'two'}\n"))
@@ -606,6 +609,7 @@ class TestDrawAhead:
 
     def test_earliest_failing_chunk_wins_when_a_later_one_fails_first(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "CHUNK_BUDGET", TEST_BUDGET)
+        usable_cpus(monkeypatch, 2)
         config = parse_config(write_config(tmp_path, CHUNK_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
         layout = harness.chunk_layout(config)
         later_failed = threading.Event()
@@ -659,17 +663,22 @@ class TestDrawAhead:
         monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
         usable_cpus(monkeypatch, 2)
         cfg_path = write_config(tmp_path, TINY_CONFIG + f"output_dir = {tmp_path / 'out'}\n")
-        with caplog.at_level("INFO", logger="banach_ar1.cli"):
+        with caplog.at_level("INFO", logger="banach_ar1"):
             assert cli.main(["run", "--config", str(cfg_path), "--threads", str(threads)]) == cli.EXIT_OK
+        assert "BLAS threads: OPENBLAS_NUM_THREADS=" in caplog.text
         assert f"chunks run on {pool} threads of one process, one chunk at a time per thread" in caplog.text
         assert InlinePool.requested == [pool]
-        # at n = 20 a replication keeps 21 x 8 doubles of piece and 8 fit matrices of 8 x 8,
-        # and the chunk one normals scratch of 20 x 8
+        # at n = 20 a replication keeps 2 blocks of 16 columns x 8 modes for its piece,
+        # 3 x 8 doubles of anchors and start and 8 fit matrices of 8 x 8, and the chunk
+        # one path's 32 x 8 doubles of scratch: (3 (256 + 24 + 512) + 256) x 8 bytes
         assert (
             "paths run in pieces of 256 steps, the last taking the leftover, drawn one path at a time "
-            "through one normals scratch and stepped in blocks of 4 states; "
-            "replications per chunk of at most 1.57 MB: 3 at n = 6 (0.014 MB), 3 at n = 20 (0.0176 MB)"
+            "into rho's eigenbasis and stepped there in blocks of 16 states; "
+            "replications per chunk of at most 1.64 MB: 3 at n = 6 (0.0168 MB), 3 at n = 20 (0.0211 MB)"
         ) in caplog.text
+        assert [record.name for record in caplog.records if "chunks run on" in record.message] == [
+            "banach_ar1.harness"
+        ]
 
 
 class TestEstimatorBundle:
@@ -913,16 +922,24 @@ class TestCli:
         assert "seed must be >= 0" in err
         assert "integer" not in err
 
+    @pytest.mark.parametrize("command", ["validate", "run", "kernel"])
     @pytest.mark.parametrize("key", ["burn_in", "sample_sizes"])
-    def test_huge_path_reaches_the_sweep(self, tmp_path, caplog, monkeypatch, key):
-        # the run log sizes chunks by their longest piece without listing the path's seams
+    def test_huge_path_is_a_config_error(self, tmp_path, capsys, monkeypatch, command, key):
+        # a path of 10**20 steps would hand the pool about 3.9e17 pieces per replication
         swept = []
         monkeypatch.setattr(harness, "run_experiment", lambda config, threads: swept.append(config) or ([], []))
-        cfg_path = write_config(tmp_path, f"modes = 8\ngrid_len = 64\n{key} = {10**20}\n")
-        with caplog.at_level("INFO", logger="banach_ar1.cli"):
-            assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_OK
-        assert len(swept) == 1
-        assert "replications per chunk of at most 1.57 MB: " in caplog.text
+        cfg_path = write_config(tmp_path, f"modes = 8\ngrid_len = 64\n{key} = {10**20}\noutput_dir = {tmp_path / 'out'}\n")
+        assert cli.main([command, "--config", str(cfg_path)]) == cli.EXIT_CONFIG
+        assert "steps, sum over n of (burn_in + n) x replications; at most 1,000,000,000 can run" in capsys.readouterr().err
+        assert swept == [] and not (tmp_path / "out").exists()
+
+    def test_sweep_of_the_most_steps_is_accepted(self, tmp_path):
+        # parsed only: the limit counts every replication's burn-in and path
+        at_limit = f"burn_in = 10\nsample_sizes = {harness.MAX_SWEEP_STEPS // 4 - 10}\nreplications = 4\n"
+        assert parse_config(write_config(tmp_path, at_limit)).replications == 4
+        over = at_limit.replace("burn_in = 10", "burn_in = 11")
+        with pytest.raises(ConfigError, match="asks for 1,000,000,004 steps"):
+            parse_config(write_config(tmp_path, over))
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_is_config_error(self, tmp_path, capsys, threads):
@@ -1042,8 +1059,8 @@ class TestBlasThreadPolicy:
             logs[threads] = run_python([*args, "--threads", threads], tmp_path).stderr
         for name in CSV_NAMES:
             assert filecmp.cmp(tmp_path / "w1" / name, tmp_path / "w2" / name, shallow=False), name
-        workers = harness.worker_count(2, len(harness.chunk_layout(parse_config(cfg_path))))
-        assert f"INFO banach_ar1.cli: chunks run on {workers + 1} threads of one process" in logs["2"]
+        pool = harness.pool_threads(2, len(harness.chunk_layout(parse_config(cfg_path))))
+        assert f"INFO banach_ar1.harness: chunks run on {pool} threads of one process" in logs["2"]
         assert "OPENBLAS_NUM_THREADS=1 (set by banach-ar1)" in logs["1"]
 
     def test_cli_run_on_two_workers_stays_in_one_process(self, tmp_path):
@@ -1069,7 +1086,7 @@ class TestBlasThreadPolicy:
         cfg_path = write_config(tmp_path, TINY_CONFIG)
         args = ["-m", "banach_ar1.cli", "run", "--config", str(cfg_path), "--out", "out"]
         log = run_python(args, tmp_path, OMP_NUM_THREADS="1").stderr
-        assert "INFO banach_ar1.cli: chunks run on 2 threads of one process, one chunk at a time per thread" in log
+        assert "INFO banach_ar1.harness: chunks run on 2 threads of one process, one chunk at a time per thread" in log
         assert "OMP_NUM_THREADS=1 (from the environment)" in log
         assert "MKL_NUM_THREADS=1 (set by banach-ar1)" in log
         for name in CSV_NAMES:

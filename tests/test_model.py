@@ -9,11 +9,12 @@ import pytest
 import banach_ar1
 from banach_ar1.model import (
     BLOCK,
-    JUMPS,
     PIECE_ROWS,
+    SCAN_ROUNDS,
     ModelParams,
     NoiseCovarianceError,
     SpectralOperator,
+    block_columns,
     build_covariance,
     build_noise_covariance,
     build_rho,
@@ -49,15 +50,40 @@ def params(modes=5, **kw):
 
 
 def recursion_operators(kind):
-    """(rho, noise) of the reference model at 50 or 8 modes, or a small non-normal pair."""
+    """(rho, noise) of the reference model at 50 or 8 modes, or the small 4-mode pair (MIXED_SIGN)."""
     if kind in ("reference", "reference_8"):
         p = params(modes=50 if kind == "reference" else 8)
         rho = build_rho(p)
         return rho, build_noise_covariance(p, build_covariance(p), rho)
-    # norm above 1 but spectral radius below 1: single steps can grow
+    # the slowest scalar recursions, of both signs, in a basis far from the coordinate axes
+    q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((4, 4)))
+    m = (q * [0.995, -0.99, 0.6, -0.2]) @ q.T
+    rho = SpectralOperator(0.5 * (m + m.T))
+    assert np.abs(rho.step_table.basis).min() > 0.01
+    return rho, SpectralOperator(0.1 * np.eye(4) + 0.02)
+
+
+# The small 4-mode case: a symmetric rho with eigenvalues near +-1 and the
+# noise 0.1 I + 0.02.  Its rho replaced a non-normal one, whose case id it
+# keeps, when the steps moved into rho's eigenbasis, which only a symmetric
+# rho has (non_normal_rho below is refused).
+MIXED_SIGN = pytest.param("mixed_sign", id="non_normal")
+
+
+def non_normal_rho():
+    """Norm above 1 but spectral radius below 1: not symmetric, so it has no real orthonormal eigenbasis."""
     rho = SpectralOperator(np.diag([0.9, -0.5, 0.3, 0.7]) + np.diag([1.5, 1.5, 1.5], 1))
     assert np.linalg.norm(rho.matrix, 2) > 1 > np.abs(np.linalg.eigvals(rho.matrix)).max()
-    return rho, SpectralOperator(0.1 * np.eye(4) + 0.02)
+    return rho
+
+
+def drawn(noise, rho, x0, rngs, steps):
+    """A draw_paths result for `steps` steps, and x with row 0 set to x0: the inputs of step_paths."""
+    y = np.empty((len(rngs), rho.dim, block_columns(steps)))
+    draw_paths(noise, rho, y, rngs, np.empty((steps, rho.dim)))
+    x = np.empty((len(rngs), steps + 1, rho.dim))
+    x[:, 0] = x0
+    return y, x
 
 
 def stitched_paths(n, rho, noise, x0, rngs, burn_in=0):
@@ -131,12 +157,19 @@ class TestRho:
         assert np.array_equal(rho.matrix, rho.matrix.T)
 
     def test_narrow_band_and_its_powers_hold_no_subnormal_entry(self):
-        # exp(-|j-h|/W) underflows past the smallest normal double at W = 0.05
-        rho = build_rho(params(modes=50, width=0.05))
-        stack, jumps = rho.block_table
+        # exp(-|j-h|/W) underflows past the smallest normal double at W = 0.05,
+        # and so do entries of rho's eigenvectors and of the noise root in their basis
+        p = params(modes=50, width=0.05)
+        rho = build_rho(p)
+        noise = build_noise_covariance(p, build_covariance(p), rho)
+
+        def subnormal(table):
+            return (table != 0) & (np.abs(table) < np.finfo(float).tiny)
+
         assert (rho.matrix == 0).any()
-        for table in (rho.matrix, stack, jumps):
-            assert not ((table != 0) & (np.abs(table) < np.finfo(float).tiny)).any()
+        assert subnormal(rho.eigen.vectors).any() and subnormal(noise.sqrt @ rho.eigen.vectors).any()
+        for table in (rho.matrix, *rho.step_table, noise.rotated_sqrt(rho)):
+            assert not subnormal(table).any()
 
 
 class TestNoiseCovariance:
@@ -310,9 +343,10 @@ class TestSimulation:
     # taking any leftover: PIECE_ROWS - 1, PIECE_ROWS + 1 and 2 PIECE_ROWS - 1
     # steps are one piece, 2 PIECE_ROWS + 37 and 1000 are two and three, and
     # 4097 and 8229 steps are 16 and 32 pieces.  Without burn-in a one-piece
-    # path of n steps has n // BLOCK = 0, 1, 2, 3, 4, 5, 63, 64, 65 and 127
-    # blocks; with burn-in 7, n = 2 PIECE_ROWS - 1 is one piece of 518 steps
-    # (129 blocks), whose anchor scan takes all JUMPS rounds
+    # path of n steps has ceil(n / BLOCK) = 1, 1, 1, 1, 1, 1, 2, 2, 16, 17, 17
+    # and 32 blocks, the last one full at 16 only; with burn-in 7, n = 2
+    # PIECE_ROWS - 1 is one piece of 518 steps (33 blocks), whose anchor scan
+    # takes all SCAN_ROUNDS rounds
     @pytest.mark.parametrize("burn_in", [0, 7])
     @pytest.mark.parametrize(
         "n",
@@ -321,7 +355,7 @@ class TestSimulation:
             2 * PIECE_ROWS + 37, 1000, 4097, 8229,
         ],
     )
-    @pytest.mark.parametrize("operator", ["reference", "non_normal"])
+    @pytest.mark.parametrize("operator", ["reference", MIXED_SIGN])
     def test_blocked_recursion_matches_stepped_oracle(self, operator, n, burn_in):
         rho, noise = recursion_operators(operator)
         x0 = np.random.default_rng(99).standard_normal(rho.dim)
@@ -341,12 +375,12 @@ class TestSimulation:
             2 * PIECE_ROWS + 37, 961, 1000, 4097, 8229,
         ],
     )
-    @pytest.mark.parametrize("operator", ["reference", "non_normal"])
+    @pytest.mark.parametrize("operator", ["reference", MIXED_SIGN])
     def test_stacked_paths_match_their_own_stepped_oracles(self, operator, n, burn_in):
-        # every path steps in blocks of BLOCK = 4 states: a path shorter
-        # than one block is all tail, a piece of PIECE_ROWS + 1 steps leaves
-        # a tail of one state after its last anchor, and one of
-        # 2 PIECE_ROWS - 1 steps a tail of 3 (with burn-in 7 the pieces shift)
+        # every path steps in blocks of BLOCK = 16 states: a path shorter
+        # than one block is one partial block, a piece of PIECE_ROWS + 1 steps
+        # ends in a block of one state, and one of 2 PIECE_ROWS - 1 steps in a
+        # block of 15 (with burn-in 7 the pieces shift)
         rho, noise = recursion_operators(operator)
         x0 = np.random.default_rng(99).standard_normal((3, rho.dim))
         rngs = [np.random.default_rng([n, r]) for r in range(3)]
@@ -358,44 +392,51 @@ class TestSimulation:
             assert np.abs(path - expected).max() <= 1e-13 * np.abs(expected).max()
             assert rng.standard_normal() == oracle_rng.standard_normal()
 
-    @pytest.mark.parametrize("operator", ["reference", "reference_8", "non_normal"])
+    def test_asymmetric_rho_is_refused(self):
+        # the steps run in rho's orthonormal eigenbasis, which only a symmetric rho has
+        rho = non_normal_rho()
+        with pytest.raises(ValueError, match="not symmetric within 1e-12"):
+            simulate_trajectory(5, rho, SpectralOperator(np.eye(4)), np.zeros(4), np.random.default_rng(0))
+        nearly = SpectralOperator(np.eye(4) + np.diag([2e-12, 0.0, 0.0], 1))
+        with pytest.raises(ValueError, match="not symmetric within 1e-12"):
+            nearly.step_table
+        assert SpectralOperator(np.eye(4) + np.diag([5e-13, 0.0, 0.0], 1)).step_table.values.shape == (4,)
+
+    @pytest.mark.parametrize("operator", ["reference", "reference_8", MIXED_SIGN])
     def test_stages_compose_to_stream_paths_bit_for_bit(self, operator):
         rho, noise = recursion_operators(operator)
         x0 = np.random.default_rng(99).standard_normal((3, rho.dim))
         # a path of fewer than 2 PIECE_ROWS steps is one piece
         for steps in (9, 107, PIECE_ROWS - 1, PIECE_ROWS, 2 * PIECE_ROWS - 1):
             assert list(piece_edges(steps - 7, burn_in=7)) == [0, steps]
-            x = np.empty((3, steps + 1, rho.dim))
-            x[:, 0] = x0
-            drawn = draw_paths(noise, x, [np.random.default_rng([7, r]) for r in range(3)], np.empty((steps, rho.dim)))
-            assert drawn is x
-            for r, path in enumerate(drawn):
-                # each path's innovations are one gemm of its whole block of normals with the root
+            y, x = drawn(noise, rho, x0, [np.random.default_rng([7, r]) for r in range(3)], steps)
+            for r, path in enumerate(y):
+                # each path's innovations are one gemm of its whole block of normals with the rotated root
                 normals = np.random.default_rng([7, r]).standard_normal((steps, rho.dim))
-                assert np.array_equal(path[0], x0[r])
-                assert np.array_equal(path[1:], normals @ noise.sqrt.T), steps
-            stepped = step_paths(drawn, rho)
-            assert stepped is drawn
+                assert np.array_equal(path[:, :steps], noise.rotated_sqrt(rho).T @ normals.T), steps
+                assert not path[:, steps:].any()
+            start = x0.copy()
+            stepped = step_paths(y, start, rho, x, np.empty((rho.dim, block_columns(steps))))
+            assert stepped is x
+            assert np.array_equal(x[:, 0], x0) and np.array_equal(start, x[:, -1])
             rngs = [np.random.default_rng([7, r]) for r in range(3)]
             assert np.array_equal(stepped[:, 7:], stitched_paths(steps - 7, rho, noise, x0, rngs, burn_in=7))
         # a longer one is cut at every burn_in + k PIECE_ROWS at least
         # PIECE_ROWS steps from both ends: the first piece takes the burn-in's
         # leftover, the last the path's; each piece starts from the last state
-        # of the one before, with one normals scratch of one path's rows
+        # of the one before, carried in start
         n = 4 * PIECE_ROWS + 30
         edges = list(piece_edges(n, burn_in=7))
         assert edges == [0, PIECE_ROWS + 7, 2 * PIECE_ROWS + 7, 3 * PIECE_ROWS + 7, n + 7]
         rngs = [np.random.default_rng([7, r]) for r in range(3)]
-        normals = np.empty((2 * PIECE_ROWS, rho.dim))
-        pieces = [x0[:, None]]
-        for start, stop in zip(edges, edges[1:]):
-            x = np.empty((3, stop - start + 1, rho.dim))
-            x[:, 0] = pieces[-1][:, -1]
-            drawn = draw_paths(noise, x, rngs, normals[: stop - start])
-            pieces.append(step_paths(drawn, rho)[:, 1:])
+        start = x0.copy()
+        pieces = []
+        for first, stop in zip(edges, edges[1:]):
+            y, x = drawn(noise, rho, start, rngs, stop - first)
+            pieces.append(step_paths(y, start, rho, x, np.empty((rho.dim, block_columns(stop - first))))[:, 1:])
         rngs = [np.random.default_rng([7, r]) for r in range(3)]
         streamed = stitched_paths(n, rho, noise, x0, rngs, burn_in=7)
-        assert np.array_equal(streamed, np.concatenate(pieces[1:], axis=1)[:, 6:])
+        assert np.array_equal(streamed, np.concatenate(pieces, axis=1)[:, 6:])
 
     @pytest.mark.parametrize("burn_in", [0, 1, 7, PIECE_ROWS - 1, PIECE_ROWS, 3 * PIECE_ROWS + 5])
     def test_longest_piece_is_the_longest_between_the_edges(self, burn_in):
@@ -408,25 +449,40 @@ class TestSimulation:
         assert longest_piece(10**20, burn_in) < 2 * PIECE_ROWS
 
     @pytest.mark.parametrize("steps", [1, 50, PIECE_ROWS, 2 * PIECE_ROWS - 1])
-    @pytest.mark.parametrize("operator", ["reference", "non_normal"])
+    @pytest.mark.parametrize("operator", ["reference", MIXED_SIGN])
     def test_stacked_draw_matches_each_path_drawn_alone(self, operator, steps):
         rho, noise = recursion_operators(operator)
         x0 = np.random.default_rng(99).standard_normal((4, rho.dim))
-        x = np.empty((4, steps + 1, rho.dim))
-        x[:, 0] = x0
-        stack = draw_paths(noise, x, [np.random.default_rng([3, r]) for r in range(4)], np.empty((steps, rho.dim)))
+        stack, _ = drawn(noise, rho, x0, [np.random.default_rng([3, r]) for r in range(4)], steps)
         for r in range(4):
-            alone = np.empty((1, steps + 1, rho.dim))
-            alone[0, 0] = x0[r]
-            draw_paths(noise, alone, [np.random.default_rng([3, r])], np.empty((steps, rho.dim)))
+            alone, _ = drawn(noise, rho, x0[r : r + 1], [np.random.default_rng([3, r])], steps)
             assert np.array_equal(stack[r], alone[0]), r
 
     def test_step_rejects_a_piece_longer_than_the_jumps_reach(self):
         rho, _ = recursion_operators("reference")
-        x = np.zeros((1, BLOCK * 2**JUMPS + 1, rho.dim))
-        with pytest.raises(ValueError, match="needs more than the 8 jumps"):
-            step_paths(x, rho)
-        assert not step_paths(x[:, :-1], rho).any()  # one step fewer is 2^JUMPS - 1 blocks and a tail
+        steps = BLOCK * 2**SCAN_ROUNDS + 1
+        y, x = np.zeros((1, rho.dim, block_columns(steps))), np.zeros((1, steps + 1, rho.dim))
+        scratch = np.empty((rho.dim, block_columns(steps)))
+        with pytest.raises(ValueError, match="needs more than the 6 scan rounds"):
+            step_paths(y, np.zeros((1, rho.dim)), rho, x, scratch)
+        # one step fewer is 2^SCAN_ROUNDS full blocks
+        steps -= 1
+        x = x[:, :-1]
+        assert not step_paths(y[:, :, :steps], np.zeros((1, rho.dim)), rho, x, scratch[:, :steps]).any()
+
+    def test_eigenbasis_stack_may_share_each_paths_memory_with_its_states(self):
+        # stream_paths keeps one row per path for both; the states do not move
+        rho, noise = recursion_operators("reference_8")
+        x0 = np.random.default_rng(99).standard_normal((3, rho.dim))
+        steps = 100
+        columns = block_columns(steps)
+        y, x = drawn(noise, rho, x0, [np.random.default_rng([5, r]) for r in range(3)], steps)
+        apart = step_paths(y.copy(), x0.copy(), rho, x, np.empty((rho.dim, columns)))
+        rows = np.empty((3, rho.dim * columns))
+        shared_y = rows.reshape(3, rho.dim, columns)
+        shared_y[...] = y
+        shared_x = rows[:, : rho.dim * (steps + 1)].reshape(3, steps + 1, rho.dim)
+        assert np.array_equal(step_paths(shared_y, x0.copy(), rho, shared_x, np.empty((rho.dim, columns))), apart)
 
     def test_reproducible_bit_for_bit(self):
         p = params(modes=6)
@@ -509,38 +565,57 @@ class TestKernel:
 
 
 class TestPowerTable:
+    """rho.step_table: rho's eigenbasis and the powers of its eigenvalues that step_paths steps with."""
+
     @pytest.mark.parametrize("s", [1, 2, 31, 89])
-    @pytest.mark.parametrize("operator", ["reference", "non_normal"])
+    @pytest.mark.parametrize("operator", ["reference", MIXED_SIGN])
     def test_blocks_match_explicit_powers(self, operator, s):
         rho, _ = recursion_operators(operator)
-        stack, jumps = rho.block_table
-        p, a = rho.dim, rho.matrix.T
+        basis, lam, toeplitz, ends, jumps = rho.step_table
+        p = rho.dim
+        assert BLOCK == 16 and SCAN_ROUNDS == 6
+        assert toeplitz.shape == (p, BLOCK, BLOCK) and ends.shape == (p, BLOCK, 1) and jumps.shape == (SCAN_ROUNDS, p)
+        # rho = Q diag(lam) Q^T with orthonormal Q
+        assert np.abs((basis * lam) @ basis.T - rho.matrix).max() <= 1e-13
+        assert np.abs(basis.T @ basis - np.eye(p)).max() <= 1e-13
 
         def assert_power(computed, power):
-            expected = np.linalg.matrix_power(a, power)
+            expected = np.array([math.prod([value] * power) for value in lam])
+            expected[np.abs(expected) < np.finfo(float).tiny] = 0.0  # flushed
             assert np.abs(computed - expected).max() <= 1e-13 * np.abs(expected).max(), power
 
-        assert BLOCK == 4 and JUMPS == 8
-        assert stack.shape == (BLOCK * p, p) and jumps.shape == (JUMPS, p, p)
-        blocks = stack.reshape(BLOCK, p, p)
-        for k, block in enumerate(blocks):
-            assert_power(block, BLOCK - 1 - k)
+        for i in range(BLOCK):
+            for m in range(BLOCK):
+                if m >= i:
+                    assert_power(toeplitz[:, i, m], m - i)
+                else:
+                    assert not toeplitz[:, i, m].any()
+        assert np.array_equal(ends[:, :, 0], toeplitz[:, :, BLOCK - 1])
         for k, jump in enumerate(jumps):
             assert_power(jump, BLOCK * 2**k)
-        # M^s for any s below BLOCK 2^JUMPS, reached from the one table as the
-        # anchor scan reaches it: whole blocks through the jumps of the binary
-        # digits of s // BLOCK, the rest from the stack
-        reached = blocks[BLOCK - 1 - s % BLOCK]
+        # lam^s for any s below BLOCK 2^SCAN_ROUNDS, reached from the one table as
+        # the anchor scan and the block fill reach it: whole blocks through the
+        # jumps of the binary digits of s // BLOCK, the rest from the Toeplitz rows
+        reached = toeplitz[:, 0, s % BLOCK]
         for k, jump in enumerate(jumps):
             if s // BLOCK >> k & 1:
-                reached = reached @ jump
+                reached = reached * jump
         assert_power(reached, s)
 
     def test_computed_once_per_operator_and_read_only(self):
-        rho, _ = recursion_operators("reference")
-        stack, jumps = rho.block_table
-        assert rho.block_table[0] is stack and rho.block_table[1] is jumps
-        assert not stack.flags.writeable and not jumps.flags.writeable
+        rho, noise = recursion_operators("reference")
+        table = rho.step_table
+        assert rho.step_table is table and rho.eigen.vectors is rho.eigen.vectors
+        assert not any(array.flags.writeable for array in (*table, *rho.eigen))
+        root = noise.rotated_sqrt(rho)
+        assert noise.rotated_sqrt(rho) is root and not root.flags.writeable
+        assert np.array_equal(root, noise.sqrt @ table.basis)
+
+    def test_noise_root_comes_from_the_one_eigendecomposition(self):
+        p = params(modes=10)
+        noise = build_noise_covariance(p, build_covariance(p), build_rho(p))
+        w, v = noise.eigen
+        assert np.array_equal(noise.sqrt, (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T)
 
 
 class TestPositiveDiagonal:
