@@ -258,8 +258,8 @@ def transition_moments(states: np.ndarray) -> TransitionMoments:
 
     They are summed, in order, over the pieces that a streamed fit of the
     same states X_0..X_(n-1) adds: X_0..X_PIECE_ROWS, X_PIECE_ROWS..X_2
-    PIECE_ROWS, ..., the last piece taking any leftover
-    (model.piece_edges(n)), so they have the bits of the streamed sums.
+    PIECE_ROWS, ..., the last piece ending at X_(n-1) (model.piece_edges(n)),
+    so they have the bits of the streamed sums.
     Raises ValueError for fewer than 2 states.
     """
     states = np.asarray(states, dtype=float)

@@ -322,12 +322,13 @@ def replication_rng(master_seed: int, n: int, replication: int) -> np.random.Gen
 # A serial sweep holds two chunks at once: on 2 cores, 2**17 (one desk
 # replication per chunk at n = 500 and 2000) made the desk sweep about 18%
 # slower, and 2**18 raised its peak RSS by 1.5 to 2.3 MB.  25 * 2**13 is
-# the smallest multiple of 2**13 that holds 3, 4 and 5 replications of the
-# desk sweep (n = 500, 2000, 8000) and 8, 7 and 6 of short-many (n = 50,
-# 100, 200) per chunk: a narrower chunk spends more interpreter time per
-# path on model.step_paths' stacked calls.  Chunk sizes follow
-# from the configuration alone, never from the worker count, so every
-# --threads value writes the same bytes.
+# the smallest multiple of 2**13 that holds 8, 7 and 6 replications of
+# short-many (n = 50, 100, 200) per chunk, and it holds 5 of every desk
+# size (n = 500, 2000, 8000, whose pieces are all PIECE_ROWS long); at
+# 24 * 2**13, n = 200 drops to 5.  A narrower chunk spends more
+# interpreter time per path on model.step_paths' stacked calls.  Chunk
+# sizes follow from the configuration alone, never from the worker count,
+# so every --threads value writes the same bytes.
 CHUNK_BUDGET = 25 * 2**13
 
 
@@ -337,7 +338,8 @@ def replication_doubles(config: ExperimentConfig, n: int) -> int:
     Its row of the piece buffer: the longest piece of its path plus the
     carried state, or that piece's block columns in rho's eigenbasis, which
     the same row holds while the piece is stepped (model.block_columns);
-    its block anchors and carried start; and the 8 p x p arrays of its fit
+    its block anchors, at most PIECE_ROWS / BLOCK = 16 rows of p, and its
+    carried start; and the 8 p x p arrays of its fit
     at their peak: the two moment sums, fit_moments' scaled Gram matrix
     (then its eigenvectors), D_n, rho_hat and the three of EstimatorState's
     orthonormality check.  The piece buffer is freed before the fit, so
@@ -477,15 +479,15 @@ def run_experiment(
     # filled here rather than in the run context, which validate builds too,
     # before the chunks' threads can race for them
     estimation._wavelet_matrix(config.model.modes, config.model.grid_len, config.wavelet, _coarse_step(config))
-    ctx.noise.rotated_sqrt(ctx.rho)
+    ctx.rho.step_table
     sizes = []
     for n in config.sample_sizes:
         size = chunk_size(config, n)
         sizes.append(f"{size} at n = {n} ({chunk_doubles(config, n, size) * 8 / 1e6:.3g} MB)")
     logger.info(
-        "chunks run on %d threads of one process, one chunk at a time per thread; paths run in pieces of %d steps, "
-        "the last taking the leftover, drawn one path at a time into rho's eigenbasis and stepped there in blocks "
-        "of %d states; replications per chunk of at most %.3g MB: %s",
+        "chunks run on %d threads of one process, one chunk at a time per thread; paths run in pieces of at most "
+        "%d steps, cut at the burn-in's end, drawn one path at a time into rho's eigenbasis and stepped there in "
+        "blocks of %d states; replications per chunk of at most %.3g MB: %s",
         pool, model.PIECE_ROWS, model.BLOCK, CHUNK_BUDGET * 8 / 1e6, ", ".join(sizes),
     )
     with ThreadPoolExecutor(pool, thread_name_prefix="banach-ar1-chunk") as executor:

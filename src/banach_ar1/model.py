@@ -9,23 +9,22 @@ autocorrelation and innovation-covariance matrices follow the banded forms
 States live in the truncated eigenbasis as length-p coefficient vectors;
 trajectories iterate X_n = rho(X_{n-1}) + eps_n with Gaussian innovations
 drawn through the symmetric square root of the innovation covariance.  A
-stack of paths is drawn and stepped in pieces (stream_paths) of PIECE_ROWS
-to 2 PIECE_ROWS - 1 steps, so a path's live memory does not grow with its
-length; simulate_trajectory stitches one path's pieces together.  rho is
-symmetric, so in its eigenbasis the recursion is p independent scalar
-AR(1) recursions: a piece is drawn one path at a time straight into that
-basis (draw_paths), stepped there in blocks of BLOCK states whose anchors
-come from a log-depth scan, and rotated back to the model basis one path
-at a time (step_paths).  All randomness flows through an explicit numpy
-Generator, so identical parameters and generator state reproduce
-trajectories bit for bit.
+stack of paths is drawn and stepped in pieces (stream_paths) of at most
+PIECE_ROWS steps, cut at fixed seams, so a path's live memory does not grow
+with its length; simulate_trajectory stitches one path's pieces together.
+rho is symmetric, so in its eigenbasis the recursion is p independent
+scalar AR(1) recursions: a piece is drawn one path at a time straight into
+that basis (draw_paths), stepped there in blocks of BLOCK states whose
+anchors are carried from block to block, and rotated back to the model
+basis one path at a time (step_paths).  All randomness flows through an
+explicit numpy Generator, so identical parameters and generator state
+reproduce trajectories bit for bit.
 """
 
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, pairwise
 from typing import Iterator, NamedTuple
@@ -83,15 +82,15 @@ class StepTable(NamedTuple):
     i <= m < s and 0 above, so a row of s innovations of coordinate j times
     toeplitz[j] steps a block from a zero start; ends is its last column,
     shape (p, s, 1), kept contiguous because the batched product runs
-    faster from a copy than from a view; jumps[k] is lam^(s 2^k), k <
-    SCAN_ROUNDS.
+    faster from a copy than from a view; jump is lam^s, which carries an
+    anchor one block on.
     """
 
     basis: np.ndarray
     values: np.ndarray
     toeplitz: np.ndarray
     ends: np.ndarray
-    jumps: np.ndarray
+    jump: np.ndarray
 
 
 @dataclass
@@ -99,8 +98,6 @@ class SpectralOperator:
     """An operator as a p x p matrix in the model eigenbasis."""
 
     matrix: np.ndarray
-    # (basis, sqrt Q) of the last rotated_sqrt call
-    _rotated: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -146,33 +143,17 @@ class SpectralOperator:
         """The eigenbasis and the powers of the eigenvalues that step_paths steps in.
 
         Computed once from eigen, every table flushed of subnormals and
-        read-only: (s^2 + s + SCAN_ROUNDS + 1) p + p^2 doubles, s = BLOCK.
+        read-only: (s^2 + s + 2) p + p^2 doubles, s = BLOCK.
         """
         lam, q = self.eigen
         span = np.arange(BLOCK)
         gaps = span - span[:, None]  # [i, m] = m - i
         toeplitz = _flush_subnormals(np.where(gaps >= 0, lam[:, None, None] ** np.maximum(gaps, 0), 0.0))
-        jumps = _flush_subnormals(lam ** (BLOCK << np.arange(SCAN_ROUNDS))[:, None])
-        tables = StepTable(_flush_subnormals(q.copy()), lam, toeplitz, toeplitz[:, :, BLOCK - 1 :].copy(), jumps)
+        jump = _flush_subnormals(lam**BLOCK)
+        tables = StepTable(_flush_subnormals(q.copy()), lam, toeplitz, toeplitz[:, :, BLOCK - 1 :].copy(), jump)
         for table in tables:
             table.setflags(write=False)
         return tables
-
-    def rotated_sqrt(self, basis: "SpectralOperator") -> np.ndarray:
-        """sqrt Q for Q = basis.step_table.basis: its transpose maps normals into basis's eigenbasis.
-
-        draw_paths multiplies by the transpose view, which OpenBLAS runs
-        faster than the same product from a contiguous Q^T sqrt.  Flushed of
-        subnormals and read-only; the table of the last basis asked for is
-        kept.
-        """
-        q = basis.step_table.basis
-        kept = self._rotated
-        if kept is None or kept[0] is not q:
-            table = _flush_subnormals(self.sqrt @ q)
-            table.setflags(write=False)
-            kept = self._rotated = (q, table)
-        return kept[1]
 
 
 @dataclass
@@ -274,15 +255,15 @@ def build_noise_covariance(
 
 
 def check_stationarity(rho: SpectralOperator, j0_max: int = 10) -> StationarityResult:
-    """Find the first power j <= j0_max with spectral norm of rho^j below 1."""
-    power = np.eye(rho.dim)
-    norm = math.inf
-    for j in range(1, j0_max + 1):
-        power = power @ rho.matrix
-        norm = float(np.linalg.norm(power, 2))
-        if norm < 1.0:
-            return StationarityResult(True, j, norm)
-    return StationarityResult(False, j0_max, norm)
+    """Find the first power j <= j0_max with spectral norm of rho^j below 1.
+
+    rho must be symmetric (rho.eigen), so the norm of rho^j is r^j for its
+    spectral radius r: the first power is 1 if r < 1 and none otherwise.
+    """
+    r = np.abs(rho.eigen.values).max()  # a numpy float, whose power overflows to inf rather than raising
+    if r < 1.0:
+        return StationarityResult(True, 1, float(r))
+    return StationarityResult(False, j0_max, float(r**j0_max))
 
 
 def sample_initial_condition(covariance: SpectralOperator, rng: np.random.Generator) -> np.ndarray:
@@ -302,23 +283,15 @@ def sample_initial_condition(covariance: SpectralOperator, rng: np.random.Genera
 
 
 # Steps of a path that stream_paths draws and steps at a time.  A path is
-# cut at every burn_in + k PIECE_ROWS that lies at least PIECE_ROWS steps
-# from both of its ends, so each piece has PIECE_ROWS to 2 PIECE_ROWS - 1
-# steps unless the path is one piece (fewer than 2 PIECE_ROWS steps after
-# the burn-in's leftover burn_in % PIECE_ROWS, so at most 3 PIECE_ROWS - 2),
-# and a path's live memory is one piece and one path's scratch whatever its
-# length.  A piece is also the slice of normals that one gemm maps into
-# rho's eigenbasis: OpenBLAS can give the product of a few rows other last
-# bits than the same rows of a longer product, so no slice is shorter than
-# PIECE_ROWS either.
+# cut at every k PIECE_ROWS inside its burn-in and at every burn_in + k
+# PIECE_ROWS after it, so no piece has more than PIECE_ROWS steps, the
+# burn-in ends at a seam, and a path's live memory is one piece and one
+# path's scratch whatever its length.
 PIECE_ROWS = 256
 # States per block of step_paths.  Each block is filled by one s x s
-# Toeplitz product per coordinate, and the longest piece has at most
-# ceil((3 PIECE_ROWS - 2) / BLOCK) = 48 anchors to scan.
+# Toeplitz product per coordinate, and a piece has at most PIECE_ROWS /
+# BLOCK = 16 block anchors, carried one after another.
 BLOCK = 16
-# Rounds of step_paths' anchor scan, one per power of two below the longest
-# piece's anchor count: rho.step_table holds the jumps lam^(BLOCK 2^k) for them.
-SCAN_ROUNDS = (-(-(3 * PIECE_ROWS - 2) // BLOCK) - 1).bit_length()
 
 
 def block_columns(steps: int) -> int:
@@ -328,44 +301,34 @@ def block_columns(steps: int) -> int:
 
 def piece_edges(n: int, burn_in: int = 0) -> Iterator[int]:
     """Where stream_paths cuts a path of burn_in + n steps, made as they are asked for: 0, its seams, burn_in + n."""
-    steps = burn_in + n
-    return chain((0,), range(PIECE_ROWS + burn_in % PIECE_ROWS, steps - PIECE_ROWS + 1, PIECE_ROWS), (steps,))
+    return chain(range(0, burn_in, PIECE_ROWS), range(burn_in, burn_in + n, PIECE_ROWS), (burn_in + n,))
 
 
 def longest_piece(n: int, burn_in: int = 0) -> int:
-    """Steps in the longest piece of piece_edges(n, burn_in), the first or the last, without making the edges."""
-    steps = burn_in + n
-    first = PIECE_ROWS + burn_in % PIECE_ROWS
-    if steps < first + PIECE_ROWS:
-        return steps
-    return max(first, PIECE_ROWS + (steps - first) % PIECE_ROWS)
+    """Steps in the longest piece of piece_edges(n, burn_in), without making the edges."""
+    return min(PIECE_ROWS, max(burn_in, n))
 
 
-def draw_paths(
-    noise_cov: SpectralOperator,
-    rho: SpectralOperator,
-    y: np.ndarray,
-    rngs: list[np.random.Generator],
-    normals: np.ndarray,
-) -> np.ndarray:
+def draw_paths(root: np.ndarray, y: np.ndarray, rngs: list[np.random.Generator], normals: np.ndarray) -> np.ndarray:
     """The draw stage of a piece: the next innovations of each path in rho's eigenbasis, in place.
 
-    normals has shape (steps, p) and y (len(rngs), p, block_columns(steps)).
-    Path r draws its next `steps` innovations as a standard_normal((steps,
-    p)) block from rngs[r] into normals, the one scratch that every path is
-    drawn through in turn, and one gemm with (sqrt Q)^T, the transpose of
-    noise_cov.rotated_sqrt(rho), writes them into y[r, :, :steps], time
-    along the last axis.
-    The columns past `steps` are zeroed.  Returns y; step_paths turns it
-    into states.
+    root is the p x p map (sqrt Q)^T from normals to innovations in rho =
+    Q diag(lam) Q^T's eigenbasis: _pieces passes it as the transpose view
+    of a contiguous sqrt Q, which OpenBLAS runs faster than the same
+    product from a contiguous Q^T sqrt.  normals has shape (steps, p) and y
+    (len(rngs), p, block_columns(steps)).  Path r draws its next `steps`
+    innovations as a standard_normal((steps, p)) block from rngs[r] into
+    normals, the one scratch that every path is drawn through in turn, and
+    one gemm with root writes them into y[r, :, :steps], time along the
+    last axis.  The columns past `steps` are zeroed.  Returns y; step_paths
+    turns it into states.
     """
     count, p, columns = y.shape
     steps = normals.shape[0]
-    if count != len(rngs) or p != noise_cov.dim or p != rho.dim or normals.shape[1] != p:
-        raise ValueError("dimension mismatch between noise_cov, rho, the paths, rngs and normals")
+    if count != len(rngs) or root.shape != (p, p) or normals.shape[1] != p:
+        raise ValueError("dimension mismatch between the root, the paths, rngs and normals")
     if columns != block_columns(steps):
         raise ValueError(f"{steps} steps take {block_columns(steps)} columns of the eigenbasis stack, got {columns}")
-    root = noise_cov.rotated_sqrt(rho).T
     for path, rng in zip(y, rngs):
         rng.standard_normal(out=normals)
         np.matmul(root, normals.T, out=path[:, :steps])
@@ -383,13 +346,12 @@ def step_paths(
     rho = Q diag(lam) Q^T (rho.step_table, O(p s^2) doubles for s = BLOCK),
     Y_i = Q^T X_i follows p scalar recursions Y_i = lam Y_(i-1) + e_i, one
     per coordinate, in blocks of s steps.  One batched matvec per path gives
-    each full block's zero-start end state; a Hillis-Steele scan turns
-    Q^T X_0 (one gemv per path) and those end states into the block anchors
-    Y_0, Y_s, Y_2s, ...: in round k every anchor adds the one 2^k blocks
-    before it times lam^(s 2^k), so the longest piece, 48 anchors, takes
-    SCAN_ROUNDS = 6 rounds.  Each anchor is then carried into its block's
-    first innovation, and path by path s x s Toeplitz products of powers
-    of lam fill every block in the one-path scratch, shape (p,
+    each full block's zero-start end state, and Q^T X_0 (one gemv per path)
+    is the first block anchor Y_0; the anchors Y_s, Y_2s, ... follow one
+    after another, each the zero-start end state of the block before it
+    plus lam^s times that block's anchor.  Each anchor is then carried into
+    its block's first innovation, and path by path s x s Toeplitz products
+    of powers of lam fill every block in the one-path scratch, shape (p,
     block_columns(steps)), and one gemm rotates them back into x.  A path's
     rows of y are read before its rows of x are written, so the two may
     share memory.  A path's states do not depend on the other paths in the
@@ -401,20 +363,16 @@ def step_paths(
     blocks = -(-steps // BLOCK)
     if rho.dim != p or y.shape != (count, p, blocks * BLOCK) or scratch.shape != (p, blocks * BLOCK):
         raise ValueError("dimension mismatch between rho, the paths, their eigenbasis stack and the scratch")
-    basis, lam, toeplitz, ends, jumps = rho.step_table
-    rounds = (blocks - 1).bit_length()  # the strides 1, 2, 4, ... below the anchor count
-    if rounds > len(jumps):
-        raise ValueError(f"a piece of {steps} steps needs more than the {len(jumps)} scan rounds of rho.step_table")
+    basis, lam, toeplitz, ends, jump = rho.step_table
     cells = y.reshape(count, p, blocks, BLOCK)
     # 1. anchor b: Y_0, then the zero-start end state of block b - 1; each
-    # anchor is one contiguous (count, p) row, so the scan runs on whole rows
+    # anchor is one contiguous (count, p) row
     anchors = np.empty((blocks, count, p))
     anchors[0] = (start[:, None] @ basis)[:, 0]
     anchors[1:] = (cells[:, :, :-1] @ ends)[..., 0].transpose(2, 0, 1)
-    # 2. scan: anchor b gets Y_0 and every end state before it, carried to it
-    for k in range(rounds):
-        d = 1 << k
-        anchors[d:] += anchors[:-d] * jumps[k]
+    # 2. carry: anchor b gets anchor b - 1 carried one block on
+    for b in range(1, blocks):
+        anchors[b] += anchors[b - 1] * jump
     # 3. every block from its anchor: lam Y_bs joins its first innovation,
     # then its rows are one Toeplitz product per coordinate
     cells[:, :, :, 0] += lam[:, None] * anchors.transpose(1, 2, 0)
@@ -452,12 +410,13 @@ def stream_paths(
     path's rows hold its eigenbasis stack while the piece is stepped.  One
     scratch, the longest piece's block columns of one path, serves every
     draw as its normals and every step as its blocks.  The path is cut at
-    piece_edges(n, burn_in): at every burn_in + k PIECE_ROWS that lies at
-    least PIECE_ROWS steps from both ends, so its recorded pieces start at
-    X_0, X_PIECE_ROWS, X_2 PIECE_ROWS, ... and the last one takes any
-    leftover shorter than PIECE_ROWS.  Every piece runs draw_paths on the
-    whole stack, then step_paths; the last state of each piece, in the
-    model basis, is the next piece's start.
+    piece_edges(n, burn_in): every PIECE_ROWS steps from its start until
+    the burn-in ends, and every PIECE_ROWS steps from there, so its recorded
+    pieces start at X_0, X_PIECE_ROWS, X_2 PIECE_ROWS, ... and none has
+    more than PIECE_ROWS steps.  Every piece runs draw_paths on the whole
+    stack with noise_cov's root in rho's eigenbasis, formed once per call,
+    then step_paths; the last state of each piece, in the model basis, is
+    the next piece's start.
     """
     if n < 2:
         raise ValueError("need n >= 2 (downstream estimators require at least two states)")
@@ -482,17 +441,17 @@ def _pieces(
     count = len(rngs)
     paths = np.empty((count, p * max(rows + 1, block_columns(rows))))
     scratch = np.empty(p * block_columns(rows))
+    root = _flush_subnormals(noise_cov.sqrt @ rho.step_table.basis).T
     start = x0.copy()
     for first, stop in pairwise(piece_edges(n, burn_in)):
         steps = stop - first
         columns = block_columns(steps)
         y = paths[:, : p * columns].reshape(count, p, columns)
-        draw_paths(noise_cov, rho, y, rngs, scratch[: steps * p].reshape(steps, p))
+        draw_paths(root, y, rngs, scratch[: steps * p].reshape(steps, p))
         x = paths[:, : p * (steps + 1)].reshape(count, steps + 1, p)
         piece = step_paths(y, start, rho, x, scratch[: p * columns].reshape(p, columns))
-        if stop > burn_in:
-            skip = max(0, burn_in - first)
-            yield piece[:, skip:], first + skip - burn_in
+        if first >= burn_in:
+            yield piece, first - burn_in
 
 
 def simulate_trajectory(

@@ -70,7 +70,7 @@ class TestEmpiricalMoments:
 
     def test_matches_brute_force_double_loop(self):
         rng = np.random.default_rng(21)
-        # 3 PIECE_ROWS + 37 states are summed in three pieces, the last taking the leftover
+        # 3 PIECE_ROWS + 37 states are summed in four pieces, the last of 37 states
         for n in (7, 3 * PIECE_ROWS + 37):
             x = rng.standard_normal((n, 4))
             traj = Trajectory(states=x)
@@ -190,7 +190,7 @@ class TestFitEstimator:
 
     def test_matches_dense_composition(self):
         rng = np.random.default_rng(6)
-        # at 3 PIECE_ROWS + 37 states the fit sums its moments over three pieces, the dense ones in one product
+        # at 3 PIECE_ROWS + 37 states the fit sums its moments over four pieces, the dense ones in one product
         for n in (6, 3 * PIECE_ROWS + 37):
             x = rng.standard_normal((n, 3))
             state = fit_estimator(Trajectory(states=x), TruncationRule.fixed(2))

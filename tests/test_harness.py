@@ -476,9 +476,9 @@ class TestChunkMemory:
                 buffers.append(weakref.ref(states.base))
                 yield states, first
 
-        def watched_draw(noise_cov, rho, y, rngs, normals):
+        def watched_draw(root, y, rngs, normals):
             buffers.append(weakref.ref(normals.base))
-            return draw(noise_cov, rho, y, rngs, normals)
+            return draw(root, y, rngs, normals)
 
         def watched_fit(*args):
             alive_at_fit.append(sum(ref() is not None for ref in buffers))
@@ -672,7 +672,7 @@ class TestDrawAhead:
         # 3 x 8 doubles of anchors and start and 8 fit matrices of 8 x 8, and the chunk
         # one path's 32 x 8 doubles of scratch: (3 (256 + 24 + 512) + 256) x 8 bytes
         assert (
-            "paths run in pieces of 256 steps, the last taking the leftover, drawn one path at a time "
+            "paths run in pieces of at most 256 steps, cut at the burn-in's end, drawn one path at a time "
             "into rho's eigenbasis and stepped there in blocks of 16 states; "
             "replications per chunk of at most 1.64 MB: 3 at n = 6 (0.0168 MB), 3 at n = 20 (0.0211 MB)"
         ) in caplog.text
@@ -733,8 +733,9 @@ class TestEstimatorBundle:
 
 
 class TestRunContext:
-    def test_default_build_runs_two_symmetric_eigensolves(self, tmp_path, monkeypatch):
-        # one eigh for the PSD repair, one for the noise root that checks it
+    def test_default_build_runs_three_symmetric_eigensolves(self, tmp_path, monkeypatch):
+        # one eigh for the PSD repair, one for the noise root that checks it,
+        # and one for rho's eigenbasis, which the stationarity gate reads and the steps run in
         config = parse_config(write_config(tmp_path, ""))
         calls = []
 
@@ -750,7 +751,7 @@ class TestRunContext:
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted(name))
         harness._RunContext(config)
-        assert calls == ["eigh", "eigh"]
+        assert calls == ["eigh", "eigh", "eigh"]
 
 
 # 8 modes at width 1: no power of rho up to 10 has spectral norm below 1

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,6 @@ import banach_ar1
 from banach_ar1.model import (
     BLOCK,
     PIECE_ROWS,
-    SCAN_ROUNDS,
     ModelParams,
     NoiseCovarianceError,
     SpectralOperator,
@@ -32,6 +32,7 @@ from banach_ar1.model import (
     step_paths,
     stream_paths,
 )
+from banach_ar1 import model
 
 from oracles import (
     grid_values,
@@ -77,10 +78,29 @@ def non_normal_rho():
     return rho
 
 
+def rotated_root(noise, rho):
+    """The root that stream_paths draws through: (sqrt Q)^T for rho's eigenbasis Q, subnormals flushed."""
+    return model._flush_subnormals(noise.sqrt @ rho.step_table.basis).T
+
+
+def streamed_roots(monkeypatch, noise, rho, n=PIECE_ROWS + 5):
+    """The root draw_paths receives for each piece of one stream_paths call."""
+    roots, draw = [], model.draw_paths
+
+    def watched(root, *args):
+        roots.append(root)
+        return draw(root, *args)
+
+    monkeypatch.setattr(model, "draw_paths", watched)
+    for _ in stream_paths(n, rho, noise, np.zeros((1, rho.dim)), [np.random.default_rng(0)]):
+        pass
+    return roots
+
+
 def drawn(noise, rho, x0, rngs, steps):
     """A draw_paths result for `steps` steps, and x with row 0 set to x0: the inputs of step_paths."""
     y = np.empty((len(rngs), rho.dim, block_columns(steps)))
-    draw_paths(noise, rho, y, rngs, np.empty((steps, rho.dim)))
+    draw_paths(rotated_root(noise, rho), y, rngs, np.empty((steps, rho.dim)))
     x = np.empty((len(rngs), steps + 1, rho.dim))
     x[:, 0] = x0
     return y, x
@@ -156,7 +176,7 @@ class TestRho:
         rho = build_rho(params(modes=20))
         assert np.array_equal(rho.matrix, rho.matrix.T)
 
-    def test_narrow_band_and_its_powers_hold_no_subnormal_entry(self):
+    def test_narrow_band_and_its_powers_hold_no_subnormal_entry(self, monkeypatch):
         # exp(-|j-h|/W) underflows past the smallest normal double at W = 0.05,
         # and so do entries of rho's eigenvectors and of the noise root in their basis
         p = params(modes=50, width=0.05)
@@ -168,7 +188,7 @@ class TestRho:
 
         assert (rho.matrix == 0).any()
         assert subnormal(rho.eigen.vectors).any() and subnormal(noise.sqrt @ rho.eigen.vectors).any()
-        for table in (rho.matrix, *rho.step_table, noise.rotated_sqrt(rho)):
+        for table in (rho.matrix, *rho.step_table, *streamed_roots(monkeypatch, noise, rho)):
             assert not subnormal(table).any()
 
 
@@ -240,8 +260,22 @@ class TestStationarity:
     def test_paper_model_is_stationary(self):
         rho = build_rho(params(modes=50))
         result = check_stationarity(rho, j0_max=10)
-        assert result.holds and result.j0 <= 10
+        assert result.holds and result.j0 == 1
+        # the spectral norm of a symmetric matrix is its largest |eigenvalue|
+        assert result.norm == pytest.approx(np.linalg.norm(rho.matrix, 2), rel=1e-13)
         assert result.norm < 1.0
+
+    def test_gate_failure_reports_the_last_power(self):
+        # eigenvalues 1.1 and 0.5: rho^j has norm 1.1^j, never below 1
+        rho = SpectralOperator(np.diag([1.1, 0.5]))
+        result = check_stationarity(rho, j0_max=3)
+        assert not result.holds and result.j0 == 3
+        assert result.norm == pytest.approx(np.linalg.norm(np.linalg.matrix_power(rho.matrix, 3), 2), rel=1e-14)
+
+    def test_asymmetric_rho_is_refused(self):
+        # the gate reads rho's symmetric eigendecomposition, as the steps do
+        with pytest.raises(ValueError, match="not symmetric within 1e-12"):
+            check_stationarity(non_normal_rho())
 
 
 class TestInitialCondition:
@@ -339,15 +373,14 @@ class TestSimulation:
         assert not np.allclose(plain.states[0], burned.states[0])
         assert np.abs(burned.states[0]).max() > 0
 
-    # a path is cut at every PIECE_ROWS steps after its burn-in, its last piece
-    # taking any leftover: PIECE_ROWS - 1, PIECE_ROWS + 1 and 2 PIECE_ROWS - 1
-    # steps are one piece, 2 PIECE_ROWS + 37 and 1000 are two and three, and
-    # 4097 and 8229 steps are 16 and 32 pieces.  Without burn-in a one-piece
-    # path of n steps has ceil(n / BLOCK) = 1, 1, 1, 1, 1, 1, 2, 2, 16, 17, 17
-    # and 32 blocks, the last one full at 16 only; with burn-in 7, n = 2
-    # PIECE_ROWS - 1 is one piece of 518 steps (33 blocks), whose anchor scan
-    # takes all SCAN_ROUNDS rounds
-    @pytest.mark.parametrize("burn_in", [0, 7])
+    # a path is cut at every PIECE_ROWS steps of its burn-in and every
+    # PIECE_ROWS steps after it: PIECE_ROWS - 1 steps are one piece, PIECE_ROWS
+    # + 1 two, the second of one step, 2 PIECE_ROWS + 37 and 1000 three and
+    # four, and 4097 and 8229 steps 17 and 33 pieces.  A piece of n < PIECE_ROWS
+    # steps has ceil(n / BLOCK) = 1, 1, 1, 1, 1, 1, 2, 2 and 16 blocks, the
+    # last one full at 16 only, and a full piece 16 anchors; burn-in
+    # PIECE_ROWS + 3 runs one full piece and one of 3 steps before X_0
+    @pytest.mark.parametrize("burn_in", [0, 7, PIECE_ROWS + 3])
     @pytest.mark.parametrize(
         "n",
         [
@@ -367,7 +400,7 @@ class TestSimulation:
         # the generator stream is consumed exactly as by the stepped loop
         assert rng.standard_normal() == oracle_rng.standard_normal()
 
-    @pytest.mark.parametrize("burn_in", [0, 7])
+    @pytest.mark.parametrize("burn_in", [0, 7, PIECE_ROWS + 3])
     @pytest.mark.parametrize(
         "n",
         [
@@ -378,9 +411,9 @@ class TestSimulation:
     @pytest.mark.parametrize("operator", ["reference", MIXED_SIGN])
     def test_stacked_paths_match_their_own_stepped_oracles(self, operator, n, burn_in):
         # every path steps in blocks of BLOCK = 16 states: a path shorter
-        # than one block is one partial block, a piece of PIECE_ROWS + 1 steps
-        # ends in a block of one state, and one of 2 PIECE_ROWS - 1 steps in a
-        # block of 15 (with burn-in 7 the pieces shift)
+        # than one block is one partial block, PIECE_ROWS + 1 steps end in a
+        # piece of one state, and 2 PIECE_ROWS - 1 steps in a piece whose last
+        # block has 15 states (the burn-ins add pieces of 7, or 256 and 3, steps)
         rho, noise = recursion_operators(operator)
         x0 = np.random.default_rng(99).standard_normal((3, rho.dim))
         rngs = [np.random.default_rng([n, r]) for r in range(3)]
@@ -406,28 +439,28 @@ class TestSimulation:
     def test_stages_compose_to_stream_paths_bit_for_bit(self, operator):
         rho, noise = recursion_operators(operator)
         x0 = np.random.default_rng(99).standard_normal((3, rho.dim))
-        # a path of fewer than 2 PIECE_ROWS steps is one piece
-        for steps in (9, 107, PIECE_ROWS - 1, PIECE_ROWS, 2 * PIECE_ROWS - 1):
-            assert list(piece_edges(steps - 7, burn_in=7)) == [0, steps]
+        # a path of at most PIECE_ROWS steps without burn-in is one piece
+        for steps in (9, 107, PIECE_ROWS - 1, PIECE_ROWS):
+            assert list(piece_edges(steps)) == [0, steps]
             y, x = drawn(noise, rho, x0, [np.random.default_rng([7, r]) for r in range(3)], steps)
             for r, path in enumerate(y):
                 # each path's innovations are one gemm of its whole block of normals with the rotated root
                 normals = np.random.default_rng([7, r]).standard_normal((steps, rho.dim))
-                assert np.array_equal(path[:, :steps], noise.rotated_sqrt(rho).T @ normals.T), steps
+                assert np.array_equal(path[:, :steps], rotated_root(noise, rho) @ normals.T), steps
                 assert not path[:, steps:].any()
             start = x0.copy()
             stepped = step_paths(y, start, rho, x, np.empty((rho.dim, block_columns(steps))))
             assert stepped is x
             assert np.array_equal(x[:, 0], x0) and np.array_equal(start, x[:, -1])
             rngs = [np.random.default_rng([7, r]) for r in range(3)]
-            assert np.array_equal(stepped[:, 7:], stitched_paths(steps - 7, rho, noise, x0, rngs, burn_in=7))
-        # a longer one is cut at every burn_in + k PIECE_ROWS at least
-        # PIECE_ROWS steps from both ends: the first piece takes the burn-in's
-        # leftover, the last the path's; each piece starts from the last state
-        # of the one before, carried in start
-        n = 4 * PIECE_ROWS + 30
-        edges = list(piece_edges(n, burn_in=7))
-        assert edges == [0, PIECE_ROWS + 7, 2 * PIECE_ROWS + 7, 3 * PIECE_ROWS + 7, n + 7]
+            assert np.array_equal(stepped, stitched_paths(steps, rho, noise, x0, rngs))
+        # a longer one is cut at every k PIECE_ROWS of the burn-in, at its end
+        # and at every PIECE_ROWS steps after it, the last piece taking the
+        # rest; each piece starts from the last state of the one before,
+        # carried in start
+        burn_in, n = PIECE_ROWS + 7, 4 * PIECE_ROWS + 30
+        edges = list(piece_edges(n, burn_in))
+        assert edges == [0, PIECE_ROWS, burn_in, *(burn_in + k * PIECE_ROWS for k in range(1, 5)), burn_in + n]
         rngs = [np.random.default_rng([7, r]) for r in range(3)]
         start = x0.copy()
         pieces = []
@@ -435,8 +468,8 @@ class TestSimulation:
             y, x = drawn(noise, rho, start, rngs, stop - first)
             pieces.append(step_paths(y, start, rho, x, np.empty((rho.dim, block_columns(stop - first))))[:, 1:])
         rngs = [np.random.default_rng([7, r]) for r in range(3)]
-        streamed = stitched_paths(n, rho, noise, x0, rngs, burn_in=7)
-        assert np.array_equal(streamed, np.concatenate(pieces, axis=1)[:, 6:])
+        streamed = stitched_paths(n, rho, noise, x0, rngs, burn_in)
+        assert np.array_equal(streamed, np.concatenate(pieces, axis=1)[:, burn_in - 1 :])
 
     @pytest.mark.parametrize("burn_in", [0, 1, 7, PIECE_ROWS - 1, PIECE_ROWS, 3 * PIECE_ROWS + 5])
     def test_longest_piece_is_the_longest_between_the_edges(self, burn_in):
@@ -444,9 +477,16 @@ class TestSimulation:
             edges = list(piece_edges(n, burn_in))
             assert longest_piece(n, burn_in) == max(np.diff(edges)), n
         # a path of 10**20 steps starts cutting its seams at once
-        huge = piece_edges(10**20, burn_in)
-        assert [next(huge), next(huge)] == [0, PIECE_ROWS + burn_in % PIECE_ROWS]
-        assert longest_piece(10**20, burn_in) < 2 * PIECE_ROWS
+        seams = [*range(0, burn_in, PIECE_ROWS), burn_in, burn_in + PIECE_ROWS]
+        assert list(islice(piece_edges(10**20, burn_in), len(seams))) == seams
+        assert longest_piece(10**20, burn_in) == PIECE_ROWS
+
+    @pytest.mark.parametrize("burn_in", [1, 7, PIECE_ROWS - 1, PIECE_ROWS, 3 * PIECE_ROWS + 5])
+    def test_burn_in_ends_at_a_seam_and_no_piece_is_longer_than_piece_rows(self, burn_in):
+        for n in (2, 3, PIECE_ROWS - 1, PIECE_ROWS, PIECE_ROWS + 1, 2 * PIECE_ROWS + 37, 1000):
+            edges = list(piece_edges(n, burn_in))
+            assert burn_in in edges, n
+            assert max(np.diff(edges)) <= PIECE_ROWS, n
 
     @pytest.mark.parametrize("steps", [1, 50, PIECE_ROWS, 2 * PIECE_ROWS - 1])
     @pytest.mark.parametrize("operator", ["reference", MIXED_SIGN])
@@ -457,18 +497,6 @@ class TestSimulation:
         for r in range(4):
             alone, _ = drawn(noise, rho, x0[r : r + 1], [np.random.default_rng([3, r])], steps)
             assert np.array_equal(stack[r], alone[0]), r
-
-    def test_step_rejects_a_piece_longer_than_the_jumps_reach(self):
-        rho, _ = recursion_operators("reference")
-        steps = BLOCK * 2**SCAN_ROUNDS + 1
-        y, x = np.zeros((1, rho.dim, block_columns(steps))), np.zeros((1, steps + 1, rho.dim))
-        scratch = np.empty((rho.dim, block_columns(steps)))
-        with pytest.raises(ValueError, match="needs more than the 6 scan rounds"):
-            step_paths(y, np.zeros((1, rho.dim)), rho, x, scratch)
-        # one step fewer is 2^SCAN_ROUNDS full blocks
-        steps -= 1
-        x = x[:, :-1]
-        assert not step_paths(y[:, :, :steps], np.zeros((1, rho.dim)), rho, x, scratch[:, :steps]).any()
 
     def test_eigenbasis_stack_may_share_each_paths_memory_with_its_states(self):
         # stream_paths keeps one row per path for both; the states do not move
@@ -571,10 +599,10 @@ class TestPowerTable:
     @pytest.mark.parametrize("operator", ["reference", MIXED_SIGN])
     def test_blocks_match_explicit_powers(self, operator, s):
         rho, _ = recursion_operators(operator)
-        basis, lam, toeplitz, ends, jumps = rho.step_table
+        basis, lam, toeplitz, ends, jump = rho.step_table
         p = rho.dim
-        assert BLOCK == 16 and SCAN_ROUNDS == 6
-        assert toeplitz.shape == (p, BLOCK, BLOCK) and ends.shape == (p, BLOCK, 1) and jumps.shape == (SCAN_ROUNDS, p)
+        assert BLOCK == 16
+        assert toeplitz.shape == (p, BLOCK, BLOCK) and ends.shape == (p, BLOCK, 1) and jump.shape == (p,)
         # rho = Q diag(lam) Q^T with orthonormal Q
         assert np.abs((basis * lam) @ basis.T - rho.matrix).max() <= 1e-13
         assert np.abs(basis.T @ basis - np.eye(p)).max() <= 1e-13
@@ -591,25 +619,25 @@ class TestPowerTable:
                 else:
                     assert not toeplitz[:, i, m].any()
         assert np.array_equal(ends[:, :, 0], toeplitz[:, :, BLOCK - 1])
-        for k, jump in enumerate(jumps):
-            assert_power(jump, BLOCK * 2**k)
-        # lam^s for any s below BLOCK 2^SCAN_ROUNDS, reached from the one table as
-        # the anchor scan and the block fill reach it: whole blocks through the
-        # jumps of the binary digits of s // BLOCK, the rest from the Toeplitz rows
+        power = lam**BLOCK
+        assert np.array_equal(jump, np.where(np.abs(power) < np.finfo(float).tiny, 0.0, power))
+        assert_power(jump, BLOCK)
+        # lam^s, reached from the one table as the anchor carry and the block
+        # fill reach it: a jump per whole block, the rest from the Toeplitz rows
         reached = toeplitz[:, 0, s % BLOCK]
-        for k, jump in enumerate(jumps):
-            if s // BLOCK >> k & 1:
-                reached = reached * jump
+        for _ in range(s // BLOCK):
+            reached = reached * jump
         assert_power(reached, s)
 
-    def test_computed_once_per_operator_and_read_only(self):
+    def test_computed_once_per_operator_and_read_only(self, monkeypatch):
         rho, noise = recursion_operators("reference")
         table = rho.step_table
         assert rho.step_table is table and rho.eigen.vectors is rho.eigen.vectors
         assert not any(array.flags.writeable for array in (*table, *rho.eigen))
-        root = noise.rotated_sqrt(rho)
-        assert noise.rotated_sqrt(rho) is root and not root.flags.writeable
-        assert np.array_equal(root, noise.sqrt @ table.basis)
+        # the noise root in rho's eigenbasis is formed once per stream, a transpose view
+        first, second = streamed_roots(monkeypatch, noise, rho)
+        assert first is second and first.T.flags.c_contiguous
+        assert np.array_equal(first, (noise.sqrt @ table.basis).T)
 
     def test_noise_root_comes_from_the_one_eigendecomposition(self):
         p = params(modes=10)
