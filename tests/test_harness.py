@@ -272,7 +272,7 @@ class TestRunExperiment:
 CHUNK_CONFIG = "grid_len = 256\nsample_sizes = 20, 51, 80\nreplications = 9\nseed = 11\n"
 # a chunk budget that runs CHUNK_CONFIG in chunks of 6, 6 and 5 replications
 # at n = 20, 51, 80 without burn-in, and the seam sizes 255, 256, 511, 512 in
-# chunks of 4, 4, 2 and 4
+# chunks of 4
 TEST_BUDGET = 150_000
 
 
@@ -293,7 +293,7 @@ class TestChunks:
         ],
     )
     def test_chunked_sweep_matches_single_replications(self, tmp_path, monkeypatch, extra):
-        # 255 and 511 steps are one piece, 256 one full piece, 512 two
+        # 255 steps are one piece, 256 one full piece, 511 a full one and one of 255, 512 two full ones
         monkeypatch.setattr(harness, "CHUNK_BUDGET", TEST_BUDGET)
         text = CHUNK_CONFIG.replace("sample_sizes = 20, 51, 80", "sample_sizes = 20, 51, 80, 255, 256, 511, 512")
         config = parse_config(write_config(tmp_path, text + extra + f"output_dir = {tmp_path / 'out'}\n"))
