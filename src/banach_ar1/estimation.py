@@ -289,7 +289,7 @@ def plug_in_predict(state: EstimatorState, x: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _wavelet_matrix(modes: int, grid_len: int, spec: WaveletBasisSpec, coarse_step: float | None) -> np.ndarray:
-    """Row j holds the flattened wavelet coefficients of eigenfunction j+1; read-only.
+    """Row j holds the dyadic-layout wavelet coefficients of eigenfunction j+1; read-only.
 
     Without a coarse_step the eigenfunction is taken at the dyadic
     midpoints; with one, through its spline (model.evaluate_via_spline).

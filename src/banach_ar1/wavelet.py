@@ -65,39 +65,27 @@ class WaveletBasisSpec:
 
 @dataclass
 class WaveletCoeffs:
-    """A function in the wavelet domain.
+    """A function in the wavelet domain, in the dyadic layout.
 
-    alpha holds the 2^J scaling coefficients; beta[i] holds the 2^(J+i)
-    detail coefficients of level J+i, for levels J..M.
+    values holds spec.grid_len coefficients: the 2^J scaling coefficients
+    at [0, 2^J), then the 2^j detail coefficients of level j at
+    [2^j, 2^(j+1)) for levels J..M.
     """
 
     spec: WaveletBasisSpec
-    alpha: np.ndarray
-    beta: list[np.ndarray]
+    values: np.ndarray
 
     def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        self.beta = [np.asarray(b, dtype=float) for b in self.beta]
-        J, M = self.spec.coarse_level, self.spec.max_level
-        if self.alpha.shape != (2**J,):
-            raise ValueError(f"alpha must have 2^{J} = {2**J} entries, got {self.alpha.shape}")
-        if len(self.beta) != M - J + 1:
-            raise ValueError(f"expected {M - J + 1} detail levels, got {len(self.beta)}")
-        for i, b in enumerate(self.beta):
-            j = J + i
-            if b.shape != (2**j,):
-                raise ValueError(f"detail level {j} must have 2^{j} = {2**j} entries, got {b.shape}")
-        if not np.isfinite(self.alpha).all() or not all(np.isfinite(b).all() for b in self.beta):
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape != (self.spec.grid_len,):
+            raise ValueError(f"expected {self.spec.grid_len} coefficients, got shape {self.values.shape}")
+        if not np.isfinite(self.values).all():
             raise ValueError("wavelet coefficients must be finite")
-
-    def flatten(self) -> np.ndarray:
-        """All coefficients as one vector, alpha first, then levels J..M."""
-        return np.concatenate([self.alpha, *self.beta])
 
 
 @dataclass
 class GelfandWeights:
-    """Positive weights attached to each wavelet coefficient position.
+    """Positive weights t, one per coefficient position of WaveletCoeffs.values.
 
     The raw weights are 2^-J on the scaling block and
     (2^(2b) - 1) * 2^(-2b(1-J)) * 2^(-2jb) on detail level j, where
@@ -108,25 +96,21 @@ class GelfandWeights:
 
     spec: WaveletBasisSpec
     beta_exponent: float
-    t_alpha: np.ndarray
-    t_beta: list[np.ndarray]
+    t: np.ndarray
     renormalized: bool
     total_mass: float
 
     def __post_init__(self):
-        self.t_alpha = np.asarray(self.t_alpha, dtype=float)
-        self.t_beta = [np.asarray(b, dtype=float) for b in self.t_beta]
-        if (self.t_alpha <= 0).any() or any((b <= 0).any() for b in self.t_beta):
+        self.t = np.asarray(self.t, dtype=float)
+        if self.t.shape != (self.spec.grid_len,):
+            raise ValueError(f"expected {self.spec.grid_len} weights, got shape {self.t.shape}")
+        # written as "not > 0" so that a NaN fails too
+        if not (self.t > 0).all():
             raise ValueError("all weights must be strictly positive")
-        if self.total_mass <= 0:
+        if not self.total_mass > 0:
             raise ValueError("total_mass must be positive")
-        if self.renormalized:
-            total = self.t_alpha.sum() + sum(b.sum() for b in self.t_beta)
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"renormalized weights must sum to 1, got {total!r}")
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([self.t_alpha, *self.t_beta])
+        if self.renormalized and abs(self.t.sum() - 1.0) > 1e-12:
+            raise ValueError(f"renormalized weights must sum to 1, got {self.t.sum()!r}")
 
 
 def daubechies_filter(order: int) -> np.ndarray:
@@ -195,29 +179,26 @@ def dwt_forward(samples: np.ndarray, spec: WaveletBasisSpec) -> WaveletCoeffs:
         raise ValueError(
             f"expected {L} samples (a power of two, 2^(max_level+1)), got shape {samples.shape}"
         )
-    if samples.size < 2 ** (spec.coarse_level + 1):
-        raise ValueError("signal shorter than 2^(coarse_level+1)")
     h, g = _filter_pair(spec.order)
+    values = np.empty(L)
     approx = samples * 2.0 ** (-(spec.max_level + 1) / 2.0)
-    details: list[np.ndarray] = []
     while approx.size > 2**spec.coarse_level:
-        idx = _periodic_index(approx.size, h.size)
-        windows = approx[idx]
-        details.append(windows @ g)
+        windows = approx[_periodic_index(approx.size, h.size)]
+        values[approx.size // 2 : approx.size] = windows @ g
         approx = windows @ h
-    details.reverse()
-    return WaveletCoeffs(spec=spec, alpha=approx, beta=details)
+    values[: approx.size] = approx
+    return WaveletCoeffs(spec=spec, values=values)
 
 
 def coefficient_matrix(rows: np.ndarray, spec: WaveletBasisSpec) -> np.ndarray:
-    """Row i holds the flattened dwt_forward coefficients of rows[i], each transformed on its own.
+    """Row i holds dwt_forward(rows[i], spec).values, each row transformed on its own.
 
     The rows are written into one preallocated matrix, so building it holds
     no second copy of the coefficients.
     """
     w = np.empty((len(rows), spec.grid_len))
     for out, row in zip(w, rows):
-        out[:] = dwt_forward(row, spec).flatten()
+        out[:] = dwt_forward(row, spec).values
     return w
 
 
@@ -225,33 +206,25 @@ def dwt_inverse(coeffs: WaveletCoeffs) -> np.ndarray:
     """Reconstruct dyadic-grid samples; exact left inverse of dwt_forward."""
     spec = coeffs.spec
     h, g = _filter_pair(spec.order)
-    approx = coeffs.alpha
-    for detail in coeffs.beta:
-        if detail.size != approx.size:
-            raise ValueError("detail level size does not match pyramid state")
-        L = 2 * approx.size
-        out = np.zeros(L)
+    approx = coeffs.values[: 2**spec.coarse_level]
+    while approx.size < spec.grid_len:
+        detail = coeffs.values[approx.size : 2 * approx.size]
+        out = np.zeros(2 * approx.size)
         base = 2 * np.arange(approx.size)
         for i in range(h.size):
-            np.add.at(out, (base + i) % L, h[i] * approx + g[i] * detail)
+            np.add.at(out, (base + i) % out.size, h[i] * approx + g[i] * detail)
         approx = out
     return approx * 2.0 ** ((spec.max_level + 1) / 2.0)
 
 
 def besov_sup_norm(coeffs: WaveletCoeffs) -> float:
     """Sup over all coefficient magnitudes: the B^0_{inf,inf} norm."""
-    m = float(np.abs(coeffs.alpha).max()) if coeffs.alpha.size else 0.0
-    for b in coeffs.beta:
-        m = max(m, float(np.abs(b).max()))
-    return m
+    return float(np.abs(coeffs.values).max())
 
 
 def besov_l1_norm(coeffs: WaveletCoeffs) -> float:
     """Sum of all coefficient magnitudes: the B^0_{1,1} norm."""
-    total = float(np.abs(coeffs.alpha).sum())
-    for b in coeffs.beta:
-        total += float(np.abs(b).sum())
-    return total
+    return float(np.abs(coeffs.values).sum())
 
 
 def make_gelfand_weights(
@@ -271,20 +244,18 @@ def make_gelfand_weights(
     if beta_exponent <= 0.5:
         raise ValueError("beta_exponent must be > 1/2 for a summable weight sequence")
     J = spec.coarse_level
-    t_alpha = np.full(2**J, 2.0**-J)
+    t = np.empty(spec.grid_len)
+    t[: 2**J] = 2.0**-J
     factor = (2.0 ** (2 * beta_exponent) - 1.0) * 2.0 ** (-2 * beta_exponent * (1 - J))
-    t_beta = [
-        np.full(2**j, factor * 2.0 ** (-2 * j * beta_exponent)) for j in spec.levels
-    ]
-    total = float(t_alpha.sum() + sum(b.sum() for b in t_beta))
+    for j in spec.levels:
+        t[2**j : 2 ** (j + 1)] = factor * 2.0 ** (-2 * j * beta_exponent)
+    total = float(t.sum())
     if renormalize:
-        t_alpha = t_alpha / total
-        t_beta = [b / total for b in t_beta]
+        t /= total
     return GelfandWeights(
         spec=spec,
         beta_exponent=beta_exponent,
-        t_alpha=t_alpha,
-        t_beta=t_beta,
+        t=t,
         renormalized=renormalize,
         total_mass=total,
     )
@@ -304,10 +275,9 @@ def weighted_norm(coeffs: WaveletCoeffs, weights: GelfandWeights, mode: str) -> 
         raise ValueError(f"mode must be one of {_NORM_MODES}, got {mode!r}")
     if coeffs.spec != weights.spec:
         raise ValueError("coefficients and weights were built for different bases")
-    c = coeffs.flatten()
+    c = coeffs.values
     if mode == "flat":
         return float(np.sqrt(np.sum(c * c)))
-    t = weights.flatten()
     if mode == "direct":
-        return float(np.sqrt(np.sum(t * c * c)))
-    return float(np.sqrt(np.sum(c * c / t)))
+        return float(np.sqrt(np.sum(weights.t * c * c)))
+    return float(np.sqrt(np.sum(c * c / weights.t)))

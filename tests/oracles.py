@@ -99,8 +99,9 @@ def cascade_basis(spec: WaveletBasisSpec) -> np.ndarray:
     """Rows are the discrete orthonormal basis vectors, one per coefficient.
 
     Each row is synthesized from a unit coefficient by the explicit
-    upsampling cascade.  Row order matches the flattened coefficient
-    layout: scaling block first, then detail levels coarse to fine.
+    upsampling cascade.  Row order matches the dyadic coefficient
+    layout of WaveletCoeffs.values: scaling block first, then detail levels
+    coarse to fine.
     """
     low = list(daubechies_filter(spec.order))
     high = [(-1.0) ** i * low[len(low) - 1 - i] for i in range(len(low))]
@@ -226,7 +227,7 @@ def trace_report_by_mode(phi, spec: WaveletBasisSpec):
     per_position = np.zeros(spec.grid_len)
     for row in phi:
         coeffs = dwt_forward(row, spec)
-        flat = coeffs.flatten()
+        flat = coeffs.values
         trace += float(flat @ flat)
         v_sup = max(v_sup, besov_sup_norm(coeffs))
         per_position += flat * flat

@@ -96,13 +96,13 @@ def test_criterion_1_dwt_correctness():
             x = rng.standard_normal(spec.grid_len)
             coeffs = dwt_forward(x, spec)
             worst_rt = max(worst_rt, float(np.abs(dwt_inverse(coeffs) - x).max()))
-            flat = coeffs.flatten()
+            flat = coeffs.values
             scaled = x * 2.0 ** (-(max_level + 1) / 2)
             worst_pv = max(worst_pv, abs(float(flat @ flat - scaled @ scaled)))
     spec256 = WaveletBasisSpec(order=10, coarse_level=2, max_level=7)
     x = rng.standard_normal(256)
     _, _, _, oracle_coeffs = oracle_norms(x, spec256)
-    oracle_gap = float(np.abs(dwt_forward(x, spec256).flatten() - oracle_coeffs).max())
+    oracle_gap = float(np.abs(dwt_forward(x, spec256).values - oracle_coeffs).max())
     elapsed = time.perf_counter() - start
     report(
         1,

@@ -164,7 +164,7 @@ class TestTraceReport:
     def test_single_mode_equals_flat_norm_squared(self):
         phi = eigenfunctions_on_grid(1, SPEC.grid_len)
         report = trace_embedding_report(phi, SPEC)
-        flat = dwt_forward(phi[0], SPEC).flatten()
+        flat = dwt_forward(phi[0], SPEC).values
         assert report.trace_sum == pytest.approx(float(flat @ flat), rel=1e-12)
         assert report.v_sup == pytest.approx(besov_sup_norm(dwt_forward(phi[0], SPEC)))
 

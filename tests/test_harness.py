@@ -70,6 +70,14 @@ class TestParseConfig:
         assert cfg.burn_in == 0 and cfg.truncated_init
         assert not cfg.spline_mode
 
+    def test_readme_key_block_parses_to_the_empty_config(self, tmp_path):
+        # README's first ini block lists every key at its default, so a new
+        # key or a changed default cannot leave the documented list behind
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        documented = parse_config(write_config(tmp_path, block, name="readme.cfg"))
+        assert documented == parse_config(write_config(tmp_path, ""))
+
     def test_comments_and_values(self, tmp_path):
         cfg = parse_config(
             write_config(

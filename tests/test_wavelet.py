@@ -24,11 +24,7 @@ SPEC = WaveletBasisSpec(order=10, coarse_level=2, max_level=10)
 
 
 def random_coeffs(spec, rng):
-    return WaveletCoeffs(
-        spec=spec,
-        alpha=rng.standard_normal(2**spec.coarse_level),
-        beta=[rng.standard_normal(2**j) for j in spec.levels],
-    )
+    return WaveletCoeffs(spec=spec, values=rng.standard_normal(spec.grid_len))
 
 
 class TestDaubechiesFilter:
@@ -82,8 +78,7 @@ class TestTransform:
         for order in (1, 2, 4, 10):
             spec = WaveletBasisSpec(order=order, coarse_level=2, max_level=6)
             coeffs = dwt_forward(np.ones(spec.grid_len), spec)
-            for b in coeffs.beta:
-                assert np.abs(b).max() < 1e-8
+            assert np.abs(coeffs.values[2**spec.coarse_level :]).max() < 1e-8
 
     @pytest.mark.parametrize("order", [1, 2, 4, 10])
     @pytest.mark.parametrize("max_level", [3, 5, 8, 10, 11])
@@ -95,30 +90,43 @@ class TestTransform:
         coeffs = dwt_forward(x, spec)
         assert np.abs(dwt_inverse(coeffs) - x).max() < 1e-10
         scaled = x * 2.0 ** (-(max_level + 1) / 2)
-        flat = coeffs.flatten()
+        flat = coeffs.values
         assert abs(flat @ flat - scaled @ scaled) < 1e-10
 
     def test_smooth_signal_details_decay_with_level(self):
         t = (np.arange(SPEC.grid_len) + 0.5) / SPEC.grid_len
         coeffs = dwt_forward(np.sin(2 * np.pi * t), SPEC)
-        maxima = [np.abs(b).max() for b in coeffs.beta]
+        maxima = [np.abs(coeffs.values[2**j : 2 ** (j + 1)]).max() for j in SPEC.levels]
         assert all(a > b for a, b in zip(maxima, maxima[1:]))
         assert maxima[-1] < 1e-10
 
     def test_zero_coeffs_invert_to_zero(self):
-        coeffs = WaveletCoeffs(
-            spec=SPEC, alpha=np.zeros(4), beta=[np.zeros(2**j) for j in SPEC.levels]
-        )
+        coeffs = WaveletCoeffs(spec=SPEC, values=np.zeros(SPEC.grid_len))
         assert np.abs(dwt_inverse(coeffs)).max() == 0.0
 
     def test_unit_alpha_inverts_to_cascaded_scaling_vector(self):
         spec = WaveletBasisSpec(order=10, coarse_level=2, max_level=6)
-        alpha = np.zeros(4)
-        alpha[0] = 1.0
-        coeffs = WaveletCoeffs(spec=spec, alpha=alpha, beta=[np.zeros(2**j) for j in spec.levels])
-        samples = dwt_inverse(coeffs)
+        values = np.zeros(spec.grid_len)
+        values[0] = 1.0
+        samples = dwt_inverse(WaveletCoeffs(spec=spec, values=values))
         expected = cascade_basis(spec)[0] * 2.0 ** ((spec.max_level + 1) / 2)
         assert np.abs(samples - expected).max() < 1e-10
+
+    def test_unit_coefficient_sits_in_its_dyadic_slot(self):
+        # Haar pieces do not overlap: the unit coefficient at 2^j + k is
+        # supported on the k-th of 2^j equal cells, and scaling slot k on
+        # the k-th of 2^J cells
+        spec = WaveletBasisSpec(order=1, coarse_level=2, max_level=6)
+        L = spec.grid_len
+        for pos in range(L):
+            cells = 2**spec.coarse_level if pos < 2**spec.coarse_level else 2 ** (pos.bit_length() - 1)
+            k = pos % cells
+            unit = np.zeros(L)
+            unit[pos] = 1.0
+            samples = dwt_inverse(WaveletCoeffs(spec=spec, values=unit))
+            support = np.arange(k * L // cells, (k + 1) * L // cells)
+            assert np.array_equal(np.flatnonzero(samples), support), pos
+            assert np.abs(dwt_forward(samples, spec).values - unit).max() < 1e-12
 
     def test_wrong_length_errors(self):
         with pytest.raises(ValueError, match="power of two"):
@@ -127,8 +135,14 @@ class TestTransform:
             dwt_forward(np.zeros(1024), SPEC)  # right power, wrong level count
 
     def test_shape_mismatch_errors(self):
-        with pytest.raises(ValueError):
-            WaveletCoeffs(spec=SPEC, alpha=np.zeros(3), beta=[np.zeros(2**j) for j in SPEC.levels])
+        with pytest.raises(ValueError, match="coefficients"):
+            WaveletCoeffs(spec=SPEC, values=np.zeros(SPEC.grid_len - 1))
+        with pytest.raises(ValueError, match="coefficients"):
+            WaveletCoeffs(spec=SPEC, values=np.zeros((1, SPEC.grid_len)))
+        values = np.zeros(SPEC.grid_len)
+        values[-1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            WaveletCoeffs(spec=SPEC, values=values)
 
     def test_fast_path_matches_inner_product_oracle(self):
         spec = WaveletBasisSpec(order=10, coarse_level=2, max_level=7)  # L = 256
@@ -136,10 +150,10 @@ class TestTransform:
         x = rng.standard_normal(spec.grid_len)
         sup, l1, l2, coeffs = oracle_norms(x, spec)
         fast = dwt_forward(x, spec)
-        assert np.abs(fast.flatten() - coeffs).max() < 1e-8
+        assert np.abs(fast.values - coeffs).max() < 1e-8
         assert abs(besov_sup_norm(fast) - sup) < 1e-8
         assert abs(besov_l1_norm(fast) - l1) < 1e-8
-        flat = fast.flatten()
+        flat = fast.values
         assert abs(math.sqrt(flat @ flat) - l2) < 1e-8
 
     def test_coefficient_matrix_rows_are_single_transforms(self):
@@ -147,7 +161,7 @@ class TestTransform:
         w = coefficient_matrix(rows, SPEC)
         assert w.shape == (3, SPEC.grid_len)
         for row, coeffs in zip(rows, w):
-            assert np.array_equal(coeffs, dwt_forward(row, SPEC).flatten())
+            assert np.array_equal(coeffs, dwt_forward(row, SPEC).values)
 
     def test_periodic_index_is_cached_and_read_only(self):
         idx = _periodic_index(16, 6)
@@ -158,17 +172,15 @@ class TestTransform:
 
 class TestNorms:
     def test_zero_norms(self):
-        coeffs = WaveletCoeffs(
-            spec=SPEC, alpha=np.zeros(4), beta=[np.zeros(2**j) for j in SPEC.levels]
-        )
+        coeffs = WaveletCoeffs(spec=SPEC, values=np.zeros(SPEC.grid_len))
         assert besov_sup_norm(coeffs) == 0.0
         assert besov_l1_norm(coeffs) == 0.0
 
     def test_definition_on_sparse_coeffs(self):
-        alpha = np.array([0.5, 0.0, 0.0, 0.0])
-        beta = [np.zeros(2**j) for j in SPEC.levels]
-        beta[0][1] = 0.9
-        coeffs = WaveletCoeffs(spec=SPEC, alpha=alpha, beta=beta)
+        values = np.zeros(SPEC.grid_len)
+        values[0] = 0.5
+        values[2**SPEC.coarse_level + 1] = 0.9
+        coeffs = WaveletCoeffs(spec=SPEC, values=values)
         assert besov_sup_norm(coeffs) == 0.9
         assert besov_l1_norm(coeffs) == pytest.approx(1.4, abs=1e-15)
 
@@ -176,7 +188,7 @@ class TestNorms:
         rng = np.random.default_rng(4)
         for _ in range(25):
             coeffs = random_coeffs(SPEC, rng)
-            flat = coeffs.flatten()
+            flat = coeffs.values
             assert besov_sup_norm(coeffs) == np.abs(flat).max()
             assert besov_l1_norm(coeffs) == pytest.approx(np.abs(flat).sum(), rel=1e-14)
 
@@ -184,12 +196,12 @@ class TestNorms:
 class TestGelfandWeights:
     def test_scaling_block_is_uniform(self):
         w = make_gelfand_weights(SPEC, 0.6, renormalize=False)
-        assert np.allclose(w.t_alpha, 0.25, atol=0)
+        assert np.allclose(w.t[: 2**SPEC.coarse_level], 0.25, atol=0)
 
     def test_detail_weight_formula_at_coarse_level(self):
         w = make_gelfand_weights(SPEC, 0.6, renormalize=False)
         expected = (2**1.2 - 1) * 2.0 ** (-1.2 * (1 - 2)) * 2.0 ** (-2.4)
-        assert np.allclose(w.t_beta[0], expected, rtol=1e-14)
+        assert np.allclose(w.t[2**SPEC.coarse_level : 2 ** (SPEC.coarse_level + 1)], expected, rtol=1e-14)
 
     def test_total_mass_matches_geometric_series_oracle(self):
         # level j contributes 2^j equal weights, so the total over levels is
@@ -211,7 +223,7 @@ class TestGelfandWeights:
 
     def test_renormalized_weights_sum_to_one(self):
         w = make_gelfand_weights(SPEC, 0.6)
-        assert abs(w.flatten().sum() - 1.0) < 1e-12
+        assert abs(w.t.sum() - 1.0) < 1e-12
         assert w.renormalized
         assert w.total_mass > 1.0
 
@@ -221,25 +233,39 @@ class TestGelfandWeights:
 
     def test_nonpositive_weights_rejected(self):
         w = make_gelfand_weights(SPEC, 0.6)
-        bad = w.t_alpha.copy()
+        bad = w.t.copy()
         bad[0] = 0.0
         with pytest.raises(ValueError, match="positive"):
-            GelfandWeights(
-                spec=SPEC,
-                beta_exponent=0.6,
-                t_alpha=bad,
-                t_beta=w.t_beta,
-                renormalized=False,
-                total_mass=w.total_mass,
-            )
+            GelfandWeights(spec=SPEC, beta_exponent=0.6, t=bad, renormalized=False, total_mass=w.total_mass)
+
+    def test_malformed_weights_rejected(self):
+        w = make_gelfand_weights(SPEC, 0.6)
+        with pytest.raises(ValueError, match="weights"):
+            GelfandWeights(spec=SPEC, beta_exponent=0.6, t=w.t[:-1], renormalized=False, total_mass=w.total_mass)
+        with_nan = w.t.copy()
+        with_nan[-1] = np.nan
+        with pytest.raises(ValueError, match="positive"):
+            GelfandWeights(spec=SPEC, beta_exponent=0.6, t=with_nan, renormalized=False, total_mass=w.total_mass)
+        for mass in (0.0, math.nan):
+            with pytest.raises(ValueError, match="total_mass"):
+                GelfandWeights(spec=SPEC, beta_exponent=0.6, t=w.t, renormalized=True, total_mass=mass)
+        with pytest.raises(ValueError, match="sum to 1"):
+            GelfandWeights(spec=SPEC, beta_exponent=0.6, t=2 * w.t, renormalized=True, total_mass=w.total_mass)
+
+    def test_weights_line_up_with_coefficient_matrix_columns(self):
+        # sum_c t_c W_rc^2 is the squared direct norm of row r: the columns
+        # of W and the positions of t are the same dyadic layout
+        rows = np.random.default_rng(12).standard_normal((6, SPEC.grid_len))
+        w = make_gelfand_weights(SPEC, 0.6)
+        W = coefficient_matrix(rows, SPEC)
+        expected = [weighted_norm(dwt_forward(row, SPEC), w, "direct") ** 2 for row in rows]
+        np.testing.assert_allclose((W * W) @ w.t, expected, rtol=1e-13, atol=0)
 
 
 class TestWeightedNorm:
     def test_zero_input(self):
         w = make_gelfand_weights(SPEC, 0.6)
-        coeffs = WaveletCoeffs(
-            spec=SPEC, alpha=np.zeros(4), beta=[np.zeros(2**j) for j in SPEC.levels]
-        )
+        coeffs = WaveletCoeffs(spec=SPEC, values=np.zeros(SPEC.grid_len))
         for mode in ("direct", "dual", "flat"):
             assert weighted_norm(coeffs, w, mode) == 0.0
 
@@ -247,14 +273,9 @@ class TestWeightedNorm:
         spec = WaveletBasisSpec(order=2, coarse_level=2, max_level=3)
         rng = np.random.default_rng(11)
         coeffs = random_coeffs(spec, rng)
-        total = coeffs.flatten().size
+        total = spec.grid_len
         uniform = GelfandWeights(
-            spec=spec,
-            beta_exponent=0.6,
-            t_alpha=np.full(4, 1.0 / total),
-            t_beta=[np.full(2**j, 1.0 / total) for j in spec.levels],
-            renormalized=True,
-            total_mass=1.0,
+            spec=spec, beta_exponent=0.6, t=np.full(total, 1.0 / total), renormalized=True, total_mass=1.0
         )
         flat = weighted_norm(coeffs, uniform, "flat")
         direct = weighted_norm(coeffs, uniform, "direct")
