@@ -107,11 +107,11 @@ class EstimatorState:
         for name in ("eigenvalues", "eigenvectors", "d_matrix", "rho_hat"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
-        if not 1 <= self.k_n <= self.n:
-            raise ValueError("need 1 <= k_n <= n")
+        p = self.eigenvalues.shape[-1]
+        if not 1 <= self.k_n <= min(self.n, p):
+            raise ValueError(f"need 1 <= k_n <= n and k_n <= {p}, the number of eigenpairs")
         if np.any(np.diff(self.eigenvalues, axis=-1) > 1e-12) or np.any(self.eigenvalues[..., -1] < -1e-12):
             raise ValueError("eigenvalues must be sorted non-increasing and non-negative")
-        p = self.eigenvalues.shape[-1]
         gram = np.swapaxes(self.eigenvectors, -1, -2) @ self.eigenvectors
         if np.abs(gram - np.eye(p)).max() > 1e-10:
             raise ValueError("eigenvector columns must be orthonormal within 1e-10")
@@ -251,6 +251,12 @@ def fit_moments(moments: TransitionMoments, rule: TruncationRule) -> EstimatorSt
         d_matrix=d,
         rho_hat=rho_hat,
     )
+
+
+# p x p arrays per path that fit_moments keeps alive at its peak: the two
+# moment sums, the scaled Gram matrix (then its eigenvectors), D_n, rho_hat
+# and the three of EstimatorState's orthonormality check
+FIT_PEAK_ARRAYS = 8
 
 
 def transition_moments(states: np.ndarray) -> TransitionMoments:

@@ -15,14 +15,12 @@ gemm or gemv, so a replication's error does not depend on its chunk.  A
 chunk streams its stack through model.stream_paths, adding each piece's
 transitions to the moments of the fit as the piece is made, then fits,
 predicts and scores; no whole trajectory is kept.  A chunk holds as many
-replications as fit into CHUNK_BUDGET doubles, counting for each its piece
-and its fit's p x p arrays (replication_doubles), and once the one-path
-scratch through which its paths are drawn and stepped in turn
-(chunk_doubles).  A sweep maps the chunks, in layout order, over one more
-thread than it has workers, or over one thread on one usable CPU; numpy's
-generator fill, BLAS and LAPACK release the interpreter lock, so while
-one thread draws another can compute.  Each thread runs one chunk at a
-time, so a serial sweep keeps at most two chunks alive.
+replications as fit into CHUNK_BUDGET doubles, counting what its stream and
+its fit keep alive (chunk_doubles).  A sweep maps the chunks, in layout
+order, over one more thread than it has workers, or over one thread on one
+usable CPU; numpy's generator fill, BLAS and LAPACK release the interpreter
+lock, so while one thread draws another can compute.  Each thread runs one
+chunk at a time, so a serial sweep keeps at most two chunks alive.
 
 The experiment fits on the first n states and predicts from state n+1, so
 the estimator's sample and the prediction input are disjoint.
@@ -36,7 +34,6 @@ import io
 import logging
 import math
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -70,6 +67,12 @@ MAX_SWEEP_STEPS = 10**9
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A sweep of a checked model and wavelet basis.
+
+    ModelParams and WaveletBasisSpec check their own fields when they are
+    built; this checks the sweep around them, and that their grids agree.
+    """
+
     model: ModelParams
     wavelet: WaveletBasisSpec
     sample_sizes: tuple[int, ...]
@@ -89,9 +92,6 @@ class ExperimentConfig:
             raise ConfigError(f"sample_sizes must be strictly ascending, got {list(self.sample_sizes)}")
         if min(self.sample_sizes) < 2:
             raise ConfigError("sample sizes must be >= 2")
-        # the exceedance bound and the truncation-rate ratio divide n in doubles
-        if self.sample_sizes[-1] > sys.float_info.max:
-            raise ConfigError(f"sample sizes must be at most {sys.float_info.max:.6g}, the largest double")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if self.burn_in < 0:
@@ -108,29 +108,9 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.master_seed}")
         if not self.output_dir:
             raise ConfigError("output_dir must be non-empty")
-        for name, value in (
-            ("gamma", self.model.gamma),
-            ("width", self.model.width),
-            ("coarse_step", self.coarse_step),
-        ):
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
         # the kernel surface has round(1 / coarse_step) + 1 points a side: at most 1,025
         if not 1 / 1024 <= self.coarse_step < 0.5:
             raise ConfigError(f"coarse_step must lie in [1/1024, 0.5), got {self.coarse_step}")
-        # the innovation covariance divides |j - h|^2, at most (modes - 1)^2, by width**2
-        try:
-            quotient = (self.model.modes - 1) ** 2 / self.model.width**2
-        except (OverflowError, ZeroDivisionError):
-            quotient = math.inf
-        if not quotient < math.inf:
-            raise ConfigError(f"width**2 must be positive and (modes - 1)**2 / width**2 finite, got {self.model.width}")
-        c = model.covariance_eigenvalues(self.model.gamma, self.model.modes + 1)
-        if not (c[-1] > 0 and (np.diff(c) < 0).all()):
-            raise ConfigError(
-                f"gamma = {self.model.gamma} is too large: the covariance eigenvalues "
-                f"(1 + pi^2 j^2)^(-gamma), j <= modes + 1, must be positive and strictly decreasing"
-            )
         if self.wavelet.grid_len != self.model.grid_len:
             raise ConfigError(
                 f"wavelet grid ({self.wavelet.grid_len}) and model grid "
@@ -317,9 +297,8 @@ def replication_rng(master_seed: int, n: int, replication: int) -> np.random.Gen
     return np.random.default_rng([master_seed, n, replication])
 
 
-# Doubles that one chunk may keep alive (1.6 MiB): its replications'
-# replication_doubles and the one-path scratch they share (chunk_doubles).
-# A serial sweep holds two chunks at once: on 2 cores, 2**17 (one desk
+# Doubles that one chunk may keep alive (1.6 MiB, chunk_doubles).  A
+# serial sweep holds two chunks at once: on 2 cores, 2**17 (one desk
 # replication per chunk at n = 500 and 2000) made the desk sweep about 18%
 # slower, and 2**18 raised its peak RSS by 1.5 to 2.3 MB.  25 * 2**13 is
 # the smallest multiple of 2**13 that holds 8, 7 and 6 replications of
@@ -332,41 +311,19 @@ def replication_rng(master_seed: int, n: int, replication: int) -> np.random.Gen
 CHUNK_BUDGET = 25 * 2**13
 
 
-def replication_doubles(config: ExperimentConfig, n: int) -> int:
-    """Doubles one replication of size n keeps alive in a chunk, besides the chunk's one-path scratch.
+def chunk_doubles(config: ExperimentConfig, n: int, size: int) -> int:
+    """Doubles a chunk of `size` replications of size n keeps alive: its stream's and its fit's.
 
-    Its row of the piece buffer: the longest piece of its path plus the
-    carried state, or that piece's block columns in rho's eigenbasis, which
-    the same row holds while the piece is stepped (model.block_columns);
-    its block anchors, at most PIECE_ROWS / BLOCK = 16 rows of p, and its
-    carried start; and the 8 p x p arrays of its fit
-    at their peak: the two moment sums, fit_moments' scaled Gram matrix
-    (then its eigenvectors), D_n, rho_hat and the three of EstimatorState's
-    orthonormality check.  The piece buffer is freed before the fit, so
-    the sum is an upper bound.
+    The stream's buffers are freed before the fit, so the sum is an upper bound.
     """
     p = config.model.modes
-    rows = model.longest_piece(n, config.burn_in)
-    columns = model.block_columns(rows)
-    return p * max(rows + 1, columns) + p * (columns // model.BLOCK + 1) + 8 * p * p
-
-
-def chunk_doubles(config: ExperimentConfig, n: int, size: int) -> int:
-    """Doubles a chunk of `size` replications of size n keeps alive: theirs and the one-path scratch they share.
-
-    The scratch holds the block columns of the longest piece of one path:
-    model.draw_paths draws the paths in turn through it, and
-    model.step_paths fills their blocks in turn in it.  A chunk of no
-    replications counts it alone.
-    """
-    scratch = model.block_columns(model.longest_piece(n, config.burn_in)) * config.model.modes
-    return size * replication_doubles(config, n) + scratch
+    return model.stream_doubles(n, config.burn_in, p, size) + size * estimation.FIT_PEAK_ARRAYS * p * p
 
 
 def chunk_size(config: ExperimentConfig, n: int) -> int:
     """Replications of size n in a full chunk: as many as fit into CHUNK_BUDGET, at least one."""
-    room = CHUNK_BUDGET - chunk_doubles(config, n, 0)
-    return min(config.replications, max(1, room // replication_doubles(config, n)))
+    scratch = chunk_doubles(config, n, 0)
+    return min(config.replications, max(1, (CHUNK_BUDGET - scratch) // (chunk_doubles(config, n, 1) - scratch)))
 
 
 def chunk_layout(config: ExperimentConfig) -> list[tuple[int, int, int]]:
@@ -654,7 +611,7 @@ def read_estimator_csv(path) -> EstimatorState:
     lines: dict[tuple[str, int, int], str] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["record", "i", "j", "value"]:
             raise ValueError(f"unexpected estimator bundle header: {header}")
         for row in reader:

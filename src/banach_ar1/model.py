@@ -24,6 +24,7 @@ reproduce trajectories bit for bit.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, pairwise
@@ -32,6 +33,10 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 logger = logging.getLogger(__name__)
+
+# Most doubles (1 GiB) of a modes x grid_len table: the eigenfunctions on the
+# grid, or the scoring matrix W.  The default model's hold 102,400.
+MAX_TABLE_DOUBLES = 2**27
 
 
 class NoiseCovarianceError(RuntimeError):
@@ -42,8 +47,10 @@ class NoiseCovarianceError(RuntimeError):
 class ModelParams:
     """Parameters of the concrete autoregressive model.
 
-    gamma must exceed 2 * beta_exponent > 1 so that the covariance decay is
-    fast enough for the weighted-norm embeddings used downstream.
+    Every check on these fields is made here, before any array of the model
+    exists; ExperimentConfig checks only the sweep around them.  gamma must
+    exceed 2 * beta_exponent > 1 so that the covariance decay is fast enough
+    for the weighted-norm embeddings used downstream.
     """
 
     gamma: float
@@ -53,19 +60,32 @@ class ModelParams:
     grid_len: int = 2048
 
     def __post_init__(self):
-        if not self.gamma > 2 * self.beta_exponent > 1:
+        if self.modes * self.grid_len > MAX_TABLE_DOUBLES:  # on ints: no table is built yet
+            raise ValueError(f"modes x grid_len = {self.modes * self.grid_len:,} doubles, above {MAX_TABLE_DOUBLES:,}")
+        if not math.inf > self.gamma > 2 * self.beta_exponent > 1:
             raise ValueError(
-                f"need gamma > 2*beta_exponent > 1 (so beta_exponent > 1/2), got gamma={self.gamma}, "
-                f"beta_exponent={self.beta_exponent}"
+                f"need gamma > 2*beta_exponent > 1 (so beta_exponent > 1/2) and gamma finite, "
+                f"got gamma={self.gamma}, beta_exponent={self.beta_exponent}"
             )
-        if self.width <= 0:
-            raise ValueError("width must be positive")
         if self.grid_len < 2 or self.grid_len & (self.grid_len - 1):
             raise ValueError(f"grid_len must be a power of two, got {self.grid_len}")
         # the sine modes at the grid_len midpoints are the DST-II basis: mode
         # 2 grid_len - j equals mode j there, so higher modes alias
         if not 2 <= self.modes <= self.grid_len:
             raise ValueError(f"modes must lie in [2, grid_len = {self.grid_len}], got {self.modes}")
+        # the innovation covariance divides |j - h|^2, at most (modes - 1)^2, by width**2
+        try:
+            quotient = (self.modes - 1) ** 2 / self.width**2
+        except (OverflowError, ZeroDivisionError):
+            quotient = math.inf
+        if not (0 < self.width < math.inf and quotient < math.inf):
+            raise ValueError(f"width must be finite and positive with (modes-1)**2 / width**2 finite, got {self.width}")
+        c = covariance_eigenvalues(self.gamma, self.modes + 1)
+        if not (c[-1] > 0 and (np.diff(c) < 0).all()):
+            raise ValueError(
+                f"gamma = {self.gamma} is too large: the covariance eigenvalues "
+                f"(1 + pi^2 j^2)^(-gamma), j <= modes + 1, must be positive and strictly decreasing"
+            )
 
 
 class Eigen(NamedTuple):
@@ -309,6 +329,24 @@ def longest_piece(n: int, burn_in: int = 0) -> int:
     return min(PIECE_ROWS, max(burn_in, n))
 
 
+def _piece_buffers(n: int, burn_in: int, p: int) -> tuple[int, int]:
+    """Doubles of one path's row of _pieces' piece buffer, and of the one-path scratch."""
+    rows = longest_piece(n, burn_in)
+    return p * max(rows + 1, block_columns(rows)), p * block_columns(rows)
+
+
+def stream_doubles(n: int, burn_in: int, p: int, paths: int) -> int:
+    """Doubles a stream_paths call on `paths` paths of p modes keeps alive, besides its p x p root.
+
+    Each path's row of the piece buffer (its longest piece and the carried
+    state, or that piece's block columns while it is stepped), its block
+    anchors (a p-row per block, at most 16) and its carried start, and once
+    the one-path scratch that the paths are drawn and stepped through.
+    """
+    row, scratch = _piece_buffers(n, burn_in, p)
+    return paths * (row + scratch // BLOCK + p) + scratch
+
+
 def draw_paths(root: np.ndarray, y: np.ndarray, rngs: list[np.random.Generator], normals: np.ndarray) -> np.ndarray:
     """The draw stage of a piece: the next innovations of each path in rho's eigenbasis, in place.
 
@@ -405,11 +443,9 @@ def stream_paths(
     Returns an iterator of (states, first) pairs, one for each piece that
     reaches past X_0: states[:, i] holds X_(first + i) of every path, and
     each piece starts with the last state of the one before, so the last
-    piece ends at X_n.  The pieces are views of one buffer, the longest
-    piece's rows of every path, that the next piece overwrites; each
-    path's rows hold its eigenbasis stack while the piece is stepped.  One
-    scratch, the longest piece's block columns of one path, serves every
-    draw as its normals and every step as its blocks.  The path is cut at
+    piece ends at X_n.  The pieces are views of one buffer that the next
+    piece overwrites, and one one-path scratch serves every draw and step;
+    stream_doubles counts what the call keeps alive.  The path is cut at
     piece_edges(n, burn_in): every PIECE_ROWS steps from its start until
     the burn-in ends, and every PIECE_ROWS steps from there, so its recorded
     pieces start at X_0, X_PIECE_ROWS, X_2 PIECE_ROWS, ... and none has
@@ -437,10 +473,10 @@ def _pieces(
     burn_in: int,
 ) -> Iterator[tuple[np.ndarray, int]]:
     """stream_paths' pieces, drawn and stepped as they are asked for."""
-    rows, p = longest_piece(n, burn_in), rho.dim
-    count = len(rngs)
-    paths = np.empty((count, p * max(rows + 1, block_columns(rows))))
-    scratch = np.empty(p * block_columns(rows))
+    p, count = rho.dim, len(rngs)
+    row, scratch_doubles = _piece_buffers(n, burn_in, p)
+    paths = np.empty((count, row))
+    scratch = np.empty(scratch_doubles)
     root = _flush_subnormals(noise_cov.sqrt @ rho.step_table.basis).T
     start = x0.copy()
     for first, stop in pairwise(piece_edges(n, burn_in)):

@@ -1,12 +1,14 @@
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +332,25 @@ class TestChunks:
         for n, r0, r1 in layout:
             assert r1 - r0 == 1 or harness.chunk_doubles(config, n, r1 - r0) <= harness.CHUNK_BUDGET
 
+    @pytest.mark.parametrize(
+        "text, widths",
+        [
+            ("", {n: (5, 181_300) for n in (500, 2000, 8000)}),
+            ("truncated_init = false\n", {n: (5, 181_300) for n in (500, 2000, 8000)}),
+            ("spline_mode = true\n", {n: (5, 181_300) for n in (500, 2000, 8000)}),
+            ("sample_sizes = 2048,8192,32768,131072\n", {n: (5, 181_300) for n in (2048, 8192, 32768, 131072)}),
+            ("sample_sizes = 50,100,200\nreplications = 400\n",
+             {50: (8, 190_800), 100: (7, 187_600), 200: (6, 197_000)}),
+            ("modes = 200\nsample_sizes = 50, 600\n", {50: (1, 346_600), 600: (1, 426_000)}),
+        ],
+        ids=["desk", "desk-zero-start", "desk-spline", "desk-long", "short-many", "modes-200"],
+    )
+    def test_chunk_widths_stated_in_readme(self, tmp_path, text, widths):
+        # (replications per chunk, the doubles that chunk keeps alive) for each n
+        config = parse_config(write_config(tmp_path, text))
+        sizes = {n: harness.chunk_size(config, n) for n in config.sample_sizes}
+        assert {n: (size, harness.chunk_doubles(config, n, size)) for n, size in sizes.items()} == widths
+
     def test_pool_maps_the_same_chunks_for_every_thread_count(self, tmp_path, monkeypatch):
         monkeypatch.setattr(InlinePool, "requested", [])
         monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
@@ -499,6 +520,16 @@ class TestChunkMemory:
         # one piece buffer and one one-path scratch per piece of the path
         assert len(buffers) == 2 * (len(list(harness.model.piece_edges(n, config.burn_in))) - 1)
         assert alive_at_fit == [0]
+
+
+class TestReadme:
+    def test_cited_module_names_resolve(self):
+        # README cites names as `module.name`; a deleted or renamed name would leave it pointing nowhere
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        modules = sorted(path.stem for path in Path(banach_ar1.__file__).parent.glob("[a-z]*.py"))
+        cited = set(re.findall(rf"`({'|'.join(modules)})\.([A-Za-z_]\w*)", readme))
+        assert len(cited) > 10, cited
+        assert [f"{m}.{name}" for m, name in sorted(cited) if not hasattr(import_module(f"banach_ar1.{m}"), name)] == []
 
 
 def usable_cpus(monkeypatch, cpus):
@@ -729,6 +760,21 @@ class TestEstimatorBundle:
         with pytest.raises(ValueError, match=message):
             read_estimator_csv(path)
 
+    def test_empty_file_is_refused(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="^unexpected estimator bundle header: None$"):
+            read_estimator_csv(path)
+
+    def test_truncation_order_beyond_the_eigenpairs_is_refused(self, tmp_path):
+        # loaded, k_n = 9 of one eigenpair would send eigen_decay_report past the eigenvalues
+        path = tmp_path / "estimator.csv"
+        rows = ["record,i,j,value", "n,0,0,50", "k_n,0,0,9", "eigenvalue,0,0,1.0"]
+        rows += [f"{name},0,0,1.0" for name in ("eigenvector", "d_matrix", "rho_hat")]
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=r"^need 1 <= k_n <= n and k_n <= 1, the number of eigenpairs$"):
+            read_estimator_csv(path)
+
     def test_a_stack_of_fits_is_refused_before_writing(self, tmp_path):
         x = np.random.default_rng(11).standard_normal((3, 30, 6))
         stack = fit_moments(transition_moments(x), TruncationRule.fixed(3))
@@ -784,6 +830,7 @@ INVALID_INPUTS = [
     pytest.param("grid_len = 3\n", [], id="grid-len-three"),
     pytest.param("grid_len = 0\n", [], id="grid-len-zero"),
     pytest.param("grid_len = -4\n", [], id="grid-len-negative"),
+    pytest.param(f"grid_len = {2**40}\n", [], id="grid-len-tables-above-ceiling"),
     pytest.param("modes = 10000000000000000000000\n", [], id="modes-huge"),
     pytest.param("modes = 257\ngrid_len = 256\n", [], id="modes-above-grid-len"),
     pytest.param("", ["--out", ""], id="flag-out-empty"),
@@ -896,6 +943,16 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run", "kernel"])
+    @pytest.mark.parametrize(
+        "key, value", [("gamma", "inf"), ("width", "nan"), ("width", "1e-200"), ("gamma", "400"), ("grid_len", 2**40)]
+    )
+    def test_model_errors_name_the_line_of_their_key(self, tmp_path, capsys, command, key, value):
+        cfg_path = write_config(tmp_path, f"replications = 2\n{key} = {value}\noutput_dir = {tmp_path / 'out'}\n")
+        assert cli.main([command, "--config", str(cfg_path)]) == cli.EXIT_CONFIG
+        assert f"configuration error: line 2 ({key}): " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run", "kernel"])
     def test_empty_output_dir_is_a_config_error(self, tmp_path, capsys, monkeypatch, command):
         # accepted, it would send every artifact into the working directory
         monkeypatch.chdir(tmp_path)
@@ -949,6 +1006,9 @@ class TestCli:
         over = at_limit.replace("burn_in = 10", "burn_in = 11")
         with pytest.raises(ConfigError, match="asks for 1,000,000,004 steps"):
             parse_config(write_config(tmp_path, over))
+        # a size past the largest double meets the same limit
+        with pytest.raises(ConfigError, match=r"asks for 5\.00e\+310 steps"):
+            parse_config(write_config(tmp_path, f"sample_sizes = 20, {10**309}\n"))
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_is_config_error(self, tmp_path, capsys, threads):

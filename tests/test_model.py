@@ -133,6 +133,33 @@ class TestModelParams:
         with pytest.raises(ValueError, match="got 1"):
             ModelParams(gamma=1.21, beta_exponent=0.6, modes=1)
 
+    def test_tables_of_modes_by_grid_len_are_capped(self):
+        # 64 x 2^21 is the largest table allowed, 1 GiB; 2^40 points would need 8.8 TB per table
+        assert model.MAX_TABLE_DOUBLES == 2**27
+        assert ModelParams(gamma=1.21, beta_exponent=0.6, modes=64, grid_len=2**21).grid_len == 2**21
+        with pytest.raises(ValueError, match="^modes x grid_len = 136,314,880 doubles, above 134,217,728$"):
+            ModelParams(gamma=1.21, beta_exponent=0.6, modes=65, grid_len=2**21)
+        with pytest.raises(ValueError, match="^modes x grid_len = 54,975,581,388,800 doubles"):
+            ModelParams(gamma=1.21, beta_exponent=0.6, grid_len=2**40)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(gamma=math.inf), r"and gamma finite, got gamma=inf"),
+            (dict(width=math.nan), r"^width must be finite and positive with .* got nan$"),
+            (dict(width=math.inf), r"^width must be finite and positive with .* got inf$"),
+            (dict(width=-0.4), r"^width must be finite and positive with .* got -0.4$"),
+            (dict(width=1e-200), r"^width must be finite .* \(modes-1\)\*\*2 / width\*\*2 finite, got 1e-200$"),
+            (dict(width=1e300), r"^width must be finite .* got 1e\+300$"),
+            (dict(gamma=400.0), r"^gamma = 400.0 is too large: the covariance eigenvalues"),
+        ],
+        ids=["gamma-inf", "width-nan", "width-inf", "width-negative", "width-squared-underflows",
+             "width-squared-overflows", "spectrum-underflows"],
+    )
+    def test_rejects_values_that_no_model_can_be_built_from(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ModelParams(**{**PAPER, **fields})
+
 
 class TestCovariance:
     def test_first_eigenvalue_matches_scalar_evaluation(self):
@@ -487,6 +514,29 @@ class TestSimulation:
             edges = list(piece_edges(n, burn_in))
             assert burn_in in edges, n
             assert max(np.diff(edges)) <= PIECE_ROWS, n
+
+    @pytest.mark.parametrize("burn_in", [0, PIECE_ROWS + 7])
+    @pytest.mark.parametrize("n", [2, 15, 16, 17, PIECE_ROWS - 1, PIECE_ROWS, PIECE_ROWS + 1, 2 * PIECE_ROWS + 37])
+    def test_stream_doubles_counts_what_stream_paths_allocates(self, monkeypatch, n, burn_in):
+        # the piece buffer and the scratch, reached through the views that step_paths is
+        # given, and the step's block anchors (one p-row per block and path) and carried start
+        kept_alive = []
+        step = model.step_paths
+
+        def watched(y, start, rho, x, scratch):
+            count, p, columns = y.shape
+            kept_alive.append(y.base.size + scratch.base.size + columns // BLOCK * count * p + start.size)
+            return step(y, start, rho, x, scratch)
+
+        monkeypatch.setattr(model, "step_paths", watched)
+        for kind in ("reference_8", "reference"):
+            rho, noise = recursion_operators(kind)
+            for paths in range(1, 6):
+                kept_alive.clear()
+                rngs = [np.random.default_rng([2, r]) for r in range(paths)]
+                for _ in stream_paths(n, rho, noise, np.zeros((paths, rho.dim)), rngs, burn_in):
+                    pass
+                assert model.stream_doubles(n, burn_in, rho.dim, paths) == max(kept_alive), (kind, paths)
 
     @pytest.mark.parametrize("steps", [1, 50, PIECE_ROWS, 2 * PIECE_ROWS - 1])
     @pytest.mark.parametrize("operator", ["reference", MIXED_SIGN])
