@@ -2,8 +2,8 @@
 
 Subcommands:
   run       execute the configured experiment sweep and write all artifacts
-  validate  parse a configuration and build the checked run context that run
-            builds, failing with run's message and exit code
+  validate  parse a configuration and make run's checks (the run context, the
+            output directory), failing with run's message and exit code
   kernel    emit only the covariance-kernel surface CSV
 
 Exit codes: 0 success, 2 configuration error, 3 stationarity-gate failure,
@@ -75,6 +75,7 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     config = _load_config(args)
     gate = harness._context(config).gate
+    harness.check_output_dir(config.output_dir)
     print(
         f"config ok: modes={config.model.modes}, grid={config.model.grid_len}, "
         f"sizes={list(config.sample_sizes)}, replications={config.replications}; "

@@ -68,11 +68,11 @@ class TruncationRule:
 
 
 def truncation_order(n: int, rule: TruncationRule, p_max: int | None = None) -> int:
-    """Truncation order for sample size n, clamped to [1, p_max]."""
+    """Truncation order for sample size n, clamped to [1, min(n - 1, p_max)]: n states give n - 1 transitions."""
     if n < 2:
         raise ValueError("need n >= 2")
     k = math.ceil(math.log(n)) if rule.kind == "log_ceil" else int(rule.k)
-    k = max(k, 1)
+    k = max(min(k, n - 1), 1)
     if p_max is not None:
         k = min(k, p_max)
     return k
@@ -223,7 +223,7 @@ def fit_moments(moments: TransitionMoments, rule: TruncationRule) -> EstimatorSt
     """
     n = moments.transitions + 1
     p = moments.gram.shape[-1]
-    k_n = truncation_order(n, rule, p_max=min(n - 1, p))
+    k_n = truncation_order(n, rule, p_max=p)
     # one symmetric eigensolve of each Gram matrix, reversed to descending;
     # rounding negatives become 0, and the rank is at most n - 1, so the
     # eigenvalues beyond it are exactly 0

@@ -179,7 +179,7 @@ _KEYS = {
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
-    """Parse a line-oriented UTF-8 `key = value` file into an ExperimentConfig.
+    """Parse a line-oriented UTF-8 `key = value` file, with or without a byte-order mark, into an ExperimentConfig.
 
     Blank lines and `#` comments are ignored; unknown keys, duplicates,
     malformed lines and values that do not parse are reported with their
@@ -190,7 +190,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     """
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")  # a leading byte-order mark, as editors may save one
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}") from None
     values = {key: default for key, (_, default) in _KEYS.items()}
@@ -280,8 +280,7 @@ class _RunContext:
         # n -> (k_n, its gap coefficients, the exceedance bound xi)
         self.bounds: dict[int, tuple[int, np.ndarray, float]] = {}
         for n in config.sample_sizes:
-            # mirrors fit_estimator's clamp: n states give n - 1 transitions
-            k = estimation.truncation_order(n, config.truncation, p_max=min(n - 1, config.model.modes))
+            k = estimation.truncation_order(n, config.truncation, p_max=config.model.modes)
             a_vals = estimation.gap_coefficients(self.c_extended, k)
             a_vals.setflags(write=False)
             self.bounds[n] = k, a_vals, diagnostics.exceedance_bound(n, k, self.c_extended, a_vals)
@@ -305,9 +304,9 @@ def replication_rng(master_seed: int, n: int, replication: int) -> np.random.Gen
 # short-many (n = 50, 100, 200) per chunk, and it holds 5 of every desk
 # size (n = 500, 2000, 8000, whose pieces are all PIECE_ROWS long); at
 # 24 * 2**13, n = 200 drops to 5.  A narrower chunk spends more
-# interpreter time per path on model.step_paths' stacked calls.  Chunk
-# sizes follow from the configuration alone, never from the worker count,
-# so every --threads value writes the same bytes.
+# interpreter time per path on the stacked products of model.stream_paths'
+# piece loop.  Chunk sizes follow from the configuration alone, never from
+# the worker count, so every --threads value writes the same bytes.
 CHUNK_BUDGET = 25 * 2**13
 
 
@@ -413,13 +412,23 @@ def pool_threads(threads: int, tasks: int) -> int:
     return min(threads, tasks, cpus) + (cpus > 1)
 
 
+def check_output_dir(path: str | Path) -> None:
+    """Raise NotADirectoryError unless the nearest existing ancestor of `path`, or `path` itself, is a directory."""
+    for ancestor in (Path(path), *Path(path).parents):
+        if os.path.lexists(ancestor):
+            if not ancestor.is_dir():
+                raise NotADirectoryError(f"output directory {path}: {ancestor} is not a directory")
+            return
+
+
 def run_experiment(
     config: ExperimentConfig, threads: int = 1
 ) -> tuple[list[diagnostics.ExperimentResult], list[diagnostics.ConsistencyReport]]:
     """Run the full sweep and write every CSV/SVG artifact.
 
-    The thread count is checked and the run context built first, so their
-    errors (ConfigError and StationarityError among them) come before any
+    The thread count, the run context and the output directory
+    (check_output_dir) are checked first, so their errors (ConfigError,
+    StationarityError and NotADirectoryError among them) come before any
     chunk runs.  The chunks of `chunk_layout` are
     mapped over `pool_threads(threads, ...)` threads of this process, which
     one INFO line reports with the piece, the block and the chunk sizes.
@@ -431,6 +440,7 @@ def run_experiment(
     chunks = chunk_layout(config)
     pool = pool_threads(threads, len(chunks))
     ctx = _context(config)
+    check_output_dir(config.output_dir)
     logger.info("stationarity gate passed: j0=%d, norm=%.6f", ctx.gate.j0, ctx.gate.norm)
 
     # filled here rather than in the run context, which validate builds too,
@@ -569,14 +579,13 @@ def write_kernel_surface(path, config: ExperimentConfig) -> None:
     """Covariance kernel sampled on a coarse uniform grid, in long CSV form.
 
     Needs only the covariance, so it is written for models that fail the
-    stationarity gate or whose eigenvalue gaps vanish.
+    stationarity gate or whose eigenvalue gaps vanish.  The rows are made as
+    the writer takes them, so only the surface itself is held.
     """
     points = np.linspace(0.0, 1.0, round(1.0 / config.coarse_step) + 1)
     surface = model.covariance_kernel_surface(model.build_covariance(config.model), points)
-    rows = []
-    for a, s in enumerate(points):
-        for b, t in enumerate(points):
-            rows.append((float(s), float(t), float(surface[a, b])))
+    ticks = points.tolist()  # Python floats, as the CSV writes them
+    rows = ((s, t, value) for s, row in zip(ticks, surface) for t, value in zip(ticks, row.tolist()))
     _write_csv(Path(path), ["s", "t", "value"], rows)
 
 

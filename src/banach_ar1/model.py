@@ -9,16 +9,16 @@ autocorrelation and innovation-covariance matrices follow the banded forms
 States live in the truncated eigenbasis as length-p coefficient vectors;
 trajectories iterate X_n = rho(X_{n-1}) + eps_n with Gaussian innovations
 drawn through the symmetric square root of the innovation covariance.  A
-stack of paths is drawn and stepped in pieces (stream_paths) of at most
-PIECE_ROWS steps, cut at fixed seams, so a path's live memory does not grow
-with its length; simulate_trajectory stitches one path's pieces together.
-rho is symmetric, so in its eigenbasis the recursion is p independent
-scalar AR(1) recursions: a piece is drawn one path at a time straight into
-that basis (draw_paths), stepped there in blocks of BLOCK states whose
-anchors are carried from block to block, and rotated back to the model
-basis one path at a time (step_paths).  All randomness flows through an
-explicit numpy Generator, so identical parameters and generator state
-reproduce trajectories bit for bit.
+stack of paths is simulated in pieces (stream_paths) of at most PIECE_ROWS
+steps, cut at fixed seams, so a path's live memory does not grow with its
+length; simulate_trajectory stitches one path's pieces together.  rho is
+symmetric, so in its eigenbasis the recursion is p independent scalar AR(1)
+recursions.  One loop over the pieces draws each piece one path at a time
+straight into that basis, steps it there in blocks of BLOCK states whose
+anchors are carried from block to block, and rotates it back to the model
+basis one path at a time.  All randomness flows through an explicit numpy
+Generator, so identical parameters and generator state reproduce
+trajectories bit for bit.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ class Eigen(NamedTuple):
 
 
 class StepTable(NamedTuple):
-    """What step_paths needs of rho = Q diag(lam) Q^T: Q and powers of lam, s = BLOCK.
+    """What stream_paths steps a piece with, for rho = Q diag(lam) Q^T: Q and powers of lam, s = BLOCK.
 
     basis is Q; values is lam; toeplitz[j, i, m] is lam_j^(m - i) for
     i <= m < s and 0 above, so a row of s innovations of coordinate j times
@@ -160,7 +160,7 @@ class SpectralOperator:
 
     @cached_property
     def step_table(self) -> StepTable:
-        """The eigenbasis and the powers of the eigenvalues that step_paths steps in.
+        """The eigenbasis and the powers of the eigenvalues that stream_paths steps each piece in.
 
         Computed once from eigen, every table flushed of subnormals and
         read-only: (s^2 + s + 2) p + p^2 doubles, s = BLOCK.
@@ -302,21 +302,16 @@ def sample_initial_condition(covariance: SpectralOperator, rng: np.random.Genera
     return np.sqrt(c_diag) * z
 
 
-# Steps of a path that stream_paths draws and steps at a time.  A path is
-# cut at every k PIECE_ROWS inside its burn-in and at every burn_in + k
-# PIECE_ROWS after it, so no piece has more than PIECE_ROWS steps, the
-# burn-in ends at a seam, and a path's live memory is one piece and one
-# path's scratch whatever its length.
+# Steps of a path that stream_paths simulates at a time.  A path is cut at
+# every k PIECE_ROWS inside its burn-in and at every burn_in + k PIECE_ROWS
+# after it, so no piece has more than PIECE_ROWS steps, the burn-in ends at
+# a seam, and a path's live memory is one piece and one path's scratch
+# whatever its length.
 PIECE_ROWS = 256
-# States per block of step_paths.  Each block is filled by one s x s
+# States per block of a piece's steps.  Each block is filled by one s x s
 # Toeplitz product per coordinate, and a piece has at most PIECE_ROWS /
 # BLOCK = 16 block anchors, carried one after another.
 BLOCK = 16
-
-
-def block_columns(steps: int) -> int:
-    """Columns of a piece of `steps` steps in rho's eigenbasis: steps rounded up to whole blocks."""
-    return -(-steps // BLOCK) * BLOCK
 
 
 def piece_edges(n: int, burn_in: int = 0) -> Iterator[int]:
@@ -332,11 +327,12 @@ def longest_piece(n: int, burn_in: int = 0) -> int:
 def _piece_buffers(n: int, burn_in: int, p: int) -> tuple[int, int]:
     """Doubles of one path's row of _pieces' piece buffer, and of the one-path scratch."""
     rows = longest_piece(n, burn_in)
-    return p * max(rows + 1, block_columns(rows)), p * block_columns(rows)
+    columns = -(-rows // BLOCK) * BLOCK
+    return p * max(rows + 1, columns), p * columns
 
 
 def stream_doubles(n: int, burn_in: int, p: int, paths: int) -> int:
-    """Doubles a stream_paths call on `paths` paths of p modes keeps alive, besides its p x p root.
+    """Doubles a stream_paths call on `paths` paths of p modes keeps alive, besides its p x p draw map.
 
     Each path's row of the piece buffer (its longest piece and the carried
     state, or that piece's block columns while it is stepped), its block
@@ -347,80 +343,12 @@ def stream_doubles(n: int, burn_in: int, p: int, paths: int) -> int:
     return paths * (row + scratch // BLOCK + p) + scratch
 
 
-def draw_paths(root: np.ndarray, y: np.ndarray, rngs: list[np.random.Generator], normals: np.ndarray) -> np.ndarray:
-    """The draw stage of a piece: the next innovations of each path in rho's eigenbasis, in place.
+def _draw_map(rho: SpectralOperator, noise_cov: SpectralOperator) -> np.ndarray:
+    """(sqrt(N) Q)^T, rho = Q diag(lam) Q^T: a step's normals to its innovation in Q's basis, subnormals flushed.
 
-    root is the p x p map (sqrt Q)^T from normals to innovations in rho =
-    Q diag(lam) Q^T's eigenbasis: _pieces passes it as the transpose view
-    of a contiguous sqrt Q, which OpenBLAS runs faster than the same
-    product from a contiguous Q^T sqrt.  normals has shape (steps, p) and y
-    (len(rngs), p, block_columns(steps)).  Path r draws its next `steps`
-    innovations as a standard_normal((steps, p)) block from rngs[r] into
-    normals, the one scratch that every path is drawn through in turn, and
-    one gemm with root writes them into y[r, :, :steps], time along the
-    last axis.  The columns past `steps` are zeroed.  Returns y; step_paths
-    turns it into states.
+    A transpose view of a contiguous sqrt(N) Q, which OpenBLAS runs faster than a contiguous Q^T sqrt(N).
     """
-    count, p, columns = y.shape
-    steps = normals.shape[0]
-    if count != len(rngs) or root.shape != (p, p) or normals.shape[1] != p:
-        raise ValueError("dimension mismatch between the root, the paths, rngs and normals")
-    if columns != block_columns(steps):
-        raise ValueError(f"{steps} steps take {block_columns(steps)} columns of the eigenbasis stack, got {columns}")
-    for path, rng in zip(y, rngs):
-        rng.standard_normal(out=normals)
-        np.matmul(root, normals.T, out=path[:, :steps])
-    y[:, :, steps:] = 0.0
-    return y
-
-
-def step_paths(
-    y: np.ndarray, start: np.ndarray, rho: SpectralOperator, x: np.ndarray, scratch: np.ndarray
-) -> np.ndarray:
-    """The step stage of a piece: X_i = rho X_{i-1} + eps_i, from a draw_paths result into x.
-
-    start (count, p) holds each path's X_0 and x has shape (count, steps +
-    1, p); x[r, i] receives X_i of path r and start[r] its X_steps.  With
-    rho = Q diag(lam) Q^T (rho.step_table, O(p s^2) doubles for s = BLOCK),
-    Y_i = Q^T X_i follows p scalar recursions Y_i = lam Y_(i-1) + e_i, one
-    per coordinate, in blocks of s steps.  One batched matvec per path gives
-    each full block's zero-start end state, and Q^T X_0 (one gemv per path)
-    is the first block anchor Y_0; the anchors Y_s, Y_2s, ... follow one
-    after another, each the zero-start end state of the block before it
-    plus lam^s times that block's anchor.  Each anchor is then carried into
-    its block's first innovation, and path by path s x s Toeplitz products
-    of powers of lam fill every block in the one-path scratch, shape (p,
-    block_columns(steps)), and one gemm rotates them back into x.  A path's
-    rows of y are read before its rows of x are written, so the two may
-    share memory.  A path's states do not depend on the other paths in the
-    stack: each product is a per-path gemm or gemv, as for a stack of one.
-    Returns x.
-    """
-    count, length, p = x.shape
-    steps = length - 1
-    blocks = -(-steps // BLOCK)
-    if rho.dim != p or y.shape != (count, p, blocks * BLOCK) or scratch.shape != (p, blocks * BLOCK):
-        raise ValueError("dimension mismatch between rho, the paths, their eigenbasis stack and the scratch")
-    basis, lam, toeplitz, ends, jump = rho.step_table
-    cells = y.reshape(count, p, blocks, BLOCK)
-    # 1. anchor b: Y_0, then the zero-start end state of block b - 1; each
-    # anchor is one contiguous (count, p) row
-    anchors = np.empty((blocks, count, p))
-    anchors[0] = (start[:, None] @ basis)[:, 0]
-    anchors[1:] = (cells[:, :, :-1] @ ends)[..., 0].transpose(2, 0, 1)
-    # 2. carry: anchor b gets anchor b - 1 carried one block on
-    for b in range(1, blocks):
-        anchors[b] += anchors[b - 1] * jump
-    # 3. every block from its anchor: lam Y_bs joins its first innovation,
-    # then its rows are one Toeplitz product per coordinate
-    cells[:, :, :, 0] += lam[:, None] * anchors.transpose(1, 2, 0)
-    filled = scratch.reshape(p, blocks, BLOCK)
-    for r in range(count):
-        np.matmul(cells[r], toeplitz, out=filled)
-        np.matmul(scratch[:, :steps].T, basis.T, out=x[r, 1:])
-        x[r, 0] = start[r]
-    start[...] = x[:, steps]
-    return x
+    return _flush_subnormals(noise_cov.sqrt @ rho.step_table.basis).T
 
 
 def stream_paths(
@@ -438,21 +366,17 @@ def stream_paths(
     the symmetric square root of noise_cov.  With burn_in > 0 the recursion
     first runs burn_in unrecorded steps from x0, and X_0 is the state
     reached at the end of the burn-in.  rho must be symmetric: the steps
-    run in its eigenbasis (step_paths).
+    run in its eigenbasis.
 
     Returns an iterator of (states, first) pairs, one for each piece that
     reaches past X_0: states[:, i] holds X_(first + i) of every path, and
     each piece starts with the last state of the one before, so the last
-    piece ends at X_n.  The pieces are views of one buffer that the next
-    piece overwrites, and one one-path scratch serves every draw and step;
-    stream_doubles counts what the call keeps alive.  The path is cut at
-    piece_edges(n, burn_in): every PIECE_ROWS steps from its start until
-    the burn-in ends, and every PIECE_ROWS steps from there, so its recorded
-    pieces start at X_0, X_PIECE_ROWS, X_2 PIECE_ROWS, ... and none has
-    more than PIECE_ROWS steps.  Every piece runs draw_paths on the whole
-    stack with noise_cov's root in rho's eigenbasis, formed once per call,
-    then step_paths; the last state of each piece, in the model basis, is
-    the next piece's start.
+    piece ends at X_n.  The path is cut at piece_edges(n, burn_in): every
+    PIECE_ROWS steps from its start until the burn-in ends, and every
+    PIECE_ROWS steps from there, so its recorded pieces start at X_0,
+    X_PIECE_ROWS, X_2 PIECE_ROWS, ... and none has more than PIECE_ROWS
+    steps.  The pieces are views of one buffer that the next piece
+    overwrites; stream_doubles counts what the call keeps alive.
     """
     if n < 2:
         raise ValueError("need n >= 2 (downstream estimators require at least two states)")
@@ -472,22 +396,58 @@ def _pieces(
     rngs: list[np.random.Generator],
     burn_in: int,
 ) -> Iterator[tuple[np.ndarray, int]]:
-    """stream_paths' pieces, drawn and stepped as they are asked for."""
+    """stream_paths' pieces, each drawn, stepped and rotated back as it is asked for.
+
+    With rho = Q diag(lam) Q^T (rho.step_table, O(p s^2) doubles for s =
+    BLOCK), Y_i = Q^T X_i follows p scalar recursions Y_i = lam Y_(i-1) +
+    e_i, one per coordinate, stepped in blocks of s states.  A piece of
+    `steps` steps lives in each path's row of one buffer, first as p rows
+    of its steps rounded up to whole blocks (y, time along the last axis),
+    then as its steps + 1 states (x), which overwrite y once the path's y
+    is read.  Every product is a per-path gemm or gemv, as for a stack of
+    one, so a path's states do not depend on the other paths in the stack.
+    """
     p, count = rho.dim, len(rngs)
+    basis, lam, toeplitz, ends, jump = rho.step_table
     row, scratch_doubles = _piece_buffers(n, burn_in, p)
     paths = np.empty((count, row))
     scratch = np.empty(scratch_doubles)
-    root = _flush_subnormals(noise_cov.sqrt @ rho.step_table.basis).T
+    draw_map = _draw_map(rho, noise_cov)
     start = x0.copy()
     for first, stop in pairwise(piece_edges(n, burn_in)):
         steps = stop - first
-        columns = block_columns(steps)
+        blocks = -(-steps // BLOCK)
+        columns = blocks * BLOCK
         y = paths[:, : p * columns].reshape(count, p, columns)
-        draw_paths(root, y, rngs, scratch[: steps * p].reshape(steps, p))
+        cells = y.reshape(count, p, blocks, BLOCK)
+        blocked = scratch[: p * columns].reshape(p, columns)
+        # 1. draw: path by path, the next `steps` normals into the scratch and
+        # their innovations into the path's y; the columns past `steps` are zeroed
+        normals = scratch[: steps * p].reshape(steps, p)
+        for path, rng in zip(y, rngs):
+            rng.standard_normal(out=normals)
+            np.matmul(draw_map, normals.T, out=path[:, :steps])
+        y[:, :, steps:] = 0.0
+        # 2. anchor b: Y_0 (one gemv per path), then the zero-start end state of
+        # block b - 1 (one batched matvec per path); each anchor is one
+        # contiguous (count, p) row, carried one block on into the next
+        anchors = np.empty((blocks, count, p))
+        anchors[0] = (start[:, None] @ basis)[:, 0]
+        anchors[1:] = (cells[:, :, :-1] @ ends)[..., 0].transpose(2, 0, 1)
+        for b in range(1, blocks):
+            anchors[b] += anchors[b - 1] * jump
+        # 3. every block from its anchor: lam Y_bs joins its first innovation,
+        # then path by path one Toeplitz product per coordinate fills the
+        # scratch and one gemm rotates it back into the path's states x
+        cells[:, :, :, 0] += lam[:, None] * anchors.transpose(1, 2, 0)
         x = paths[:, : p * (steps + 1)].reshape(count, steps + 1, p)
-        piece = step_paths(y, start, rho, x, scratch[: p * columns].reshape(p, columns))
+        for r in range(count):
+            np.matmul(cells[r], toeplitz, out=blocked.reshape(p, blocks, BLOCK))
+            np.matmul(blocked[:, :steps].T, basis.T, out=x[r, 1:])
+            x[r, 0] = start[r]
+        start[...] = x[:, steps]
         if first >= burn_in:
-            yield piece, first - burn_in
+            yield x, first - burn_in
 
 
 def simulate_trajectory(

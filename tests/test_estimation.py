@@ -148,6 +148,9 @@ class TestTruncationOrder:
     def test_clamped_to_p_max(self):
         assert truncation_order(2500, TruncationRule.log_ceil(), p_max=4) == 4
         assert truncation_order(2500, TruncationRule.fixed(100), p_max=7) == 7
+        # n states give n - 1 transitions, with or without p_max
+        assert truncation_order(5, TruncationRule.fixed(10)) == 4
+        assert truncation_order(5, TruncationRule.fixed(10), p_max=50) == 4
 
 
 class TestGapQuantities:

@@ -131,6 +131,18 @@ class TestParseConfig:
         # 1/1024 gives the largest kernel surface accepted, 1,025 points a side
         assert parse_config(write_config(tmp_path, "coarse_step = 0.0009765625\n")).coarse_step == 1 / 1024
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        text = f"sample_sizes = 50,100\nreplications = 4\noutput_dir = {tmp_path / 'out'}\n"
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert parse_config(bom) == parse_config(write_config(tmp_path, text))
+        assert cli.main(["validate", "--config", str(bom)]) == cli.EXIT_OK
+        capsys.readouterr()
+        # a byte that is not UTF-8 after the mark is reported at its offset in the file
+        bom.write_bytes(b"\xef\xbb\xbf# caf\xe9\n")
+        with pytest.raises(ConfigError, match="byte 0xe9 at offset 8"):
+            parse_config(bom)
+
     def test_descending_sizes_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="ascending"):
             parse_config(write_config(tmp_path, "sample_sizes = 800, 200\n"))
@@ -498,28 +510,41 @@ class TestChunkMemory:
     def test_piece_buffer_and_normals_scratch_are_freed_before_the_fit(self, tmp_path, monkeypatch, text, n):
         config = parse_config(write_config(tmp_path, text))
         buffers, alive_at_fit = [], []
-        stream, draw, fit = harness.model.stream_paths, harness.model.draw_paths, harness.estimation.fit_moments
+        stream, fit = harness.model.stream_paths, harness.estimation.fit_moments
 
         def watched_stream(*args):
-            for states, first in stream(*args):
+            # the stream's generator holds the normals scratch in its frame
+            pieces = stream(*args)
+            buffers.append(weakref.ref(pieces))
+            for states, first in pieces:
                 buffers.append(weakref.ref(states.base))
                 yield states, first
-
-        def watched_draw(root, y, rngs, normals):
-            buffers.append(weakref.ref(normals.base))
-            return draw(root, y, rngs, normals)
 
         def watched_fit(*args):
             alive_at_fit.append(sum(ref() is not None for ref in buffers))
             return fit(*args)
 
         monkeypatch.setattr(harness.model, "stream_paths", watched_stream)
-        monkeypatch.setattr(harness.model, "draw_paths", watched_draw)
         monkeypatch.setattr(harness.estimation, "fit_moments", watched_fit)
         harness._run_stack(config, n, 0, harness.chunk_size(config, n))
-        # one piece buffer and one one-path scratch per piece of the path
-        assert len(buffers) == 2 * (len(list(harness.model.piece_edges(n, config.burn_in))) - 1)
+        # the generator, and one piece buffer per piece: as many as the path has edges
+        assert len(buffers) == len(list(harness.model.piece_edges(n, config.burn_in)))
         assert alive_at_fit == [0]
+
+
+class TestKernelSurface:
+    def test_surface_is_streamed_into_its_csv(self, tmp_path):
+        # 257 points a side: the surface is 0.53 MB, and a list of one tuple per pair of points peaked at 10.2 MB
+        config = parse_config(write_config(tmp_path, "coarse_step = 0.00390625\n"))
+        tracemalloc.start()
+        try:
+            harness.write_kernel_surface(tmp_path / "kernel_surface.csv", config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, peak
+        lines = (tmp_path / "kernel_surface.csv").read_text().splitlines()
+        assert len(lines) == 1 + 257**2 and lines[:2] == ["s,t,value", "0.0,0.0,0.0"]
 
 
 class TestReadme:
@@ -968,6 +993,19 @@ class TestCli:
         assert cli.main([command, "--config", str(cfg_path)]) == cli.EXIT_CONFIG
         assert f"{cfg_path} is not UTF-8: byte 0xe9 at offset 5" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-a-file"])
+    def test_output_path_that_cannot_be_a_directory_is_an_io_error(self, tmp_path, capsys, monkeypatch, command, below):
+        ran = []
+        monkeypatch.setattr(harness, "_run_chunk", lambda *args: ran.append(args))
+        cfg_path = write_config(tmp_path, TINY_CONFIG)
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"kept\n")
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(blocker / below)]) == cli.EXIT_IO
+        assert f"i/o failure: output directory {blocker / below}: {blocker} is not a directory" in capsys.readouterr().err
+        assert ran == [] and blocker.read_bytes() == b"kept\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["blocker", "exp.cfg"]
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_vanishing_eigen_gap_is_a_numeric_failure(self, tmp_path, capsys, command):

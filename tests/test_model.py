@@ -1,7 +1,8 @@
 import math
 import subprocess
 import sys
-from itertools import islice
+import tracemalloc
+from itertools import islice, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +15,12 @@ from banach_ar1.model import (
     ModelParams,
     NoiseCovarianceError,
     SpectralOperator,
-    block_columns,
     build_covariance,
     build_noise_covariance,
     build_rho,
     check_stationarity,
     covariance_eigenvalues,
     covariance_kernel_surface,
-    draw_paths,
     eigenfunctions_on_grid,
     evaluate_via_spline,
     longest_piece,
@@ -29,7 +28,6 @@ from banach_ar1.model import (
     sample_initial_condition,
     simulate_trajectory,
     stationary_covariance,
-    step_paths,
     stream_paths,
 )
 from banach_ar1 import model
@@ -76,34 +74,6 @@ def non_normal_rho():
     rho = SpectralOperator(np.diag([0.9, -0.5, 0.3, 0.7]) + np.diag([1.5, 1.5, 1.5], 1))
     assert np.linalg.norm(rho.matrix, 2) > 1 > np.abs(np.linalg.eigvals(rho.matrix)).max()
     return rho
-
-
-def rotated_root(noise, rho):
-    """The root that stream_paths draws through: (sqrt Q)^T for rho's eigenbasis Q, subnormals flushed."""
-    return model._flush_subnormals(noise.sqrt @ rho.step_table.basis).T
-
-
-def streamed_roots(monkeypatch, noise, rho, n=PIECE_ROWS + 5):
-    """The root draw_paths receives for each piece of one stream_paths call."""
-    roots, draw = [], model.draw_paths
-
-    def watched(root, *args):
-        roots.append(root)
-        return draw(root, *args)
-
-    monkeypatch.setattr(model, "draw_paths", watched)
-    for _ in stream_paths(n, rho, noise, np.zeros((1, rho.dim)), [np.random.default_rng(0)]):
-        pass
-    return roots
-
-
-def drawn(noise, rho, x0, rngs, steps):
-    """A draw_paths result for `steps` steps, and x with row 0 set to x0: the inputs of step_paths."""
-    y = np.empty((len(rngs), rho.dim, block_columns(steps)))
-    draw_paths(rotated_root(noise, rho), y, rngs, np.empty((steps, rho.dim)))
-    x = np.empty((len(rngs), steps + 1, rho.dim))
-    x[:, 0] = x0
-    return y, x
 
 
 def stitched_paths(n, rho, noise, x0, rngs, burn_in=0):
@@ -203,7 +173,7 @@ class TestRho:
         rho = build_rho(params(modes=20))
         assert np.array_equal(rho.matrix, rho.matrix.T)
 
-    def test_narrow_band_and_its_powers_hold_no_subnormal_entry(self, monkeypatch):
+    def test_narrow_band_and_its_powers_hold_no_subnormal_entry(self):
         # exp(-|j-h|/W) underflows past the smallest normal double at W = 0.05,
         # and so do entries of rho's eigenvectors and of the noise root in their basis
         p = params(modes=50, width=0.05)
@@ -215,7 +185,7 @@ class TestRho:
 
         assert (rho.matrix == 0).any()
         assert subnormal(rho.eigen.vectors).any() and subnormal(noise.sqrt @ rho.eigen.vectors).any()
-        for table in (rho.matrix, *rho.step_table, *streamed_roots(monkeypatch, noise, rho)):
+        for table in (rho.matrix, *rho.step_table, model._draw_map(rho, noise)):
             assert not subnormal(table).any()
 
 
@@ -463,40 +433,32 @@ class TestSimulation:
         assert SpectralOperator(np.eye(4) + np.diag([5e-13, 0.0, 0.0], 1)).step_table.values.shape == (4,)
 
     @pytest.mark.parametrize("operator", ["reference", "reference_8", MIXED_SIGN])
-    def test_stages_compose_to_stream_paths_bit_for_bit(self, operator):
+    def test_pieces_carry_their_seams_bit_for_bit(self, operator):
         rho, noise = recursion_operators(operator)
         x0 = np.random.default_rng(99).standard_normal((3, rho.dim))
         # a path of at most PIECE_ROWS steps without burn-in is one piece
         for steps in (9, 107, PIECE_ROWS - 1, PIECE_ROWS):
             assert list(piece_edges(steps)) == [0, steps]
-            y, x = drawn(noise, rho, x0, [np.random.default_rng([7, r]) for r in range(3)], steps)
-            for r, path in enumerate(y):
-                # each path's innovations are one gemm of its whole block of normals with the rotated root
-                normals = np.random.default_rng([7, r]).standard_normal((steps, rho.dim))
-                assert np.array_equal(path[:, :steps], rotated_root(noise, rho) @ normals.T), steps
-                assert not path[:, steps:].any()
-            start = x0.copy()
-            stepped = step_paths(y, start, rho, x, np.empty((rho.dim, block_columns(steps))))
-            assert stepped is x
-            assert np.array_equal(x[:, 0], x0) and np.array_equal(start, x[:, -1])
-            rngs = [np.random.default_rng([7, r]) for r in range(3)]
-            assert np.array_equal(stepped, stitched_paths(steps, rho, noise, x0, rngs))
+            pieces = list(stream_paths(steps, rho, noise, x0, [np.random.default_rng([7, r]) for r in range(3)]))
+            assert [(states.shape, first) for states, first in pieces] == [((3, steps + 1, rho.dim), 0)]
+            assert np.array_equal(pieces[0][0][:, 0], x0)
         # a longer one is cut at every k PIECE_ROWS of the burn-in, at its end
         # and at every PIECE_ROWS steps after it, the last piece taking the
-        # rest; each piece starts from the last state of the one before,
-        # carried in start
+        # rest; each piece starts from the last state of the one before
         burn_in, n = PIECE_ROWS + 7, 4 * PIECE_ROWS + 30
         edges = list(piece_edges(n, burn_in))
         assert edges == [0, PIECE_ROWS, burn_in, *(burn_in + k * PIECE_ROWS for k in range(1, 5)), burn_in + n]
         rngs = [np.random.default_rng([7, r]) for r in range(3)]
-        start = x0.copy()
-        pieces = []
-        for first, stop in zip(edges, edges[1:]):
-            y, x = drawn(noise, rho, start, rngs, stop - first)
-            pieces.append(step_paths(y, start, rho, x, np.empty((rho.dim, block_columns(stop - first))))[:, 1:])
+        pieces = [(states.copy(), first) for states, first in stream_paths(n, rho, noise, x0, rngs, burn_in)]
+        assert [first for _, first in pieces] == [edge - burn_in for edge in edges[2:-1]]
+        for (before, _), (after, _) in pairwise(pieces):
+            assert np.array_equal(after[:, 0], before[:, -1])
+        # the burn-in is cut where a path of burn_in steps is, so X_0 is the
+        # last state of that path, drawn from the same streams
         rngs = [np.random.default_rng([7, r]) for r in range(3)]
-        streamed = stitched_paths(n, rho, noise, x0, rngs, burn_in)
-        assert np.array_equal(streamed, np.concatenate(pieces, axis=1)[:, burn_in - 1 :])
+        burnt = stitched_paths(burn_in, rho, noise, x0, rngs)
+        rngs = [np.random.default_rng([7, r]) for r in range(3)]
+        assert np.array_equal(next(stream_paths(n, rho, noise, x0, rngs, burn_in))[0][:, 0], burnt[:, -1])
 
     @pytest.mark.parametrize("burn_in", [0, 1, 7, PIECE_ROWS - 1, PIECE_ROWS, 3 * PIECE_ROWS + 5])
     def test_longest_piece_is_the_longest_between_the_edges(self, burn_in):
@@ -517,50 +479,57 @@ class TestSimulation:
 
     @pytest.mark.parametrize("burn_in", [0, PIECE_ROWS + 7])
     @pytest.mark.parametrize("n", [2, 15, 16, 17, PIECE_ROWS - 1, PIECE_ROWS, PIECE_ROWS + 1, 2 * PIECE_ROWS + 37])
-    def test_stream_doubles_counts_what_stream_paths_allocates(self, monkeypatch, n, burn_in):
-        # the piece buffer and the scratch, reached through the views that step_paths is
-        # given, and the step's block anchors (one p-row per block and path) and carried start
-        kept_alive = []
-        step = model.step_paths
-
-        def watched(y, start, rho, x, scratch):
-            count, p, columns = y.shape
-            kept_alive.append(y.base.size + scratch.base.size + columns // BLOCK * count * p + start.size)
-            return step(y, start, rho, x, scratch)
-
-        monkeypatch.setattr(model, "step_paths", watched)
+    def test_stream_doubles_counts_what_stream_paths_allocates(self, n, burn_in):
+        # the piece buffer, its block anchors (one p-row per block and path), the
+        # carried start and the one-path scratch are alive at once, so the traced
+        # peak reaches the count; beyond it are the p x p draw map with its
+        # flush's temporary, temporaries of the anchors' size and array headers
         for kind in ("reference_8", "reference"):
             rho, noise = recursion_operators(kind)
+            p = rho.dim
+            model._draw_map(rho, noise)  # fills the step table and the noise root
             for paths in range(1, 6):
-                kept_alive.clear()
                 rngs = [np.random.default_rng([2, r]) for r in range(paths)]
-                for _ in stream_paths(n, rho, noise, np.zeros((paths, rho.dim)), rngs, burn_in):
-                    pass
-                assert model.stream_doubles(n, burn_in, rho.dim, paths) == max(kept_alive), (kind, paths)
+                x0 = np.zeros((paths, p))
+                counted = model.stream_doubles(n, burn_in, p, paths)
+                bases = set()
+                tracemalloc.start()
+                try:
+                    for states, _ in stream_paths(n, rho, noise, x0, rngs, burn_in):
+                        bases.add(id(states.base))
+                        assert states.base.shape[0] == paths and states.base.size < counted
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert len(bases) == 1
+                assert 8 * counted <= peak <= 1.25 * 8 * counted + 8 * 2 * p * p + 8192, (kind, paths, peak)
 
     @pytest.mark.parametrize("steps", [1, 50, PIECE_ROWS, 2 * PIECE_ROWS - 1])
     @pytest.mark.parametrize("operator", ["reference", MIXED_SIGN])
     def test_stacked_draw_matches_each_path_drawn_alone(self, operator, steps):
+        # steps + 1 steps: one piece of 2 or 51, or pieces of 256 and 1 or 256 and 256
         rho, noise = recursion_operators(operator)
         x0 = np.random.default_rng(99).standard_normal((4, rho.dim))
-        stack, _ = drawn(noise, rho, x0, [np.random.default_rng([3, r]) for r in range(4)], steps)
+        stack = stitched_paths(steps + 1, rho, noise, x0, [np.random.default_rng([3, r]) for r in range(4)])
         for r in range(4):
-            alone, _ = drawn(noise, rho, x0[r : r + 1], [np.random.default_rng([3, r])], steps)
+            alone = stitched_paths(steps + 1, rho, noise, x0[r : r + 1], [np.random.default_rng([3, r])])
             assert np.array_equal(stack[r], alone[0]), r
 
     def test_eigenbasis_stack_may_share_each_paths_memory_with_its_states(self):
-        # stream_paths keeps one row per path for both; the states do not move
+        # each path's piece is drawn and stepped in its own row of one buffer,
+        # which then holds its states: the row has room for a full piece's
+        # states and the carried one, and for no separate eigenbasis stack
         rho, noise = recursion_operators("reference_8")
-        x0 = np.random.default_rng(99).standard_normal((3, rho.dim))
-        steps = 100
-        columns = block_columns(steps)
-        y, x = drawn(noise, rho, x0, [np.random.default_rng([5, r]) for r in range(3)], steps)
-        apart = step_paths(y.copy(), x0.copy(), rho, x, np.empty((rho.dim, columns)))
-        rows = np.empty((3, rho.dim * columns))
-        shared_y = rows.reshape(3, rho.dim, columns)
-        shared_y[...] = y
-        shared_x = rows[:, : rho.dim * (steps + 1)].reshape(3, steps + 1, rho.dim)
-        assert np.array_equal(step_paths(shared_y, x0.copy(), rho, shared_x, np.empty((rho.dim, columns))), apart)
+        p = rho.dim
+        x0 = np.random.default_rng(99).standard_normal((3, p))
+        rngs = [np.random.default_rng([5, r]) for r in range(3)]
+        bases = []
+        for states, _ in stream_paths(2 * PIECE_ROWS + 37, rho, noise, x0, rngs):
+            bases.append(states.base)
+            for r, q in np.ndindex(3, 3):
+                assert np.shares_memory(states[r], states.base[q]) == (r == q)
+        assert all(base is bases[0] for base in bases)
+        assert bases[0].shape == (3, p * (PIECE_ROWS + 1))
 
     def test_reproducible_bit_for_bit(self):
         p = params(modes=6)
@@ -620,6 +589,21 @@ def test_import_leaves_module_unloaded(imported, unloaded):
     assert out.stdout.strip() == "False"
 
 
+def test_validate_leaves_random_and_scipy_unloaded(tmp_path):
+    # validate builds the run context only: it makes no generator and runs no scipy solver
+    config = tmp_path / "desk.cfg"
+    config.write_text("")
+    src = Path(banach_ar1.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from banach_ar1 import cli\n"
+        f"assert cli.main(['validate', '--config', {str(config)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('secrets', 'scipy') or m.startswith('numpy.random')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=src)
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
 class TestKernel:
     def test_symmetry_and_diagonal_positivity(self):
         cov = build_covariance(params(modes=20))
@@ -643,7 +627,7 @@ class TestKernel:
 
 
 class TestPowerTable:
-    """rho.step_table: rho's eigenbasis and the powers of its eigenvalues that step_paths steps with."""
+    """rho.step_table: rho's eigenbasis and the powers of its eigenvalues that stream_paths steps with."""
 
     @pytest.mark.parametrize("s", [1, 2, 31, 89])
     @pytest.mark.parametrize("operator", ["reference", MIXED_SIGN])
@@ -684,10 +668,19 @@ class TestPowerTable:
         table = rho.step_table
         assert rho.step_table is table and rho.eigen.vectors is rho.eigen.vectors
         assert not any(array.flags.writeable for array in (*table, *rho.eigen))
-        # the noise root in rho's eigenbasis is formed once per stream, a transpose view
-        first, second = streamed_roots(monkeypatch, noise, rho)
-        assert first is second and first.T.flags.c_contiguous
-        assert np.array_equal(first, (noise.sqrt @ table.basis).T)
+        # the noise root in rho's eigenbasis is formed once per stream of two
+        # pieces, a transpose view
+        draw_maps, draw_map = [], model._draw_map
+
+        def watched(*args):
+            draw_maps.append(draw_map(*args))
+            return draw_maps[-1]
+
+        monkeypatch.setattr(model, "_draw_map", watched)
+        for _ in stream_paths(PIECE_ROWS + 5, rho, noise, np.zeros((1, rho.dim)), [np.random.default_rng(0)]):
+            pass
+        assert len(draw_maps) == 1 and draw_maps[0].T.flags.c_contiguous
+        assert np.array_equal(draw_maps[0], (noise.sqrt @ table.basis).T)
 
     def test_noise_root_comes_from_the_one_eigendecomposition(self):
         p = params(modes=10)
