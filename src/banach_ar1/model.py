@@ -422,7 +422,8 @@ def _pieces(
         cells = y.reshape(count, p, blocks, BLOCK)
         blocked = scratch[: p * columns].reshape(p, columns)
         # 1. draw: path by path, the next `steps` normals into the scratch and
-        # their innovations into the path's y; the columns past `steps` are zeroed
+        # their innovations into the path's y; the columns past `steps` are
+        # zeroed, as the block products read them (times 0, which NaN survives)
         normals = scratch[: steps * p].reshape(steps, p)
         for path, rng in zip(y, rngs):
             rng.standard_normal(out=normals)
