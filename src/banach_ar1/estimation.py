@@ -72,10 +72,8 @@ def truncation_order(n: int, rule: TruncationRule, p_max: int | None = None) -> 
     if n < 2:
         raise ValueError("need n >= 2")
     k = math.ceil(math.log(n)) if rule.kind == "log_ceil" else int(rule.k)
-    k = max(min(k, n - 1), 1)
-    if p_max is not None:
-        k = min(k, p_max)
-    return k
+    limit = n - 1 if p_max is None else min(n - 1, p_max)
+    return max(min(k, limit), 1)
 
 
 @dataclass

@@ -324,10 +324,15 @@ def longest_piece(n: int, burn_in: int = 0) -> int:
     return min(PIECE_ROWS, max(burn_in, n))
 
 
+def _blocks(steps: int) -> int:
+    """Blocks of BLOCK states that _pieces steps a piece of `steps` steps in, the last one zero-padded."""
+    return -(-steps // BLOCK)
+
+
 def _piece_buffers(n: int, burn_in: int, p: int) -> tuple[int, int]:
     """Doubles of one path's row of _pieces' piece buffer, and of the one-path scratch."""
     rows = longest_piece(n, burn_in)
-    columns = -(-rows // BLOCK) * BLOCK
+    columns = _blocks(rows) * BLOCK
     return p * max(rows + 1, columns), p * columns
 
 
@@ -371,12 +376,10 @@ def stream_paths(
     Returns an iterator of (states, first) pairs, one for each piece that
     reaches past X_0: states[:, i] holds X_(first + i) of every path, and
     each piece starts with the last state of the one before, so the last
-    piece ends at X_n.  The path is cut at piece_edges(n, burn_in): every
-    PIECE_ROWS steps from its start until the burn-in ends, and every
-    PIECE_ROWS steps from there, so its recorded pieces start at X_0,
-    X_PIECE_ROWS, X_2 PIECE_ROWS, ... and none has more than PIECE_ROWS
-    steps.  The pieces are views of one buffer that the next piece
-    overwrites; stream_doubles counts what the call keeps alive.
+    piece ends at X_n.  The path is cut at piece_edges(n, burn_in), so its
+    recorded pieces start at X_0, X_PIECE_ROWS, X_2 PIECE_ROWS, ...; they
+    are views of one buffer that the next piece overwrites, and
+    stream_doubles counts what the call keeps alive.
     """
     if n < 2:
         raise ValueError("need n >= 2 (downstream estimators require at least two states)")
@@ -416,7 +419,7 @@ def _pieces(
     start = x0.copy()
     for first, stop in pairwise(piece_edges(n, burn_in)):
         steps = stop - first
-        blocks = -(-steps // BLOCK)
+        blocks = _blocks(steps)
         columns = blocks * BLOCK
         y = paths[:, : p * columns].reshape(count, p, columns)
         cells = y.reshape(count, p, blocks, BLOCK)

@@ -1,3 +1,4 @@
+import inspect
 import math
 import subprocess
 import sys
@@ -480,24 +481,61 @@ class TestSimulation:
     @pytest.mark.parametrize("burn_in", [0, PIECE_ROWS + 7])
     @pytest.mark.parametrize("n", [2, 15, 16, 17, PIECE_ROWS - 1, PIECE_ROWS, PIECE_ROWS + 1, 2 * PIECE_ROWS + 37])
     def test_stream_doubles_counts_what_stream_paths_allocates(self, n, burn_in):
-        # the piece buffer, its block anchors (one p-row per block and path), the
-        # carried start and the one-path scratch are alive at once, so the traced
-        # peak reaches the count; beyond it are the p x p draw map with its
-        # flush's temporary, temporaries of the anchors' size and array headers
+        # stream_doubles is the most that _pieces' own lines hold at once: the
+        # piece buffer, the one-path scratch, the carried start and one piece's
+        # block anchors (a p-row per block and path).  Their numpy blocks are
+        # summed each time the loop draws a path (the anchors of the piece
+        # before are alive) and each time it yields a piece (its own are), so
+        # a piece only run in the burn-in is counted too; the draw map is made
+        # on _draw_map's line, outside _pieces
+        source, first_line = inspect.getsourcelines(model._pieces)
+        own_lines = range(first_line, first_line + len(source))
+        numpy_blocks = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+
+        def held():
+            traces = tracemalloc.take_snapshot().filter_traces([numpy_blocks]).traces
+            frames = [(trace.traceback[0], trace.size) for trace in traces]
+            return sum(size for frame, size in frames if frame.filename == model.__file__ and frame.lineno in own_lines)
+
+        class Watched:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, out):
+                seen.append(held())
+                return self.rng.standard_normal(out=out)
+
+        rows = max(np.diff(list(piece_edges(n, burn_in))))
+        columns = math.ceil(rows / BLOCK) * BLOCK
         for kind in ("reference_8", "reference"):
             rho, noise = recursion_operators(kind)
             p = rho.dim
+            row = p * max(rows + 1, columns)  # a full piece's states and the carried one, or its block columns
             model._draw_map(rho, noise)  # fills the step table and the noise root
             for paths in range(1, 6):
-                rngs = [np.random.default_rng([2, r]) for r in range(paths)]
-                x0 = np.zeros((paths, p))
                 counted = model.stream_doubles(n, burn_in, p, paths)
+                assert counted == paths * row + p * columns + paths * p + paths * p * (columns // BLOCK)
+                seen = []
+                rngs = [Watched(np.random.default_rng([2, r])) for r in range(paths)]
+                tracemalloc.start()
+                try:
+                    for states, _ in stream_paths(n, rho, noise, np.zeros((paths, p)), rngs, burn_in):
+                        assert states.base.size == paths * row
+                        blocks = math.ceil((states.shape[1] - 1) / BLOCK)
+                        seen.append(held())
+                        assert seen[-1] == 8 * (paths * row + p * columns + paths * p + paths * p * blocks)
+                finally:
+                    tracemalloc.stop()
+                assert max(seen) == 8 * counted, (kind, paths)
+                # and the traced peak of a plain stream reaches the count; beyond
+                # it are the p x p draw map with its flush's temporary, product
+                # temporaries of about the anchors' size and array headers
+                rngs = [np.random.default_rng([2, r]) for r in range(paths)]
                 bases = set()
                 tracemalloc.start()
                 try:
-                    for states, _ in stream_paths(n, rho, noise, x0, rngs, burn_in):
+                    for states, _ in stream_paths(n, rho, noise, np.zeros((paths, p)), rngs, burn_in):
                         bases.add(id(states.base))
-                        assert states.base.shape[0] == paths and states.base.size < counted
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
