@@ -24,7 +24,9 @@ class ConsistencyReport:
     """Consistency-certificate quantities for one sample size.
 
     mode records whether the spectrum behind lambda/a_sum/ratio/xi is the
-    known model spectrum ("true") or an empirical estimate ("empirical").
+    known model spectrum ("true") or an empirical estimate ("empirical");
+    run_experiment reports only the known spectrum, so it is always "true"
+    today.
     """
 
     n: int

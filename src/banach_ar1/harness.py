@@ -36,6 +36,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,12 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     )
 
 
+def _rank(operator: model.SpectralOperator) -> int:
+    """Eigenvalues of a symmetric operator above 1e-12 times the largest, read through its eigen."""
+    w = operator.eigen.values
+    return int((w > 1e-12 * w[-1]).sum())
+
+
 class _RunContext:
     """The checked model pieces shared by every replication of one experiment.
 
@@ -262,7 +269,9 @@ class _RunContext:
     below 1, and EigenGapError when a sample size's bound meets a vanishing
     eigenvalue gap.  build_noise_covariance computes and checks the noise
     square root; every size's bound is filled here, before the chunks'
-    threads can race for it.
+    threads can race for it.  Past the gate one INFO line reports the
+    banded repair: the ranks of the innovation and stationary covariances
+    and how far the stationary covariance S lies from the stated C.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -275,6 +284,13 @@ class _RunContext:
                 f"no power of rho up to {self.gate.j0} has spectral norm < 1 "
                 f"(last norm {self.gate.norm:.6f})"
             )
+        # the process's covariance S, which the banded repair moves away from the stated C
+        stationary = model.SpectralOperator(model.stationary_covariance(self.rho, self.noise))
+        distance = np.abs(stationary.matrix - self.covariance.matrix).max()
+        logger.info(
+            "banded repair: innovation covariance rank %d of %d, stationary covariance S rank %d, max |S - C| = %.3e",
+            _rank(self.noise), self.noise.dim, _rank(stationary), distance,
+        )
         # gap coefficients need one eigenvalue beyond the largest truncation
         self.c_extended = model.covariance_eigenvalues(config.model.gamma, config.model.modes + 1)
         # n -> (k_n, its gap coefficients, the exceedance bound xi)
@@ -494,16 +510,18 @@ def _format(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
-        return repr(float(value))  # shortest round-trip form, numpy scalars included
+        return float.__repr__(value)  # shortest round-trip form, numpy scalars included
     return str(value)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """The header and each row as a line of _format'd values joined by commas.
+
+    No value the program writes holds a comma, a quote or a line break, so
+    none is quoted: the bytes are those of csv.writer with lineterminator "\\n".
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format(v) for v in row])
+        fh.writelines(",".join(map(_format, row)) + "\n" for row in chain([header], rows))
 
 
 def write_outputs(out_dir, config, results, reports, decay_rows) -> None:
@@ -584,7 +602,7 @@ def write_kernel_surface(path, config: ExperimentConfig) -> None:
     """
     points = np.linspace(0.0, 1.0, round(1.0 / config.coarse_step) + 1)
     surface = model.covariance_kernel_surface(model.build_covariance(config.model), points)
-    ticks = points.tolist()  # Python floats, as the CSV writes them
+    ticks = [_format(t) for t in points.tolist()]  # each label formatted once, not once per row
     rows = ((s, t, value) for s, row in zip(ticks, surface) for t, value in zip(ticks, row.tolist()))
     _write_csv(Path(path), ["s", "t", "value"], rows)
 

@@ -261,12 +261,12 @@ def build_noise_covariance(
     m = np.exp(-_mode_distance(params.modes) ** 2 / params.width**2)
     np.fill_diagonal(m, c_diag * (1.0 - np.diag(rho.matrix) ** 2))
 
-    w, v = np.linalg.eigh(m)
+    noise = SpectralOperator(m)
+    w, v = noise.eigen
     if w[0] < 0:
         logger.info("innovation covariance indefinite (min eigenvalue %.3e); clipping to PSD", w[0])
         m = (v * np.clip(w, 0.0, None)) @ v.T
-        m = 0.5 * (m + m.T)
-    noise = SpectralOperator(m)
+        noise = SpectralOperator(0.5 * (m + m.T))
     try:
         noise.sqrt
     except ValueError as exc:
@@ -412,10 +412,11 @@ def _pieces(
     """
     p, count = rho.dim, len(rngs)
     basis, lam, toeplitz, ends, jump = rho.step_table
+    draw_map = _draw_map(rho, noise_cov)
     row, scratch_doubles = _piece_buffers(n, burn_in, p)
     paths = np.empty((count, row))
     scratch = np.empty(scratch_doubles)
-    draw_map = _draw_map(rho, noise_cov)
+    anchor_rows = np.empty(count * scratch_doubles // BLOCK)  # a p-row per block of the longest piece and path
     start = x0.copy()
     for first, stop in pairwise(piece_edges(n, burn_in)):
         steps = stop - first
@@ -433,19 +434,19 @@ def _pieces(
             np.matmul(draw_map, normals.T, out=path[:, :steps])
         y[:, :, steps:] = 0.0
         # 2. anchor b: Y_0 (one gemv per path), then the zero-start end state of
-        # block b - 1 (one batched matvec per path); each anchor is one
-        # contiguous (count, p) row, carried one block on into the next
-        anchors = np.empty((blocks, count, p))
-        anchors[0] = (start[:, None] @ basis)[:, 0]
-        anchors[1:] = (cells[:, :, :-1] @ ends)[..., 0].transpose(2, 0, 1)
+        # block b - 1 (one batched matvec per path, written into the anchor
+        # rows), carried one block on into the next
+        anchors = anchor_rows[: count * p * blocks].reshape(count, p, blocks, 1)
+        anchors[:, :, 0, 0] = (start[:, None] @ basis)[:, 0]
+        np.matmul(cells[:, :, :-1], ends, out=anchors[:, :, 1:])
         for b in range(1, blocks):
-            anchors[b] += anchors[b - 1] * jump
-        # 3. every block from its anchor: lam Y_bs joins its first innovation,
-        # then path by path one Toeplitz product per coordinate fills the
-        # scratch and one gemm rotates it back into the path's states x
-        cells[:, :, :, 0] += lam[:, None] * anchors.transpose(1, 2, 0)
+            anchors[:, :, b] += anchors[:, :, b - 1] * jump[:, None]
+        # 3. path by path, where numpy needs no buffer for the strided add:
+        # lam Y_bs joins each block's first innovation, one Toeplitz product
+        # per coordinate fills the scratch and one gemm rotates it into x
         x = paths[:, : p * (steps + 1)].reshape(count, steps + 1, p)
         for r in range(count):
+            cells[r, :, :, :1] += lam[:, None, None] * anchors[r]
             np.matmul(cells[r], toeplitz, out=blocked.reshape(p, blocks, BLOCK))
             np.matmul(blocked[:, :steps].T, basis.T, out=x[r, 1:])
             x[r, 0] = start[r]
@@ -499,14 +500,12 @@ def covariance_kernel_surface(covariance: SpectralOperator, points: np.ndarray) 
 
 
 def stationary_covariance(rho: SpectralOperator, noise_cov: SpectralOperator) -> np.ndarray:
-    """Solve the discrete Lyapunov equation Sigma = rho Sigma rho^T + noise_cov.
+    """S = rho S rho + N, the covariance of X_i = rho X_(i-1) + eps_i at stationarity, Cov eps_i = N = noise_cov.
 
-    From 10 modes up scipy's solver takes the bilinear (Bartels-Stewart)
-    route, O(p^3) time and O(p^2) memory; smaller systems it solves in the
-    p^4-memory Kronecker form.
+    For rho = Q diag(lam) Q^T symmetric (rho.eigen), spectral radius below 1: S = Q ((Q^T N Q) / (1 - lam lam^T)) Q^T.
     """
-    from scipy.linalg import solve_discrete_lyapunov  # imported here: only this solve needs scipy
-    if noise_cov.dim != rho.dim:
-        raise ValueError("dimension mismatch")
-    sigma = solve_discrete_lyapunov(rho.matrix, noise_cov.matrix)
+    lam, q = rho.eigen
+    if not np.abs(lam).max() < 1.0:
+        raise ValueError(f"rho's spectral radius {np.abs(lam).max():.6f} is not below 1: no stationary covariance")
+    sigma = q @ ((q.T @ noise_cov.matrix @ q) / (1.0 - np.outer(lam, lam))) @ q.T
     return 0.5 * (sigma + sigma.T)

@@ -1,5 +1,8 @@
+import csv
 import filecmp
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -532,6 +535,25 @@ class TestChunkMemory:
         assert alive_at_fit == [0]
 
 
+class TestWriteCsv:
+    def test_rows_are_the_bytes_csv_writer_wrote(self, tmp_path):
+        # ints, Python and numpy floats, bools, and the strings the program
+        # writes: column names, the consistency mode and the bundle's records
+        header = ["n", "replication", "error_B", "xi", "exceeded", "mode", "record"]
+        rows = [
+            (500, np.int64(7), 0.1, np.float64(1 / 3), True, "true", "eigenvalue"),
+            (2**70, -3, -0.0, np.float64(1e-300), False, "n", "d_matrix"),
+            (0, 1, math.inf, 5e-324, True, "k_n", "rho_hat"),
+        ]
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerows([harness._format(v) for v in row] for row in [header, *rows])
+        path = tmp_path / "table.csv"
+        harness._write_csv(path, header, iter(rows))
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+        assert path.read_text().splitlines()[1] == "500,7,0.1,0.3333333333333333,1,true,eigenvalue"
+
+
 class TestKernelSurface:
     def test_surface_is_streamed_into_its_csv(self, tmp_path):
         # 257 points a side: the surface is 0.53 MB, and a list of one tuple per pair of points peaked at 10.2 MB
@@ -812,10 +834,14 @@ class TestEstimatorBundle:
 
 
 class TestRunContext:
-    def test_default_build_runs_three_symmetric_eigensolves(self, tmp_path, monkeypatch):
-        # one eigh for the PSD repair, one for the noise root that checks it,
-        # and one for rho's eigenbasis, which the stationarity gate reads and the steps run in
-        config = parse_config(write_config(tmp_path, ""))
+    @pytest.mark.parametrize("text, solves", [("", 4), ("width = 0.05\n", 3)], ids=["repaired", "psd"])
+    def test_build_runs_one_symmetric_eigensolve_per_operator(self, tmp_path, monkeypatch, text, solves):
+        # one eigh for the banded innovation covariance, which the repair reads
+        # and which, when it is already PSD, gives the noise root too; one for
+        # the clipped matrix's root; one for rho's eigenbasis, which the
+        # stationarity gate, the stationary covariance and the steps read; and
+        # one for the stationary covariance's rank in the repair log
+        config = parse_config(write_config(tmp_path, text))
         calls = []
 
         def counted(name):
@@ -830,7 +856,24 @@ class TestRunContext:
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted(name))
         harness._RunContext(config)
-        assert calls == ["eigh", "eigh", "eigh"]
+        assert calls == ["eigh"] * solves
+
+    @pytest.mark.parametrize(
+        "text, figures",
+        [
+            ("", "innovation covariance rank 27 of 50, stationary covariance S rank 34, max |S - C| = 4.087e-03"),
+            ("modes = 20\n", "innovation covariance rank 12 of 20, stationary covariance S rank 18, "),
+            ("modes = 200\n", "innovation covariance rank 102 of 200, stationary covariance S rank 109, "),
+            ("width = 0.05\n", "rank 50 of 50, stationary covariance S rank 50, max |S - C| = 4.842e-11"),
+        ],
+        ids=["reference", "modes-20", "modes-200", "width-0.05"],
+    )
+    def test_banded_repair_is_logged_once(self, tmp_path, caplog, text, figures):
+        config = parse_config(write_config(tmp_path, text))
+        with caplog.at_level("INFO", logger="banach_ar1"):
+            harness._RunContext(config)
+        logged = [record.message for record in caplog.records if record.message.startswith("banded repair: ")]
+        assert len(logged) == 1 and figures in logged[0], logged
 
 
 # 8 modes at width 1: no power of rho up to 10 has spectral norm below 1
