@@ -10,9 +10,10 @@ inverts the covariance on that span only:
 
 which is the componentwise estimator written as a matrix.  The fit reads a
 trajectory only through the sums of X_i X_i^T and X_{i+1} X_i^T over its
-transitions (TransitionMoments), which are added up one piece of a path at
-a time (fit_moments), or over the same pieces of a whole trajectory
-(fit_estimator), with the same bits.  The plug-in one-step prediction is
+transitions (TransitionMoments), summed one way: in consecutive blocks of
+model.PIECE_ROWS transitions, from X_0 on, whether a whole trajectory
+(fit_estimator) or a streamed path's pieces one by one are added, so both
+give the same bits (fit_moments).  The plug-in one-step prediction is
 rho_hat applied to the newest state.
 
 Inner products here are plain Euclidean ones: the coordinate system is the
@@ -26,11 +27,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import pairwise
 
 import numpy as np
 
-from .model import SpectralOperator, Trajectory, eigenfunctions_on_grid, evaluate_via_spline, piece_edges
+from .model import PIECE_ROWS, Trajectory, eigenfunctions_on_grid, evaluate_via_spline
 from .wavelet import WaveletBasisSpec, coefficient_matrix
 
 
@@ -125,18 +125,6 @@ class EstimatorState:
         )
 
 
-def empirical_covariance(traj: Trajectory) -> SpectralOperator:
-    """(1/n) sum of X_i X_i^T over all n states: the transitions' Gram matrix plus the last state's."""
-    last = traj.states[-1]
-    m = transition_moments(traj.states[None]).gram[0] + np.outer(last, last)
-    return SpectralOperator(m / len(traj))
-
-
-def empirical_cross_covariance(traj: Trajectory) -> SpectralOperator:
-    """(1/(n-1)) sum of X_{i+1} X_i^T over consecutive pairs; not symmetric."""
-    return SpectralOperator(transition_moments(traj.states[None]).cross[0] / (len(traj) - 1))
-
-
 def _checked_gaps(values: np.ndarray, k: int) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if k < 1:
@@ -175,9 +163,9 @@ class TransitionMoments:
     """Running sums over the transitions (X_i, X_{i+1}) of a stack of paths.
 
     gram holds sum X_i X_i^T and cross sum X_{i+1} X_i^T, one p x p matrix
-    per path, summed one piece at a time in the order the pieces are added;
-    transitions counts the pairs.  Both are None until a piece with a
-    transition is added.
+    per path, summed block by block in the order the blocks are added;
+    transitions counts the pairs.  Both are None until a transition is
+    added.
     """
 
     def __init__(self):
@@ -186,23 +174,26 @@ class TransitionMoments:
         self.transitions = 0
 
     def add(self, states: np.ndarray) -> None:
-        """Add the transitions inside one piece: states[:, i] holds X_(a+i) of each path.
+        """Add the transitions of a stack of paths: states[:, i] holds X_(a+i) of each path.
 
-        Consecutive pieces share their seam state, so the transition
-        across a seam belongs to the earlier piece.  Every product is a
-        per-path gemm.
+        They are summed in consecutive blocks of PIECE_ROWS transitions from
+        states[:, 0] on.  A stream_paths piece, which starts at a multiple of
+        PIECE_ROWS, is one block, and consecutive pieces share their seam
+        state, whose transition belongs to the earlier piece; so adding a
+        whole path gives the bits of adding its pieces one by one.  Every
+        product is a per-path gemm.
         """
-        inputs = states[:, :-1]
-        if inputs.shape[1] == 0:
-            return
-        gram = np.swapaxes(inputs, 1, 2) @ inputs
-        cross = np.swapaxes(states[:, 1:], 1, 2) @ inputs
-        if self.gram is None:
-            self.gram, self.cross = gram, cross
-        else:
-            self.gram += gram
-            self.cross += cross
-        self.transitions += inputs.shape[1]
+        for start in range(0, states.shape[1] - 1, PIECE_ROWS):
+            block = states[:, start : start + PIECE_ROWS + 1]
+            inputs = block[:, :-1]
+            gram = np.swapaxes(inputs, 1, 2) @ inputs
+            cross = np.swapaxes(block[:, 1:], 1, 2) @ inputs
+            if self.gram is None:
+                self.gram, self.cross = gram, cross
+            else:
+                self.gram += gram
+                self.cross += cross
+            self.transitions += inputs.shape[1]
 
 
 def fit_moments(moments: TransitionMoments, rule: TruncationRule) -> EstimatorState:
@@ -217,8 +208,11 @@ def fit_moments(moments: TransitionMoments, rule: TruncationRule) -> EstimatorSt
     Requires every path's k_n-th empirical eigenvalue to be meaningfully
     positive (above 1e-10 times the leading one, the resolution of the Gram
     eigensolve); a more degenerate spectrum demands a smaller truncation
-    order rather than silent regularization.
+    order rather than silent regularization.  Raises ValueError before any
+    transition is added.
     """
+    if moments.gram is None:
+        raise ValueError("need at least 2 states: no transition was added")
     n = moments.transitions + 1
     p = moments.gram.shape[-1]
     k_n = truncation_order(n, rule, p_max=p)
@@ -257,27 +251,11 @@ def fit_moments(moments: TransitionMoments, rule: TruncationRule) -> EstimatorSt
 FIT_PEAK_ARRAYS = 8
 
 
-def transition_moments(states: np.ndarray) -> TransitionMoments:
-    """The transition moments of a stack of whole trajectories, states of shape (R, n, p).
-
-    They are summed, in order, over the pieces that a streamed fit of the
-    same states X_0..X_(n-1) adds: X_0..X_PIECE_ROWS, X_PIECE_ROWS..X_2
-    PIECE_ROWS, ..., the last piece ending at X_(n-1) (model.piece_edges(n)),
-    so they have the bits of the streamed sums.
-    Raises ValueError for fewer than 2 states.
-    """
-    states = np.asarray(states, dtype=float)
-    if states.shape[1] < 2:
-        raise ValueError("need at least 2 states")
-    moments = TransitionMoments()
-    for start, stop in pairwise(piece_edges(states.shape[1])):
-        moments.add(states[:, start : stop + 1])  # the last piece ends at the last state
-    return moments
-
-
 def fit_estimator(traj: Trajectory, rule: TruncationRule) -> EstimatorState:
-    """Fit the estimator on one trajectory: fit_moments of its transition_moments, a stack of one."""
-    return fit_moments(transition_moments(traj.states[None]), rule)[0]
+    """Fit the estimator on one trajectory, a stack of one: its transitions added at once, then fit_moments."""
+    moments = TransitionMoments()
+    moments.add(traj.states[None])
+    return fit_moments(moments, rule)[0]
 
 
 def plug_in_predict(state: EstimatorState, x: np.ndarray) -> np.ndarray:

@@ -266,10 +266,12 @@ class _RunContext:
     Building one is the check that `validate` and `run` share.  It raises
     NoiseCovarianceError when the innovation covariance cannot be repaired,
     StationarityError unless some power of rho up to 10 has spectral norm
-    below 1, and EigenGapError when a sample size's bound meets a vanishing
-    eigenvalue gap.  build_noise_covariance computes and checks the noise
-    square root; every size's bound is filled here, before the chunks'
-    threads can race for it.  Past the gate one INFO line reports the
+    below 1, EigenGapError when a sample size's bound meets a vanishing
+    eigenvalue gap, and TruncationRankError when a size's fit from a zero
+    start (X_0 = 0 without a burn-in) has fewer than k_n nonzero inputs.
+    build_noise_covariance computes and checks the noise square root;
+    every size's bound is filled here, before the chunks' threads can race
+    for it.  Past the gate one INFO line reports the
     banded repair: the ranks of the innovation and stationary covariances
     and how far the stationary covariance S lies from the stated C.
     """
@@ -297,6 +299,11 @@ class _RunContext:
         self.bounds: dict[int, tuple[int, np.ndarray, float]] = {}
         for n in config.sample_sizes:
             k = estimation.truncation_order(n, config.truncation, p_max=config.model.modes)
+            if not config.truncated_init and config.burn_in == 0 and k > n - 2:
+                raise estimation.TruncationRankError(
+                    f"n = {n} starts from X_0 = 0 (truncated_init = false, burn_in = 0): its n - 2 = {n - 2} nonzero "
+                    f"inputs cannot span k_n = {k} eigenvectors; use a smaller truncation order, a larger n or a burn-in"
+                )
             a_vals = estimation.gap_coefficients(self.c_extended, k)
             a_vals.setflags(write=False)
             self.bounds[n] = k, a_vals, diagnostics.exceedance_bound(n, k, self.c_extended, a_vals)
@@ -429,11 +436,17 @@ def pool_threads(threads: int, tasks: int) -> int:
 
 
 def check_output_dir(path: str | Path) -> None:
-    """Raise NotADirectoryError unless the nearest existing ancestor of `path`, or `path` itself, is a directory."""
+    """Raise unless the nearest existing ancestor of `path`, or `path` itself, is a directory this process can write in.
+
+    NotADirectoryError when it is not a directory, PermissionError when it
+    lacks write or search permission for this process.
+    """
     for ancestor in (Path(path), *Path(path).parents):
         if os.path.lexists(ancestor):
             if not ancestor.is_dir():
                 raise NotADirectoryError(f"output directory {path}: {ancestor} is not a directory")
+            if not os.access(ancestor, os.W_OK | os.X_OK):
+                raise PermissionError(f"output directory {path}: {ancestor} is not writable and searchable")
             return
 
 
@@ -515,13 +528,16 @@ def _format(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """The header and each row as a line of _format'd values joined by commas.
+    """The header and each row as a line of _format'd values joined by commas; a str row is written as it stands.
 
+    A str row holds lines that the caller formatted, each ending in "\\n".
     No value the program writes holds a comma, a quote or a line break, so
     none is quoted: the bytes are those of csv.writer with lineterminator "\\n".
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(",".join(map(_format, row)) + "\n" for row in chain([header], rows))
+        fh.writelines(
+            row if isinstance(row, str) else ",".join(map(_format, row)) + "\n" for row in chain([header], rows)
+        )
 
 
 def write_outputs(out_dir, config, results, reports, decay_rows) -> None:
@@ -597,13 +613,17 @@ def write_kernel_surface(path, config: ExperimentConfig) -> None:
     """Covariance kernel sampled on a coarse uniform grid, in long CSV form.
 
     Needs only the covariance, so it is written for models that fail the
-    stationarity gate or whose eigenvalue gaps vanish.  The rows are made as
-    the writer takes them, so only the surface itself is held.
+    stationarity gate or whose eigenvalue gaps vanish.  Each row of the
+    surface is formatted into its lines as the writer takes it, so only the
+    surface itself and one row's lines are held.
     """
     points = np.linspace(0.0, 1.0, round(1.0 / config.coarse_step) + 1)
     surface = model.covariance_kernel_surface(model.build_covariance(config.model), points)
-    ticks = [_format(t) for t in points.tolist()]  # each label formatted once, not once per row
-    rows = ((s, t, value) for s, row in zip(ticks, surface) for t, value in zip(ticks, row.tolist()))
+    ticks = [_format(t) for t in points.tolist()]  # each label formatted once, not once per line
+    value = float.__repr__  # _format of a float, without its dispatch
+    rows = (
+        "".join([f"{s},{t},{value(v)}\n" for t, v in zip(ticks, row.tolist())]) for s, row in zip(ticks, surface)
+    )
     _write_csv(Path(path), ["s", "t", "value"], rows)
 
 

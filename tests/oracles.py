@@ -2,14 +2,15 @@
 
 Nothing here shares code with the package internals: eigen decompositions
 run classic Jacobi rotations, the estimator is assembled by nested loops
-over its defining sums or from the SVD of the inputs' QR factor, wavelet basis vectors come from an explicit
-coefficient-upsampling cascade, the stationary covariance is the plain
-fixed-point iteration, trajectories step the autoregression one state at
-a time, and function values and kernel entries add the sine modes one by
-one.  Everything targets tiny instances and favours obviousness over
-speed.  The exceptions are the two route references at the end, which
-keep the one-transform-per-function scoring that the package's cached
-coefficient matrices replaced.
+over its defining sums or from the SVD of the inputs' QR factor, the
+transition moments are one einsum over the whole path, wavelet basis
+vectors come from an explicit coefficient-upsampling cascade, the
+stationary covariance is the plain fixed-point iteration, trajectories
+step the autoregression one state at a time, and function values and
+kernel entries add the sine modes one by one.  Everything targets tiny
+instances and favours obviousness over speed.  The exceptions are the two
+route references at the end, which keep the one-transform-per-function
+scoring that the package's cached coefficient matrices replaced.
 """
 
 import math
@@ -83,6 +84,17 @@ def oracle_estimator(states, k):
             projected += float(u_h @ image) * u_h
         rho += np.outer(projected, u_j) / values[j]
     return rho
+
+
+def transition_sums(states):
+    """sum X_i X_i^T and sum X_(i+1) X_i^T over every transition of the states X_0..X_(n-1).
+
+    Each is one einsum over the transition index, with no blocks, so it
+    shares no summation order with the package's TransitionMoments.
+    """
+    states = np.asarray(states, dtype=float)
+    inputs, outputs = states[:-1], states[1:]
+    return np.einsum("ij,ik->jk", inputs, inputs), np.einsum("ij,ik->jk", outputs, inputs)
 
 
 def _synthesis_step(approx, detail, low, high):

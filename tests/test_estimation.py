@@ -6,18 +6,16 @@ import pytest
 from banach_ar1.estimation import (
     EigenGapError,
     EstimatorState,
+    TransitionMoments,
     TruncationRankError,
     TruncationRule,
     _wavelet_matrix,
-    empirical_covariance,
-    empirical_cross_covariance,
     fit_estimator,
     fit_moments,
     gap_coefficients,
     max_inverse_gap,
     plug_in_predict,
     prediction_error_besov,
-    transition_moments,
     truncation_order,
 )
 from banach_ar1.model import (
@@ -29,10 +27,11 @@ from banach_ar1.model import (
     build_rho,
     sample_initial_condition,
     simulate_trajectory,
+    stream_paths,
 )
 from banach_ar1.wavelet import WaveletBasisSpec, besov_sup_norm, dwt_forward
 
-from oracles import grid_values, oracle_estimator, qr_factor_estimator, spline_errors
+from oracles import grid_values, oracle_estimator, qr_factor_estimator, spline_errors, transition_sums
 
 SPEC = WaveletBasisSpec(order=10, coarse_level=2, max_level=10)
 
@@ -47,59 +46,103 @@ def paper_model(modes):
     return cov, rho, noise
 
 
+def added(states):
+    """The TransitionMoments of a stack of paths, states of shape (R, n, p), added at once."""
+    moments = TransitionMoments()
+    moments.add(states)
+    return moments
+
+
 class TestEmpiricalMoments:
+    # the transition moments against the oracle's unblocked sums and literal loops
+
     def test_constant_trajectory_gives_rank_one(self):
         x = np.array([1.0, -2.0, 0.5])
-        traj = Trajectory(states=np.tile(x, (6, 1)))
-        cov = empirical_covariance(traj)
-        assert np.abs(cov.matrix - np.outer(x, x)).max() < 1e-14
-        values = np.linalg.eigvalsh(cov.matrix)[::-1]
+        moments = added(np.tile(x, (1, 6, 1)))
+        assert moments.transitions == 5
+        gram, cross = transition_sums(np.tile(x, (6, 1)))
+        assert np.abs(moments.gram[0] - gram).max() < 1e-13
+        assert np.abs(moments.cross[0] - cross).max() < 1e-13
+        values = np.linalg.eigvalsh(moments.gram[0] / 5)[::-1]
         assert values[0] == pytest.approx(float(x @ x), rel=1e-12)
         assert np.abs(values[1:]).max() < 1e-12
 
     def test_two_state_examples(self):
         e1 = np.array([1.0, 0.0, 0.0])
         e2 = np.array([0.0, 1.0, 0.0])
-        traj = Trajectory(states=np.stack([e1, e2]))
-        cov = empirical_covariance(traj)
-        assert np.allclose(cov.matrix, np.diag([0.5, 0.5, 0.0]))
-        cross = empirical_cross_covariance(traj)
+        moments = added(np.stack([e1, e2])[None])
+        assert moments.transitions == 1
+        assert np.array_equal(moments.gram[0], np.diag([1.0, 0.0, 0.0]))
         expected = np.zeros((3, 3))
         expected[1, 0] = 1.0
-        assert np.array_equal(cross.matrix, expected)
+        assert np.array_equal(moments.cross[0], expected)
 
     def test_matches_brute_force_double_loop(self):
         rng = np.random.default_rng(21)
-        # 3 PIECE_ROWS + 37 states are summed in four pieces, the last of 37 states
+        # 3 PIECE_ROWS + 37 states are summed in four blocks, the last of 36 transitions
         for n in (7, 3 * PIECE_ROWS + 37):
             x = rng.standard_normal((n, 4))
-            traj = Trajectory(states=x)
-            cov = empirical_covariance(traj).matrix
-            cross = empirical_cross_covariance(traj).matrix
-            cov_ref = np.zeros((4, 4))
+            moments = added(x[None])
+            gram_ref = np.zeros((4, 4))
             cross_ref = np.zeros((4, 4))
-            for i in range(n):
-                cov_ref += np.outer(x[i], x[i]) / n
             for i in range(n - 1):
-                cross_ref += np.outer(x[i + 1], x[i]) / (n - 1)
-            assert np.abs(cov - cov_ref).max() < 1e-12, n
-            assert np.abs(cross - cross_ref).max() < 1e-12, n
+                gram_ref += np.outer(x[i], x[i])
+                cross_ref += np.outer(x[i + 1], x[i])
+            gram, cross = transition_sums(x)
+            assert np.abs(gram - gram_ref).max() < 1e-10 and np.abs(cross - cross_ref).max() < 1e-10, n
+            assert np.abs(moments.gram[0] - gram).max() < 1e-10, n
+            assert np.abs(moments.cross[0] - cross).max() < 1e-10, n
+            assert moments.transitions == n - 1
 
     def test_noiseless_cross_covariance_factors_through_rho(self):
-        # over aligned windows the cross-covariance of a noiseless path is
-        # exactly rho times the covariance of the inputs
+        # over aligned windows the cross moment of a noiseless path is
+        # exactly rho times the inputs' Gram moment
         _, rho, _ = paper_model(4)
         zero = SpectralOperator(np.zeros((4, 4)))
         rng = np.random.default_rng(2)
         traj = simulate_trajectory(12, rho, zero, rng.standard_normal(4), rng)
-        n = len(traj)
-        cross = empirical_cross_covariance(traj).matrix
-        inputs_cov = empirical_covariance(traj.head(n - 1)).matrix
-        assert np.abs(cross - rho.matrix @ inputs_cov).max() < 1e-10
+        moments = added(traj.states[None])
+        assert np.abs(moments.cross[0] - rho.matrix @ moments.gram[0]).max() < 1e-10
 
     def test_too_short(self):
-        with pytest.raises(ValueError):
-            empirical_covariance(Trajectory(states=np.zeros((1, 3))))
+        moments = added(np.zeros((2, 1, 3)))
+        assert moments.gram is None and moments.transitions == 0
+        with pytest.raises(ValueError, match="need at least 2 states"):
+            fit_moments(moments, TruncationRule.fixed(1))
+        with pytest.raises(ValueError, match="need at least 2 states"):
+            fit_estimator(Trajectory(states=np.zeros((1, 3))), TruncationRule.fixed(1))
+
+
+class TestBlocking:
+    # TransitionMoments.add sums PIECE_ROWS transitions at a time from the first state
+
+    def test_one_add_equals_its_blocks_added_one_by_one(self):
+        x = np.random.default_rng(22).standard_normal((3, 3 * PIECE_ROWS + 37, 5))
+        blocks = TransitionMoments()
+        for start in range(0, x.shape[1] - 1, PIECE_ROWS):
+            blocks.add(x[:, start : start + PIECE_ROWS + 1].copy())
+        whole = added(x)
+        assert whole.transitions == blocks.transitions == x.shape[1] - 1
+        assert np.array_equal(whole.gram, blocks.gram)
+        assert np.array_equal(whole.cross, blocks.cross)
+
+    @pytest.mark.parametrize("n", [3 * PIECE_ROWS + 37, 2 * PIECE_ROWS + 1])
+    @pytest.mark.parametrize("burn_in", [0, 7])
+    def test_one_add_equals_the_streamed_pieces(self, n, burn_in):
+        # the fit's states end at X_(n-1); at n = 2 PIECE_ROWS + 1 the last
+        # piece holds only X_(n-1) of them, so it adds no transition
+        cov, rho, noise = paper_model(5)
+        rngs = [np.random.default_rng([5, n, r]) for r in range(3)]
+        x0 = np.stack([sample_initial_condition(cov, rng) for rng in rngs])
+        streamed = TransitionMoments()
+        states = np.empty((3, n + 1, 5))
+        for piece, first in stream_paths(n, rho, noise, x0, rngs, burn_in):
+            streamed.add(piece[:, : n - first])
+            states[:, first : first + piece.shape[1]] = piece
+        whole = added(states[:, :n])
+        assert whole.transitions == streamed.transitions == n - 1
+        assert np.array_equal(whole.gram, streamed.gram)
+        assert np.array_equal(whole.cross, streamed.cross)
 
 
 def transition_states(inputs):
@@ -313,7 +356,7 @@ class TestFitEstimator:
 class TestFitStack:
     def test_members_equal_single_fits_bit_for_bit(self):
         x = np.random.default_rng(12).standard_normal((4, 30, 6))
-        stack = fit_moments(transition_moments(x), TruncationRule.fixed(3))
+        stack = fit_moments(added(x), TruncationRule.fixed(3))
         predictions = plug_in_predict(stack, x[:, -1])
         for r in range(4):
             single = fit_estimator(Trajectory(states=x[r]), TruncationRule.fixed(3))
@@ -323,7 +366,7 @@ class TestFitStack:
 
     def test_invariants_hold_for_every_member(self):
         x = np.random.default_rng(13).standard_normal((3, 20, 5))
-        stack = fit_moments(transition_moments(x), TruncationRule.fixed(2))
+        stack = fit_moments(added(x), TruncationRule.fixed(2))
         skewed = stack.eigenvectors.copy()
         skewed[2, :, 0] *= 1.01
         with pytest.raises(ValueError, match="orthonormal"):
@@ -337,7 +380,7 @@ class TestFitStack:
     def test_non_finite_values_are_rejected_naming_the_array(self, name):
         # every comparison with NaN is false, so the ordering and orthonormality checks alone let it through
         x = np.random.default_rng(13).standard_normal((3, 20, 5))
-        stack = fit_moments(transition_moments(x), TruncationRule.fixed(2))
+        stack = fit_moments(added(x), TruncationRule.fixed(2))
         arrays = {key: getattr(stack, key).copy() for key in ("eigenvalues", "eigenvectors", "d_matrix", "rho_hat")}
         arrays[name][1, ..., -1] = np.nan
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
@@ -347,7 +390,7 @@ class TestFitStack:
         x = np.random.default_rng(14).standard_normal((3, 20, 5))
         x[1] = 0.0
         with pytest.raises(TruncationRankError, match="eigenvalue 2 is 0.000e\\+00 \\(leading 0.000e\\+00\\)"):
-            fit_moments(transition_moments(x), TruncationRule.fixed(2))
+            fit_moments(added(x), TruncationRule.fixed(2))
 
 
 class TestPrediction:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import banach_ar1
 from banach_ar1 import cli, harness
 from banach_ar1.diagnostics import eigen_decay_report
-from banach_ar1.estimation import TruncationRule, fit_estimator, fit_moments, transition_moments
+from banach_ar1.estimation import TransitionMoments, TruncationRule, fit_estimator, fit_moments
 from banach_ar1.harness import (
     ConfigError,
     parse_config,
@@ -568,6 +568,23 @@ class TestKernelSurface:
         lines = (tmp_path / "kernel_surface.csv").read_text().splitlines()
         assert len(lines) == 1 + 257**2 and lines[:2] == ["s,t,value", "0.0,0.0,0.0"]
 
+    def test_rows_are_the_bytes_of_its_values_formatted_one_by_one(self, tmp_path):
+        # each row of the surface is formatted into its lines at once; the
+        # bytes are csv.writer's of every (s, t, value) passed through _format
+        config = parse_config(write_config(tmp_path, "coarse_step = 0.0625\n"))
+        harness.write_kernel_surface(tmp_path / "kernel_surface.csv", config)
+        points = np.linspace(0.0, 1.0, 17)
+        surface = harness.model.covariance_kernel_surface(harness.model.build_covariance(config.model), points)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["s", "t", "value"])
+        writer.writerows(
+            [harness._format(v) for v in (s, t, surface[a, b])]
+            for a, s in enumerate(points.tolist())
+            for b, t in enumerate(points.tolist())
+        )
+        assert (tmp_path / "kernel_surface.csv").read_bytes() == expected.getvalue().encode("utf-8")
+
 
 class TestReadme:
     def test_cited_module_names_resolve(self):
@@ -824,7 +841,9 @@ class TestEstimatorBundle:
 
     def test_a_stack_of_fits_is_refused_before_writing(self, tmp_path):
         x = np.random.default_rng(11).standard_normal((3, 30, 6))
-        stack = fit_moments(transition_moments(x), TruncationRule.fixed(3))
+        moments = TransitionMoments()
+        moments.add(x)
+        stack = fit_moments(moments, TruncationRule.fixed(3))
         path = tmp_path / "estimator.csv"
         with pytest.raises(ValueError, match=r"writes one fit, got a stack of 3: write state\[r\]"):
             write_estimator_csv(stack, path)
@@ -1049,6 +1068,59 @@ class TestCli:
         assert f"i/o failure: output directory {blocker / below}: {blocker} is not a directory" in capsys.readouterr().err
         assert ran == [] and blocker.read_bytes() == b"kept\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["blocker", "exp.cfg"]
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["existing", "to-be-made"])
+    def test_output_directory_this_process_cannot_write_is_an_io_error(
+        self, tmp_path, capsys, monkeypatch, command, below
+    ):
+        # the tests may run as root, whom a chmod does not stop, so os.access is told the directory is locked
+        ran, asked = [], []
+        monkeypatch.setattr(harness, "_run_chunk", lambda *args: ran.append(args))
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        access = os.access
+
+        def locked_access(path, mode, **kwargs):
+            if Path(path) == locked:
+                asked.append(mode)
+                return False
+            return access(path, mode, **kwargs)
+
+        monkeypatch.setattr(os, "access", locked_access)
+        cfg_path = write_config(tmp_path, TINY_CONFIG)
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(locked / below)]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert f"i/o failure: output directory {locked / below}: {locked} is not writable and searchable" in err
+        assert asked == [os.W_OK | os.X_OK] and ran == [] and list(locked.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "text, n, k",
+        [("sample_sizes = 3\n", 3, 2), ("sample_sizes = 4,8\ntruncation = fixed:3\n", 4, 3)],
+        ids=["log-rule", "fixed"],
+    )
+    def test_zero_start_with_fewer_nonzero_inputs_than_k_n_is_a_numeric_failure(
+        self, tmp_path, capsys, monkeypatch, command, text, n, k
+    ):
+        # X_0 = 0, so n states give the fit at most n - 2 nonzero inputs
+        ran = []
+        monkeypatch.setattr(harness, "_run_chunk", lambda *args: ran.append(args))
+        cfg_path = write_config(
+            tmp_path, f"truncated_init = false\nburn_in = 0\nreplications = 2\n{text}output_dir = {tmp_path / 'out'}\n"
+        )
+        assert cli.main([command, "--config", str(cfg_path)]) == cli.EXIT_NUMERIC
+        assert (
+            f"numeric failure: n = {n} starts from X_0 = 0 (truncated_init = false, burn_in = 0): "
+            f"its n - 2 = {n - 2} nonzero inputs cannot span k_n = {k} eigenvectors"
+        ) in capsys.readouterr().err
+        assert ran == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", ["burn_in = 1\nsample_sizes = 3\n", "sample_sizes = 4,8\ntruncation = fixed:2\n"])
+    def test_zero_start_with_enough_nonzero_inputs_runs(self, tmp_path, text):
+        # a burn-in moves X_0 off zero; at k_n = n - 2 the nonzero inputs suffice
+        cfg_path = write_config(tmp_path, f"truncated_init = false\nreplications = 2\n{text}output_dir = {tmp_path / 'out'}\n")
+        assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_OK
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_vanishing_eigen_gap_is_a_numeric_failure(self, tmp_path, capsys, command):
