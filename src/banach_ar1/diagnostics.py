@@ -24,9 +24,10 @@ class ConsistencyReport:
     """Consistency-certificate quantities for one sample size.
 
     mode records whether the spectrum behind lambda/a_sum/ratio/xi is the
-    known model spectrum ("true") or an empirical estimate ("empirical");
-    run_experiment reports only the known spectrum, so it is always "true"
-    today.
+    known model spectrum ("true") or an empirical estimate ("empirical").
+    The run context (harness._RunContext) certifies each sample size from
+    the known spectrum, and run_experiment adds the trace sums, so it is
+    always "true" today.
     """
 
     n: int

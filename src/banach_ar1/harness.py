@@ -269,11 +269,15 @@ class _RunContext:
     below 1, EigenGapError when a sample size's bound meets a vanishing
     eigenvalue gap, and TruncationRankError when a size's fit from a zero
     start (X_0 = 0 without a burn-in) has fewer than k_n nonzero inputs.
-    build_noise_covariance computes and checks the noise square root;
-    every size's bound is filled here, before the chunks' threads can race
-    for it.  Past the gate one INFO line reports the
-    banded repair: the ranks of the innovation and stationary covariances
-    and how far the stationary covariance S lies from the stated C.
+    build_noise_covariance computes and checks the noise square root.  Past
+    the gate one INFO line reports the banded repair: the ranks of the
+    innovation and stationary covariances and how far the stationary
+    covariance S lies from the stated C.
+
+    This is the one place that certifies a sample size: certificates[n]
+    holds k_n and the known spectrum's lambda_kn, a_sum, ratio and xi, the
+    values of consistency.csv but the grid's trace sums, which
+    run_experiment adds after the sweep.  The chunks read xi from here.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -294,9 +298,9 @@ class _RunContext:
             _rank(self.noise), self.noise.dim, _rank(stationary), distance,
         )
         # gap coefficients need one eigenvalue beyond the largest truncation
-        self.c_extended = model.covariance_eigenvalues(config.model.gamma, config.model.modes + 1)
-        # n -> (k_n, its gap coefficients, the exceedance bound xi)
-        self.bounds: dict[int, tuple[int, np.ndarray, float]] = {}
+        c_values = model.covariance_eigenvalues(config.model.gamma, config.model.modes + 1)
+        # n -> the certificate of size n: its consistency.csv values but the grid's trace sums
+        self.certificates: dict[int, dict[str, float]] = {}
         for n in config.sample_sizes:
             k = estimation.truncation_order(n, config.truncation, p_max=config.model.modes)
             if not config.truncated_init and config.burn_in == 0 and k > n - 2:
@@ -304,9 +308,14 @@ class _RunContext:
                     f"n = {n} starts from X_0 = 0 (truncated_init = false, burn_in = 0): its n - 2 = {n - 2} nonzero "
                     f"inputs cannot span k_n = {k} eigenvectors; use a smaller truncation order, a larger n or a burn-in"
                 )
-            a_vals = estimation.gap_coefficients(self.c_extended, k)
-            a_vals.setflags(write=False)
-            self.bounds[n] = k, a_vals, diagnostics.exceedance_bound(n, k, self.c_extended, a_vals)
+            a_vals = estimation.gap_coefficients(c_values, k)
+            self.certificates[n] = dict(
+                k_n=k,
+                lambda_kn=estimation.max_inverse_gap(c_values, k),
+                a_sum=float(a_vals.sum()),
+                ratio=diagnostics.consistency_ratio(n, k, c_values, a_vals),
+                xi=diagnostics.exceedance_bound(n, k, c_values, a_vals),
+            )
 
 
 @functools.lru_cache(maxsize=4)
@@ -390,7 +399,7 @@ def _run_stack(
     errors = estimation.prediction_error_besov(
         truth, predicted, config.model.grid_len, config.wavelet, _coarse_step(config)
     )
-    _, _, xi = ctx.bounds[n]
+    xi = ctx.certificates[n]["xi"]
     results = [
         diagnostics.ExperimentResult(n=n, replication=r, error_b=float(error), xi=xi)
         for r, error in enumerate(errors, start=r0)
@@ -495,23 +504,10 @@ def run_experiment(
     trace = diagnostics._trace_sums(
         estimation._wavelet_matrix(config.model.modes, config.model.grid_len, config.wavelet, None)
     )
-    reports = []
-    for n in config.sample_sizes:
-        k, a_vals, xi = ctx.bounds[n]
-        reports.append(
-            diagnostics.ConsistencyReport(
-                n=n,
-                k_n=k,
-                lambda_kn=estimation.max_inverse_gap(ctx.c_extended, k),
-                a_sum=float(a_vals.sum()),
-                ratio=diagnostics.consistency_ratio(n, k, ctx.c_extended, a_vals),
-                xi=xi,
-                trace_sum=trace.trace_sum,
-                n_sup=trace.n_sup,
-                v_sup=trace.v_sup,
-                mode="true",
-            )
-        )
+    reports = [
+        diagnostics.ConsistencyReport(n=n, **ctx.certificates[n], **trace._asdict(), mode="true")
+        for n in config.sample_sizes
+    ]
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

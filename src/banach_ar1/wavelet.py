@@ -51,7 +51,10 @@ class WaveletBasisSpec:
         if self.coarse_level < 1:
             raise ValueError("coarse_level must be >= 1")
         if self.max_level < self.coarse_level:
-            raise ValueError("max_level must be >= coarse_level")
+            raise ValueError(
+                f"coarse_level must be <= {self.max_level}, the finest detail level of a grid of "
+                f"{self.grid_len} points, got {self.coarse_level}"
+            )
 
     @property
     def grid_len(self) -> int:
@@ -210,9 +213,8 @@ def dwt_inverse(coeffs: WaveletCoeffs) -> np.ndarray:
     while approx.size < spec.grid_len:
         detail = coeffs.values[approx.size : 2 * approx.size]
         out = np.zeros(2 * approx.size)
-        base = 2 * np.arange(approx.size)
-        for i in range(h.size):
-            np.add.at(out, (base + i) % out.size, h[i] * approx + g[i] * detail)
+        # the adjoint of dwt_forward's gather: row k scatters back to (2k + i) mod size
+        np.add.at(out, _periodic_index(out.size, h.size), approx[:, None] * h + detail[:, None] * g)
         approx = out
     return approx * 2.0 ** ((spec.max_level + 1) / 2.0)
 

@@ -146,6 +146,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="byte 0xe9 at offset 8"):
             parse_config(bom)
 
+    def test_coarse_level_above_the_finest_detail_level_names_the_grid(self, tmp_path):
+        # max_level follows from grid_len, which the file sets or leaves at its default
+        message = "coarse_level must be <= 10, the finest detail level of a grid of 2048 points, got 11"
+        with pytest.raises(ConfigError, match=rf"^line 1 \(coarse_level\): {message}$"):
+            parse_config(write_config(tmp_path, "coarse_level = 11\n"))
+        with pytest.raises(ConfigError, match=r"^line 1 \(grid_len\), line 2 \(coarse_level\): .* <= 6, .* of 128 "):
+            parse_config(write_config(tmp_path, "grid_len = 128\ncoarse_level = 7\nmodes = 8\n"))
+
     def test_descending_sizes_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="ascending"):
             parse_config(write_config(tmp_path, "sample_sizes = 800, 200\n"))
@@ -239,18 +247,19 @@ class TestRunExperiment:
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "c" / name, shallow=False)
 
     def test_bound_computed_once_per_sample_size(self, tmp_path, monkeypatch):
+        # the run context certifies each size once; the chunks and the reports read its certificate
         calls = []
-        original = harness.diagnostics.exceedance_bound
-
-        def counted(n, *args):
-            calls.append(n)
-            return original(n, *args)
-
-        monkeypatch.setattr(harness.diagnostics, "exceedance_bound", counted)
+        names = ("exceedance_bound", "consistency_ratio", "max_inverse_gap")
+        for name in names:
+            module = harness.estimation if name == "max_inverse_gap" else harness.diagnostics
+            original = getattr(module, name)
+            # each takes k_n as its second argument
+            monkeypatch.setattr(module, name, lambda *a, name=name, f=original: calls.append((name, a[1])) or f(*a))
         harness._context.cache_clear()
         results, reports = run_experiment(parse_config(smoke_config(tmp_path)), threads=1)
         harness._context.cache_clear()
-        assert sorted(calls) == [200, 800]
+        assert [report.k_n for report in reports] == [6, 7]
+        assert sorted(calls) == sorted((name, k) for name in names for k in (6, 7))
         assert {r.xi for r in results if r.n == 800} == {reports[1].xi}
 
     def test_replication_streams_are_scheduling_free(self, tmp_path):
@@ -908,6 +917,10 @@ INVALID_INPUTS = [
     pytest.param("coarse_step = 0.00097\n", [], id="coarse-step-just-below-ceiling"),
     pytest.param("sample_sizes = 20, 20\n", [], id="sample-sizes-repeated"),
     pytest.param(f"sample_sizes = 20, {10**309}\n", [], id="sample-size-beyond-double"),
+    pytest.param("sample_sizes = ,\n", [], id="sample-sizes-empty"),
+    pytest.param("burn_in = -1\n", [], id="burn-in-negative"),
+    pytest.param("coarse_level = 0\n", [], id="coarse-level-zero"),
+    pytest.param("coarse_level = 11\n", [], id="coarse-level-above-finest-detail-level"),
     pytest.param("truncation = fixed:0\n", [], id="truncation-fixed-zero"),
     pytest.param("gamma = 400\n", [], id="gamma-eigenvalues-underflow"),
     pytest.param("width = 1e300\n", [], id="width-squared-overflows"),
@@ -1038,6 +1051,36 @@ class TestCli:
         assert cli.main([command, "--config", str(cfg_path)]) == cli.EXIT_CONFIG
         assert f"configuration error: line 2 ({key}): " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run", "kernel"])
+    def test_seed_variable_that_is_not_an_integer_is_a_config_error(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv("BANACH_AR1_SEED", "abc")
+        cfg_path = write_config(tmp_path, TINY_CONFIG + f"output_dir = {tmp_path / 'out'}\n")
+        assert cli.main([command, "--config", str(cfg_path)]) == cli.EXIT_CONFIG
+        assert "configuration error: BANACH_AR1_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_validate_builds_no_table_that_only_run_reads(self, tmp_path, capsys, monkeypatch):
+        # validate certifies every size in the run context; the scoring matrix and rho's step table stay run's
+        matrix = harness.estimation._wavelet_matrix
+        original = harness.model.SpectralOperator.step_table
+        reads = []
+
+        def step_table(self):
+            reads.append(self)
+            return original.__get__(self, type(self))
+
+        monkeypatch.setattr(harness.model.SpectralOperator, "step_table", property(step_table))
+        harness._context.cache_clear()
+        matrix.cache_clear()
+        cfg_path = write_config(tmp_path, TINY_CONFIG + f"output_dir = {tmp_path / 'out'}\n")
+        assert cli.main(["validate", "--config", str(cfg_path)]) == cli.EXIT_OK
+        assert matrix.cache_info().misses == 0 and reads == []
+        # the same counters see run build both
+        assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_OK
+        assert matrix.cache_info().misses > 0 and reads
+        harness._context.cache_clear()
+        capsys.readouterr()
 
     @pytest.mark.parametrize("command", ["validate", "run", "kernel"])
     def test_empty_output_dir_is_a_config_error(self, tmp_path, capsys, monkeypatch, command):
