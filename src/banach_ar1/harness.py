@@ -12,15 +12,16 @@ The replications of one sample size run in chunks, stacked along a leading
 axis through simulation, fit, prediction and scoring; a chunk is the unit of
 work of the thread pool.  Every product in the stack is the per-replication
 gemm or gemv, so a replication's error does not depend on its chunk.  A
-chunk streams its stack through model.stream_paths, adding each piece's
-transitions to the moments of the fit as the piece is made, then fits,
-predicts and scores; no whole trajectory is kept.  A chunk holds as many
-replications as fit into CHUNK_BUDGET doubles, counting what its stream and
-its fit keep alive (chunk_doubles).  A sweep maps the chunks, in layout
-order, over one more thread than it has workers, or over one thread on one
-usable CPU; numpy's generator fill, BLAS and LAPACK release the interpreter
-lock, so while one thread draws another can compute.  Each thread runs one
-chunk at a time, so a serial sweep keeps at most two chunks alive.
+chunk streams its stack through model.stream_paths, one call per stage of
+each piece, adding each piece's transitions to the moments of the fit as
+the piece is made, then fits, predicts and scores; no whole trajectory is
+kept.  A chunk holds as many replications as fit into CHUNK_BUDGET
+doubles, counting what each one's stream and fit keep alive (chunk_doubles).
+A sweep maps the chunks, in layout order, over one more thread than it has
+workers, or over one thread on one usable CPU; numpy's generator fill, BLAS
+and LAPACK release the interpreter lock, so while one thread draws another
+can compute.  Each thread runs one chunk at a time, so a serial sweep keeps
+at most two chunks alive.
 
 The experiment fits on the first n states and predicts from state n+1, so
 the estimator's sample and the prediction input are disjoint.
@@ -52,7 +53,11 @@ ENV_SEED_VAR = "BANACH_AR1_SEED"
 
 
 class ConfigError(ValueError):
-    """Raised for malformed or invalid experiment configuration."""
+    """Raised for malformed or invalid experiment configuration; keys are the config-file keys a check read."""
+
+    def __init__(self, message: str, *keys: str):
+        super().__init__(message)
+        self.keys = keys
 
 
 class StationarityError(RuntimeError):
@@ -88,35 +93,32 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.sample_sizes:
-            raise ConfigError("sample_sizes must be non-empty")
+            raise ConfigError("sample_sizes must be non-empty", "sample_sizes")
         if any(a >= b for a, b in zip(self.sample_sizes, self.sample_sizes[1:])):
-            raise ConfigError(f"sample_sizes must be strictly ascending, got {list(self.sample_sizes)}")
+            raise ConfigError(f"sample_sizes must be strictly ascending, got {list(self.sample_sizes)}", "sample_sizes")
         if min(self.sample_sizes) < 2:
-            raise ConfigError("sample sizes must be >= 2")
+            raise ConfigError("sample sizes must be >= 2", "sample_sizes")
         if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
+            raise ConfigError("replications must be >= 1", "replications")
         if self.burn_in < 0:
-            raise ConfigError("burn_in must be >= 0")
+            raise ConfigError("burn_in must be >= 0", "burn_in")
         steps = sum(self.burn_in + n for n in self.sample_sizes) * self.replications
         if steps > MAX_SWEEP_STEPS:
             digits = str(steps)  # a float would overflow past 1.8e308
             shown = f"{steps:,}" if steps < 10**18 else f"{digits[0]}.{digits[1:3]}e+{len(digits) - 1}"
             raise ConfigError(
                 f"the sweep asks for {shown} steps, sum over n of (burn_in + n) x replications; "
-                f"at most {MAX_SWEEP_STEPS:,} can run"
+                f"at most {MAX_SWEEP_STEPS:,} can run", "sample_sizes", "burn_in", "replications",
             )
         if self.master_seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.master_seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.master_seed}", "seed")
         if not self.output_dir:
-            raise ConfigError("output_dir must be non-empty")
+            raise ConfigError("output_dir must be non-empty", "output_dir")
         # the kernel surface has round(1 / coarse_step) + 1 points a side: at most 1,025
         if not 1 / 1024 <= self.coarse_step < 0.5:
-            raise ConfigError(f"coarse_step must lie in [1/1024, 0.5), got {self.coarse_step}")
+            raise ConfigError(f"coarse_step must lie in [1/1024, 0.5), got {self.coarse_step}", "coarse_step")
         if self.wavelet.grid_len != self.model.grid_len:
-            raise ConfigError(
-                f"wavelet grid ({self.wavelet.grid_len}) and model grid "
-                f"({self.model.grid_len}) disagree"
-            )
+            raise ConfigError(f"wavelet grid ({self.wavelet.grid_len}) and model grid ({self.model.grid_len}) disagree")
 
 
 def _parse_int(raw: str) -> int:
@@ -184,10 +186,11 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
     Blank lines and `#` comments are ignored; unknown keys, duplicates,
     malformed lines and values that do not parse are reported with their
-    line numbers, and a model or wavelet-basis error with the lines of its
-    keys that the file sets.  Missing keys fall back to defaults mirroring the
-    reference scenario (beta 0.6, gamma 1.21, width 0.4, coarse level 2,
-    grid 2048, order-10 wavelets, log-ceiling truncation).
+    line numbers, a model or wavelet-basis error with the lines of its keys
+    that the file sets, and a sweep error with those of the keys its check
+    reads.  Missing keys fall back to defaults mirroring the reference
+    scenario (beta 0.6, gamma 1.21, width 0.4, coarse level 2, grid 2048,
+    order-10 wavelets, log-ceiling truncation).
     """
     data = Path(path).read_bytes()
     try:
@@ -214,11 +217,12 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         lines[key] = line_no
 
     def built(cls, keys, **fields):
-        """cls(**fields), its ValueError raised as a ConfigError naming the lines that set `keys`."""
+        """cls(**fields), its ValueError raised as a ConfigError naming the lines that set `keys` (or its own keys)."""
         try:
             return cls(**fields)
         except ValueError as exc:
-            where = ", ".join(f"line {lines[k]} ({k})" for k in sorted(lines.keys() & keys, key=lines.get))
+            named = getattr(exc, "keys", ()) or keys
+            where = ", ".join(f"line {lines[k]} ({k})" for k in sorted(lines.keys() & named, key=lines.get))
             raise ConfigError(f"{where}: {exc}") from None
 
     params = built(
@@ -239,7 +243,9 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     )
     if values["burn_in"] is None:
         values["burn_in"] = 0 if values["truncated_init"] else 500
-    return ExperimentConfig(
+    return built(
+        ExperimentConfig,
+        ("sample_sizes", "replications", "burn_in", "seed", "coarse_step", "output_dir"),
         model=params,
         wavelet=wavelet_spec,
         sample_sizes=values["sample_sizes"],
@@ -328,18 +334,18 @@ def replication_rng(master_seed: int, n: int, replication: int) -> np.random.Gen
     return np.random.default_rng([master_seed, n, replication])
 
 
-# Doubles that one chunk may keep alive (1.6 MiB, chunk_doubles).  A
+# Doubles that one chunk may keep alive (1.9 MiB, chunk_doubles).  A
 # serial sweep holds two chunks at once: on 2 cores, 2**17 (one desk
 # replication per chunk at n = 500 and 2000) made the desk sweep about 18%
-# slower, and 2**18 raised its peak RSS by 1.5 to 2.3 MB.  25 * 2**13 is
+# slower, and 2**18 raised its peak RSS by 1.5 to 2.3 MB.  31 * 2**13 is
 # the smallest multiple of 2**13 that holds 8, 7 and 6 replications of
-# short-many (n = 50, 100, 200) per chunk, and it holds 5 of every desk
-# size (n = 500, 2000, 8000, whose pieces are all PIECE_ROWS long); at
-# 24 * 2**13, n = 200 drops to 5.  A narrower chunk spends more
-# interpreter time per path on the stacked products of model.stream_paths'
-# piece loop.  Chunk sizes follow from the configuration alone, never from
-# the worker count, so every --threads value writes the same bytes.
-CHUNK_BUDGET = 25 * 2**13
+# short-many (n = 50, 100, 200) per chunk (it holds 9, 8 and 6; at 30 *
+# 2**13, n = 100 and 200 drop to 7 and 5) and 5 of every desk size (n =
+# 500, 2000, 8000, whose pieces are all PIECE_ROWS long).  A narrower chunk
+# spends more interpreter time per path on the whole-stack calls of
+# model.stream_paths' piece loop.  Chunk sizes follow from the
+# configuration alone, so every --threads value writes the same bytes.
+CHUNK_BUDGET = 31 * 2**13
 
 
 def chunk_doubles(config: ExperimentConfig, n: int, size: int) -> int:
@@ -353,8 +359,7 @@ def chunk_doubles(config: ExperimentConfig, n: int, size: int) -> int:
 
 def chunk_size(config: ExperimentConfig, n: int) -> int:
     """Replications of size n in a full chunk: as many as fit into CHUNK_BUDGET, at least one."""
-    scratch = chunk_doubles(config, n, 0)
-    return min(config.replications, max(1, (CHUNK_BUDGET - scratch) // (chunk_doubles(config, n, 1) - scratch)))
+    return min(config.replications, max(1, CHUNK_BUDGET // chunk_doubles(config, n, 1)))
 
 
 def chunk_layout(config: ExperimentConfig) -> list[tuple[int, int, int]]:
@@ -378,9 +383,8 @@ def _run_stack(
 
     The paths are streamed a piece at a time: the fit's moments are summed
     over the states X_0..X_(n-1) of each piece, and the prediction starts
-    from X_n, copied out of the last piece so that the piece buffer and
-    the one-path scratch are freed before the fit.  Returns the results and
-    fits.
+    from X_n, copied out of the last piece so that the piece and stage
+    buffers are freed before the fit.  Returns the results and fits.
     """
     ctx = _context(config)
     rngs = [replication_rng(config.master_seed, n, r) for r in range(r0, r1)]
@@ -467,9 +471,9 @@ def run_experiment(
     The thread count, the run context and the output directory
     (check_output_dir) are checked first, so their errors (ConfigError,
     StationarityError and NotADirectoryError among them) come before any
-    chunk runs.  The chunks of `chunk_layout` are
-    mapped over `pool_threads(threads, ...)` threads of this process, which
-    one INFO line reports with the piece, the block and the chunk sizes.
+    chunk runs.  The chunks of `chunk_layout` are mapped over
+    `pool_threads(threads, ...)` threads of this process, which one INFO
+    line reports with the piece, the block and the chunk sizes.
     Their results come back in (n, replication) order before any file is
     written, so outputs are identical for any worker count, and the
     earliest failing chunk's error is raised.  The BLAS thread count is
@@ -491,7 +495,7 @@ def run_experiment(
         sizes.append(f"{size} at n = {n} ({chunk_doubles(config, n, size) * 8 / 1e6:.3g} MB)")
     logger.info(
         "chunks run on %d threads of one process, one chunk at a time per thread; paths run in pieces of at most "
-        "%d steps, cut at the burn-in's end, drawn one path at a time into rho's eigenbasis and stepped there in "
+        "%d steps, cut at the burn-in's end, drawn path by path and stepped as one stack in rho's eigenbasis, in "
         "blocks of %d states; replications per chunk of at most %.3g MB: %s",
         pool, model.PIECE_ROWS, model.BLOCK, CHUNK_BUDGET * 8 / 1e6, ", ".join(sizes),
     )
@@ -551,10 +555,7 @@ def write_outputs(out_dir, config, results, reports, decay_rows) -> None:
     _write_csv(
         out_dir / "consistency.csv",
         ["n", "k_n", "lambda_kn", "a_sum", "ratio", "xi", "trace_sum", "N_sup", "V_sup", "mode"],
-        (
-            (c.n, c.k_n, c.lambda_kn, c.a_sum, c.ratio, c.xi, c.trace_sum, c.n_sup, c.v_sup, c.mode)
-            for c in reports
-        ),
+        ((c.n, c.k_n, c.lambda_kn, c.a_sum, c.ratio, c.xi, c.trace_sum, c.n_sup, c.v_sup, c.mode) for c in reports),
     )
     _write_csv(out_dir / "eigen_decay.csv", ["n", "j", "C_nj"], decay_rows)
     write_kernel_surface(out_dir / "kernel_surface.csv", config)

@@ -13,12 +13,12 @@ stack of paths is simulated in pieces (stream_paths) of at most PIECE_ROWS
 steps, cut at fixed seams, so a path's live memory does not grow with its
 length; simulate_trajectory stitches one path's pieces together.  rho is
 symmetric, so in its eigenbasis the recursion is p independent scalar AR(1)
-recursions.  One loop over the pieces draws each piece one path at a time
-straight into that basis, steps it there in blocks of BLOCK states whose
-anchors are carried from block to block, and rotates it back to the model
-basis one path at a time.  All randomness flows through an explicit numpy
-Generator, so identical parameters and generator state reproduce
-trajectories bit for bit.
+recursions.  One loop over the pieces fills each path's normals from its
+own generator, maps the whole stack into that basis, steps it there in
+blocks of BLOCK states whose anchors are carried from block to block, and
+rotates it back to the model basis, one numpy call per stage.  All
+randomness flows through an explicit numpy Generator, so identical
+parameters and generator state reproduce trajectories bit for bit.
 """
 
 from __future__ import annotations
@@ -305,8 +305,8 @@ def sample_initial_condition(covariance: SpectralOperator, rng: np.random.Genera
 # Steps of a path that stream_paths simulates at a time.  A path is cut at
 # every k PIECE_ROWS inside its burn-in and at every burn_in + k PIECE_ROWS
 # after it, so no piece has more than PIECE_ROWS steps, the burn-in ends at
-# a seam, and a path's live memory is one piece and one path's scratch
-# whatever its length.
+# a seam, and a path's live memory is one piece and its stage whatever its
+# length.
 PIECE_ROWS = 256
 # States per block of a piece's steps.  Each block is filled by one s x s
 # Toeplitz product per coordinate, and a piece has at most PIECE_ROWS /
@@ -330,7 +330,7 @@ def _blocks(steps: int) -> int:
 
 
 def _piece_buffers(n: int, burn_in: int, p: int) -> tuple[int, int]:
-    """Doubles of one path's row of _pieces' piece buffer, and of the one-path scratch."""
+    """Doubles of one path's row of _pieces' piece buffer, and of its row of the stage buffer."""
     rows = longest_piece(n, burn_in)
     columns = _blocks(rows) * BLOCK
     return p * max(rows + 1, columns), p * columns
@@ -340,12 +340,12 @@ def stream_doubles(n: int, burn_in: int, p: int, paths: int) -> int:
     """Doubles a stream_paths call on `paths` paths of p modes keeps alive, besides its p x p draw map.
 
     Each path's row of the piece buffer (its longest piece and the carried
-    state, or that piece's block columns while it is stepped), its block
-    anchors (a p-row per block, at most 16) and its carried start, and once
-    the one-path scratch that the paths are drawn and stepped through.
+    state, or its block columns), its row of the stage buffer (the piece's
+    normals, then its stepped block columns), its block anchors (a p-row per
+    block, at most 16) and its carried start.
     """
-    row, scratch = _piece_buffers(n, burn_in, p)
-    return paths * (row + scratch // BLOCK + p) + scratch
+    row, stage = _piece_buffers(n, burn_in, p)
+    return paths * (row + stage + stage // BLOCK + p)
 
 
 def _draw_map(rho: SpectralOperator, noise_cov: SpectralOperator) -> np.ndarray:
@@ -406,17 +406,18 @@ def _pieces(
     e_i, one per coordinate, stepped in blocks of s states.  A piece of
     `steps` steps lives in each path's row of one buffer, first as p rows
     of its steps rounded up to whole blocks (y, time along the last axis),
-    then as its steps + 1 states (x), which overwrite y once the path's y
-    is read.  Every product is a per-path gemm or gemv, as for a stack of
-    one, so a path's states do not depend on the other paths in the stack.
+    then as its steps + 1 states (x), which overwrite y once the stepped y
+    is in the stage buffer.  Only the generator fills run path by path;
+    every other stage is one numpy call on the stack, whose products are a
+    stack of one's per-path gemms, so no path depends on the others.
     """
     p, count = rho.dim, len(rngs)
     basis, lam, toeplitz, ends, jump = rho.step_table
     draw_map = _draw_map(rho, noise_cov)
-    row, scratch_doubles = _piece_buffers(n, burn_in, p)
+    row, stage_doubles = _piece_buffers(n, burn_in, p)
     paths = np.empty((count, row))
-    scratch = np.empty(scratch_doubles)
-    anchor_rows = np.empty(count * scratch_doubles // BLOCK)  # a p-row per block of the longest piece and path
+    stage = np.empty((count, stage_doubles))
+    anchor_rows = np.empty(count * stage_doubles // BLOCK)  # a p-row per block of the longest piece and path
     start = x0.copy()
     for first, stop in pairwise(piece_edges(n, burn_in)):
         steps = stop - first
@@ -424,32 +425,29 @@ def _pieces(
         columns = blocks * BLOCK
         y = paths[:, : p * columns].reshape(count, p, columns)
         cells = y.reshape(count, p, blocks, BLOCK)
-        blocked = scratch[: p * columns].reshape(p, columns)
-        # 1. draw: path by path, the next `steps` normals into the scratch and
-        # their innovations into the path's y; the columns past `steps` are
-        # zeroed, as the block products read them (times 0, which NaN survives)
-        normals = scratch[: steps * p].reshape(steps, p)
-        for path, rng in zip(y, rngs):
-            rng.standard_normal(out=normals)
-            np.matmul(draw_map, normals.T, out=path[:, :steps])
+        stepped = stage[:, : p * columns].reshape(count, p, columns)
+        # 1. draw: each path's next `steps` normals into its row of the stage,
+        # their innovations into y, and zeros past `steps`, which the block
+        # products read (times 0, which NaN survives)
+        normals = stage[:, : steps * p].reshape(count, steps, p)
+        for path_normals, rng in zip(normals, rngs):
+            rng.standard_normal(out=path_normals)
+        np.matmul(draw_map, normals.transpose(0, 2, 1), out=y[:, :, :steps])
         y[:, :, steps:] = 0.0
-        # 2. anchor b: Y_0 (one gemv per path), then the zero-start end state of
-        # block b - 1 (one batched matvec per path, written into the anchor
-        # rows), carried one block on into the next
+        # 2. anchor b: Y_0, then the zero-start end state of block b - 1
+        # (written into the anchor rows), carried one block on into the next
         anchors = anchor_rows[: count * p * blocks].reshape(count, p, blocks, 1)
         anchors[:, :, 0, 0] = (start[:, None] @ basis)[:, 0]
         np.matmul(cells[:, :, :-1], ends, out=anchors[:, :, 1:])
         for b in range(1, blocks):
             anchors[:, :, b] += anchors[:, :, b - 1] * jump[:, None]
-        # 3. path by path, where numpy needs no buffer for the strided add:
-        # lam Y_bs joins each block's first innovation, one Toeplitz product
-        # per coordinate fills the scratch and one gemm rotates it into x
+        # 3. lam Y_bs joins each block's first innovation, the Toeplitz
+        # products fill the stage and the rotation writes x over y
+        cells[:, :, :, :1] += lam[:, None, None] * anchors
+        np.matmul(cells, toeplitz, out=stepped.reshape(count, p, blocks, BLOCK))
         x = paths[:, : p * (steps + 1)].reshape(count, steps + 1, p)
-        for r in range(count):
-            cells[r, :, :, :1] += lam[:, None, None] * anchors[r]
-            np.matmul(cells[r], toeplitz, out=blocked.reshape(p, blocks, BLOCK))
-            np.matmul(blocked[:, :steps].T, basis.T, out=x[r, 1:])
-            x[r, 0] = start[r]
+        np.matmul(stepped[:, :, :steps].transpose(0, 2, 1), basis.T, out=x[:, 1:])
+        x[:, 0] = start
         start[...] = x[:, steps]
         if first >= burn_in:
             yield x, first - burn_in

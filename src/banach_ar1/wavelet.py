@@ -50,6 +50,8 @@ class WaveletBasisSpec:
             raise ValueError(f"wavelet order must lie in 1..{MAX_FILTER_ORDER}, got {self.order}")
         if self.coarse_level < 1:
             raise ValueError("coarse_level must be >= 1")
+        if self.max_level < 1:
+            raise ValueError(f"a wavelet basis needs grid_len >= 4, a detail level of at least 1, got {self.grid_len}")
         if self.max_level < self.coarse_level:
             raise ValueError(
                 f"coarse_level must be <= {self.max_level}, the finest detail level of a grid of "
@@ -179,9 +181,7 @@ def dwt_forward(samples: np.ndarray, spec: WaveletBasisSpec) -> WaveletCoeffs:
     samples = np.asarray(samples, dtype=float)
     L = spec.grid_len
     if samples.ndim != 1 or samples.size != L:
-        raise ValueError(
-            f"expected {L} samples (a power of two, 2^(max_level+1)), got shape {samples.shape}"
-        )
+        raise ValueError(f"expected {L} samples (a power of two, 2^(max_level+1)), got shape {samples.shape}")
     h, g = _filter_pair(spec.order)
     values = np.empty(L)
     approx = samples * 2.0 ** (-(spec.max_level + 1) / 2.0)

@@ -153,6 +153,34 @@ class TestParseConfig:
             parse_config(write_config(tmp_path, "coarse_level = 11\n"))
         with pytest.raises(ConfigError, match=r"^line 1 \(grid_len\), line 2 \(coarse_level\): .* <= 6, .* of 128 "):
             parse_config(write_config(tmp_path, "grid_len = 128\ncoarse_level = 7\nmodes = 8\n"))
+        # a grid of 2 points has no detail level, so no coarse_level can fit below it
+        message = "a wavelet basis needs grid_len >= 4, a detail level of at least 1, got 2"
+        with pytest.raises(ConfigError, match=rf"^line 1 \(grid_len\), line 3 \(coarse_level\): {message}$"):
+            parse_config(write_config(tmp_path, "grid_len = 2\nmodes = 2\ncoarse_level = 1\n"))
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("sample_sizes", ",", "sample_sizes must be non-empty"),
+            ("sample_sizes", "1, 5", "sample sizes must be >= 2"),
+            ("replications", "0", "replications must be >= 1"),
+            ("burn_in", "-1", "burn_in must be >= 0"),
+            ("seed", "-1", "seed must be >= 0, got -1"),
+            ("coarse_step", "0.5", r"coarse_step must lie in \[1/1024, 0\.5\), got 0\.5"),
+            ("output_dir", "", "output_dir must be non-empty"),
+        ],
+    )
+    def test_sweep_errors_name_the_line_of_their_key(self, tmp_path, key, value, message):
+        # the other keys the file sets, sweep keys among them, are not named
+        other = "seed = 3" if key == "coarse_step" else "coarse_step = 0.05"
+        with pytest.raises(ConfigError, match=rf"^line 2 \({key}\): {message}$"):
+            parse_config(write_config(tmp_path, f"{other}\n{key} = {value}\nmodes = 8\n"))
+
+    def test_step_count_error_names_the_lines_of_the_sizes_burn_in_and_replications(self, tmp_path):
+        text = f"burn_in = 10\nseed = 3\nsample_sizes = {harness.MAX_SWEEP_STEPS}\nreplications = 2\n"
+        where = r"line 1 \(burn_in\), line 3 \(sample_sizes\), line 4 \(replications\)"
+        with pytest.raises(ConfigError, match=rf"^{where}: the sweep asks for 2,000,000,020 steps"):
+            parse_config(write_config(tmp_path, text))
 
     def test_descending_sizes_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="ascending"):
@@ -163,7 +191,7 @@ class TestParseConfig:
 
 
 TINY_CONFIG = "modes = 8\ngrid_len = 256\nsample_sizes = 6, 20\nreplications = 3\nseed = 5\n"
-# 700 replications run as 3 chunks of n = 6 (312 per chunk) and 3 of n = 20 (258 per chunk)
+# 700 replications run as 3 chunks of n = 6 (323 per chunk) and 3 of n = 20 (242 per chunk)
 POOL_CONFIG = "modes = 8\ngrid_len = 256\nsample_sizes = 6, 20\nreplications = 700\nseed = 5\n"
 
 
@@ -304,9 +332,9 @@ class TestRunExperiment:
 
 # 50 modes as in the reference model; n = 20 < p, n = 51 = p + 1
 CHUNK_CONFIG = "grid_len = 256\nsample_sizes = 20, 51, 80\nreplications = 9\nseed = 11\n"
-# a chunk budget that runs CHUNK_CONFIG in chunks of 6, 6 and 5 replications
+# a chunk budget that runs CHUNK_CONFIG in chunks of 6, 5 and 5 replications
 # at n = 20, 51, 80 without burn-in, and the seam sizes 255, 256, 511, 512 in
-# chunks of 4
+# chunks of 3
 TEST_BUDGET = 150_000
 
 
@@ -359,12 +387,12 @@ class TestChunks:
     @pytest.mark.parametrize(
         "text, widths",
         [
-            ("", {n: (5, 181_300) for n in (500, 2000, 8000)}),
-            ("truncated_init = false\n", {n: (5, 181_300) for n in (500, 2000, 8000)}),
-            ("spline_mode = true\n", {n: (5, 181_300) for n in (500, 2000, 8000)}),
-            ("sample_sizes = 2048,8192,32768,131072\n", {n: (5, 181_300) for n in (2048, 8192, 32768, 131072)}),
+            ("", {n: (5, 232_500) for n in (500, 2000, 8000)}),
+            ("truncated_init = false\n", {n: (5, 232_500) for n in (500, 2000, 8000)}),
+            ("spline_mode = true\n", {n: (5, 232_500) for n in (500, 2000, 8000)}),
+            ("sample_sizes = 2048,8192,32768,131072\n", {n: (5, 232_500) for n in (2048, 8192, 32768, 131072)}),
             ("sample_sizes = 50,100,200\nreplications = 400\n",
-             {50: (8, 190_800), 100: (7, 187_600), 200: (6, 197_000)}),
+             {50: (9, 239_850), 100: (8, 252_800), 200: (6, 249_000)}),
             ("modes = 200\nsample_sizes = 50, 600\n", {50: (1, 346_600), 600: (1, 426_000)}),
         ],
         ids=["desk", "desk-zero-start", "desk-spline", "desk-long", "short-many", "modes-200"],
@@ -525,7 +553,7 @@ class TestChunkMemory:
         stream, fit = harness.model.stream_paths, harness.estimation.fit_moments
 
         def watched_stream(*args):
-            # the stream's generator holds the normals scratch in its frame
+            # the stream's generator holds the piece and stage buffers in its frame
             pieces = stream(*args)
             buffers.append(weakref.ref(pieces))
             for states, first in pieces:
@@ -780,13 +808,13 @@ class TestDrawAhead:
         assert "BLAS threads: OPENBLAS_NUM_THREADS=" in caplog.text
         assert f"chunks run on {pool} threads of one process, one chunk at a time per thread" in caplog.text
         assert InlinePool.requested == [pool]
-        # at n = 20 a replication keeps 2 blocks of 16 columns x 8 modes for its piece,
-        # 3 x 8 doubles of anchors and start and 8 fit matrices of 8 x 8, and the chunk
-        # one path's 32 x 8 doubles of scratch: (3 (256 + 24 + 512) + 256) x 8 bytes
+        # at n = 20 a replication keeps 2 blocks of 16 columns x 8 modes for its piece
+        # and as many for its stage, 3 x 8 doubles of anchors and start and 8 fit
+        # matrices of 8 x 8: 3 (256 + 256 + 24 + 512) x 8 bytes
         assert (
-            "paths run in pieces of at most 256 steps, cut at the burn-in's end, drawn one path at a time "
-            "into rho's eigenbasis and stepped there in blocks of 16 states; "
-            "replications per chunk of at most 1.64 MB: 3 at n = 6 (0.0168 MB), 3 at n = 20 (0.0211 MB)"
+            "paths run in pieces of at most 256 steps, cut at the burn-in's end, drawn path by path and stepped "
+            "as one stack in rho's eigenbasis, in blocks of 16 states; "
+            "replications per chunk of at most 2.03 MB: 3 at n = 6 (0.0188 MB), 3 at n = 20 (0.0252 MB)"
         ) in caplog.text
         assert [record.name for record in caplog.records if "chunks run on" in record.message] == [
             "banach_ar1.harness"
@@ -1183,6 +1211,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "seed must be >= 0" in err
         assert "integer" not in err
+
+    @pytest.mark.parametrize(
+        "args, message", [(["--seed", "-5"], "seed must be >= 0, got -5"), (["--out", ""], "output_dir must be non-empty")]
+    )
+    def test_flag_errors_name_no_line(self, tmp_path, capsys, args, message):
+        # a flag overrides the file's value, so the error names no line of it
+        cfg_path = write_config(tmp_path, "seed = 3\noutput_dir = out\n")
+        assert cli.main(["validate", "--config", str(cfg_path), *args]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     @pytest.mark.parametrize("command", ["validate", "run", "kernel"])
     @pytest.mark.parametrize("key", ["burn_in", "sample_sizes"])

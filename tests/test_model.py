@@ -492,8 +492,9 @@ class TestSimulation:
     @pytest.mark.parametrize("n", [2, 15, 16, 17, PIECE_ROWS - 1, PIECE_ROWS, PIECE_ROWS + 1, 2 * PIECE_ROWS + 37])
     def test_stream_doubles_counts_what_stream_paths_allocates(self, n, burn_in):
         # stream_doubles is what _pieces' own lines hold for the whole stream:
-        # the piece buffer, the one-path scratch, the block anchors of the
-        # longest piece (a p-row per block and path) and the carried start.
+        # the piece buffer, the stage buffer (a path's normals, then its
+        # stepped block columns), the block anchors of the longest piece (a
+        # p-row per block and path) and the carried start, all per path.
         # Their numpy blocks are summed each time the loop draws a path and
         # each time it yields a piece, so a piece only run in the burn-in is
         # checked too; the draw map is made on _draw_map's line, outside _pieces
@@ -523,7 +524,7 @@ class TestSimulation:
             model._draw_map(rho, noise)  # fills the step table and the noise root
             for paths in range(1, 6):
                 counted = model.stream_doubles(n, burn_in, p, paths)
-                assert counted == paths * row + p * columns + paths * p + paths * p * (columns // BLOCK)
+                assert counted == paths * (row + p * columns + p + p * (columns // BLOCK))
                 seen = []
                 rngs = [Watched(np.random.default_rng([2, r])) for r in range(paths)]
                 tracemalloc.start()
@@ -536,9 +537,10 @@ class TestSimulation:
                 assert set(seen) == {8 * counted}, (kind, paths)
                 # and the traced peak of a plain stream, beyond the test's x0 and
                 # array headers: while the draw map is made, it and its flush's
-                # temporary; then the count, the draw map and the larger of the
-                # anchor stage's temporaries (a p-row per path) and stage 3's
-                # (one path's anchors times lam, and numpy's buffer for that product)
+                # temporary; then the count, the draw map and stage 3's
+                # temporaries, which outgrow the anchor stage's (two p-rows per
+                # path): the stack's anchors times lam, and the two buffers of
+                # that size that numpy makes for the strided add into the stack
                 rngs = [np.random.default_rng([2, r]) for r in range(paths)]
                 bases = set()
                 tracemalloc.start()
@@ -549,7 +551,7 @@ class TestSimulation:
                 finally:
                     tracemalloc.stop()
                 assert len(bases) == 1
-                streaming = counted + p * p + max(paths * p, 2 * p * (columns // BLOCK))
+                streaming = counted + p * p + 3 * paths * p * (columns // BLOCK)
                 assert 8 * counted <= peak <= 8 * (paths * p + max(2 * p * p, streaming)) + 8192, (kind, paths, peak)
 
     @pytest.mark.parametrize("steps", [1, 50, PIECE_ROWS, 2 * PIECE_ROWS - 1])
@@ -563,10 +565,42 @@ class TestSimulation:
             alone = stitched_paths(steps + 1, rho, noise, x0[r : r + 1], [np.random.default_rng([3, r])])
             assert np.array_equal(stack[r], alone[0]), r
 
+    @pytest.mark.parametrize("n, burn_in", [(2 * PIECE_ROWS + 37, 0), (40, PIECE_ROWS + 7)])
+    def test_piece_loop_calls_do_not_grow_with_the_stack(self, monkeypatch, n, burn_in):
+        # each stage of a piece is one numpy call over the whole stack (the
+        # draw map, the block ends, the Toeplitz product and the rotation
+        # back are its matmuls); only the generator fills run path by path
+        rho, noise = recursion_operators("reference_8")
+        calls = []
+        matmul = np.matmul
+
+        def counted_matmul(*args, **kwargs):
+            calls.append("matmul")
+            return matmul(*args, **kwargs)
+
+        class Counted:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, out):
+                calls.append("fill")
+                return self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(np, "matmul", counted_matmul)
+        pieces = len(list(piece_edges(n, burn_in))) - 1
+        for paths in (1, 5):
+            calls.clear()
+            rngs = [Counted(np.random.default_rng([6, r])) for r in range(paths)]
+            for _ in stream_paths(n, rho, noise, np.zeros((paths, rho.dim)), rngs, burn_in):
+                pass
+            assert (calls.count("matmul"), calls.count("fill")) == (4 * pieces, paths * pieces), paths
+
     def test_eigenbasis_stack_may_share_each_paths_memory_with_its_states(self):
-        # each path's piece is drawn and stepped in its own row of one buffer,
-        # which then holds its states: the row has room for a full piece's
-        # states and the carried one, and for no separate eigenbasis stack
+        # each path's piece is drawn into its own row of one buffer and joined
+        # to its anchors there, stepped into its row of the stage buffer, and
+        # rotated back into its row, which then holds its states: the row has
+        # room for a full piece's states and the carried one, and for no
+        # separate eigenbasis stack
         rho, noise = recursion_operators("reference_8")
         p = rho.dim
         x0 = np.random.default_rng(99).standard_normal((3, p))
