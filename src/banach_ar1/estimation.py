@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import PIECE_ROWS, Trajectory, eigenfunctions_on_grid, evaluate_via_spline
+from .model import PIECE_ROWS, Trajectory, eigenfunctions_on_grid
 from .wavelet import WaveletBasisSpec, coefficient_matrix
 
 
@@ -271,16 +271,8 @@ def plug_in_predict(state: EstimatorState, x: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _wavelet_matrix(modes: int, grid_len: int, spec: WaveletBasisSpec, coarse_step: float | None) -> np.ndarray:
-    """Row j holds the dyadic-layout wavelet coefficients of eigenfunction j+1; read-only.
-
-    Without a coarse_step the eigenfunction is taken at the dyadic
-    midpoints; with one, through its spline (model.evaluate_via_spline).
-    """
-    if coarse_step is None:
-        functions = eigenfunctions_on_grid(modes, grid_len)
-    else:
-        functions = evaluate_via_spline(np.eye(modes), coarse_step, grid_len)
-    w = coefficient_matrix(functions, spec)
+    """Row j: the wavelet coefficients of eigenfunction j+1 as model.eigenfunctions_on_grid tabulates it; read-only."""
+    w = coefficient_matrix(eigenfunctions_on_grid(modes, grid_len, coarse_step), spec)
     w.setflags(write=False)
     return w
 

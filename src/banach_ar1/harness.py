@@ -29,11 +29,9 @@ the estimator's sample and the prediction input are disjoint.
 
 from __future__ import annotations
 
-import csv
 import functools
 import io
 import logging
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -64,10 +62,10 @@ class StationarityError(RuntimeError):
     """Raised when the configured model fails the stationarity gate."""
 
 
-# Most steps a sweep may ask for, sum over n of (burn_in + n) x replications:
-# about half an hour of simulation at 50 modes on a desk machine, and 115
-# times the 8.7 million of the long sweep in README.  A larger total, say a
-# path of 10**20 steps, would never finish.
+# Most steps a sweep may ask for, sum over n of (burn_in + n) x replications,
+# 115 times the long sweep in README.  It bounds steps, not cost: a
+# replication at n = 2 costs about 0.37 ms of CPU, mostly the fit's eigh, so
+# 5 * 10**8 of them pass it and would take about 50 CPU-hours.
 MAX_SWEEP_STEPS = 10**9
 
 
@@ -274,11 +272,12 @@ class _RunContext:
     StationarityError unless some power of rho up to 10 has spectral norm
     below 1, EigenGapError when a sample size's bound meets a vanishing
     eigenvalue gap, and TruncationRankError when a size's fit from a zero
-    start (X_0 = 0 without a burn-in) has fewer than k_n nonzero inputs.
+    start (X_0 = 0 without a burn-in) has fewer than k_n nonzero inputs, or
+    when the stationary covariance S has its k_n-th eigenvalue at or below
+    fit_moments' floor, 1e-10 times its leading one, where every fit fails.
     build_noise_covariance computes and checks the noise square root.  Past
     the gate one INFO line reports the banded repair: the ranks of the
-    innovation and stationary covariances and how far the stationary
-    covariance S lies from the stated C.
+    innovation covariance and S and how far S lies from the stated C.
 
     This is the one place that certifies a sample size: certificates[n]
     holds k_n and the known spectrum's lambda_kn, a_sum, ratio and xi, the
@@ -303,6 +302,7 @@ class _RunContext:
             "banded repair: innovation covariance rank %d of %d, stationary covariance S rank %d, max |S - C| = %.3e",
             _rank(self.noise), self.noise.dim, _rank(stationary), distance,
         )
+        s_values = stationary.eigen.values  # ascending
         # gap coefficients need one eigenvalue beyond the largest truncation
         c_values = model.covariance_eigenvalues(config.model.gamma, config.model.modes + 1)
         # n -> the certificate of size n: its consistency.csv values but the grid's trace sums
@@ -315,6 +315,11 @@ class _RunContext:
                     f"inputs cannot span k_n = {k} eigenvectors; use a smaller truncation order, a larger n or a burn-in"
                 )
             a_vals = estimation.gap_coefficients(c_values, k)
+            if s_values[-k] <= 1e-10 * s_values[-1]:  # fit_moments' floor, at the process's spectrum
+                raise estimation.TruncationRankError(
+                    f"n = {n}: eigenvalue k_n = {k} of the stationary covariance S is {s_values[-k]:.3e} (leading "
+                    f"{s_values[-1]:.3e}), at or below 1e-10 times the leading one; use a smaller truncation order"
+                )
             self.certificates[n] = dict(
                 k_n=k,
                 lambda_kn=estimation.max_inverse_gap(c_values, k),
@@ -622,75 +627,6 @@ def write_kernel_surface(path, config: ExperimentConfig) -> None:
         "".join([f"{s},{t},{value(v)}\n" for t, v in zip(ticks, row.tolist())]) for s, row in zip(ticks, surface)
     )
     _write_csv(Path(path), ["s", "t", "value"], rows)
-
-
-ESTIMATOR_CSV_FIELDS = ("n", "k_n", "eigenvalue", "eigenvector", "d_matrix", "rho_hat")
-
-
-def write_estimator_csv(state: EstimatorState, path) -> None:
-    """Persist a fitted estimator as a long-format CSV bundle.
-
-    Rows are (record, i, j, value): scalars use i = j = 0, vectors use i,
-    matrices use (i, j), all zero-based.  Floats round-trip exactly.
-    The state must be one fit, not a stack of them.
-    """
-    if state.eigenvalues.ndim != 1:
-        raise ValueError(f"write_estimator_csv writes one fit, got a stack of {len(state.eigenvalues)}: write state[r]")
-    rows: list[tuple[str, int, int, object]] = [("n", 0, 0, state.n), ("k_n", 0, 0, state.k_n)]
-    rows += [("eigenvalue", i, 0, float(v)) for i, v in enumerate(state.eigenvalues)]
-    for name, mat in (("eigenvector", state.eigenvectors), ("d_matrix", state.d_matrix), ("rho_hat", state.rho_hat)):
-        rows += [(name, i, j, float(v)) for (i, j), v in np.ndenumerate(mat)]
-    _write_csv(Path(path), ["record", "i", "j", "value"], rows)
-
-
-def read_estimator_csv(path) -> EstimatorState:
-    """Reload an estimator bundle written by write_estimator_csv.
-
-    Every value must be finite and every (record, i, j) must appear exactly
-    once: scalars at (0, 0), eigenvalues at (i, 0) and matrix entries at
-    (i, j) with i, j < p, where p is the number of eigenvalues.  Anything
-    else raises ValueError naming the line.
-    """
-    values: dict[tuple[str, int, int], float] = {}
-    lines: dict[tuple[str, int, int], str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["record", "i", "j", "value"]:
-            raise ValueError(f"unexpected estimator bundle header: {header}")
-        for row in reader:
-            where = f"line {reader.line_num} ({','.join(row)})"
-            try:
-                record, i, j, value = row
-                key = (record, int(i), int(j))
-                number = int(value) if record in ("n", "k_n") else float(value)
-            except ValueError:
-                raise ValueError(f"{where}: not record,i,j,value with integer i, j (and value, for n and k_n)") from None
-            if record not in ESTIMATOR_CSV_FIELDS:
-                raise ValueError(f"{where}: unknown record type {record!r}")
-            if key in lines:
-                raise ValueError(f"{where}: repeats {lines[key]}")
-            if not math.isfinite(number):
-                raise ValueError(f"{where}: value is not finite")
-            values[key], lines[key] = number, where
-    p = sum(record == "eigenvalue" for record, _, _ in values)
-    matrix_names = ("eigenvector", "d_matrix", "rho_hat")
-    expected = {("n", 0, 0), ("k_n", 0, 0), *(("eigenvalue", i, 0) for i in range(max(p, 1)))}
-    expected |= {(name, i, j) for name in matrix_names for i in range(p) for j in range(p)}
-    for key, where in lines.items():
-        if key not in expected:
-            raise ValueError(f"{where}: outside a bundle of {p} eigenvalues")
-    if missing := sorted(expected - values.keys()):
-        raise ValueError(f"estimator bundle is missing records: {', '.join(map(str, missing[:3]))}")
-    mats = {name: np.array([[values[name, i, j] for j in range(p)] for i in range(p)]) for name in matrix_names}
-    return EstimatorState(
-        n=values["n", 0, 0],
-        k_n=values["k_n", 0, 0],
-        eigenvalues=np.array([values["eigenvalue", i, 0] for i in range(p)]),
-        eigenvectors=mats["eigenvector"],
-        d_matrix=mats["d_matrix"],
-        rho_hat=mats["rho_hat"],
-    )
 
 
 def config_with_seed(config: ExperimentConfig, seed: int) -> ExperimentConfig:

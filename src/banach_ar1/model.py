@@ -224,9 +224,40 @@ def _sine_modes(modes: int, points) -> np.ndarray:
     return np.sqrt(2.0) * np.sin(np.outer(j, np.pi * np.asarray(points, dtype=float)))
 
 
-def eigenfunctions_on_grid(modes: int, grid_len: int) -> np.ndarray:
-    """Stacked eigenfunctions at the grid_len dyadic midpoints, shape (modes, grid_len)."""
-    return _sine_modes(modes, (np.arange(grid_len) + 0.5) / grid_len)
+def eigenfunctions_on_grid(modes: int, grid_len: int, coarse_step: float | None = None) -> np.ndarray:
+    """Stacked eigenfunctions at the grid_len dyadic midpoints, shape (modes, grid_len).
+
+    With a coarse_step (spline mode), each is the natural cubic spline
+    through its values at the round(1 / coarse_step) + 1 uniform nodes.
+    """
+    midpoints = (np.arange(grid_len) + 0.5) / grid_len
+    if coarse_step is None:
+        return _sine_modes(modes, midpoints)
+    if not 1 / 1024 <= coarse_step < 0.5:
+        raise ValueError(f"coarse_step must lie in [1/1024, 0.5), got {coarse_step}")
+    return _natural_spline(_sine_modes(modes, np.linspace(0.0, 1.0, round(1.0 / coarse_step) + 1)), midpoints)
+
+
+def _natural_spline(values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Each row's natural cubic spline through its values y at the uniform nodes s_i = i h of [0, 1], at the points.
+
+    One dense solve gives the second derivatives m: 0 at both ends, and
+    m[i-1] + 4 m[i] + m[i+1] = 6 (y[i-1] - 2 y[i] + y[i+1]) / h^2 inside.
+    On [s_i, s_i + h], with b = (t - s_i) / h and a = 1 - b, the spline is
+    a y_i + b y_(i+1) + h^2 / 6 ((a^3 - a) m_i + (b^3 - b) m_(i+1)), added
+    term by term into the table, so no nodes x points matrix is made.
+    """
+    nodes = values.shape[1]
+    h = 1.0 / (nodes - 1)
+    system = 4.0 * np.eye(nodes - 2) + np.eye(nodes - 2, k=1) + np.eye(nodes - 2, k=-1)
+    second = np.pad(np.linalg.solve(system, (6.0 / h**2) * np.diff(values, 2).T).T, ((0, 0), (1, 1)))
+    left = np.minimum((points * (nodes - 1)).astype(int), nodes - 2)
+    b = points * (nodes - 1) - left
+    table, term = np.zeros((len(values), len(points))), np.empty((len(values), len(points)))
+    for column, weight in ((left, 1.0 - b), (left + 1, b)):  # the interval's left node, then its right one
+        table += np.multiply(np.take(values, column, axis=1, out=term), weight, out=term)
+        table += np.multiply(np.take(second, column, axis=1, out=term), (weight**3 - weight) * h**2 / 6, out=term)
+    return table
 
 
 def _mode_distance(modes: int) -> np.ndarray:
@@ -467,27 +498,6 @@ def simulate_trajectory(
     for piece, first in pieces:
         states[first : first + piece.shape[1]] = piece[0]
     return Trajectory(states=states)
-
-
-def evaluate_via_spline(x: np.ndarray, coarse_step: float, grid_len: int) -> np.ndarray:
-    """Coarse-grid evaluation followed by natural cubic spline interpolation.
-
-    Mimics generating the function on a coarse grid of step ~coarse_step and
-    smoothing it back onto the fine dyadic grid; used only in the optional
-    spline mode of the experiment harness.  The last axis of x holds the
-    eigenbasis coefficients, so a (count, p) stack gives (count, grid_len)
-    values.
-    """
-    from scipy.interpolate import CubicSpline  # imported here: only spline mode needs scipy
-    if not 0 < coarse_step < 0.5:
-        raise ValueError("coarse_step must lie in (0, 0.5)")
-    x = np.asarray(x, dtype=float)
-    n_nodes = round(1.0 / coarse_step) + 1
-    s = np.linspace(0.0, 1.0, n_nodes)
-    coarse = x @ _sine_modes(x.shape[-1], s)
-    spline = CubicSpline(s, coarse, axis=-1, bc_type="natural")
-    t = (np.arange(grid_len) + 0.5) / grid_len
-    return spline(t)
 
 
 def covariance_kernel_surface(covariance: SpectralOperator, points: np.ndarray) -> np.ndarray:

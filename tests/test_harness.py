@@ -22,16 +22,8 @@ from hypothesis import strategies as st
 import banach_ar1
 from banach_ar1 import cli, harness
 from banach_ar1.diagnostics import eigen_decay_report
-from banach_ar1.estimation import TransitionMoments, TruncationRule, fit_estimator, fit_moments
-from banach_ar1.harness import (
-    ConfigError,
-    parse_config,
-    read_estimator_csv,
-    run_experiment,
-    run_replication,
-    write_estimator_csv,
-)
-from banach_ar1.model import Trajectory
+from banach_ar1.estimation import TruncationRule, fit_estimator
+from banach_ar1.harness import ConfigError, parse_config, run_experiment, run_replication
 
 CSV_NAMES = [
     "exceedance_table.csv",
@@ -821,74 +813,6 @@ class TestDrawAhead:
         ]
 
 
-class TestEstimatorBundle:
-    def test_round_trip_is_exact(self, tmp_path):
-        rng = np.random.default_rng(10)
-        state = fit_estimator(Trajectory(states=rng.standard_normal((30, 6))), TruncationRule.fixed(3))
-        path = tmp_path / "estimator.csv"
-        write_estimator_csv(state, path)
-        loaded = read_estimator_csv(path)
-        assert loaded.n == state.n and loaded.k_n == state.k_n
-        assert np.array_equal(loaded.eigenvalues, state.eigenvalues)
-        assert np.array_equal(loaded.eigenvectors, state.eigenvectors)
-        assert np.array_equal(loaded.d_matrix, state.d_matrix)
-        assert np.array_equal(loaded.rho_hat, state.rho_hat)
-
-    def test_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "junk.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError, match="header"):
-            read_estimator_csv(path)
-
-    @pytest.mark.parametrize(
-        "old, new, message",
-        [
-            ("eigenvector,0,1,", "eigenvector,0,1,nan", r"line \d+ \(eigenvector,0,1,nan\): value is not finite"),
-            ("rho_hat,1,1,", "rho_hat,1,1,inf", r"line \d+ \(rho_hat,1,1,inf\): value is not finite"),
-            (None, "rho_hat,0,7,9.0", r"line 18 \(rho_hat,0,7,9.0\): outside a bundle of 2 eigenvalues"),
-            (None, "d_matrix,1,0,0.5", r"line 18 \(d_matrix,1,0,0.5\): repeats line 12 \(d_matrix,1,0,"),
-        ],
-        ids=["nan-eigenvector", "inf-rho-hat", "entry-outside-matrix", "duplicate-row"],
-    )
-    def test_rejects_corrupt_records(self, tmp_path, old, new, message):
-        # a 2-mode bundle is 17 lines: header, n, k_n, 2 eigenvalues, then 4 rows per matrix
-        rng = np.random.default_rng(12)
-        state = fit_estimator(Trajectory(states=rng.standard_normal((30, 2))), TruncationRule.fixed(1))
-        path = tmp_path / "estimator.csv"
-        write_estimator_csv(state, path)
-        rows = [new if old and row.startswith(old) else row for row in path.read_text().splitlines()]
-        path.write_text("\n".join(rows + ([] if old else [new])) + "\n")
-        with pytest.raises(ValueError, match=message):
-            read_estimator_csv(path)
-
-    def test_empty_file_is_refused(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(ValueError, match="^unexpected estimator bundle header: None$"):
-            read_estimator_csv(path)
-
-    def test_truncation_order_beyond_the_eigenpairs_is_refused(self, tmp_path):
-        # loaded, k_n = 9 of one eigenpair would send eigen_decay_report past the eigenvalues
-        path = tmp_path / "estimator.csv"
-        rows = ["record,i,j,value", "n,0,0,50", "k_n,0,0,9", "eigenvalue,0,0,1.0"]
-        rows += [f"{name},0,0,1.0" for name in ("eigenvector", "d_matrix", "rho_hat")]
-        path.write_text("\n".join(rows) + "\n")
-        with pytest.raises(ValueError, match=r"^need 1 <= k_n <= n and k_n <= 1, the number of eigenpairs$"):
-            read_estimator_csv(path)
-
-    def test_a_stack_of_fits_is_refused_before_writing(self, tmp_path):
-        x = np.random.default_rng(11).standard_normal((3, 30, 6))
-        moments = TransitionMoments()
-        moments.add(x)
-        stack = fit_moments(moments, TruncationRule.fixed(3))
-        path = tmp_path / "estimator.csv"
-        with pytest.raises(ValueError, match=r"writes one fit, got a stack of 3: write state\[r\]"):
-            write_estimator_csv(stack, path)
-        assert not path.exists()
-        write_estimator_csv(stack[1], path)
-        assert np.array_equal(read_estimator_csv(path).rho_hat, stack.rho_hat[1])
-
-
 class TestRunContext:
     @pytest.mark.parametrize("text, solves", [("", 4), ("width = 0.05\n", 3)], ids=["repaired", "psd"])
     def test_build_runs_one_symmetric_eigensolve_per_operator(self, tmp_path, monkeypatch, text, solves):
@@ -1192,6 +1116,30 @@ class TestCli:
         # a burn-in moves X_0 off zero; at k_n = n - 2 the nonzero inputs suffice
         cfg_path = write_config(tmp_path, f"truncated_init = false\nreplications = 2\n{text}output_dir = {tmp_path / 'out'}\n")
         assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize(
+        "k, eigenvalue", [(33, "2.674e-12"), (36, "1.607e-15")], ids=["first-refused", "run-fit-refused"]
+    )
+    def test_truncation_below_the_process_floor_fails_validate_as_run(self, tmp_path, capsys, k, eigenvalue):
+        # under the banded noise S has rank 34 of 50; every fit of a k_n whose S eigenvalue is
+        # below 1e-10 times the leading one would fail, so validate refuses it as run does
+        cfg_path = write_config(
+            tmp_path, f"sample_sizes = 500\ntruncation = fixed:{k}\nreplications = 2\noutput_dir = {tmp_path / 'out'}\n"
+        )
+        errors = []
+        for command in ("validate", "run"):
+            assert cli.main([command, "--config", str(cfg_path)]) == cli.EXIT_NUMERIC
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert (
+            f"numeric failure: n = 500: eigenvalue k_n = {k} of the stationary covariance S is {eigenvalue} "
+            "(leading 5.649e-02), at or below 1e-10 times the leading one; use a smaller truncation order"
+        ) in errors[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_truncation_above_the_process_floor_validates(self, tmp_path):
+        cfg_path = write_config(tmp_path, "sample_sizes = 500\ntruncation = fixed:32\n")
+        assert cli.main(["validate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_vanishing_eigen_gap_is_a_numeric_failure(self, tmp_path, capsys, command):

@@ -23,7 +23,6 @@ from banach_ar1.model import (
     covariance_eigenvalues,
     covariance_kernel_surface,
     eigenfunctions_on_grid,
-    evaluate_via_spline,
     longest_piece,
     piece_edges,
     sample_initial_condition,
@@ -34,9 +33,9 @@ from banach_ar1.model import (
 from banach_ar1 import model
 
 from oracles import (
-    grid_values,
     kernel_value,
     lyapunov_fixed_point,
+    spline_table,
     stepped_trajectory,
     truncated_normal_variance_factor,
 )
@@ -625,40 +624,59 @@ class TestSimulation:
         assert np.array_equal(runs[0], runs[1])
 
 
-class TestGridEvaluation:
-    # spline mode scores through one matrix, the splines of the unit coefficient vectors,
-    # which relies on the spline evaluation being linear and row-wise on a stack
-    def test_zero_and_unit_coefficients(self):
-        assert np.abs(evaluate_via_spline(np.zeros(4), 0.0372, 256)).max() == 0.0
-        e1 = np.array([1.0, 0.0, 0.0, 0.0])
-        t = (np.arange(256) + 0.5) / 256
-        assert np.allclose(evaluate_via_spline(e1, 0.0372, 256), math.sqrt(2) * np.sin(math.pi * t), atol=1e-5)
+class TestSplineTable:
+    # spline mode scores through the splines of the modes, tabulated by eigenfunctions_on_grid
+    @pytest.mark.parametrize(
+        "modes, coarse_step, grid_len",
+        [(50, 0.0372, 2048), (200, 0.01, 2048), (20, 0.0372, 1024), (5, 0.0625, 256), (5, 1 / 1024, 2048)],
+    )
+    def test_matches_the_thomas_loop_oracle(self, modes, coarse_step, grid_len):
+        table = eigenfunctions_on_grid(modes, grid_len, coarse_step)
+        assert table.shape == (modes, grid_len)
+        assert np.abs(table - spline_table(modes, coarse_step, grid_len)).max() < 1e-13
 
-    def test_linearity(self):
-        rng = np.random.default_rng(8)
-        x, y = rng.standard_normal(6), rng.standard_normal(6)
-        mixed = evaluate_via_spline(2.5 * x - 0.75 * y, 0.0372, 128)
-        parts = 2.5 * evaluate_via_spline(x, 0.0372, 128) - 0.75 * evaluate_via_spline(y, 0.0372, 128)
-        assert np.abs(mixed - parts).max() < 1e-12
+    @pytest.mark.parametrize("modes, coarse_step", [(50, 0.0372), (200, 0.01)])
+    def test_matches_scipy_natural_spline(self, modes, coarse_step):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        nodes = np.linspace(0.0, 1.0, round(1 / coarse_step) + 1)
+        t = (np.arange(2048) + 0.5) / 2048
+        values = np.sqrt(2.0) * np.sin(np.outer(np.arange(1, modes + 1), np.pi * nodes))
+        expected = interpolate.CubicSpline(nodes, values, axis=-1, bc_type="natural")(t)
+        assert np.abs(eigenfunctions_on_grid(modes, 2048, coarse_step) - expected).max() < 1e-13
 
-    @pytest.mark.parametrize("modes", [5, 50])
-    def test_stack_evaluates_each_row_as_one_vector(self, modes):
-        rows = [evaluate_via_spline(e, 0.0372, 2048) for e in np.eye(modes)]
-        assert np.array_equal(evaluate_via_spline(np.eye(modes), 0.0372, 2048), rows)
+    def test_second_derivative_vanishes_at_both_ends(self):
+        # on a node interval the spline is a cubic, so its central second difference is exact,
+        # and S''(0) = 2 S''(d) - S''(2 d) for the linear S''
+        values = np.random.default_rng(3).standard_normal((4, 6))
+        d = 0.05
+        ends = np.array([0.0, d, 2 * d, 3 * d, 1 - 3 * d, 1 - 2 * d, 1 - d, 1.0])
+        s = model._natural_spline(values, ends)
+        second = (s[:, :-2] - 2 * s[:, 1:-1] + s[:, 2:]) / d**2  # S'' at d, 2d, ..., 1 - d
+        at_zero = 2 * second[:, 0] - second[:, 1]
+        at_one = 2 * second[:, -1] - second[:, -2]
+        assert np.abs(second[:, [0, -1]]).max() > 1.0
+        assert np.abs(at_zero).max() < 1e-9 and np.abs(at_one).max() < 1e-9
 
-    def test_spline_mode_tracks_direct_evaluation(self):
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal(5) * 0.3
-        direct = grid_values(x, 2048)
-        splined = evaluate_via_spline(x, 0.0372, 2048)
-        # the coarse grid resolves the low-frequency modes used here
-        assert np.abs(direct - splined).max() < 0.05 * max(np.abs(direct).max(), 1e-9)
+    def test_linear_node_values_are_reproduced(self):
+        nodes = np.linspace(0.0, 1.0, 27)
+        t = (np.arange(1024) + 0.5) / 1024
+        spline = model._natural_spline(np.array([3.0 + 2.0 * np.arange(27), 1.0 - 0.5 * nodes]), t)
+        assert np.abs(spline - [3.0 + 52.0 * t, 1.0 - 0.5 * t]).max() < 1e-13
+
+    def test_tracks_the_modes_on_the_grid(self):
+        # the coarse grid resolves the low-frequency modes
+        assert np.abs(eigenfunctions_on_grid(5, 2048, 0.0372) - eigenfunctions_on_grid(5, 2048)).max() < 0.05
+
+    @pytest.mark.parametrize("coarse_step", [0.5, 0.00097, 0.0])
+    def test_coarse_step_outside_the_config_range_is_refused(self, coarse_step):
+        with pytest.raises(ValueError, match=r"coarse_step must lie in \[1/1024, 0\.5\)"):
+            eigenfunctions_on_grid(5, 64, coarse_step)
 
 
 @pytest.mark.parametrize(
     "imported, unloaded",
     [
-        # only spline mode imports scipy, on first use
+        # nothing in the program imports scipy: numpy is its one runtime dependency
         ("banach_ar1.cli", "scipy"),
         # the chunks run on threads of one process
         ("banach_ar1.cli", "multiprocessing"),
@@ -680,15 +698,19 @@ def test_import_leaves_module_unloaded(imported, unloaded):
         "model.stationary_covariance(rho, model.build_noise_covariance(p, model.build_covariance(p), rho))\n",
         "from banach_ar1 import cli\n"
         "assert cli.main(['run', '--config', {config!r}, '--out', {out!r}]) == 0\n",
+        "from banach_ar1 import cli\n"
+        "assert cli.main(['run', '--config', {spline!r}, '--out', {out!r}]) == 0\n",
     ],
-    ids=["stationary-covariance", "grid-mode-run"],
+    ids=["stationary-covariance", "grid-mode-run", "spline-mode-run"],
 )
 def test_model_solves_leave_scipy_unloaded(tmp_path, call):
-    # the stationary covariance is solved in rho's eigenbasis, and only spline mode reads scipy
+    # the stationary covariance is solved in rho's eigenbasis and the spline by numpy
     config = tmp_path / "tiny.cfg"
     config.write_text("modes = 5\ngrid_len = 64\nsample_sizes = 20, 40\nreplications = 2\n")
+    spline = tmp_path / "spline.cfg"
+    spline.write_text(config.read_text() + "spline_mode = true\n")
     src = Path(banach_ar1.__file__).resolve().parents[1]
-    code = call.format(config=str(config), out=str(tmp_path / "out")) + (
+    code = call.format(config=str(config), spline=str(spline), out=str(tmp_path / "out")) + (
         "import sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=src)

@@ -11,6 +11,7 @@ from oracles import (
     cascade_basis,
     jacobi_eigh,
     lyapunov_fixed_point,
+    natural_spline,
     oracle_estimator,
     oracle_norms,
     qr_factor_estimator,
@@ -101,6 +102,25 @@ class TestLyapunovOracle:
         q = q @ q.T
         sigma = lyapunov_fixed_point(rho, q)
         assert np.abs(rho @ sigma @ rho.T + q - sigma).max() < 1e-10
+
+
+class TestNaturalSplineOracle:
+    def test_interpolates_with_natural_ends(self):
+        # through the nodes, and a cubic on the first interval whose x^2 term, S''(0) / 2, is 0
+        nodes = np.linspace(0.0, 1.0, 7)
+        values = np.random.default_rng(5).standard_normal(7)
+        assert np.abs(natural_spline(nodes, values, nodes) - values).max() < 1e-14
+        u = np.array([0.01, 0.05, 0.1, 0.15])
+        cubic = np.linalg.solve(np.vander(u, 4, increasing=True), natural_spline(nodes, values, u))
+        assert abs(cubic[2]) < 1e-9
+
+    def test_matches_scipy(self):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        nodes = np.linspace(0.0, 1.0, 12)
+        values = np.random.default_rng(6).standard_normal(12)
+        points = np.linspace(0.0, 1.0, 301)
+        expected = interpolate.CubicSpline(nodes, values, bc_type="natural")(points)
+        assert np.abs(natural_spline(nodes, values, points) - expected).max() < 1e-13
 
 
 def test_truncated_normal_factor_value():
