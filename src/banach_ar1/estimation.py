@@ -1,4 +1,4 @@
-"""Empirical covariance operators and the truncated componentwise estimator.
+"""Transition moments and the truncated componentwise estimator (Bosq, 2000, ch. 8).
 
 Given a trajectory X_0..X_{n-1} in an orthonormal coordinate system, the
 empirical covariance is (1/n) sum X_i X_i^T and the lag-1 cross-covariance
