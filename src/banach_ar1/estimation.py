@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import PIECE_ROWS, Trajectory, eigenfunctions_on_grid
-from .wavelet import WaveletBasisSpec, coefficient_matrix
+from .wavelet import WaveletBasisSpec, besov_sup_norm, coefficient_matrix
 
 
 class EigenGapError(RuntimeError):
@@ -284,20 +284,19 @@ def prediction_error_besov(
     spec: WaveletBasisSpec,
     coarse_step: float | None = None,
 ) -> float | np.ndarray:
-    """Sup-norm of the wavelet coefficients of the prediction error.
+    """wavelet.besov_sup_norm of the wavelet coefficients of the prediction error.
 
-    The error is the largest coefficient magnitude of the wavelet transform
-    of the difference expanded on the dyadic grid, or, with a coarse_step,
-    through the spline of its values on the coarse grid (spline mode).  All
-    steps are linear, so it is computed as max |(truth - predicted) @ W|
-    with the cached p x L matrix W of the eigenfunctions' wavelet
-    coefficients.  With a leading replication axis on truth and predicted
-    it returns one error per replication, each from its own gemv.
+    The coefficients are those of the wavelet transform of the difference
+    expanded on the dyadic grid, or, with a coarse_step, through the spline
+    of its values on the coarse grid (spline mode).  All steps are linear,
+    so they are (truth - predicted) @ W with the cached p x L matrix W of
+    the eigenfunctions' wavelet coefficients.  With a leading replication
+    axis on truth and predicted it returns one error per replication, each
+    from its own gemv.
     """
     truth = np.asarray(truth, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
     if truth.shape != predicted.shape:
         raise ValueError("truth and prediction must have the same length")
     w = _wavelet_matrix(truth.shape[-1], grid_len, spec, coarse_step)
-    errors = np.abs(((truth - predicted)[..., None, :] @ w)[..., 0, :]).max(axis=-1)
-    return float(errors) if errors.ndim == 0 else errors
+    return besov_sup_norm(((truth - predicted)[..., None, :] @ w)[..., 0, :])

@@ -116,7 +116,9 @@ class ExperimentConfig:
         if not 1 / 1024 <= self.coarse_step < 0.5:
             raise ConfigError(f"coarse_step must lie in [1/1024, 0.5), got {self.coarse_step}", "coarse_step")
         if self.wavelet.grid_len != self.model.grid_len:
-            raise ConfigError(f"wavelet grid ({self.wavelet.grid_len}) and model grid ({self.model.grid_len}) disagree")
+            raise ConfigError(
+                f"wavelet grid ({self.wavelet.grid_len}) and model grid ({self.model.grid_len}) disagree", "grid_len"
+            )
 
 
 def _parse_int(raw: str) -> int:
@@ -177,6 +179,8 @@ _KEYS = {
     "output_dir": (str, "results"),
     "seed": (_parse_int, 1729),
 }
+# a ModelParams or WaveletBasisSpec field -> the key that sets it, where the two names differ
+_FIELD_KEYS = {"beta_exponent": "beta", "order": "wavelet_order", "max_level": "grid_len"}
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -184,11 +188,11 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
     Blank lines and `#` comments are ignored; unknown keys, duplicates,
     malformed lines and values that do not parse are reported with their
-    line numbers, a model or wavelet-basis error with the lines of its keys
-    that the file sets, and a sweep error with those of the keys its check
-    reads.  Missing keys fall back to defaults mirroring the reference
-    scenario (beta 0.6, gamma 1.21, width 0.4, coarse level 2, grid 2048,
-    order-10 wavelets, log-ceiling truncation).
+    line numbers, and a model, wavelet-basis or sweep error with the lines
+    of the keys its check reads that the file sets.  Missing keys fall back
+    to defaults mirroring the reference scenario (beta 0.6, gamma 1.21,
+    width 0.4, coarse level 2, grid 2048, order-10 wavelets, log-ceiling
+    truncation).
     """
     data = Path(path).read_bytes()
     try:
@@ -214,18 +218,17 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError(f"line {line_no}: {exc}") from None
         lines[key] = line_no
 
-    def built(cls, keys, **fields):
-        """cls(**fields), its ValueError raised as a ConfigError naming the lines that set `keys` (or its own keys)."""
+    def built(cls, **fields):
+        """cls(**fields), its error raised as a ConfigError naming the lines of the keys that its check read."""
         try:
             return cls(**fields)
         except ValueError as exc:
-            named = getattr(exc, "keys", ()) or keys
+            named = getattr(exc, "keys", None) or {_FIELD_KEYS.get(f, f) for f in getattr(exc, "fields", ())}
             where = ", ".join(f"line {lines[k]} ({k})" for k in sorted(lines.keys() & named, key=lines.get))
             raise ConfigError(f"{where}: {exc}") from None
 
     params = built(
         ModelParams,
-        ("beta", "gamma", "width", "modes", "grid_len"),
         gamma=values["gamma"],
         beta_exponent=values["beta"],
         width=values["width"],
@@ -234,7 +237,6 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     )
     wavelet_spec = built(
         WaveletBasisSpec,
-        ("wavelet_order", "coarse_level", "grid_len"),
         order=values["wavelet_order"],
         coarse_level=values["coarse_level"],
         max_level=values["grid_len"].bit_length() - 2,
@@ -243,7 +245,6 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         values["burn_in"] = 0 if values["truncated_init"] else 500
     return built(
         ExperimentConfig,
-        ("sample_sizes", "replications", "burn_in", "seed", "coarse_step", "output_dir"),
         model=params,
         wavelet=wavelet_spec,
         sample_sizes=values["sample_sizes"],

@@ -43,14 +43,24 @@ class NoiseCovarianceError(RuntimeError):
     """Raised when the innovation covariance cannot be repaired to PSD."""
 
 
+class FieldError(ValueError):
+    """Raised by a parameter check; fields names the fields that the check read."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters of the concrete autoregressive model.
 
     Every check on these fields is made here, before any array of the model
-    exists; ExperimentConfig checks only the sweep around them.  gamma must
-    exceed 2 * beta_exponent > 1 so that the covariance decay is fast enough
-    for the weighted-norm embeddings used downstream.
+    exists, and raises a FieldError naming the fields it read;
+    ExperimentConfig checks only the sweep around them.  gamma must exceed
+    2 * beta_exponent > 1, the decay that the weighted-norm embedding of
+    the Gelfand triple needs.  beta_exponent only gates gamma today: no
+    command builds the weights it sets (wavelet.make_gelfand_weights).
     """
 
     gamma: float
@@ -60,31 +70,34 @@ class ModelParams:
     grid_len: int = 2048
 
     def __post_init__(self):
-        if self.modes * self.grid_len > MAX_TABLE_DOUBLES:  # on ints: no table is built yet
-            raise ValueError(f"modes x grid_len = {self.modes * self.grid_len:,} doubles, above {MAX_TABLE_DOUBLES:,}")
+        if (cells := self.modes * self.grid_len) > MAX_TABLE_DOUBLES:  # on ints: no table is built yet
+            raise FieldError(f"modes x grid_len = {cells:,} doubles, above {MAX_TABLE_DOUBLES:,}", "modes", "grid_len")
         if not math.inf > self.gamma > 2 * self.beta_exponent > 1:
-            raise ValueError(
+            raise FieldError(
                 f"need gamma > 2*beta_exponent > 1 (so beta_exponent > 1/2) and gamma finite, "
-                f"got gamma={self.gamma}, beta_exponent={self.beta_exponent}"
+                f"got gamma={self.gamma}, beta_exponent={self.beta_exponent}", "gamma", "beta_exponent",
             )
         if self.grid_len < 2 or self.grid_len & (self.grid_len - 1):
-            raise ValueError(f"grid_len must be a power of two, got {self.grid_len}")
+            raise FieldError(f"grid_len must be a power of two, got {self.grid_len}", "grid_len")
         # the sine modes at the grid_len midpoints are the DST-II basis: mode
         # 2 grid_len - j equals mode j there, so higher modes alias
         if not 2 <= self.modes <= self.grid_len:
-            raise ValueError(f"modes must lie in [2, grid_len = {self.grid_len}], got {self.modes}")
+            raise FieldError(f"modes must lie in [2, grid_len = {self.grid_len}], got {self.modes}", "modes", "grid_len")
         # the innovation covariance divides |j - h|^2, at most (modes - 1)^2, by width**2
         try:
             quotient = (self.modes - 1) ** 2 / self.width**2
         except (OverflowError, ZeroDivisionError):
             quotient = math.inf
         if not (0 < self.width < math.inf and quotient < math.inf):
-            raise ValueError(f"width must be finite and positive with (modes-1)**2 / width**2 finite, got {self.width}")
+            raise FieldError(
+                f"width must be finite and positive with (modes-1)**2 / width**2 finite, got {self.width}",
+                "width", "modes",
+            )
         c = covariance_eigenvalues(self.gamma, self.modes + 1)
         if not (c[-1] > 0 and (np.diff(c) < 0).all()):
-            raise ValueError(
-                f"gamma = {self.gamma} is too large: the covariance eigenvalues "
-                f"(1 + pi^2 j^2)^(-gamma), j <= modes + 1, must be positive and strictly decreasing"
+            raise FieldError(
+                f"gamma = {self.gamma} is too large: the covariance eigenvalues (1 + pi^2 j^2)^(-gamma), "
+                f"j <= modes + 1, must be positive and strictly decreasing", "gamma", "modes",
             )
 
 

@@ -9,9 +9,11 @@ stationary covariance is the plain fixed-point iteration, trajectories
 step the autoregression one state at a time, function values and kernel
 entries add the sine modes one by one, and a natural cubic spline takes
 its coefficients from a Thomas loop, one function at a time.  Everything
-targets tiny instances and favours obviousness over speed.  The exceptions are the two
-route references at the end, which keep the one-transform-per-function
-scoring that the package's cached coefficient matrices replaced.
+targets tiny instances and favours obviousness over speed.  The exceptions
+are the two route references at the end: they transform one function at a
+time with the package's dwt_forward and score it with wavelet.besov_sup_norm,
+the norm the sweep scores with, so they check the route through the cached
+coefficient matrices, not the transform or the norm.
 """
 
 import math
@@ -111,9 +113,8 @@ def cascade_basis(spec: WaveletBasisSpec) -> np.ndarray:
     """Rows are the discrete orthonormal basis vectors, one per coefficient.
 
     Each row is synthesized from a unit coefficient by the explicit
-    upsampling cascade.  Row order matches the dyadic coefficient
-    layout of WaveletCoeffs.values: scaling block first, then detail levels
-    coarse to fine.
+    upsampling cascade.  Row order matches dwt_forward's dyadic coefficient
+    layout: scaling block first, then detail levels coarse to fine.
     """
     low = list(daubechies_filter(spec.order))
     high = [(-1.0) ** i * low[len(low) - 1 - i] for i in range(len(low))]
@@ -287,8 +288,7 @@ def trace_report_by_mode(phi, spec: WaveletBasisSpec):
     per_position = np.zeros(spec.grid_len)
     for row in phi:
         coeffs = dwt_forward(row, spec)
-        flat = coeffs.values
-        trace += float(flat @ flat)
+        trace += float(coeffs @ coeffs)
         v_sup = max(v_sup, besov_sup_norm(coeffs))
-        per_position += flat * flat
+        per_position += coeffs * coeffs
     return trace, float(per_position.max()), v_sup

@@ -164,9 +164,9 @@ class TestTraceReport:
     def test_single_mode_equals_flat_norm_squared(self):
         phi = eigenfunctions_on_grid(1, SPEC.grid_len)
         report = trace_embedding_report(phi, SPEC)
-        flat = dwt_forward(phi[0], SPEC).values
-        assert report.trace_sum == pytest.approx(float(flat @ flat), rel=1e-12)
-        assert report.v_sup == pytest.approx(besov_sup_norm(dwt_forward(phi[0], SPEC)))
+        coeffs = dwt_forward(phi[0], SPEC)
+        assert report.trace_sum == pytest.approx(float(coeffs @ coeffs), rel=1e-12)
+        assert report.v_sup == pytest.approx(besov_sup_norm(coeffs))
 
     def test_trace_nondecreasing_in_mode_count(self):
         traces = []

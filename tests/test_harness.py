@@ -20,10 +20,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import banach_ar1
-from banach_ar1 import cli, harness
+from banach_ar1 import cli, estimation, harness
 from banach_ar1.diagnostics import eigen_decay_report
 from banach_ar1.estimation import TruncationRule, fit_estimator
 from banach_ar1.harness import ConfigError, parse_config, run_experiment, run_replication
+from banach_ar1.wavelet import besov_sup_norm
 
 CSV_NAMES = [
     "exceedance_table.csv",
@@ -112,9 +113,18 @@ class TestParseConfig:
             parse_config(write_config(tmp_path, "modes = 8\ntruncation = fixed:0\n"))
 
     def test_model_errors_name_the_lines_of_the_model_keys(self, tmp_path):
+        # the gamma/beta check reads gamma and beta only, so the modes line is not named
         text = "gamma = 1.0\nreplications = 4\nmodes = 8\nbeta = 0.6\n"
-        with pytest.raises(ConfigError, match=r"^line 1 \(gamma\), line 3 \(modes\), line 4 \(beta\): need gamma"):
+        with pytest.raises(ConfigError, match=r"^line 1 \(gamma\), line 4 \(beta\): need gamma"):
             parse_config(write_config(tmp_path, text))
+
+    def test_grid_error_names_only_the_grid_line(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^line 2 \(grid_len\): grid_len must be a power of two, got 1000$"):
+            parse_config(write_config(tmp_path, "beta = 0.6\ngrid_len = 1000\n"))
+
+    def test_wavelet_order_error_names_only_the_order_line(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^line 2 \(wavelet_order\): wavelet order must lie in 1\.\.10, got 11$"):
+            parse_config(write_config(tmp_path, "coarse_level = 2\nwavelet_order = 11\n"))
 
     def test_burn_in_defaults_track_initializer(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, "truncated_init = false\n"))
@@ -145,9 +155,9 @@ class TestParseConfig:
             parse_config(write_config(tmp_path, "coarse_level = 11\n"))
         with pytest.raises(ConfigError, match=r"^line 1 \(grid_len\), line 2 \(coarse_level\): .* <= 6, .* of 128 "):
             parse_config(write_config(tmp_path, "grid_len = 128\ncoarse_level = 7\nmodes = 8\n"))
-        # a grid of 2 points has no detail level, so no coarse_level can fit below it
+        # a grid of 2 points has no detail level: the check reads the grid alone
         message = "a wavelet basis needs grid_len >= 4, a detail level of at least 1, got 2"
-        with pytest.raises(ConfigError, match=rf"^line 1 \(grid_len\), line 3 \(coarse_level\): {message}$"):
+        with pytest.raises(ConfigError, match=rf"^line 1 \(grid_len\): {message}$"):
             parse_config(write_config(tmp_path, "grid_len = 2\nmodes = 2\ncoarse_level = 1\n"))
 
     @pytest.mark.parametrize(
@@ -226,6 +236,19 @@ class TestRunExperiment:
         results, _ = run_experiment(config, threads=threads)
         assert len(results) == 1400
         assert InlinePool.requested == [expected + (cpus != 1)]
+
+    def test_sweep_scores_errors_with_the_besov_sup_norm(self, tmp_path, monkeypatch):
+        # the norm that criterion 8 tests is the one every error_B comes from
+        scored = []
+
+        def spy(values):
+            scored.extend(np.atleast_1d(besov_sup_norm(values)).tolist())
+            return besov_sup_norm(values)
+
+        monkeypatch.setattr(estimation, "besov_sup_norm", spy)
+        config = parse_config(write_config(tmp_path, TINY_CONFIG + f"output_dir = {tmp_path / 'out'}\n"))
+        results, _ = run_experiment(config)
+        assert scored == [r.error_b for r in results]
 
     def test_smoke_run_emits_all_artifacts(self, tmp_path):
         cfg = parse_config(smoke_config(tmp_path))

@@ -7,7 +7,6 @@ from banach_ar1.wavelet import (
     GelfandWeights,
     WaveletBasisSpec,
     _periodic_index,
-    WaveletCoeffs,
     besov_l1_norm,
     besov_sup_norm,
     coefficient_matrix,
@@ -24,7 +23,7 @@ SPEC = WaveletBasisSpec(order=10, coarse_level=2, max_level=10)
 
 
 def random_coeffs(spec, rng):
-    return WaveletCoeffs(spec=spec, values=rng.standard_normal(spec.grid_len))
+    return rng.standard_normal(spec.grid_len)
 
 
 class TestDaubechiesFilter:
@@ -78,7 +77,7 @@ class TestTransform:
         for order in (1, 2, 4, 10):
             spec = WaveletBasisSpec(order=order, coarse_level=2, max_level=6)
             coeffs = dwt_forward(np.ones(spec.grid_len), spec)
-            assert np.abs(coeffs.values[2**spec.coarse_level :]).max() < 1e-8
+            assert np.abs(coeffs[2**spec.coarse_level :]).max() < 1e-8
 
     @pytest.mark.parametrize("order", [1, 2, 4, 10])
     @pytest.mark.parametrize("max_level", [3, 5, 8, 10, 11])
@@ -88,27 +87,25 @@ class TestTransform:
         rng = np.random.default_rng(order * 100 + max_level)
         x = rng.standard_normal(spec.grid_len)
         coeffs = dwt_forward(x, spec)
-        assert np.abs(dwt_inverse(coeffs) - x).max() < 1e-10
+        assert np.abs(dwt_inverse(coeffs, spec) - x).max() < 1e-10
         scaled = x * 2.0 ** (-(max_level + 1) / 2)
-        flat = coeffs.values
-        assert abs(flat @ flat - scaled @ scaled) < 1e-10
+        assert abs(coeffs @ coeffs - scaled @ scaled) < 1e-10
 
     def test_smooth_signal_details_decay_with_level(self):
         t = (np.arange(SPEC.grid_len) + 0.5) / SPEC.grid_len
         coeffs = dwt_forward(np.sin(2 * np.pi * t), SPEC)
-        maxima = [np.abs(coeffs.values[2**j : 2 ** (j + 1)]).max() for j in SPEC.levels]
+        maxima = [np.abs(coeffs[2**j : 2 ** (j + 1)]).max() for j in SPEC.levels]
         assert all(a > b for a, b in zip(maxima, maxima[1:]))
         assert maxima[-1] < 1e-10
 
     def test_zero_coeffs_invert_to_zero(self):
-        coeffs = WaveletCoeffs(spec=SPEC, values=np.zeros(SPEC.grid_len))
-        assert np.abs(dwt_inverse(coeffs)).max() == 0.0
+        assert np.abs(dwt_inverse(np.zeros(SPEC.grid_len), SPEC)).max() == 0.0
 
     def test_unit_alpha_inverts_to_cascaded_scaling_vector(self):
         spec = WaveletBasisSpec(order=10, coarse_level=2, max_level=6)
         values = np.zeros(spec.grid_len)
         values[0] = 1.0
-        samples = dwt_inverse(WaveletCoeffs(spec=spec, values=values))
+        samples = dwt_inverse(values, spec)
         expected = cascade_basis(spec)[0] * 2.0 ** ((spec.max_level + 1) / 2)
         assert np.abs(samples - expected).max() < 1e-10
 
@@ -123,10 +120,10 @@ class TestTransform:
             k = pos % cells
             unit = np.zeros(L)
             unit[pos] = 1.0
-            samples = dwt_inverse(WaveletCoeffs(spec=spec, values=unit))
+            samples = dwt_inverse(unit, spec)
             support = np.arange(k * L // cells, (k + 1) * L // cells)
             assert np.array_equal(np.flatnonzero(samples), support), pos
-            assert np.abs(dwt_forward(samples, spec).values - unit).max() < 1e-12
+            assert np.abs(dwt_forward(samples, spec) - unit).max() < 1e-12
 
     def test_wrong_length_errors(self):
         with pytest.raises(ValueError, match="power of two"):
@@ -134,15 +131,25 @@ class TestTransform:
         with pytest.raises(ValueError):
             dwt_forward(np.zeros(1024), SPEC)  # right power, wrong level count
 
-    def test_shape_mismatch_errors(self):
+    def test_inverse_refuses_a_wrong_length_or_non_finite_vector(self):
         with pytest.raises(ValueError, match="coefficients"):
-            WaveletCoeffs(spec=SPEC, values=np.zeros(SPEC.grid_len - 1))
+            dwt_inverse(np.zeros(SPEC.grid_len - 1), SPEC)
         with pytest.raises(ValueError, match="coefficients"):
-            WaveletCoeffs(spec=SPEC, values=np.zeros((1, SPEC.grid_len)))
-        values = np.zeros(SPEC.grid_len)
-        values[-1] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            WaveletCoeffs(spec=SPEC, values=values)
+            dwt_inverse(np.zeros((1, SPEC.grid_len)), SPEC)
+        for bad in (np.nan, np.inf):
+            values = np.zeros(SPEC.grid_len)
+            values[-1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                dwt_inverse(values, SPEC)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_forward_refuses_non_finite_samples(self, bad):
+        samples = np.zeros(SPEC.grid_len)
+        samples[3] = bad
+        with pytest.raises(ValueError, match="samples must be finite"):
+            dwt_forward(samples, SPEC)
+        with pytest.raises(ValueError, match="samples must be finite"):
+            coefficient_matrix(np.stack([np.zeros(SPEC.grid_len), samples]), SPEC)
 
     def test_fast_path_matches_inner_product_oracle(self):
         spec = WaveletBasisSpec(order=10, coarse_level=2, max_level=7)  # L = 256
@@ -150,18 +157,17 @@ class TestTransform:
         x = rng.standard_normal(spec.grid_len)
         sup, l1, l2, coeffs = oracle_norms(x, spec)
         fast = dwt_forward(x, spec)
-        assert np.abs(fast.values - coeffs).max() < 1e-8
+        assert np.abs(fast - coeffs).max() < 1e-8
         assert abs(besov_sup_norm(fast) - sup) < 1e-8
         assert abs(besov_l1_norm(fast) - l1) < 1e-8
-        flat = fast.values
-        assert abs(math.sqrt(flat @ flat) - l2) < 1e-8
+        assert abs(math.sqrt(fast @ fast) - l2) < 1e-8
 
     def test_coefficient_matrix_rows_are_single_transforms(self):
         rows = np.random.default_rng(10).standard_normal((3, SPEC.grid_len))
         w = coefficient_matrix(rows, SPEC)
         assert w.shape == (3, SPEC.grid_len)
         for row, coeffs in zip(rows, w):
-            assert np.array_equal(coeffs, dwt_forward(row, SPEC).values)
+            assert np.array_equal(coeffs, dwt_forward(row, SPEC))
 
     def test_periodic_index_is_cached_and_read_only(self):
         idx = _periodic_index(16, 6)
@@ -172,7 +178,7 @@ class TestTransform:
 
 class TestNorms:
     def test_zero_norms(self):
-        coeffs = WaveletCoeffs(spec=SPEC, values=np.zeros(SPEC.grid_len))
+        coeffs = np.zeros(SPEC.grid_len)
         assert besov_sup_norm(coeffs) == 0.0
         assert besov_l1_norm(coeffs) == 0.0
 
@@ -180,32 +186,56 @@ class TestNorms:
         values = np.zeros(SPEC.grid_len)
         values[0] = 0.5
         values[2**SPEC.coarse_level + 1] = 0.9
-        coeffs = WaveletCoeffs(spec=SPEC, values=values)
-        assert besov_sup_norm(coeffs) == 0.9
-        assert besov_l1_norm(coeffs) == pytest.approx(1.4, abs=1e-15)
+        assert besov_sup_norm(values) == 0.9
+        assert besov_l1_norm(values) == pytest.approx(1.4, abs=1e-15)
 
     def test_norms_match_flat_scans(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
             coeffs = random_coeffs(SPEC, rng)
-            flat = coeffs.values
-            assert besov_sup_norm(coeffs) == np.abs(flat).max()
-            assert besov_l1_norm(coeffs) == pytest.approx(np.abs(flat).sum(), rel=1e-14)
+            assert besov_sup_norm(coeffs) == np.abs(coeffs).max()
+            assert besov_l1_norm(coeffs) == pytest.approx(np.abs(coeffs).sum(), rel=1e-14)
+
+    def test_one_vector_gives_a_float(self):
+        coeffs = random_coeffs(SPEC, np.random.default_rng(6))
+        weights = make_gelfand_weights(SPEC, 0.6)
+        norms = [besov_sup_norm(coeffs), besov_l1_norm(coeffs)]
+        norms += [weighted_norm(coeffs, weights, mode) for mode in ("direct", "dual", "flat")]
+        assert all(type(norm) is float for norm in norms)
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 5)], ids=["stack", "stack-of-stacks"])
+    def test_stacked_norms_equal_row_by_row_norms_exactly(self, shape):
+        stack = np.random.default_rng(7).standard_normal((*shape, SPEC.grid_len))
+        rows = stack.reshape(-1, SPEC.grid_len)
+        weights = make_gelfand_weights(SPEC, 0.6)
+        norms = {
+            "sup": besov_sup_norm,
+            "l1": besov_l1_norm,
+            **{mode: lambda c, mode=mode: weighted_norm(c, weights, mode) for mode in ("direct", "dual", "flat")},
+        }
+        for name, norm in norms.items():
+            stacked = norm(stack)
+            assert stacked.shape == shape, name
+            assert stacked.ravel().tolist() == [norm(row) for row in rows], name
 
 
 class TestGelfandWeights:
     def test_scaling_block_is_uniform(self):
-        w = make_gelfand_weights(SPEC, 0.6, renormalize=False)
-        assert np.allclose(w.t[: 2**SPEC.coarse_level], 0.25, atol=0)
+        w = make_gelfand_weights(SPEC, 0.6)
+        assert np.all(w.t[: 2**SPEC.coarse_level] == w.t[0])
 
     def test_detail_weight_formula_at_coarse_level(self):
-        w = make_gelfand_weights(SPEC, 0.6, renormalize=False)
+        # before the division by the total, the scaling weights are 2^-J = 0.25
+        w = make_gelfand_weights(SPEC, 0.6)
         expected = (2**1.2 - 1) * 2.0 ** (-1.2 * (1 - 2)) * 2.0 ** (-2.4)
-        assert np.allclose(w.t[2**SPEC.coarse_level : 2 ** (SPEC.coarse_level + 1)], expected, rtol=1e-14)
+        level = w.t[2**SPEC.coarse_level : 2 ** (SPEC.coarse_level + 1)]
+        np.testing.assert_allclose(level / w.t[0] * 0.25, expected, rtol=1e-14)
 
-    def test_total_mass_matches_geometric_series_oracle(self):
-        # level j contributes 2^j equal weights, so the total over levels is
-        # a geometric series with ratio 2^(1 - 2 beta) < 1
+    def test_mass_before_normalization_matches_geometric_series_oracle(self):
+        # the 2^J scaling weights 2^-J sum to 1 before the division, so the
+        # scaling block sums to 1 over the total; level j contributes 2^j
+        # equal weights, so the total over levels is a geometric series with
+        # ratio 2^(1 - 2 beta) < 1
         beta = 0.6
         J = 2
         factor = (2 ** (2 * beta) - 1) * 2.0 ** (-2 * beta * (1 - J))
@@ -214,18 +244,18 @@ class TestGelfandWeights:
         masses = []
         for max_level in (6, 9, 12):
             spec = WaveletBasisSpec(order=4, coarse_level=J, max_level=max_level)
-            mass = make_gelfand_weights(spec, beta).total_mass
+            mass = 1.0 / make_gelfand_weights(spec, beta).t[: 2**J].sum()
             partial = 1.0 + factor * (ratio**J - ratio ** (max_level + 1)) / (1.0 - ratio)
             assert mass == pytest.approx(partial, rel=1e-12)
             masses.append(mass)
         assert math.isfinite(limit) and limit > 1.0
         assert masses[0] < masses[1] < masses[2] < limit
 
-    def test_renormalized_weights_sum_to_one(self):
-        w = make_gelfand_weights(SPEC, 0.6)
-        assert abs(w.t.sum() - 1.0) < 1e-12
-        assert w.renormalized
-        assert w.total_mass > 1.0
+    @pytest.mark.parametrize("beta", [0.51, 0.6, 1.0, 3.0])
+    @pytest.mark.parametrize("max_level", [2, 6, 10])
+    def test_weights_sum_to_one(self, beta, max_level):
+        spec = WaveletBasisSpec(order=4, coarse_level=2, max_level=max_level)
+        assert abs(make_gelfand_weights(spec, beta).t.sum() - 1.0) < 1e-12
 
     def test_small_exponent_rejected(self):
         with pytest.raises(ValueError, match="1/2"):
@@ -236,21 +266,18 @@ class TestGelfandWeights:
         bad = w.t.copy()
         bad[0] = 0.0
         with pytest.raises(ValueError, match="positive"):
-            GelfandWeights(spec=SPEC, beta_exponent=0.6, t=bad, renormalized=False, total_mass=w.total_mass)
+            GelfandWeights(spec=SPEC, beta_exponent=0.6, t=bad)
 
     def test_malformed_weights_rejected(self):
         w = make_gelfand_weights(SPEC, 0.6)
         with pytest.raises(ValueError, match="weights"):
-            GelfandWeights(spec=SPEC, beta_exponent=0.6, t=w.t[:-1], renormalized=False, total_mass=w.total_mass)
+            GelfandWeights(spec=SPEC, beta_exponent=0.6, t=w.t[:-1])
         with_nan = w.t.copy()
         with_nan[-1] = np.nan
         with pytest.raises(ValueError, match="positive"):
-            GelfandWeights(spec=SPEC, beta_exponent=0.6, t=with_nan, renormalized=False, total_mass=w.total_mass)
-        for mass in (0.0, math.nan):
-            with pytest.raises(ValueError, match="total_mass"):
-                GelfandWeights(spec=SPEC, beta_exponent=0.6, t=w.t, renormalized=True, total_mass=mass)
+            GelfandWeights(spec=SPEC, beta_exponent=0.6, t=with_nan)
         with pytest.raises(ValueError, match="sum to 1"):
-            GelfandWeights(spec=SPEC, beta_exponent=0.6, t=2 * w.t, renormalized=True, total_mass=w.total_mass)
+            GelfandWeights(spec=SPEC, beta_exponent=0.6, t=2 * w.t)
 
     def test_weights_line_up_with_coefficient_matrix_columns(self):
         # sum_c t_c W_rc^2 is the squared direct norm of row r: the columns
@@ -265,7 +292,7 @@ class TestGelfandWeights:
 class TestWeightedNorm:
     def test_zero_input(self):
         w = make_gelfand_weights(SPEC, 0.6)
-        coeffs = WaveletCoeffs(spec=SPEC, values=np.zeros(SPEC.grid_len))
+        coeffs = np.zeros(SPEC.grid_len)
         for mode in ("direct", "dual", "flat"):
             assert weighted_norm(coeffs, w, mode) == 0.0
 
@@ -274,9 +301,7 @@ class TestWeightedNorm:
         rng = np.random.default_rng(11)
         coeffs = random_coeffs(spec, rng)
         total = spec.grid_len
-        uniform = GelfandWeights(
-            spec=spec, beta_exponent=0.6, t=np.full(total, 1.0 / total), renormalized=True, total_mass=1.0
-        )
+        uniform = GelfandWeights(spec=spec, beta_exponent=0.6, t=np.full(total, 1.0 / total))
         flat = weighted_norm(coeffs, uniform, "flat")
         direct = weighted_norm(coeffs, uniform, "direct")
         assert direct == pytest.approx(flat / math.sqrt(total), rel=1e-12)
@@ -293,12 +318,16 @@ class TestWeightedNorm:
             dual = weighted_norm(coeffs, w, "dual")
             assert direct <= sup <= flat <= l1 <= dual
 
-    def test_bad_mode_and_mismatched_spec(self):
+    def test_bad_mode_and_wrong_length(self):
         w = make_gelfand_weights(SPEC, 0.6)
         rng = np.random.default_rng(5)
         coeffs = random_coeffs(SPEC, rng)
         with pytest.raises(ValueError, match="mode"):
             weighted_norm(coeffs, w, "euclid")
-        other = WaveletBasisSpec(order=4, coarse_level=2, max_level=10)
-        with pytest.raises(ValueError, match="different bases"):
-            weighted_norm(random_coeffs(other, rng), w, "flat")
+        # the length is what is checked: a vector built for another grid is refused
+        other = WaveletBasisSpec(order=4, coarse_level=2, max_level=9)
+        for mode in ("direct", "dual", "flat"):
+            with pytest.raises(ValueError, match="one per weight"):
+                weighted_norm(random_coeffs(other, rng), w, mode)
+            with pytest.raises(ValueError, match="one per weight"):
+                weighted_norm(np.stack([coeffs[:-1]] * 2), w, mode)
