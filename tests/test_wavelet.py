@@ -251,8 +251,8 @@ class TestGelfandWeights:
         assert math.isfinite(limit) and limit > 1.0
         assert masses[0] < masses[1] < masses[2] < limit
 
-    @pytest.mark.parametrize("beta", [0.51, 0.6, 1.0, 3.0])
-    @pytest.mark.parametrize("max_level", [2, 6, 10])
+    @pytest.mark.parametrize("beta", [0.51, 3.0])
+    @pytest.mark.parametrize("max_level", [2, 10])
     def test_weights_sum_to_one(self, beta, max_level):
         spec = WaveletBasisSpec(order=4, coarse_level=2, max_level=max_level)
         assert abs(make_gelfand_weights(spec, beta).t.sum() - 1.0) < 1e-12
