@@ -237,7 +237,7 @@ def test_criterion_8_norm_chain():
         dual = weighted_norm(coeffs, weights, "dual")
         ok = ok and direct <= sup <= flat <= l1 <= dual
     elapsed = time.perf_counter() - start
-    report(8, "norm chain with unit-sum weights", ok and elapsed < 5, f"1000 vectors, {elapsed:.1f}s")
+    report(8, "norm chain with renormalized weights", ok and elapsed < 5, f"1000 vectors, {elapsed:.1f}s")
 
 
 def test_criterion_9_determinism(desk_run, tmp_path):
