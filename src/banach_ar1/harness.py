@@ -340,18 +340,18 @@ def replication_rng(master_seed: int, n: int, replication: int) -> np.random.Gen
     return np.random.default_rng([master_seed, n, replication])
 
 
-# Doubles that one chunk may keep alive (1.9 MiB, chunk_doubles).  A
+# Doubles that one chunk may keep alive (1.69 MiB, chunk_doubles).  A
 # serial sweep holds two chunks at once: on 2 cores, 2**17 (one desk
 # replication per chunk at n = 500 and 2000) made the desk sweep about 18%
-# slower, and 2**18 raised its peak RSS by 1.5 to 2.3 MB.  31 * 2**13 is
+# slower, and 2**18 raised its peak RSS by 1.5 to 2.3 MB.  27 * 2**13 is
 # the smallest multiple of 2**13 that holds 8, 7 and 6 replications of
-# short-many (n = 50, 100, 200) per chunk (it holds 9, 8 and 6; at 30 *
-# 2**13, n = 100 and 200 drop to 7 and 5) and 5 of every desk size (n =
-# 500, 2000, 8000, whose pieces are all PIECE_ROWS long).  A narrower chunk
+# short-many (n = 50, 100, 200) per chunk (it holds 10, 8 and 6; at 26 *
+# 2**13, n = 200 drops to 5) and 5 of every desk size (n = 500, 2000,
+# 8000, whose pieces are all PIECE_ROWS long).  A narrower chunk
 # spends more interpreter time per path on the whole-stack calls of
 # model.stream_paths' piece loop.  Chunk sizes follow from the
 # configuration alone, so every --threads value writes the same bytes.
-CHUNK_BUDGET = 31 * 2**13
+CHUNK_BUDGET = 27 * 2**13
 
 
 def chunk_doubles(config: ExperimentConfig, n: int, size: int) -> int:

@@ -80,11 +80,10 @@ class GelfandWeights:
 
     Before normalization the weights are 2^-J on the scaling block and
     (2^(2b) - 1) * 2^(-2b(1-J)) * 2^(-2jb) on detail level j, where
-    b = beta_exponent > 1/2 guarantees a summable sequence.
+    b = make_gelfand_weights' beta_exponent > 1/2 makes them summable.
     """
 
     spec: WaveletBasisSpec
-    beta_exponent: float
     t: np.ndarray
 
     def __post_init__(self):
@@ -235,7 +234,7 @@ def make_gelfand_weights(spec: WaveletBasisSpec, beta_exponent: float) -> Gelfan
     factor = (2.0 ** (2 * beta_exponent) - 1.0) * 2.0 ** (-2 * beta_exponent * (1 - J))
     for j in spec.levels:
         t[2**j : 2 ** (j + 1)] = factor * 2.0 ** (-2 * j * beta_exponent)
-    return GelfandWeights(spec=spec, beta_exponent=beta_exponent, t=t / t.sum())
+    return GelfandWeights(spec=spec, t=t / t.sum())
 
 
 _NORM_MODES = ("direct", "dual", "flat")

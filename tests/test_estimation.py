@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from banach_ar1.estimation import (
+    FIT_PEAK_ARRAYS,
     EigenGapError,
     EstimatorState,
     TransitionMoments,
@@ -150,32 +152,41 @@ def transition_states(inputs):
     return Trajectory(states=np.vstack([inputs, np.zeros(inputs.shape[1])]))
 
 
+def moments_of(gram, cross, transitions):
+    """TransitionMoments of one path whose sums are gram and cross over the given transitions."""
+    moments = TransitionMoments()
+    moments.gram, moments.cross, moments.transitions = gram[None], cross[None], transitions
+    return moments
+
+
 class TestEigenDecompose:
-    # the estimator's one eigen route: fit_moments' eigensystem of the transition Gram matrix
+    # the estimator's one eigen route: fit_moments' eigensystem of the transition
+    # Gram matrix.  With D_n = C_n, rho_hat = P_k D_n C_n^+ P_k is the orthogonal
+    # projector on the top k eigenvectors; with D_n = C_n^2 it is U_k diag(lambda_k) U_k^T.
 
     def test_permuted_diagonal(self):
-        # inputs^T inputs / 3 = diag(3, 1, 2)
-        state = fit_estimator(transition_states(np.diag(np.sqrt([9.0, 3.0, 6.0]))), TruncationRule.fixed(1))
-        assert state.eigenvalues == pytest.approx([3.0, 2.0, 1.0], rel=1e-15)
-        expected_cols = [0, 2, 1]
-        for rank, col in enumerate(expected_cols):
-            assert abs(abs(state.eigenvectors[col, rank]) - 1.0) < 1e-14
+        gram = 3 * np.diag([3.0, 1.0, 2.0])
+        for k, projector in ((1, [1.0, 0.0, 0.0]), (2, [1.0, 0.0, 1.0])):
+            state = fit_moments(moments_of(gram, gram, 3), TruncationRule.fixed(k))[0]
+            assert state.eigenvalues == pytest.approx([3.0, 2.0, 1.0], rel=1e-15)
+            assert np.abs(state.rho_hat - np.diag(projector)).max() < 1e-14, k
 
     def test_textbook_two_by_two(self):
-        # inputs^T inputs / 2 = [[2, 1], [1, 2]]
-        a, b = (math.sqrt(3) + 1) / 2, (math.sqrt(3) - 1) / 2
-        state = fit_estimator(transition_states(math.sqrt(2) * np.array([[a, b], [b, a]])), TruncationRule.fixed(1))
+        gram = 2 * np.array([[2.0, 1.0], [1.0, 2.0]])
+        state = fit_moments(moments_of(gram, gram, 2), TruncationRule.fixed(1))[0]
         assert np.allclose(state.eigenvalues, [3.0, 1.0])
-        inv_sqrt2 = 1 / math.sqrt(2)
-        assert np.abs(np.abs(state.eigenvectors[:, 0]) - inv_sqrt2).max() < 1e-14
-        assert np.abs(np.abs(state.eigenvectors[:, 1]) - inv_sqrt2).max() < 1e-14
+        assert np.abs(state.rho_hat - 0.5).max() < 1e-14
 
     def test_reconstruction_and_order(self):
-        x = np.random.default_rng(17).standard_normal((12, 6))
-        state = fit_estimator(Trajectory(states=x), TruncationRule.fixed(2))
-        recon = state.eigenvectors @ np.diag(state.eigenvalues) @ state.eigenvectors.T
-        assert np.abs(recon - x[:-1].T @ x[:-1] / 11).max() < 1e-10
-        assert (np.diff(state.eigenvalues) <= 1e-12).all()
+        x = np.random.default_rng(17).standard_normal((11, 6))
+        cov = x.T @ x / 11
+        lam, u = np.linalg.eigh(cov)
+        for k in (2, 6):
+            state = fit_moments(moments_of(x.T @ x, 11 * cov @ cov, 11), TruncationRule.fixed(k))[0]
+            assert (np.diff(state.eigenvalues) <= 1e-12).all()
+            assert np.abs(state.eigenvalues - lam[::-1]).max() < 1e-12
+            top = u[:, ::-1][:, :k]
+            assert np.abs(state.rho_hat - top @ np.diag(lam[::-1][:k]) @ top.T).max() < 1e-10, k
 
 
 class TestTruncationOrder:
@@ -281,8 +292,6 @@ class TestFitEstimator:
         rng = np.random.default_rng(50)
         x = rng.standard_normal((5, 9))
         state = fit_estimator(Trajectory(states=x), TruncationRule.fixed(3))
-        gram = state.eigenvectors.T @ state.eigenvectors
-        assert np.abs(gram - np.eye(9)).max() < 1e-10
         assert (state.eigenvalues[4:] == 0).all()
         assert np.abs(state.rho_hat - oracle_estimator(x, 3)).max() < 1e-10
 
@@ -360,28 +369,39 @@ class TestFitStack:
         predictions = plug_in_predict(stack, x[:, -1])
         for r in range(4):
             single = fit_estimator(Trajectory(states=x[r]), TruncationRule.fixed(3))
-            for name in ("eigenvalues", "eigenvectors", "d_matrix", "rho_hat"):
+            for name in ("eigenvalues", "rho_hat"):
                 assert np.array_equal(getattr(stack[r], name), getattr(single, name)), name
             assert np.array_equal(predictions[r], plug_in_predict(single, x[r, -1]))
 
     def test_invariants_hold_for_every_member(self):
         x = np.random.default_rng(13).standard_normal((3, 20, 5))
         stack = fit_moments(added(x), TruncationRule.fixed(2))
-        skewed = stack.eigenvectors.copy()
-        skewed[2, :, 0] *= 1.01
-        with pytest.raises(ValueError, match="orthonormal"):
-            EstimatorState(stack.n, stack.k_n, stack.eigenvalues, skewed, stack.d_matrix, stack.rho_hat)
         unsorted = stack.eigenvalues.copy()
         unsorted[1, [0, 1]] = unsorted[1, [1, 0]]
         with pytest.raises(ValueError, match="sorted"):
-            EstimatorState(stack.n, stack.k_n, unsorted, stack.eigenvectors, stack.d_matrix, stack.rho_hat)
+            EstimatorState(stack.n, stack.k_n, unsorted, stack.rho_hat)
 
-    @pytest.mark.parametrize("name", ["eigenvalues", "eigenvectors", "d_matrix", "rho_hat"])
-    def test_non_finite_values_are_rejected_naming_the_array(self, name):
-        # every comparison with NaN is false, so the ordering and orthonormality checks alone let it through
+    def test_rho_hat_must_be_p_by_p_per_fit(self):
         x = np.random.default_rng(13).standard_normal((3, 20, 5))
         stack = fit_moments(added(x), TruncationRule.fixed(2))
-        arrays = {key: getattr(stack, key).copy() for key in ("eigenvalues", "eigenvectors", "d_matrix", "rho_hat")}
+        single = stack[0]
+        for values, rho_hat in (
+            (single.eigenvalues, np.eye(6)),
+            (single.eigenvalues, np.ones((5, 4))),
+            (single.eigenvalues, stack.rho_hat),
+            (stack.eigenvalues, stack.rho_hat[:2]),
+            (stack.eigenvalues, stack.rho_hat[:, :, :4]),
+            (stack.eigenvalues, single.rho_hat),
+        ):
+            with pytest.raises(ValueError, match="^rho_hat has shape"):
+                EstimatorState(stack.n, stack.k_n, values, rho_hat)
+
+    @pytest.mark.parametrize("name", ["eigenvalues", "rho_hat"])
+    def test_non_finite_values_are_rejected_naming_the_array(self, name):
+        # every comparison with NaN is false, so the ordering check alone lets it through
+        x = np.random.default_rng(13).standard_normal((3, 20, 5))
+        stack = fit_moments(added(x), TruncationRule.fixed(2))
+        arrays = {key: getattr(stack, key).copy() for key in ("eigenvalues", "rho_hat")}
         arrays[name][1, ..., -1] = np.nan
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             EstimatorState(stack.n, stack.k_n, **arrays)
@@ -392,6 +412,22 @@ class TestFitStack:
         with pytest.raises(TruncationRankError, match="eigenvalue 2 is 0.000e\\+00 \\(leading 0.000e\\+00\\)"):
             fit_moments(added(x), TruncationRule.fixed(2))
 
+
+    @pytest.mark.parametrize("p", [50, 200])
+    @pytest.mark.parametrize("paths", [1, 10])
+    def test_peak_memory_is_within_fit_peak_arrays(self, paths, p):
+        # the harness sizes its chunks by this count: the two moment sums and
+        # what fit_moments allocates on top of them, per path
+        x = np.random.default_rng(p + paths).standard_normal((paths, 300, p))
+        fit_moments(added(x), TruncationRule.log_ceil())  # loads LAPACK outside the trace
+        moments = added(x)
+        tracemalloc.start()
+        try:
+            fit_moments(moments, TruncationRule.log_ceil())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak + moments.gram.nbytes + moments.cross.nbytes <= FIT_PEAK_ARRAYS * paths * p * p * 8, peak
 
 class TestPrediction:
     def test_zero_estimator_predicts_zero(self):
@@ -405,7 +441,7 @@ class TestPrediction:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((12, 3))
         state = fit_estimator(Trajectory(states=x), TruncationRule.fixed(2))
-        u_k = state.eigenvectors[:, :2]
+        u_k, _ = np.linalg.qr(rng.standard_normal((3, 2)))
         state.rho_hat = u_k @ u_k.T
         v = u_k @ np.array([0.3, -1.2])
         assert np.abs(plug_in_predict(state, v) - v).max() < 1e-12

@@ -193,7 +193,7 @@ class TestParseConfig:
 
 
 TINY_CONFIG = "modes = 8\ngrid_len = 256\nsample_sizes = 6, 20\nreplications = 3\nseed = 5\n"
-# 700 replications run as 3 chunks of n = 6 (323 per chunk) and 3 of n = 20 (242 per chunk)
+# 700 replications run as 3 chunks of n = 6 (337 per chunk) and 3 of n = 20 (240 per chunk)
 POOL_CONFIG = "modes = 8\ngrid_len = 256\nsample_sizes = 6, 20\nreplications = 700\nseed = 5\n"
 
 
@@ -349,7 +349,7 @@ class TestRunExperiment:
 
 # 50 modes as in the reference model; n = 20 < p, n = 51 = p + 1
 CHUNK_CONFIG = "grid_len = 256\nsample_sizes = 20, 51, 80\nreplications = 9\nseed = 11\n"
-# a chunk budget that runs CHUNK_CONFIG in chunks of 6, 5 and 5 replications
+# a chunk budget that runs CHUNK_CONFIG in chunks of 8, 6 and 6 replications
 # at n = 20, 51, 80 without burn-in, and the seam sizes 255, 256, 511, 512 in
 # chunks of 3
 TEST_BUDGET = 150_000
@@ -404,13 +404,13 @@ class TestChunks:
     @pytest.mark.parametrize(
         "text, widths",
         [
-            ("", {n: (5, 232_500) for n in (500, 2000, 8000)}),
-            ("truncated_init = false\n", {n: (5, 232_500) for n in (500, 2000, 8000)}),
-            ("spline_mode = true\n", {n: (5, 232_500) for n in (500, 2000, 8000)}),
-            ("sample_sizes = 2048,8192,32768,131072\n", {n: (5, 232_500) for n in (2048, 8192, 32768, 131072)}),
+            ("", {n: (5, 207_500) for n in (500, 2000, 8000)}),
+            ("truncated_init = false\n", {n: (5, 207_500) for n in (500, 2000, 8000)}),
+            ("spline_mode = true\n", {n: (5, 207_500) for n in (500, 2000, 8000)}),
+            ("sample_sizes = 2048,8192,32768,131072\n", {n: (5, 207_500) for n in (2048, 8192, 32768, 131072)}),
             ("sample_sizes = 50,100,200\nreplications = 400\n",
-             {50: (9, 239_850), 100: (8, 252_800), 200: (6, 249_000)}),
-            ("modes = 200\nsample_sizes = 50, 600\n", {50: (1, 346_600), 600: (1, 426_000)}),
+             {50: (10, 216_500), 100: (8, 212_800), 200: (6, 219_000)}),
+            ("modes = 200\nsample_sizes = 50, 600\n", {50: (1, 266_600), 600: (1, 346_000)}),
         ],
         ids=["desk", "desk-zero-start", "desk-spline", "desk-long", "short-many", "modes-200"],
     )
@@ -510,7 +510,7 @@ class TestStreaming:
             single, fit = run_replication(config, result.n, result.replication)
             error, state = mirrored_replication(config, result.n, result.replication)
             assert result.error_b == single.error_b == error, (result.n, result.replication)
-            for name in ("eigenvalues", "eigenvectors", "d_matrix", "rho_hat"):
+            for name in ("eigenvalues", "rho_hat"):
                 assert np.array_equal(getattr(fit, name), getattr(state, name)), (result.n, name)
         run_experiment(replace(config, output_dir=str(tmp_path / "two")), threads=2)
         for name in CSV_NAMES:
@@ -592,12 +592,12 @@ class TestChunkMemory:
 class TestWriteCsv:
     def test_rows_are_the_bytes_csv_writer_wrote(self, tmp_path):
         # ints, Python and numpy floats, bools, and the strings the program
-        # writes: column names, the consistency mode and the bundle's records
-        header = ["n", "replication", "error_B", "xi", "exceeded", "mode", "record"]
+        # writes: column names and the consistency mode
+        header = ["n", "replication", "error_B", "xi", "exceeded", "mode", "column"]
         rows = [
-            (500, np.int64(7), 0.1, np.float64(1 / 3), True, "true", "eigenvalue"),
-            (2**70, -3, -0.0, np.float64(1e-300), False, "n", "d_matrix"),
-            (0, 1, math.inf, 5e-324, True, "k_n", "rho_hat"),
+            (500, np.int64(7), 0.1, np.float64(1 / 3), True, "true", "C_nj"),
+            (2**70, -3, -0.0, np.float64(1e-300), False, "n", "proportion"),
+            (0, 1, math.inf, 5e-324, True, "k_n", "error_B"),
         ]
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
@@ -605,7 +605,7 @@ class TestWriteCsv:
         path = tmp_path / "table.csv"
         harness._write_csv(path, header, iter(rows))
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
-        assert path.read_text().splitlines()[1] == "500,7,0.1,0.3333333333333333,1,true,eigenvalue"
+        assert path.read_text().splitlines()[1] == "500,7,0.1,0.3333333333333333,1,true,C_nj"
 
 
 class TestKernelSurface:
@@ -811,7 +811,7 @@ class TestDrawAhead:
         run_replication(config, 51, 4)
         assert len(pieces) == len(fits) == len(harness.chunk_layout(config)) + 1
         for state in fits:
-            for array in (state.eigenvalues, state.eigenvectors, state.d_matrix, state.rho_hat):
+            for array in (state.eigenvalues, state.rho_hat):
                 assert not any(np.shares_memory(array, piece.base) for piece in pieces)
 
     @pytest.mark.parametrize("threads, pool", [(1, 2), (2, 3)])
@@ -826,12 +826,12 @@ class TestDrawAhead:
         assert f"chunks run on {pool} threads of one process, one chunk at a time per thread" in caplog.text
         assert InlinePool.requested == [pool]
         # at n = 20 a replication keeps 2 blocks of 16 columns x 8 modes for its piece
-        # and as many for its stage, 3 x 8 doubles of anchors and start and 8 fit
-        # matrices of 8 x 8: 3 (256 + 256 + 24 + 512) x 8 bytes
+        # and as many for its stage, 3 x 8 doubles of anchors and start and 6 fit
+        # matrices of 8 x 8: 3 (256 + 256 + 24 + 384) x 8 bytes
         assert (
             "paths run in pieces of at most 256 steps, cut at the burn-in's end, drawn path by path and stepped "
             "as one stack in rho's eigenbasis, in blocks of 16 states; "
-            "replications per chunk of at most 2.03 MB: 3 at n = 6 (0.0188 MB), 3 at n = 20 (0.0252 MB)"
+            "replications per chunk of at most 1.77 MB: 3 at n = 6 (0.0157 MB), 3 at n = 20 (0.0221 MB)"
         ) in caplog.text
         assert [record.name for record in caplog.records if "chunks run on" in record.message] == [
             "banach_ar1.harness"

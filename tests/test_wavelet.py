@@ -266,18 +266,18 @@ class TestGelfandWeights:
         bad = w.t.copy()
         bad[0] = 0.0
         with pytest.raises(ValueError, match="positive"):
-            GelfandWeights(spec=SPEC, beta_exponent=0.6, t=bad)
+            GelfandWeights(spec=SPEC, t=bad)
 
     def test_malformed_weights_rejected(self):
         w = make_gelfand_weights(SPEC, 0.6)
         with pytest.raises(ValueError, match="weights"):
-            GelfandWeights(spec=SPEC, beta_exponent=0.6, t=w.t[:-1])
+            GelfandWeights(spec=SPEC, t=w.t[:-1])
         with_nan = w.t.copy()
         with_nan[-1] = np.nan
         with pytest.raises(ValueError, match="positive"):
-            GelfandWeights(spec=SPEC, beta_exponent=0.6, t=with_nan)
+            GelfandWeights(spec=SPEC, t=with_nan)
         with pytest.raises(ValueError, match="sum to 1"):
-            GelfandWeights(spec=SPEC, beta_exponent=0.6, t=2 * w.t)
+            GelfandWeights(spec=SPEC, t=2 * w.t)
 
     def test_weights_line_up_with_coefficient_matrix_columns(self):
         # sum_c t_c W_rc^2 is the squared direct norm of row r: the columns
@@ -301,7 +301,7 @@ class TestWeightedNorm:
         rng = np.random.default_rng(11)
         coeffs = random_coeffs(spec, rng)
         total = spec.grid_len
-        uniform = GelfandWeights(spec=spec, beta_exponent=0.6, t=np.full(total, 1.0 / total))
+        uniform = GelfandWeights(spec=spec, t=np.full(total, 1.0 / total))
         flat = weighted_norm(coeffs, uniform, "flat")
         direct = weighted_norm(coeffs, uniform, "direct")
         assert direct == pytest.approx(flat / math.sqrt(total), rel=1e-12)
