@@ -147,11 +147,6 @@ class TestBlocking:
         assert np.array_equal(whole.cross, streamed.cross)
 
 
-def transition_states(inputs):
-    """States whose first len(inputs) rows are the fit's inputs; the last state is only an output."""
-    return Trajectory(states=np.vstack([inputs, np.zeros(inputs.shape[1])]))
-
-
 def moments_of(gram, cross, transitions):
     """TransitionMoments of one path whose sums are gram and cross over the given transitions."""
     moments = TransitionMoments()
@@ -412,7 +407,6 @@ class TestFitStack:
         with pytest.raises(TruncationRankError, match="eigenvalue 2 is 0.000e\\+00 \\(leading 0.000e\\+00\\)"):
             fit_moments(added(x), TruncationRule.fixed(2))
 
-
     @pytest.mark.parametrize("p", [50, 200])
     @pytest.mark.parametrize("paths", [1, 10])
     def test_peak_memory_is_within_fit_peak_arrays(self, paths, p):
@@ -427,7 +421,9 @@ class TestFitStack:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak + moments.gram.nbytes + moments.cross.nbytes <= FIT_PEAK_ARRAYS * paths * p * p * 8, peak
+        arrays = (peak + moments.gram.nbytes + moments.cross.nbytes) / (paths * p * p * 8)
+        assert arrays <= FIT_PEAK_ARRAYS, arrays
+
 
 class TestPrediction:
     def test_zero_estimator_predicts_zero(self):
